@@ -9,21 +9,24 @@ as selectable ablation baselines.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DegenerateRowError, ShapeError
 from .graph import learn_adjacency, mean_pool, vanilla_gcn_layer, attn_gcn_layer, AttnGcnParams
 from .optim import ParamStore, make_param
 from .tensor import (
     Tensor,
+    _record,
     add,
     concat,
     index_rows,
     linear,
+    masked_softmax,
     matmul,
     mul,
     row_softmax,
@@ -150,17 +153,84 @@ def create_davl_params(
     )
 
 
-def question_attention(block: QattBlock, x: Tensor, q: Tensor) -> Tensor:
-    """Multi-head cross attention: each row of x attends over the question
-    rows q; values come from q. Output keeps x's row count and width d."""
-    dh = block.heads[0].w_q.data.shape[1]  # = d / N_h, also the score scale
-    scale = 1.0 / math.sqrt(dh)
-    outs = []
-    for head in block.heads:
-        scores = matmul(matmul(x, head.w_q), transpose(matmul(q, head.w_k)))
-        alpha = row_softmax(mul(scores, scale))
-        outs.append(matmul(matmul(alpha, matmul(q, head.w_v)), head.w_o))
-    return concat(outs, axis=1)
+def question_attention(blocks, xs, q: Tensor) -> Tensor:
+    """Multi-head cross attention, one block per source: each row of a
+    source matrix x attends over the question rows q, and values come from
+    q. Every head of every source runs in a single tape node. Returns the
+    attended rows of all sources stacked in order, (sum of rows, d).
+
+    The heads run as stacked matmuls, whose slices compute exactly what
+    per-head 2-d products compute, and the vjp adds up each input's
+    contributions in the order a per-op tape would: sources last to first,
+    heads last to first, the value path before the key path.
+    """
+    qd = q.data
+    n_src, n_heads = len(blocks), len(blocks[0].heads)
+    d, dh = blocks[0].heads[0].w_q.data.shape  # dh = d / N_h, also the score scale
+    for t in (q, *xs):
+        if t.data.ndim != 2 or t.data.shape[1] != d:
+            raise ShapeError(f"question attention needs (rows, {d}) inputs, got {t.data.shape}")
+    if qd.shape[0] == 0:
+        raise DegenerateRowError("question attention over an empty question")
+    scale = np.asarray(1.0 / math.sqrt(dh), dtype=qd.dtype)
+    heads = [h for block in blocks for h in block.heads]
+    w_qkv = np.concatenate([t.data for h in heads for t in (h.w_q, h.w_k, h.w_v)])
+    w_qkv = w_qkv.reshape(n_src, n_heads, 3, d, dh)
+    w_q, w_k, w_v = w_qkv[:, :, 0], w_qkv[:, :, 1], w_qkv[:, :, 2]
+    w_o = np.concatenate([h.w_o.data for h in heads]).reshape(n_src, n_heads, dh, dh)
+    rows = list(itertools.accumulate((x.data.shape[0] for x in xs), initial=0))
+    spans = list(zip(rows, rows[1:]))
+
+    # contiguous like the copy a transpose op makes, so the products match
+    qk_t = np.ascontiguousarray((qd @ w_k).transpose(0, 1, 3, 2))  # (S, H, dh, t)
+    qv = qd @ w_v  # (S, H, t, dh)
+    xq = [x.data @ w_q[s] for s, x in enumerate(xs)]  # (H, n_s, dh) each
+    # the softmax runs once over every source's score rows: (H, N, t)
+    scores = np.concatenate([a @ qk_t[s] for s, a in enumerate(xq)], axis=1)
+    alpha, softmax_vjp = masked_softmax(scores * scale)
+    ctx = [alpha[:, lo:hi] @ qv[s] for s, (lo, hi) in enumerate(spans)]
+    o = np.concatenate([c @ w_o[s] for s, c in enumerate(ctx)], axis=1)  # (H, N, dh)
+    out = Tensor(o.transpose(1, 0, 2).reshape(rows[-1], n_heads * dh))
+
+    def bwd(g):
+        g_heads = g.reshape(-1, n_heads, dh).transpose(1, 0, 2)  # (H, N, dh)
+        g_o = [g_heads[:, lo:hi] for lo, hi in spans]
+        g_ctx = [go @ w_o[s].transpose(0, 2, 1) for s, go in enumerate(g_o)]
+        g_alpha = np.concatenate(
+            [gc @ qv[s].transpose(0, 2, 1) for s, gc in enumerate(g_ctx)], axis=1
+        )
+        g_scores = softmax_vjp(g_alpha) * scale
+        g_scores = [g_scores[:, lo:hi] for lo, hi in spans]
+        g_qv = np.stack([alpha[:, lo:hi].transpose(0, 2, 1) @ g_ctx[s]
+                         for s, (lo, hi) in enumerate(spans)])
+        g_qk = np.stack([a.transpose(0, 2, 1) @ gs for a, gs in zip(xq, g_scores)])
+        g_qk = g_qk.transpose(0, 1, 3, 2)
+        g_xq = [gs @ qk_t[s].transpose(0, 2, 1) for s, gs in enumerate(g_scores)]
+        q_val = g_qv @ w_v.transpose(0, 1, 3, 2)
+        q_key = g_qk @ w_k.transpose(0, 1, 3, 2)
+        g_q = None
+        for s in range(n_src - 1, -1, -1):
+            for h in range(n_heads - 1, -1, -1):
+                g_q = q_val[s, h] if g_q is None else g_q + q_val[s, h]
+                g_q = g_q + q_key[s, h]
+        g_x = []
+        for s, gx in enumerate(g_xq):
+            per_head = gx @ w_q[s].transpose(0, 2, 1)
+            acc = per_head[-1]
+            for h in range(n_heads - 2, -1, -1):
+                acc = acc + per_head[h]
+            g_x.append(acc)
+        g_wk, g_wv = qd.T @ g_qk, qd.T @ g_qv
+        grads = [g_q, *g_x]
+        for s, x in enumerate(xs):
+            g_wq = x.data.T @ g_xq[s]
+            g_wo = ctx[s].transpose(0, 2, 1) @ g_o[s]
+            for h in range(n_heads):
+                grads += (g_wq[h], g_wk[s, h], g_wv[s, h], g_wo[h])
+        return tuple(grads)
+
+    weights = [t for h in heads for t in (h.w_q, h.w_k, h.w_v, h.w_o)]
+    return _record(out, (q, *xs, *weights), bwd)
 
 
 def apply_index_embedding(index_matrix: Tensor, nodes: Tensor, sources) -> Tensor:
@@ -178,18 +248,16 @@ def apply_index_embedding(index_matrix: Tensor, nodes: Tensor, sources) -> Tenso
 
 def integrate(params: DavlParams, bundle: RepresentationBundle, q: Tensor) -> Tensor:
     """Fuse the four representation matrices into one vector (d,)."""
-    attended = [
-        question_attention(params.qatt[name], x, q)
-        for name, x in zip(SOURCE_NAMES, bundle.matrices())
-    ]
+    blocks = [params.qatt[name] for name in SOURCE_NAMES]
+    nodes = question_attention(blocks, bundle.matrices(), q)
     variant = params.variant
 
     if variant == RiVariant.RI_CONCAT:
-        pooled = [mean_pool(a) for a in attended]
+        sources = bundle.sources()
+        pooled = [mean_pool(nodes, np.flatnonzero(sources == k)) for k in range(1, 5)]
         flat = concat(pooled, axis=0)  # (4d,)
         return linear(flat, params.w_concat, params.b_concat)
 
-    nodes = concat(attended, axis=0)
     if variant == RiVariant.DAVL:
         nodes = apply_index_embedding(params.index_matrix, nodes, bundle.sources())
 

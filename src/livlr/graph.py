@@ -13,18 +13,14 @@ import numpy as np
 from .errors import ContractError, GraphIntegrityError, NumericError, ShapeError
 from .tensor import (
     Tensor,
+    _record,
     add,
     constant,
     index_rows,
+    masked_softmax,
     matmul,
     mean_axis0,
-    mul,
     relu,
-    reshape,
-    row_softmax,
-    sum_axis1,
-    take,
-    transpose,
 )
 
 
@@ -88,23 +84,70 @@ class TypedGcnParams:
     type_bias: Tensor  # (n_types,)
 
 
-def attention_coefficients(params, nodes: Tensor, graph: DenseGraph) -> Tensor:
-    """Row-stochastic neighbor weights.
+def _neighbor_weights(params, v: np.ndarray, adjacency: np.ndarray):
+    """Bilinear scores, score(i, j) = <W_q v_i, W_k v_j>, softmaxed over
+    each node's neighborhood on raw arrays; rows with no neighbors get
+    all-zero weights. Returns (W_q v, (W_k v)^T, alpha, softmax vjp)."""
+    q = v @ params.w_q.data
+    k_t = (v @ params.w_k.data).T.copy()  # contiguous like a transpose op's copy
+    alpha, softmax_vjp = masked_softmax(q @ k_t, adjacency)
+    return q, k_t, alpha, softmax_vjp
 
-    Scores are bilinear, score(i, j) = <W_q v_i, W_k v_j>, softmaxed over
-    each node's neighborhood. Rows with no neighbors come out all zero.
+
+def _attention_layer(params, nodes: Tensor, graph: DenseGraph, typed: bool) -> Tensor:
+    """One attention aggregation layer as a single tape node:
+    out_i = ReLU(v_i + sum_j alpha_ij (W v_j + typed * b[type_ij])).
+
+    The vjp adds up each input's contributions in the order a per-op tape
+    would, so gradients match that composition bit for bit.
     """
-    q = matmul(nodes, params.w_q)
-    k = matmul(nodes, params.w_k)
-    scores = matmul(q, transpose(k))
-    return row_softmax(scores, mask=graph.adjacency, allow_empty=True)
+    v, w, w_q, w_k = nodes.data, params.w.data, params.w_q.data, params.w_k.data
+    if v.shape != (graph.n_nodes, w.shape[0]):
+        raise ShapeError(f"node matrix {v.shape} does not fit {graph.n_nodes} nodes of width {w.shape[0]}")
+    q, k_t, alpha, softmax_vjp = _neighbor_weights(params, v, graph.adjacency)
+    msgs = v @ w
+    pre = v + alpha @ msgs
+    inputs = (nodes, params.w, params.w_q, params.w_k)
+    if typed:
+        # per-edge scalars: 0 off-edge entries are masked by alpha being 0 there
+        idx = np.where(graph.adjacency, graph.edge_types - 1, 0).ravel()
+        bias_mat = params.type_bias.data[idx].reshape(graph.adjacency.shape)
+        pre = pre + (alpha * bias_mat).sum(axis=1, keepdims=True)
+        inputs += (params.type_bias,)
+    live = pre > 0
+    out = Tensor(np.maximum(pre, 0.0))
+
+    def bwd(g):
+        g = g * live
+        grads = ()
+        g_alpha = g @ msgs.T
+        if typed:
+            g_shift = np.repeat(g.sum(axis=1, keepdims=True), v.shape[0], axis=1)
+            g_bias = np.zeros_like(params.type_bias.data)
+            np.add.at(g_bias, idx, (g_shift * alpha).reshape(-1))
+            grads = (g_bias,)
+            g_alpha = g_shift * bias_mat + g_alpha
+        g_msgs = alpha.T @ g
+        g_scores = softmax_vjp(g_alpha)
+        g_q = g_scores @ k_t.T
+        g_k = (q.T @ g_scores).T
+        g_v = g + g_msgs @ w.T
+        g_v = g_v + g_k @ w_k.T
+        g_v = g_v + g_q @ w_q.T
+        return (g_v, v.T @ g_msgs, v.T @ g_q, v.T @ g_k) + grads
+
+    return _record(out, inputs, bwd)
+
+
+def attention_coefficients(params, nodes: Tensor, graph: DenseGraph) -> Tensor:
+    """The row-stochastic neighbor weights the attention layers use, as a
+    no-grad tensor for inspection. Rows with no neighbors are all zero."""
+    return Tensor(_neighbor_weights(params, nodes.data, graph.adjacency)[2])
 
 
 def attn_gcn_layer(params: AttnGcnParams, nodes: Tensor, graph: DenseGraph) -> Tensor:
     """out_i = ReLU(v_i + sum_j alpha_ij W v_j) over neighbors j."""
-    alpha = attention_coefficients(params, nodes, graph)
-    msgs = matmul(nodes, params.w)
-    return relu(add(nodes, matmul(alpha, msgs)))
+    return _attention_layer(params, nodes, graph, typed=False)
 
 
 def typed_edge_gcn_layer(
@@ -114,14 +157,7 @@ def typed_edge_gcn_layer(
     chosen by the edge's type label, broadcast over feature dims."""
     if graph.edge_types is None:
         raise GraphIntegrityError("typed edge layer needs edge type labels")
-    alpha = attention_coefficients(params, nodes, graph)
-    msgs = matmul(nodes, params.w)
-    agg = matmul(alpha, msgs)
-    # per-edge scalars: 0 off-edge entries are masked by alpha being 0 there
-    idx = np.where(graph.adjacency, graph.edge_types - 1, 0).ravel()
-    bias_mat = reshape(take(params.type_bias, idx), graph.adjacency.shape)
-    shift = sum_axis1(mul(alpha, bias_mat))  # (n, 1), added to every column
-    return relu(add(add(nodes, agg), shift))
+    return _attention_layer(params, nodes, graph, typed=True)
 
 
 def vanilla_gcn_layer(
@@ -149,26 +185,27 @@ def learn_adjacency(
     """
     if n_keep < 1:
         raise ContractError(f"n_keep must be >= 1, got {n_keep}")
-    p = matmul(nodes, w1)
-    k = matmul(nodes, w2)
-    scores = matmul(p, transpose(k))
-    if not np.isfinite(scores.data).all():
+    # selection only: no gradient reaches the scorer, so nothing is recorded
+    v = nodes.data
+    if v.ndim != 2 or v.shape[1] != w1.data.shape[0]:
+        raise ShapeError(f"node matrix {v.shape} does not match scorer {w1.data.shape}")
+    scores = (v @ w1.data) @ (v @ w2.data).T.copy()
+    if not np.isfinite(scores).all():
         # nan never orders correctly under argsort, so selection would pick
         # forbidden columns; fail as a numeric problem, not a graph bug
         raise NumericError("non-finite edge affinity scores")
 
-    n = scores.data.shape[0]
+    n = scores.shape[0]
     keep = min(n_keep, n - 1)
     adj = np.zeros((n, n), dtype=bool)
     if keep > 0:
-        vals = scores.data.copy()
+        vals = scores.copy()
         np.fill_diagonal(vals, -np.inf)
-        for i in range(n):
-            # stable sort on the negated row: descending value, then
-            # ascending column index among ties
-            order = np.argsort(-vals[i], kind="stable")
-            adj[i, order[:keep]] = True
-    return scores, DenseGraph(n, adj)
+        # stable sort on the negated rows: descending value, then
+        # ascending column index among ties
+        order = np.argsort(-vals, axis=1, kind="stable")
+        np.put_along_axis(adj, order[:, :keep], True, axis=1)
+    return Tensor(scores), DenseGraph(n, adj)
 
 
 def mean_pool(nodes: Tensor, subset=None) -> Tensor:

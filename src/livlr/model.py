@@ -25,7 +25,7 @@ from .heads import (
 )
 from .linguistic import LinguisticEncoderParams, create_linguistic_params, encode_all
 from .optim import ParamStore
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 from .visual import VisualEncoderParams, create_visual_params, encode_clip
 
 
@@ -135,7 +135,10 @@ class Model:
         return self.answer(sample, self.encode(sample, run))
 
     def predict(self, sample) -> int:
-        _, scores = self.forward(sample)
+        """Index of the best answer (OE) or candidate (MC); records nothing
+        on the tape."""
+        with no_grad():
+            _, scores = self.forward(sample)
         return int(np.argmax(scores.data))
 
     def target_of(self, sample) -> int:

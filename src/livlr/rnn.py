@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .optim import ParamStore, make_param
-from .tensor import Tensor, _record, add, concat, index_rows, matmul, reshape
+from .tensor import Tensor, _record, add, concat, index_rows, matmul, reshape, stable_sigmoid
 
 
 @dataclass
@@ -64,12 +64,6 @@ def create_bilstm_params(
     )
 
 
-def _sig(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) <= 1, so neither branch can overflow.
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
 def lstm_final_hidden(params: LstmParams, seq: Tensor) -> Tensor:
     """Run the cell over seq (T, d_in) from zero states; return the final
     hidden state as (1, h)."""
@@ -90,7 +84,7 @@ def lstm_final_hidden(params: LstmParams, seq: Tensor) -> Tensor:
         h_prev[t] = h
         c_prev[t] = c
         z = p[t] + h @ wh
-        act[t, : 3 * h_dim] = _sig(z[: 3 * h_dim])
+        act[t, : 3 * h_dim] = stable_sigmoid(z[: 3 * h_dim])
         act[t, 3 * h_dim :] = np.tanh(z[3 * h_dim :])
         gi = act[t, :h_dim]
         gf = act[t, h_dim : 2 * h_dim]

@@ -311,11 +311,17 @@ def relu(a: Tensor) -> Tensor:
     return _record(out, (a,), bwd)
 
 
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function on a raw array. exp(-|x|) <= 1, so neither
+    branch can overflow."""
+    with np.errstate(over="ignore", under="ignore"):
+        z = np.exp(-np.abs(x))
+        return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
 def sigmoid(a: Tensor) -> Tensor:
     a = as_tensor(a)
-    with np.errstate(over="ignore", under="ignore"):
-        z = np.exp(-np.abs(a.data))
-        s = np.where(a.data >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    s = stable_sigmoid(a.data)
     out = Tensor(s)
 
     def bwd(g):
@@ -348,6 +354,33 @@ def log(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda g: (g / a.data,))
 
 
+def masked_softmax(x: np.ndarray, mask=None):
+    """Softmax over the last axis of a raw array, restricted to the entries
+    where ``mask`` (a boolean array of x's shape, or None for all) is set.
+    Returns (y, vjp), where vjp maps an output cotangent to the input's.
+
+    Masked entries get probability 0 and receive no gradient; a fully
+    masked row comes out all zero. Non-finite scores are allowed to
+    propagate as nan rows; the training loop detects them at the loss and
+    aborts with a diagnostic.
+    """
+    neg_inf = np.array(-np.inf, dtype=x.dtype)
+    mx = (x if mask is None else np.where(mask, x, neg_inf)).max(axis=-1, keepdims=True)
+    mx = np.where(np.isfinite(mx), mx, 0.0)
+    # exp only sees masked-in entries; masked-out slots become exp(-inf)=0,
+    # so huge excluded scores cannot overflow
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        e = np.exp(x - mx if mask is None else np.where(mask, x - mx, neg_inf))
+        s = e.sum(axis=-1, keepdims=True)
+        y = e / np.where(s == 0.0, 1.0, s)
+
+    def vjp(g):
+        dot = (g * y).sum(axis=-1, keepdims=True)
+        return y * (g - dot)
+
+    return y, vjp
+
+
 def row_softmax(x: Tensor, mask=None, allow_empty: bool = False) -> Tensor:
     """Softmax along axis 1 of a 2-d tensor, restricted to unmasked entries.
 
@@ -371,25 +404,8 @@ def row_softmax(x: Tensor, mask=None, allow_empty: bool = False) -> Tensor:
     if not alive.all() and not allow_empty:
         row = int(np.flatnonzero(~alive)[0])
         raise DegenerateRowError(f"softmax row {row} has every entry masked")
-
-    neg_inf = np.array(-np.inf, dtype=x.data.dtype)
-    mx = np.where(m, x.data, neg_inf).max(axis=1, keepdims=True)
-    mx = np.where(np.isfinite(mx), mx, 0.0)
-    # exp only sees masked-in entries; masked-out slots become exp(-inf)=0,
-    # so huge excluded scores cannot overflow.
-    # non-finite scores are allowed to propagate as nan rows; the training
-    # loop detects them at the loss and aborts with a diagnostic
-    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-        e = np.exp(np.where(m, x.data - mx, neg_inf))
-        s = e.sum(axis=1, keepdims=True)
-        y = e / np.where(s == 0.0, 1.0, s)
-    out = Tensor(y)
-
-    def bwd(g):
-        dot = (g * y).sum(axis=1, keepdims=True)
-        return (y * (g - dot),)
-
-    return _record(out, (x,), bwd)
+    y, vjp = masked_softmax(x.data, None if mask is None else m)
+    return _record(Tensor(y), (x,), lambda g: (vjp(g),))
 
 
 def sum_all(a: Tensor) -> Tensor:

@@ -1,9 +1,14 @@
-"""Independent straight-line oracles for the numeric kernels.
+"""Independent oracles for the numeric kernels.
 
-Everything here recomputes a layer with explicit index loops and plain
+The loop oracles recompute a layer with explicit index loops and plain
 scalar math, sharing no code with the package (numpy is used only as an
 array container). Tests compare the real implementations against these
 on random instances.
+
+The tape oracles at the end are the straight compositions of primitive
+tape ops (one node per matmul, transpose, softmax, ...) that the fused
+attention nodes replace. They record the same arithmetic in the same
+order, so a fused node must match them bit for bit, gradients included.
 """
 from __future__ import annotations
 
@@ -224,3 +229,75 @@ def central_diff(f, x, h=1e-6) -> np.ndarray:
         flat_x[i] = orig
         flat_g[i] = (up - down) / (2.0 * h)
     return g
+
+
+# ---------------------------------------------------------------------------
+# tape oracles
+
+def question_attention_tape(block, x, q):
+    """One source's multi-head question attention, head by head."""
+    from livlr.tensor import concat, matmul, mul, row_softmax, transpose
+
+    dh = block.heads[0].w_q.data.shape[1]
+    scale = 1.0 / math.sqrt(dh)
+    outs = []
+    for head in block.heads:
+        scores = matmul(matmul(x, head.w_q), transpose(matmul(q, head.w_k)))
+        alpha = row_softmax(mul(scores, scale))
+        outs.append(matmul(matmul(alpha, matmul(q, head.w_v)), head.w_o))
+    return concat(outs, axis=1)
+
+
+def integrate_tape(params, bundle, q):
+    """davl.integrate with one question_attention_tape per source."""
+    from livlr.davl import SOURCE_NAMES, RiVariant, apply_index_embedding
+    from livlr.graph import learn_adjacency, mean_pool, vanilla_gcn_layer
+    from livlr.tensor import add, concat, linear, matmul, row_softmax, transpose
+
+    attended = [
+        question_attention_tape(params.qatt[name], x, q)
+        for name, x in zip(SOURCE_NAMES, bundle.matrices())
+    ]
+    variant = params.variant
+    if variant == RiVariant.RI_CONCAT:
+        flat = concat([mean_pool(a) for a in attended], axis=0)
+        return linear(flat, params.w_concat, params.b_concat)
+    nodes = concat(attended, axis=0)
+    if variant == RiVariant.DAVL:
+        nodes = apply_index_embedding(params.index_matrix, nodes, bundle.sources())
+    if variant in (RiVariant.DAVL, RiVariant.RI_GCN):
+        _, graph = learn_adjacency(params.learn_w1, params.learn_w2, nodes, params.n_keep)
+        if params.attn_gcn is not None:
+            nodes = attn_gcn_layer_tape(params.attn_gcn, nodes, graph)
+        else:
+            nodes = vanilla_gcn_layer(params.w_gcn, nodes, graph, normalize=params.normalize)
+        return mean_pool(nodes)
+    n = nodes.data.shape[0]
+    scores = matmul(matmul(nodes, params.learn_w1), transpose(matmul(nodes, params.learn_w2)))
+    beta = row_softmax(scores, mask=~np.eye(n, dtype=bool))
+    return mean_pool(add(nodes, matmul(beta, nodes)))
+
+
+def attention_coefficients_tape(params, nodes, graph):
+    from livlr.tensor import matmul, row_softmax, transpose
+
+    scores = matmul(matmul(nodes, params.w_q), transpose(matmul(nodes, params.w_k)))
+    return row_softmax(scores, mask=graph.adjacency, allow_empty=True)
+
+
+def attn_gcn_layer_tape(params, nodes, graph):
+    from livlr.tensor import add, matmul, relu
+
+    alpha = attention_coefficients_tape(params, nodes, graph)
+    return relu(add(nodes, matmul(alpha, matmul(nodes, params.w))))
+
+
+def typed_edge_gcn_layer_tape(params, nodes, graph):
+    from livlr.tensor import add, matmul, mul, relu, reshape, sum_axis1, take
+
+    alpha = attention_coefficients_tape(params, nodes, graph)
+    agg = matmul(alpha, matmul(nodes, params.w))
+    idx = np.where(graph.adjacency, graph.edge_types - 1, 0).ravel()
+    bias_mat = reshape(take(params.type_bias, idx), graph.adjacency.shape)
+    shift = sum_axis1(mul(alpha, bias_mat))
+    return relu(add(add(nodes, agg), shift))

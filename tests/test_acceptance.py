@@ -133,7 +133,7 @@ def test_criterion_02_oracle_equivalence():
              for h in params.qatt[s].heads]
             for s in SOURCE_NAMES
         ]
-        got_q = question_attention(params.qatt[SOURCE_NAMES[0]], mats[0], q).data
+        got_q = question_attention([params.qatt[SOURCE_NAMES[0]]], [mats[0]], q).data
         want_q = question_attention_loop(mats[0].data, q.data, heads[0])
         assert max_rel_err(got_q, want_q) <= 1e-6
         got = integrate(params, bundle, q).data

@@ -11,15 +11,16 @@ from livlr.davl import (
     integrate,
     question_attention,
 )
-from livlr.errors import ConfigError, ShapeError
+from livlr.errors import ConfigError, DegenerateRowError, ShapeError
 from livlr.optim import ParamStore
-from livlr.tensor import Tensor, backward, constant, no_grad, sum_all
+from livlr.tensor import Tensor, backward, concat, constant, no_grad, sum_all, tape_size
 
 from oracles import (
     davl_loop,
     max_rel_err,
     mean_rows_loop,
     question_attention_loop,
+    question_attention_tape,
     softmax_loop,
 )
 
@@ -53,7 +54,7 @@ class TestQuestionAttention:
             n, t = int(rng.integers(1, 5)), int(rng.integers(1, 6))
             x = constant(rng.standard_normal((n, d)), np.float64)
             q = constant(rng.standard_normal((t, d)), np.float64)
-            got = question_attention(block, x, q).data
+            got = question_attention([block], [x], q).data
             want = question_attention_loop(x.data, q.data, head_arrays(block))
             assert got.shape == (n, d)
             assert max_rel_err(got, want) <= 1e-6
@@ -65,8 +66,8 @@ class TestQuestionAttention:
         store, params = make_params(rng)
         block = params.qatt[SOURCE_NAMES[0]]
         q = constant(rng.standard_normal((1, 6)), np.float64)
-        a = question_attention(block, constant(rng.standard_normal((3, 6)), np.float64), q).data
-        b = question_attention(block, constant(rng.standard_normal((3, 6)), np.float64), q).data
+        a = question_attention([block], [constant(rng.standard_normal((3, 6)), np.float64)], q).data
+        b = question_attention([block], [constant(rng.standard_normal((3, 6)), np.float64)], q).data
         assert np.allclose(a, b, atol=1e-12)
         assert np.allclose(a[0], a[1], atol=1e-12)
 
@@ -76,8 +77,100 @@ class TestQuestionAttention:
         block = params.qatt[SOURCE_NAMES[1]]
         x = constant(rng.standard_normal((2, 6)), np.float64)
         q = constant(np.zeros((4, 6)), np.float64)
-        out = question_attention(block, x, q).data
+        out = question_attention([block], [x], q).data
         assert np.array_equal(out, np.zeros((2, 6)))
+
+
+def fused_and_tape(store, params, xs, q):
+    """Output bytes and every gradient (parameters, sources, question) of
+    the fused node and of its per-head tape oracle, under sum_all."""
+    blocks = [params.qatt[s] for s in SOURCE_NAMES[: len(xs)]]
+    leaves = [q, *xs]
+
+    def run(fn):
+        store.zero_grads()
+        for t in leaves:
+            t.grad[...] = 0.0
+        out = fn()
+        backward(sum_all(out))
+        grads = [p.grad.tobytes() for _, p in store.items()]
+        return out.data.tobytes(), grads + [t.grad.tobytes() for t in leaves]
+
+    fused = run(lambda: question_attention(blocks, xs, q))
+    tape = run(lambda: concat(
+        [question_attention_tape(b, x, q) for b, x in zip(blocks, xs)], axis=0
+    ))
+    return fused, tape
+
+
+class TestFusedQuestionAttention:
+    def test_matches_tape_oracle_bit_for_bit(self):
+        for seed in range(24):
+            rng = np.random.default_rng([305, seed])
+            d = 8
+            n_heads = int(rng.choice([1, 2, 4, 8]))
+            dtype = np.float64 if seed % 2 else np.float32
+            store = ParamStore()
+            params = create_davl_params(
+                store, rng, d=d, n_heads=n_heads, n_keep=2,
+                variant=RiVariant.DAVL, dtype=dtype,
+            )
+            rows = rng.integers(1, 5, size=int(rng.integers(1, 5)))
+            t = int(rng.integers(1, 6))
+            xs = [Tensor(rng.standard_normal((r, d)).astype(dtype), requires_grad=True)
+                  for r in rows]
+            q = Tensor(rng.standard_normal((t, d)).astype(dtype), requires_grad=True)
+            fused, tape = fused_and_tape(store, params, xs, q)
+            assert fused == tape
+
+    def test_single_question_token_matches_tape_oracle(self):
+        rng = np.random.default_rng(306)
+        store, params = make_params(rng, d=6, n_heads=3)
+        xs = [Tensor(rng.standard_normal((r, 6)), requires_grad=True) for r in (1, 3, 2, 1)]
+        q = Tensor(rng.standard_normal((1, 6)), requires_grad=True)
+        fused, tape = fused_and_tape(store, params, xs, q)
+        assert fused == tape
+        # every attention weight is exactly 1, so the scores get no gradient
+        for head in params.qatt[SOURCE_NAMES[0]].heads:
+            assert not head.w_q.grad.any() and not head.w_k.grad.any()
+
+    def test_non_finite_scores_propagate_as_nan_rows(self):
+        rng = np.random.default_rng(307)
+        store, params = make_params(rng, d=6, n_heads=2)
+        x = rng.standard_normal((3, 6))
+        x[1] = np.inf
+        q = constant(rng.standard_normal((4, 6)), np.float64)
+        with no_grad(), np.errstate(invalid="ignore"):
+            got = question_attention([params.qatt[SOURCE_NAMES[0]]], [constant(x, np.float64)], q)
+            want = question_attention_tape(params.qatt[SOURCE_NAMES[0]], constant(x, np.float64), q)
+        assert np.isnan(got.data[1]).all()
+        assert np.isfinite(got.data[[0, 2]]).all()
+        assert got.data.tobytes() == want.data.tobytes()
+
+    def test_bad_inputs_raise_package_errors(self):
+        rng = np.random.default_rng(309)
+        store, params = make_params(rng, d=6, n_heads=2)
+        blocks = [params.qatt[SOURCE_NAMES[0]]]
+        x = constant(rng.standard_normal((2, 6)), np.float64)
+        with pytest.raises(DegenerateRowError):
+            question_attention(blocks, [x], constant(np.zeros((0, 6)), np.float64))
+        with pytest.raises(ShapeError):
+            question_attention(blocks, [constant(np.ones((2, 5)), np.float64)], x)
+        with pytest.raises(ShapeError):
+            question_attention(blocks, [x], constant(np.ones((3, 4)), np.float64))
+
+    def test_records_one_node_for_every_source(self):
+        rng = np.random.default_rng(308)
+        store, params = make_params(rng, d=6, n_heads=3)
+        bundle = random_bundle(rng)
+        q = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
+        before = tape_size()
+        out = question_attention(
+            [params.qatt[s] for s in SOURCE_NAMES], bundle.matrices(), q
+        )
+        assert tape_size() == before + 1
+        assert out.data.shape == (9, 6)
+        backward(sum_all(out))
 
 
 class TestIndexEmbedding:

@@ -14,13 +14,15 @@ from livlr.graph import (
     typed_edge_gcn_layer,
     vanilla_gcn_layer,
 )
-from livlr.tensor import Tensor, backward, constant, no_grad, sum_all
+from livlr.tensor import Tensor, backward, constant, no_grad, sum_all, tape_size
 
 from oracles import (
     attention_loop,
+    attn_gcn_layer_tape,
     attn_gcn_loop,
     learned_edges_loop,
     max_rel_err,
+    typed_edge_gcn_layer_tape,
     typed_gcn_loop,
     vanilla_gcn_loop,
 )
@@ -168,6 +170,91 @@ class TestTypedGcn:
         assert np.abs(tp.type_bias.grad[present - 1]).sum() > 0.0
 
 
+def layer_bytes(layer, params, x, g):
+    """Output bytes and every gradient of one layer under sum_all."""
+    leaves = [x, params.w, params.w_q, params.w_k]
+    if isinstance(params, TypedGcnParams):
+        leaves.append(params.type_bias)
+    for t in leaves:
+        t.grad[...] = 0.0
+    out = layer(params, x, g)
+    backward(sum_all(out))
+    return [out.data.tobytes()] + [t.grad.tobytes() for t in leaves]
+
+
+def typed_params_for(rng, d, dtype=np.float64):
+    t = lambda shape: Tensor((rng.standard_normal(shape) * 0.5).astype(dtype), requires_grad=True)
+    return TypedGcnParams(w=t((d, d)), w_q=t((d, d)), w_k=t((d, d)), type_bias=t((11,)))
+
+
+class TestFusedLayers:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_match_tape_oracles_bit_for_bit(self, dtype):
+        for seed in range(20):
+            rng = np.random.default_rng([115, seed])
+            n, d = int(rng.integers(1, 8)), int(rng.integers(2, 6))
+            g = random_graph(rng, n, with_types=True, p=float(rng.uniform(0.1, 0.9)))
+            tp = typed_params_for(rng, d, dtype)
+            x = Tensor(rng.standard_normal((n, d)).astype(dtype), requires_grad=True)
+            assert (layer_bytes(typed_edge_gcn_layer, tp, x, g)
+                    == layer_bytes(typed_edge_gcn_layer_tape, tp, x, g))
+            p = AttnGcnParams(w=tp.w, w_q=tp.w_q, w_k=tp.w_k)
+            assert (layer_bytes(attn_gcn_layer, p, x, g)
+                    == layer_bytes(attn_gcn_layer_tape, p, x, g))
+
+    @pytest.mark.parametrize("typed", [False, True])
+    def test_isolated_node_is_pure_relu_residual(self, typed):
+        rng = np.random.default_rng(116)
+        n, d = 4, 3
+        adj = np.zeros((n, n), dtype=bool)
+        adj[0, 1] = adj[1, 0] = adj[2, 0] = True  # node 3 isolated
+        g = DenseGraph(n, adj, np.where(adj, 5, 0))
+        tp = typed_params_for(rng, d)
+        p = tp if typed else AttnGcnParams(w=tp.w, w_q=tp.w_q, w_k=tp.w_k)
+        layer = typed_edge_gcn_layer if typed else attn_gcn_layer
+        oracle = typed_edge_gcn_layer_tape if typed else attn_gcn_layer_tape
+        x = Tensor(rng.standard_normal((n, d)), requires_grad=True)
+        got = layer_bytes(layer, p, x, g)
+        assert got == layer_bytes(oracle, p, x, g)
+        out = np.frombuffer(got[0]).reshape(n, d)
+        assert np.array_equal(out[3], np.maximum(x.data[3], 0.0))
+        # its gradient is the ReLU mask alone: nothing reaches it from others
+        assert np.array_equal(x.grad[3], (x.data[3] > 0).astype(float))
+
+    def test_node_matrix_must_fit_the_graph(self):
+        rng = np.random.default_rng(118)
+        g = random_graph(rng, 3, with_types=True)
+        tp = typed_params_for(rng, 4)
+        for bad in ((4, 4), (3, 5)):
+            x = constant(np.ones(bad), np.float64)
+            with pytest.raises(ShapeError):
+                attn_gcn_layer(tp, x, g)
+            with pytest.raises(ShapeError):
+                typed_edge_gcn_layer(tp, x, g)
+        with pytest.raises(ShapeError):
+            learn_adjacency(tp.w_q, tp.w_k, constant(np.ones((3, 5)), np.float64), 1)
+
+    def test_non_finite_scores_propagate_as_nan_rows(self):
+        rng = np.random.default_rng(117)
+        n, d = 4, 3
+        adj = np.zeros((n, n), dtype=bool)
+        adj[0, 1] = adj[1, 2] = adj[2, 0] = True  # node 3 isolated
+        g = DenseGraph(n, adj, np.where(adj, 2, 0))
+        tp = typed_params_for(rng, d)
+        # positive scores of ~1e600 overflow to +inf; the messages stay finite
+        tp.w_q.data[...] = 1e300
+        tp.w_k.data[...] = 1e300
+        x = rng.uniform(0.5, 1.5, (n, d))
+        for layer, oracle in ((attn_gcn_layer, attn_gcn_layer_tape),
+                              (typed_edge_gcn_layer, typed_edge_gcn_layer_tape)):
+            with no_grad(), np.errstate(over="ignore", invalid="ignore"):
+                got = layer(tp, constant(x, np.float64), g).data
+                want = oracle(tp, constant(x, np.float64), g).data
+            assert np.isnan(got[:3]).all()
+            assert np.array_equal(got[3], np.maximum(x[3], 0.0))  # isolated
+            assert got.tobytes() == want.tobytes()
+
+
 class TestVanillaGcn:
     def test_matches_loop_oracle(self):
         for seed in range(20):
@@ -220,6 +307,29 @@ class TestGraphLearner:
         assert g.adjacency[0].tolist() == [False, True, False]
         assert g.adjacency[1].tolist() == [True, False, False]
         assert g.adjacency[2].tolist() == [True, False, False]
+
+    def test_heavy_ties_match_loop_oracle(self):
+        # small integer scores tie often; every row must break ties by the
+        # lower column index, as the loop oracle's sort key does
+        for seed in range(30):
+            rng = np.random.default_rng([134, seed])
+            n, d = int(rng.integers(2, 9)), 2
+            keep = int(rng.integers(1, 6))
+            w1 = Tensor(rng.integers(-1, 2, (d, d)).astype(float), requires_grad=True)
+            w2 = Tensor(rng.integers(-1, 2, (d, d)).astype(float), requires_grad=True)
+            v = constant(rng.integers(-1, 2, (n, d)), np.float64)
+            scores, g = learn_adjacency(w1, w2, v, keep)
+            want_scores, want_adj = learned_edges_loop(v.data, w1.data, w2.data, keep)
+            assert np.array_equal(scores.data, want_scores)
+            assert np.array_equal(g.adjacency, want_adj)
+
+    def test_records_nothing_on_the_tape(self):
+        rng = np.random.default_rng(135)
+        w1 = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+        v = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        before = tape_size()
+        learn_adjacency(w1, w1, v, 2)
+        assert tape_size() == before
 
     def test_single_node_graph_is_edgeless(self):
         w = Tensor(np.eye(2), requires_grad=True)

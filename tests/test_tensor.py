@@ -202,6 +202,21 @@ class TestElementwise:
             num = central_diff(loss_value, x.data, h=1e-6)
             assert max_rel_err(x.grad, num) < 1e-6, op.__name__
 
+    def test_sigmoid_is_the_stable_two_branch_formula(self):
+        # the LSTM gates and the sigmoid op share one helper; pin its bytes
+        # to the overflow-free formula, extremes included
+        from livlr.tensor import stable_sigmoid
+
+        for dtype in (np.float32, np.float64):
+            x = np.concatenate([
+                np.random.default_rng(15).standard_normal(64) * 30.0,
+                [0.0, -0.0, 1e-30, -1e-30, 88.0, -88.0, 800.0, -800.0, np.inf, -np.inf],
+            ]).astype(dtype)
+            e = np.exp(-np.abs(x))
+            want = np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+            assert stable_sigmoid(x).tobytes() == want.tobytes()
+            assert sigmoid(Tensor(x)).data.tobytes() == want.tobytes()
+
     def test_log_gradient(self):
         rng = np.random.default_rng(14)
         x = leaf(rng.uniform(0.5, 2.0, size=(2, 3)))
