@@ -19,7 +19,10 @@ byte-identical in both precision modes.
 """
 from __future__ import annotations
 
+import contextlib
 import io
+import math
+import os
 import struct
 
 import numpy as np
@@ -53,9 +56,21 @@ def serialize_params(config_json: str, store: ParamStore) -> bytes:
 
 
 def save_checkpoint(path: str, config: ModelConfig | str, store: ParamStore):
+    """Write through a temp file in the same directory and rename it into
+    place, so a failed or interrupted write leaves any previous file whole."""
     cfg_json = config if isinstance(config, str) else config.to_canonical_json()
-    with open(path, "wb") as f:
-        f.write(serialize_params(cfg_json, store))
+    blob = serialize_params(cfg_json, store)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(blob)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 class _Reader:
@@ -79,6 +94,13 @@ class _Reader:
     def u64(self) -> int:
         return struct.unpack("<Q", self.read(8))[0]
 
+    def text(self, what: str) -> str:
+        raw = self.read(self.u32())
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"{what} is not valid UTF-8: {e}") from e
+
 
 def deserialize_params(blob: bytes) -> tuple[str, dict[str, np.ndarray]]:
     """Parse a checkpoint blob into (config JSON, name -> float32 array)."""
@@ -88,17 +110,25 @@ def deserialize_params(blob: bytes) -> tuple[str, dict[str, np.ndarray]]:
     version = r.u32()
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    cfg_json = r.read(r.u32()).decode("utf-8")
+    cfg_json = r.text("config JSON")
     count = r.u32()
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        name = r.read(r.u32()).decode("utf-8")
+        name = r.text("tensor name")
+        if name in tensors:
+            raise CheckpointError(f"tensor {name!r} appears twice")
         rank = r.u32()
         dims = tuple(r.u64() for _ in range(rank))
-        n_elem = 1
-        for d in dims:
-            n_elem *= d
-        data = np.frombuffer(r.read(4 * n_elem), dtype="<f4").reshape(dims)
+        n_bytes = 4 * math.prod(dims)
+        if n_bytes > len(blob) - r.pos:  # corrupt dims can have thousands of digits
+            raise CheckpointError(
+                f"truncated checkpoint: tensor {name!r} of rank {rank} runs past the end"
+            )
+        raw = r.read(n_bytes)
+        try:
+            data = np.frombuffer(raw, dtype="<f4").reshape(dims)
+        except ValueError as e:  # a zero dim lets any other dim through the read
+            raise CheckpointError(f"tensor {name!r} has unsupported dims {dims}: {e}") from e
         tensors[name] = data
     if r.pos != len(blob):
         raise CheckpointError(f"{len(blob) - r.pos} trailing bytes after tensor data")

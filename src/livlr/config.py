@@ -45,7 +45,6 @@ class ModelConfig:
     epochs: int
     d_h: int  # hidden width of the open-ended classifier
     davl_gcn_normalize: bool  # mean (True) vs sum (False) aggregation
-    davl_attention_gcn: bool  # experimental: attention-weighted integration GCN
 
     def validate(self) -> "ModelConfig":
         ints_ge1 = [
@@ -155,7 +154,7 @@ def tiny_config(**overrides) -> ModelConfig:
         ri_variant="DAVL", question_setting="OE", precision="double",
         seed=0, lr=1e-2, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0,
         batch_size=8, epochs=300, d_h=8,
-        davl_gcn_normalize=True, davl_attention_gcn=False,
+        davl_gcn_normalize=True,
     )
     return cfg.with_overrides(**overrides) if overrides else cfg.validate()
 
@@ -169,7 +168,7 @@ def desk_config(**overrides) -> ModelConfig:
         ri_variant="DAVL", question_setting="OE", precision="single",
         seed=0, lr=1e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0,
         batch_size=16, epochs=60, d_h=32,
-        davl_gcn_normalize=True, davl_attention_gcn=False,
+        davl_gcn_normalize=True,
     )
     return cfg.with_overrides(**overrides) if overrides else cfg.validate()
 
@@ -183,7 +182,7 @@ def full_config(**overrides) -> ModelConfig:
         ri_variant="DAVL", question_setting="OE", precision="single",
         seed=0, lr=8e-5, betas=(0.9, 0.999), eps=1e-8, weight_decay=1e-2,
         batch_size=256, epochs=80, d_h=512,
-        davl_gcn_normalize=True, davl_attention_gcn=False,
+        davl_gcn_normalize=True,
     )
     return cfg.with_overrides(**overrides) if overrides else cfg.validate()
 

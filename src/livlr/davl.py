@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, DegenerateRowError, ShapeError
-from .graph import learn_adjacency, mean_pool, vanilla_gcn_layer, attn_gcn_layer, AttnGcnParams
+from .graph import learn_adjacency, mean_pool, vanilla_gcn_layer
 from .optim import ParamStore, make_param
 from .tensor import (
     Tensor,
@@ -83,7 +83,6 @@ class DavlParams:
     learn_w1: Tensor | None
     learn_w2: Tensor | None
     w_gcn: Tensor | None  # (d, d) message transform
-    attn_gcn: AttnGcnParams | None  # experimental attention alternative
     w_concat: Tensor | None  # (4d, d) for the concatenation baseline
     b_concat: Tensor | None
     n_keep: int
@@ -98,7 +97,7 @@ class DavlParams:
 
 def create_davl_params(
     store: ParamStore, rng, d: int, n_heads: int, n_keep: int,
-    variant: RiVariant, dtype, normalize: bool = True, attention_gcn: bool = False,
+    variant: RiVariant, dtype, normalize: bool = True,
 ) -> DavlParams:
     if d % n_heads != 0:
         raise ConfigError(f"head count {n_heads} must divide width {d}")
@@ -119,32 +118,21 @@ def create_davl_params(
 
     index_matrix = mk("index_embedding", (4, d), init="ones") if variant == RiVariant.DAVL else None
     learn_w1 = learn_w2 = w_gcn = None
-    attn_params = None
     w_concat = b_concat = None
-    if variant in (RiVariant.DAVL, RiVariant.RI_GCN):
-        learn_w1 = mk("learner.w1", (d, d))
-        learn_w2 = mk("learner.w2", (d, d))
-        if attention_gcn:
-            attn_params = AttnGcnParams(
-                w=mk("gcn.w", (d, d)),
-                w_q=mk("gcn.w_q", (d, d)),
-                w_k=mk("gcn.w_k", (d, d)),
-            )
-        else:
-            w_gcn = mk("gcn.w", (d, d))
-    elif variant == RiVariant.RI_AT:
-        learn_w1 = mk("learner.w1", (d, d))
-        learn_w2 = mk("learner.w2", (d, d))
-    elif variant == RiVariant.RI_CONCAT:
+    if variant == RiVariant.RI_CONCAT:
         w_concat = mk("concat.w", (4 * d, d))
         b_concat = mk("concat.b", (d,), init="zeros")
+    else:
+        learn_w1 = mk("learner.w1", (d, d))
+        learn_w2 = mk("learner.w2", (d, d))
+        if variant != RiVariant.RI_AT:
+            w_gcn = mk("gcn.w", (d, d))
     return DavlParams(
         qatt=qatt,
         index_matrix=index_matrix,
         learn_w1=learn_w1,
         learn_w2=learn_w2,
         w_gcn=w_gcn,
-        attn_gcn=attn_params,
         w_concat=w_concat,
         b_concat=b_concat,
         n_keep=n_keep,
@@ -263,10 +251,7 @@ def integrate(params: DavlParams, bundle: RepresentationBundle, q: Tensor) -> Te
 
     if variant in (RiVariant.DAVL, RiVariant.RI_GCN):
         _, graph = learn_adjacency(params.learn_w1, params.learn_w2, nodes, params.n_keep)
-        if params.attn_gcn is not None:
-            nodes = attn_gcn_layer(params.attn_gcn, nodes, graph)
-        else:
-            nodes = vanilla_gcn_layer(params.w_gcn, nodes, graph, normalize=params.normalize)
+        nodes = vanilla_gcn_layer(params.w_gcn, nodes, graph, normalize=params.normalize)
         return mean_pool(nodes)
 
     # co-attention baseline: every node attends over all the others

@@ -6,7 +6,7 @@ residual pattern out_i = ReLU(v_i + aggregate(neighbors)).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,13 +30,13 @@ class DenseGraph:
 
     adjacency[i, j] is True when j is a neighbor of (sends a message to) i.
     edge_types, when present, labels exactly the adjacent pairs with values
-    in [1, n_types]; 0 marks the absence of an edge.
+    in [1, n_types]; 0 marks the absence of an edge. Self loops are
+    rejected.
     """
 
     n_nodes: int
     adjacency: np.ndarray
     edge_types: np.ndarray | None = None
-    self_loops_excluded: bool = field(default=True)
 
     def __post_init__(self):
         adj = np.asarray(self.adjacency, dtype=bool)
@@ -45,7 +45,7 @@ class DenseGraph:
                 f"adjacency shape {adj.shape} does not match n_nodes={self.n_nodes}"
             )
         self.adjacency = adj
-        if self.self_loops_excluded and adj.trace() > 0:
+        if adj.trace() > 0:
             raise GraphIntegrityError("self loop on the adjacency diagonal")
         if self.edge_types is not None:
             et = np.asarray(self.edge_types)

@@ -14,12 +14,11 @@ import numpy as np
 
 from .errors import ContractError
 from .optim import ParamStore, make_param
-from .rnn import BiLstmParams, bilstm_embed, create_bilstm_params
+from .rnn import SeqEncoderParams, create_seq_encoder, encode_sequence
 from .tensor import (
     Tensor,
     add,
     concat,
-    constant,
     exp,
     linear,
     log,
@@ -32,17 +31,6 @@ from .tensor import (
 
 
 @dataclass
-class QuestionEncoderParams:
-    w_tok: Tensor
-    b_tok: Tensor
-    lstm: BiLstmParams
-
-    @property
-    def dtype(self):
-        return self.w_tok.data.dtype
-
-
-@dataclass
 class OpenEndedHead:
     w1: Tensor  # (2d, d_h)
     b1: Tensor
@@ -52,19 +40,9 @@ class OpenEndedHead:
 
 @dataclass
 class MultiChoiceHead:
-    cand_encoder: QuestionEncoderParams  # same architecture, separate weights
+    cand_encoder: SeqEncoderParams  # the question encoder's architecture, own weights
     w_score: Tensor  # (3d, 1)
     b_score: Tensor
-
-
-def create_question_params(
-    store: ParamStore, rng, d: int, d_t: int, dtype, prefix: str = "question"
-) -> QuestionEncoderParams:
-    return QuestionEncoderParams(
-        w_tok=make_param(store, f"{prefix}.token_proj.w", rng, (d_t, d), dtype),
-        b_tok=make_param(store, f"{prefix}.token_proj.b", rng, (d,), dtype, init="zeros"),
-        lstm=create_bilstm_params(store, f"{prefix}.lstm", rng, d, d, dtype),
-    )
 
 
 def create_open_ended_head(
@@ -82,19 +60,16 @@ def create_multichoice_head(
     store: ParamStore, rng, d: int, d_t: int, dtype
 ) -> MultiChoiceHead:
     return MultiChoiceHead(
-        cand_encoder=create_question_params(store, rng, d, d_t, dtype, prefix="head.cand"),
+        cand_encoder=create_seq_encoder(store, "head.cand", rng, d_t, d, dtype),
         w_score=make_param(store, "head.score.w", rng, (3 * d, 1), dtype),
         b_score=make_param(store, "head.score.b", rng, (1,), dtype, init="zeros"),
     )
 
 
-def encode_question(
-    params: QuestionEncoderParams, tokens: np.ndarray
-) -> tuple[Tensor, Tensor]:
+def encode_question(params: SeqEncoderParams, tokens: np.ndarray) -> tuple[Tensor, Tensor]:
     """(Q, q_hat): token-level rows (N_t, d) after a ReLU projection, and
     the BiLSTM summary (d,) over those rows."""
-    proj = relu(linear(constant(tokens, params.dtype), params.w_tok, params.b_tok))
-    return proj, bilstm_embed(params.lstm, proj)
+    return encode_sequence(params, tokens, rectify=True)
 
 
 def predict_open_ended(head: OpenEndedHead, x_hat: Tensor, q_hat: Tensor) -> Tensor:
@@ -122,7 +97,7 @@ def encode_candidates(head: MultiChoiceHead, candidates: np.ndarray) -> list[Ten
         raise ContractError(
             f"candidates must be (N_k, n_tok, d_t), got {candidates.shape}"
         )
-    return [encode_question(head.cand_encoder, c)[1] for c in candidates]
+    return [encode_sequence(head.cand_encoder, c, rectify=True)[1] for c in candidates]
 
 
 def score_candidates(

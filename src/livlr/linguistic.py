@@ -15,13 +15,12 @@ import numpy as np
 from .errors import DataError, GraphIntegrityError
 from .graph import AttnGcnParams, DenseGraph, attn_gcn_layer, mean_pool
 from .optim import ParamStore, make_param
-from .rnn import BiLstmParams, bilstm_embed, create_bilstm_params
+from .rnn import SeqEncoderParams, create_seq_encoder, encode_sequence
 from .tensor import (
     Tensor,
     concat,
     constant,
     index_rows,
-    linear,
     matmul,
     mul,
     reshape,
@@ -123,16 +122,14 @@ def build_role_graph(parse: SrlParse) -> tuple[DenseGraph, list[int], list[tuple
 
 @dataclass
 class LinguisticEncoderParams:
-    w_tok: Tensor
-    b_tok: Tensor
-    sent_lstm: BiLstmParams
+    sentence: SeqEncoderParams  # token projection (no ReLU) + sentence BiLSTM
     w_local: Tensor  # span-mean projection, no bias
     role_matrix: Tensor  # (n_roles, d), multiplicative, ones at init
     role_layers: list[AttnGcnParams]
 
     @property
     def dtype(self):
-        return self.w_tok.data.dtype
+        return self.sentence.dtype
 
     @property
     def n_roles(self) -> int:
@@ -145,9 +142,7 @@ def create_linguistic_params(
 ) -> LinguisticEncoderParams:
     mk = lambda name, shape, **kw: make_param(store, f"{prefix}.{name}", rng, shape, dtype, **kw)
     return LinguisticEncoderParams(
-        w_tok=mk("token_proj.w", (d_t, d)),
-        b_tok=mk("token_proj.b", (d,), init="zeros"),
-        sent_lstm=create_bilstm_params(store, f"{prefix}.sent_lstm", rng, d, d, dtype),
+        sentence=create_seq_encoder(store, prefix, rng, d_t, d, dtype, lstm="sent_lstm"),
         w_local=mk("local_proj.w", (d_t, d)),
         role_matrix=mk("roles", (n_roles, d), init="ones"),
         role_layers=[
@@ -159,12 +154,6 @@ def create_linguistic_params(
             for i in range(n_layers)
         ],
     )
-
-
-def sentence_embedding(params: LinguisticEncoderParams, tokens: np.ndarray) -> Tensor:
-    """BiLSTM summary (d,) of one sentence's token matrix (n_tok, d_t)."""
-    proj = linear(constant(tokens, params.dtype), params.w_tok, params.b_tok)
-    return bilstm_embed(params.sent_lstm, proj)
 
 
 def encode_sentence(
@@ -182,8 +171,8 @@ def encode_sentence(
         raise DataError(
             f"token matrix {tokens.shape} does not match parse over {parse.tokens} tokens"
         )
-    d = params.w_tok.data.shape[1]
-    event = sentence_embedding(params, tokens)
+    d = params.sentence.w_tok.data.shape[1]
+    _, event = encode_sequence(params.sentence, tokens, rectify=False)
     graph, roles, spans = build_role_graph(parse)
     if any(r > params.n_roles for r in roles):
         bad = max(roles)
@@ -216,7 +205,7 @@ def encode_all(
     """All sentences -> event rows (N_s, d) and local rows (N_s, d)."""
     if not sentences:
         raise DataError("need at least one sentence")
-    d = params.w_tok.data.shape[1]
+    d = params.sentence.w_tok.data.shape[1]
     ev_rows, loc_rows = [], []
     for tokens, parse in sentences:
         ev, loc = encode_sentence(params, tokens, parse)

@@ -12,10 +12,8 @@ from .errors import DataError
 from .heads import (
     MultiChoiceHead,
     OpenEndedHead,
-    QuestionEncoderParams,
     create_multichoice_head,
     create_open_ended_head,
-    create_question_params,
     cross_entropy,
     encode_candidates,
     encode_question,
@@ -25,6 +23,7 @@ from .heads import (
 )
 from .linguistic import LinguisticEncoderParams, create_linguistic_params, encode_all
 from .optim import ParamStore
+from .rnn import SeqEncoderParams, create_seq_encoder
 from .tensor import Tensor, no_grad
 from .visual import VisualEncoderParams, create_visual_params, encode_clip
 
@@ -72,14 +71,13 @@ class Model:
         self.linguistic: LinguisticEncoderParams = create_linguistic_params(
             self.store, rng, config.d, config.d_t, config.N_r, config.gcn_layers, dtype,
         )
-        self.question: QuestionEncoderParams = create_question_params(
-            self.store, rng, config.d, config.d_t, dtype,
+        self.question: SeqEncoderParams = create_seq_encoder(
+            self.store, "question", rng, config.d_t, config.d, dtype,
         )
         self.davl: DavlParams = create_davl_params(
             self.store, rng, config.d, config.N_h, config.N_n,
             RiVariant(config.ri_variant), dtype,
             normalize=config.davl_gcn_normalize,
-            attention_gcn=config.davl_attention_gcn,
         )
         self.oe_head: OpenEndedHead | None = None
         self.mc_head: MultiChoiceHead | None = None

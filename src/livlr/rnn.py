@@ -7,7 +7,9 @@ raw arrays and the backward replays it in reverse (backprop through
 time), keeping the tape cost per sequence constant rather than per step.
 The bidirectional embedder runs one pass forward and one over the
 reversed sequence, each with hidden width d/2, and concatenates the two
-final hidden states.
+final hidden states. The sequence encoder, shared by sentences, questions
+and multiple-choice candidates, projects tokens to width d and summarises
+them with that embedder.
 """
 from __future__ import annotations
 
@@ -17,7 +19,19 @@ import numpy as np
 
 from .errors import ShapeError
 from .optim import ParamStore, make_param
-from .tensor import Tensor, _record, add, concat, index_rows, matmul, reshape, stable_sigmoid
+from .tensor import (
+    Tensor,
+    _record,
+    add,
+    concat,
+    constant,
+    index_rows,
+    linear,
+    matmul,
+    relu,
+    reshape,
+    stable_sigmoid,
+)
 
 
 @dataclass
@@ -42,6 +56,19 @@ class BiLstmParams:
     bwd: LstmParams
 
 
+@dataclass
+class SeqEncoderParams:
+    """Token projection (d_t, d) plus a bidirectional LSTM of width d."""
+
+    w_tok: Tensor
+    b_tok: Tensor
+    lstm: BiLstmParams
+
+    @property
+    def dtype(self):
+        return self.w_tok.data.dtype
+
+
 def create_lstm_params(
     store: ParamStore, prefix: str, rng, d_in: int, d_hidden: int, dtype
 ) -> LstmParams:
@@ -61,6 +88,18 @@ def create_bilstm_params(
     return BiLstmParams(
         fwd=create_lstm_params(store, f"{prefix}.fwd", rng, d_in, h, dtype),
         bwd=create_lstm_params(store, f"{prefix}.bwd", rng, d_in, h, dtype),
+    )
+
+
+def create_seq_encoder(
+    store: ParamStore, prefix: str, rng, d_t: int, d: int, dtype, lstm: str = "lstm"
+) -> SeqEncoderParams:
+    """Registers {prefix}.token_proj.w/.b, then {prefix}.{lstm}.*. These names
+    and this order fix the checkpoint tensors and the RNG draws."""
+    return SeqEncoderParams(
+        w_tok=make_param(store, f"{prefix}.token_proj.w", rng, (d_t, d), dtype),
+        b_tok=make_param(store, f"{prefix}.token_proj.b", rng, (d,), dtype, init="zeros"),
+        lstm=create_bilstm_params(store, f"{prefix}.{lstm}", rng, d, d, dtype),
     )
 
 
@@ -132,3 +171,15 @@ def bilstm_embed(params: BiLstmParams, seq: Tensor) -> Tensor:
     h_b = lstm_final_hidden(params.bwd, rev)
     both = concat([h_f, h_b], axis=1)  # (1, d_out)
     return reshape(both, (both.data.shape[1],))
+
+
+def encode_sequence(
+    params: SeqEncoderParams, tokens: np.ndarray, rectify: bool
+) -> tuple[Tensor, Tensor]:
+    """Token matrix (T, d_t) -> (projected rows (T, d), BiLSTM summary (d,)).
+    rectify puts a ReLU on the projection (questions and candidates do,
+    sentences do not)."""
+    proj = linear(constant(tokens, params.dtype), params.w_tok, params.b_tok)
+    if rectify:
+        proj = relu(proj)
+    return proj, bilstm_embed(params.lstm, proj)

@@ -69,6 +69,12 @@ def tape_size() -> int:
     return len(_TAPE.nodes)
 
 
+def clear_tape():
+    """Drop every recorded node without a reverse pass (a forward that
+    failed before its backward)."""
+    _TAPE.clear()
+
+
 class Tensor:
     """A dense array plus autodiff bookkeeping.
 
@@ -319,28 +325,6 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
         return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    s = stable_sigmoid(a.data)
-    out = Tensor(s)
-
-    def bwd(g):
-        return (g * s * (1.0 - s),)
-
-    return _record(out, (a,), bwd)
-
-
-def tanh(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    t = np.tanh(a.data)
-    out = Tensor(t)
-
-    def bwd(g):
-        return (g * (1.0 - t * t),)
-
-    return _record(out, (a,), bwd)
-
-
 def exp(a: Tensor) -> Tensor:
     a = as_tensor(a)
     e = np.exp(a.data)
@@ -531,25 +515,6 @@ def reshape(a: Tensor, shape) -> Tensor:
 
     def bwd(g):
         return (g.reshape(orig),)
-
-    return _record(out, (a,), bwd)
-
-
-def narrow(a: Tensor, start: int, length: int) -> Tensor:
-    """Column slice [start, start+length) of a 2-d tensor."""
-    a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"narrow needs a 2-d tensor, got {a.data.shape}")
-    if start < 0 or start + length > a.data.shape[1]:
-        raise ShapeError(
-            f"narrow [{start}:{start + length}) out of bounds for {a.data.shape}"
-        )
-    out = Tensor(a.data[:, start : start + length].copy())
-
-    def bwd(g):
-        da = np.zeros_like(a.data)
-        da[:, start : start + length] = g
-        return (da,)
 
     return _record(out, (a,), bwd)
 

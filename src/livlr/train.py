@@ -20,7 +20,7 @@ from .data import SyntheticDataset
 from .errors import NumericError
 from .model import Model
 from .optim import adamw_step
-from .tensor import backward, mul, no_grad
+from .tensor import backward, clear_tape, mul, no_grad
 
 METRIC_COLUMNS = ("epoch", "train_loss", "train_acc", "wall_ms")
 
@@ -108,6 +108,10 @@ def train(
                 )
             if stop_at_acc is not None and epoch_acc >= stop_at_acc:
                 break
+    except BaseException:
+        # a batch that failed before its backward left its nodes recorded
+        clear_tape()
+        raise
     finally:
         if csv_file is not None:
             csv_file.close()

@@ -267,10 +267,7 @@ def integrate_tape(params, bundle, q):
         nodes = apply_index_embedding(params.index_matrix, nodes, bundle.sources())
     if variant in (RiVariant.DAVL, RiVariant.RI_GCN):
         _, graph = learn_adjacency(params.learn_w1, params.learn_w2, nodes, params.n_keep)
-        if params.attn_gcn is not None:
-            nodes = attn_gcn_layer_tape(params.attn_gcn, nodes, graph)
-        else:
-            nodes = vanilla_gcn_layer(params.w_gcn, nodes, graph, normalize=params.normalize)
+        nodes = vanilla_gcn_layer(params.w_gcn, nodes, graph, normalize=params.normalize)
         return mean_pool(nodes)
     n = nodes.data.shape[0]
     scores = matmul(matmul(nodes, params.learn_w1), transpose(matmul(nodes, params.learn_w2)))

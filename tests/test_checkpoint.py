@@ -6,11 +6,18 @@ both precisions (values are stored as float32, and float32 -> float64 ->
 float32 is exact). Every corruption mode must surface as CheckpointError,
 and shape mismatches must name the offending tensor.
 """
+import errno
+import json
+import math
+import os
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import livlr.checkpoint
 from livlr.checkpoint import (
     MAGIC,
     VERSION,
@@ -21,8 +28,8 @@ from livlr.checkpoint import (
     save_checkpoint,
     serialize_params,
 )
-from livlr.config import tiny_config
-from livlr.errors import CheckpointError, ShapeError
+from livlr.config import ModelConfig, tiny_config
+from livlr.errors import CheckpointError, ConfigError, ShapeError
 from livlr.model import Model
 from livlr.optim import ParamStore
 from livlr.tensor import Tensor
@@ -164,9 +171,81 @@ def test_truncation_anywhere_is_rejected():
             deserialize_params(blob[:cut])
 
 
+def test_corrupted_rank_is_rejected():
+    # rank 302 reads the 600 floats as 300 more dims near 4.6e18 each; their
+    # product has thousands of digits
+    blob = bytearray(serialize_params("{}", store_with({"w": np.ones((1, 600))})))
+    rank_at = 4 + 4 + 4 + 2 + 4 + 4 + 1  # magic .. config, count, name
+    assert struct.unpack_from("<I", blob, rank_at)[0] == 2
+    struct.pack_into("<I", blob, rank_at, 302)
+    with pytest.raises(CheckpointError, match="rank 302"):
+        deserialize_params(bytes(blob))
+
+
 def test_trailing_bytes_are_rejected():
     with pytest.raises(CheckpointError, match="trailing"):
         deserialize_params(_tiny_blob() + b"\x00")
+
+
+def test_non_utf8_text_is_rejected():
+    blob = serialize_params('{"k":1}', store_with({"w": np.ones(2)}))
+    cfg_at = 12  # magic, version, config length
+    name_at = cfg_at + 7 + 4 + 4  # config, tensor count, name length
+    assert blob[name_at : name_at + 1] == b"w"
+    for at, what in ((cfg_at, "config JSON"), (name_at, "tensor name")):
+        bad = bytearray(blob)
+        bad[at] = 0xFF
+        with pytest.raises(CheckpointError, match=f"{what} is not valid UTF-8"):
+            deserialize_params(bytes(bad))
+
+
+def test_repeated_tensor_name_is_rejected():
+    blob = serialize_params("{}", store_with({"a": np.ones(2), "b": np.zeros(2)}))
+    at = blob.rindex(b"b")
+    with pytest.raises(CheckpointError, match="'a' appears twice"):
+        deserialize_params(blob[:at] + b"a" + blob[at + 1 :])
+
+
+_MODEL_BLOB = serialize_params(tiny_config().to_canonical_json(), Model(tiny_config()).store)
+
+
+def _header_offsets(blob):
+    """Offsets of every byte that is not float data: the header, the config
+    JSON and each tensor's name, rank and dims."""
+    cfg_end = 12 + struct.unpack_from("<I", blob, 8)[0]
+    count = struct.unpack_from("<I", blob, cfg_end)[0]
+    offsets, pos = list(range(cfg_end + 4)), cfg_end + 4
+    for _ in range(count):
+        n = struct.unpack_from("<I", blob, pos)[0]
+        rank = struct.unpack_from("<I", blob, pos + 4 + n)[0]
+        dims = struct.unpack_from(f"<{rank}Q", blob, pos + 8 + n)
+        end = pos + 8 + n + 8 * rank
+        offsets.extend(range(pos, end))
+        pos = end + 4 * math.prod(dims)
+    assert pos == len(blob)
+    return offsets
+
+
+_offset = st.one_of(
+    st.integers(0, len(_MODEL_BLOB) - 1), st.sampled_from(_header_offsets(_MODEL_BLOB))
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    cut=st.none() | st.integers(0, len(_MODEL_BLOB) - 1),
+    flips=st.lists(st.tuples(_offset, st.integers(1, 255)), max_size=6),
+)
+def test_corrupted_model_checkpoint_raises_only_checkpoint_errors(cut, flips):
+    blob = bytearray(_MODEL_BLOB)
+    for at, mask in flips:
+        blob[at] ^= mask
+    if cut is not None:
+        del blob[cut:]
+    try:
+        deserialize_params(bytes(blob))
+    except CheckpointError:
+        pass
 
 
 def test_missing_file_is_a_checkpoint_error(tmp_path):
@@ -213,3 +292,65 @@ def test_applied_values_round_to_float32():
     apply_checkpoint(dst, tensors)
     assert np.array_equal(dst["v"].data, val.astype(np.float32).astype(np.float64))
     assert not np.array_equal(dst["v"].data, val)
+
+
+# ---------------------------------------------------------------------------
+# crash-safe writes
+
+
+class _HalfThenDiskFull:
+    """A file that takes half of a write, then fails as a full disk would."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def write(self, data):
+        self.f.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
+def _fail_replace(src, dst):
+    raise OSError(errno.EIO, "rename failed")
+
+
+@pytest.mark.parametrize("fault", ["write", "replace"])
+def test_failed_save_keeps_the_previous_file(tmp_path, monkeypatch, fault):
+    path = tmp_path / "model.lvlr"
+    save_checkpoint(path, tiny_config(), Model(tiny_config()).store)
+    before = path.read_bytes()
+    if fault == "write":
+        monkeypatch.setattr(
+            livlr.checkpoint, "open", lambda *a: _HalfThenDiskFull(open(*a)), raising=False
+        )
+    else:
+        monkeypatch.setattr(os, "replace", _fail_replace)
+    cfg = tiny_config(seed=1)
+    with pytest.raises(OSError):
+        save_checkpoint(path, cfg, Model(cfg).store)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.lvlr"]
+
+
+# ---------------------------------------------------------------------------
+# retired config keys
+
+
+@pytest.mark.parametrize("value", [False, True])
+def test_retired_attention_gcn_key_is_rejected(tmp_path, value):
+    # configs and checkpoints written while davl_attention_gcn existed carry
+    # the key; they must fail loudly, never build a model without it
+    old = tiny_config().to_dict()
+    old["davl_attention_gcn"] = value
+    old_json = json.dumps(old, sort_keys=True, separators=(",", ":"))
+    with pytest.raises(ConfigError, match="davl_attention_gcn"):
+        ModelConfig.from_json(old_json)
+    path = tmp_path / "old.lvlr"
+    save_checkpoint(path, old_json, Model(tiny_config()).store)
+    with pytest.raises(ConfigError, match="davl_attention_gcn"):
+        load_model_from(path)

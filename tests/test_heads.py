@@ -8,7 +8,6 @@ from livlr.errors import ContractError
 from livlr.heads import (
     create_multichoice_head,
     create_open_ended_head,
-    create_question_params,
     cross_entropy,
     encode_question,
     hinge_loss,
@@ -16,6 +15,7 @@ from livlr.heads import (
     predict_open_ended,
 )
 from livlr.optim import ParamStore
+from livlr.rnn import create_seq_encoder
 from livlr.tensor import Tensor, backward, constant, no_grad, sum_all
 
 from oracles import central_diff, max_rel_err
@@ -23,7 +23,7 @@ from oracles import central_diff, max_rel_err
 
 def question_setup(rng, d=6, d_t=4):
     store = ParamStore()
-    params = create_question_params(store, rng, d=d, d_t=d_t, dtype=np.float64)
+    params = create_seq_encoder(store, "question", rng, d_t=d_t, d=d, dtype=np.float64)
     return store, params
 
 

@@ -10,7 +10,6 @@ from livlr.linguistic import (
     create_linguistic_params,
     encode_all,
     encode_sentence,
-    sentence_embedding,
 )
 from livlr.optim import ParamStore
 from livlr.rnn import BiLstmParams, LstmParams, bilstm_embed, create_bilstm_params, lstm_final_hidden
@@ -159,20 +158,21 @@ def make_encoder(rng, d=6, d_t=4, n_roles=5, n_layers=1):
 
 class TestSentenceEncoder:
     def test_embedding_is_linear_projection_no_relu(self):
-        # scaling every token scales the projection; a ReLU front end
-        # would clip the negated version differently
+        # the sentence encoder shares its code with the question encoder,
+        # which rectifies the projection; sentences must keep the negative
+        # entries. With no role layers the event vector is the BiLSTM summary.
         rng = np.random.default_rng(210)
-        store, params = make_encoder(rng)
+        store, params = make_encoder(rng, n_layers=0)
         toks = rng.standard_normal((4, 4))
-        a = sentence_embedding(params, toks).data
-        params.b_tok.data[...] = 0.0
-        b = sentence_embedding(params, toks).data
-        c = sentence_embedding(params, -toks).data
-        proj_pos = toks @ params.w_tok.data
-        proj_neg = -toks @ params.w_tok.data
-        assert np.allclose(proj_neg, -proj_pos)
-        assert np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()
-        assert (b != 0).any()
+        sent = params.sentence
+        sent.b_tok.data[...] = rng.standard_normal(sent.b_tok.data.shape)
+        ev, _ = encode_sentence(params, toks, SrlParse(tokens=4))
+        proj = toks @ sent.w_tok.data + sent.b_tok.data
+        assert (proj < 0).any()
+        want = bilstm_embed(sent.lstm, constant(proj, np.float64)).data
+        clipped = bilstm_embed(sent.lstm, constant(np.maximum(proj, 0.0), np.float64)).data
+        assert np.array_equal(ev.data, want)
+        assert not np.allclose(ev.data, clipped)
 
     def test_shapes_and_zero_local_path(self):
         rng = np.random.default_rng(211)

@@ -134,22 +134,6 @@ def test_fused_nodes_match_tape_oracles_bit_for_bit(
     assert any(np.frombuffer(g, dtype=cfg.dtype).any() for g in live)
 
 
-@pytest.mark.parametrize("precision", ["double", "single"])
-def test_fused_fusion_gcn_matches_tape_oracle(monkeypatch, precision):
-    # the experimental attention-weighted fusion GCN runs attn_gcn_layer too
-    cfg = tiny_config(davl_attention_gcn=True, precision=precision)
-    spec = SyntheticTaskSpec(
-        n_samples=2, signal_source="question_dependent", noise_scale=0.3, n_classes=4
-    )
-    samples = gen_synthetic(spec, cfg, seed=8).samples()
-    model = Model(cfg)
-    fused = outputs_loss_and_grads(model, samples, model.forward)
-    tape = outputs_loss_and_grads(
-        model, samples, lambda s: tape_oracle_forward(monkeypatch, model, s)
-    )
-    assert fused == tape
-
-
 def test_desk_oe_sample_tape_node_count():
     # the number of tape nodes one training sample records; it repeats
     # exactly, and it is the dispatch cost the fused nodes drive down

@@ -19,17 +19,14 @@ from livlr.tensor import (
     matmul,
     mean_axis0,
     mul,
-    narrow,
     neg,
     no_grad,
     relu,
     reshape,
     row_softmax,
-    sigmoid,
     sum_all,
     sum_axis1,
     take,
-    tanh,
     tape_size,
     transpose,
 )
@@ -188,7 +185,7 @@ class TestElementwise:
 
     def test_unary_gradients_match_fd(self):
         rng = np.random.default_rng(13)
-        for op in (sigmoid, tanh, exp, neg):
+        for op in (exp, neg):
             x = leaf(rng.standard_normal((2, 3)))
 
             def build():
@@ -203,8 +200,8 @@ class TestElementwise:
             assert max_rel_err(x.grad, num) < 1e-6, op.__name__
 
     def test_sigmoid_is_the_stable_two_branch_formula(self):
-        # the LSTM gates and the sigmoid op share one helper; pin its bytes
-        # to the overflow-free formula, extremes included
+        # the LSTM gates use this helper; pin its bytes to the
+        # overflow-free formula, extremes included
         from livlr.tensor import stable_sigmoid
 
         for dtype in (np.float32, np.float64):
@@ -215,7 +212,6 @@ class TestElementwise:
             e = np.exp(-np.abs(x))
             want = np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
             assert stable_sigmoid(x).tobytes() == want.tobytes()
-            assert sigmoid(Tensor(x)).data.tobytes() == want.tobytes()
 
     def test_log_gradient(self):
         rng = np.random.default_rng(14)
@@ -231,7 +227,7 @@ class TestElementwise:
 
 
 class TestStructuralOps:
-    def test_concat_index_take_narrow_reshape_gradients(self):
+    def test_concat_index_take_reshape_gradients(self):
         rng = np.random.default_rng(21)
         a = leaf(rng.standard_normal((2, 3)))
         b = leaf(rng.standard_normal((2, 3)))
@@ -241,9 +237,8 @@ class TestStructuralOps:
             joined = concat([a, b], axis=0)               # (4, 3)
             picked = index_rows(joined, [3, 0, 0])        # repeated rows
             wide = concat([picked, picked], axis=1)       # (3, 6)
-            col = narrow(wide, 2, 2)                      # (3, 2)
-            flat = reshape(col, (6,))
-            gathered = take(v, [4, 4, 0, 1, 2, 3])
+            flat = reshape(wide, (18,))
+            gathered = take(v, [4, 4, 0, 1, 2, 3] * 3)
             return sum_all(mul(flat, gathered))
 
         def loss_value():

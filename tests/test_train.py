@@ -6,6 +6,7 @@ leave the initialization untouched, metrics files must mirror the returned
 records, and a non-finite loss must abort with a diagnostic.
 """
 import csv
+import importlib
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from livlr.config import ModelConfig, tiny_config
 from livlr.data import SyntheticTaskSpec, gen_synthetic
 from livlr.errors import DataError, NumericError
 from livlr.model import Model
+from livlr.tensor import tape_size
 from livlr.train import METRIC_COLUMNS, _check_finite, evaluate, train
 
 
@@ -163,6 +165,28 @@ def test_divergent_lr_aborts_with_numeric_error():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError):
             train(cfg, ds)
+
+
+@pytest.mark.parametrize("poisoned, message", [
+    pytest.param("davl.learner.w1", "non-finite edge affinity scores at epoch 0", id="forward"),
+    pytest.param("head.fc2.b", "non-finite loss at epoch 0", id="loss-check"),
+])
+def test_failed_batch_leaves_the_tape_empty(monkeypatch, poisoned, message):
+    # livlr.train, the attribute, is the train function; patch the module
+    train_module = importlib.import_module("livlr.train")
+
+    def poisoned_model(cfg):
+        model = Model(cfg)
+        model.store[poisoned].data[...] = np.nan
+        return model
+
+    monkeypatch.setattr(train_module, "Model", poisoned_model)
+    cfg = tiny_config(epochs=1)
+    assert tape_size() == 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match=message):
+            train(cfg, make_dataset(cfg, n=4))
+    assert tape_size() == 0
 
 
 def test_abort_diagnostic_names_first_bad_parameter():
