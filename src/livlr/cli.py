@@ -120,10 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="livlr", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config_args(p, preset_ok=True):
+    def add_config_args(p):
         p.add_argument("--config", help="path to a JSON model config")
-        if preset_ok:
-            p.add_argument("--preset", choices=sorted(PRESETS), help="named built-in config")
+        p.add_argument("--preset", choices=sorted(PRESETS), help="named built-in config")
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset directory")
     add_config_args(p)

@@ -32,7 +32,6 @@ class ModelConfig:
     N_h: int  # attention heads in the integration module
     N_k: int  # candidates in the multiple-choice setting
     answer_set_size: int
-    gcn_layers: int
     ri_variant: str
     question_setting: str
     precision: str
@@ -44,12 +43,11 @@ class ModelConfig:
     batch_size: int
     epochs: int
     d_h: int  # hidden width of the open-ended classifier
-    davl_gcn_normalize: bool  # mean (True) vs sum (False) aggregation
 
     def validate(self) -> "ModelConfig":
         ints_ge1 = [
             "d", "d_a", "d_o", "d_c", "d_t", "N_f", "N_o", "N_s", "N_t",
-            "N_r", "N_n", "N_h", "gcn_layers", "batch_size", "epochs", "d_h",
+            "N_r", "N_n", "N_h", "batch_size", "epochs", "d_h",
         ]
         for f in ints_ge1:
             v = getattr(self, f)
@@ -150,11 +148,10 @@ def tiny_config(**overrides) -> ModelConfig:
     cfg = ModelConfig(
         d=8, d_a=6, d_o=6, d_c=5, d_t=5,
         N_f=2, N_o=3, N_s=2, N_t=4, N_r=6, N_n=2, N_h=2, N_k=3,
-        answer_set_size=4, gcn_layers=1,
+        answer_set_size=4,
         ri_variant="DAVL", question_setting="OE", precision="double",
         seed=0, lr=1e-2, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0,
         batch_size=8, epochs=300, d_h=8,
-        davl_gcn_normalize=True,
     )
     return cfg.with_overrides(**overrides) if overrides else cfg.validate()
 
@@ -164,11 +161,10 @@ def desk_config(**overrides) -> ModelConfig:
     cfg = ModelConfig(
         d=32, d_a=64, d_o=64, d_c=32, d_t=32,
         N_f=4, N_o=5, N_s=3, N_t=6, N_r=16, N_n=5, N_h=4, N_k=4,
-        answer_set_size=8, gcn_layers=1,
+        answer_set_size=8,
         ri_variant="DAVL", question_setting="OE", precision="single",
         seed=0, lr=1e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0,
         batch_size=16, epochs=60, d_h=32,
-        davl_gcn_normalize=True,
     )
     return cfg.with_overrides(**overrides) if overrides else cfg.validate()
 
@@ -178,11 +174,10 @@ def full_config(**overrides) -> ModelConfig:
     cfg = ModelConfig(
         d=512, d_a=2048, d_o=2048, d_c=768, d_t=768,
         N_f=64, N_o=10, N_s=12, N_t=20, N_r=16, N_n=5, N_h=16, N_k=5,
-        answer_set_size=1000, gcn_layers=1,
+        answer_set_size=1000,
         ri_variant="DAVL", question_setting="OE", precision="single",
         seed=0, lr=8e-5, betas=(0.9, 0.999), eps=1e-8, weight_decay=1e-2,
         batch_size=256, epochs=80, d_h=512,
-        davl_gcn_normalize=True,
     )
     return cfg.with_overrides(**overrides) if overrides else cfg.validate()
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+import tokenize
 from dataclasses import dataclass
 
 import numpy as np
@@ -382,6 +383,22 @@ _ARRAY_FILES = [
     "sent_tokens", "question", "labels",
 ]
 
+# rank of each array, and for each axis the name that ties its extent to
+# the other arrays' (None: free)
+_LAYOUT = {
+    "appearance": ("n", "N_f", None),
+    "objects": ("n", "N_f", "N_o", None),
+    "class_attr": ("n", "N_f", "N_o", None),
+    "boxes": ("n", "N_f", "N_o", "4"),
+    "sent_tokens": ("n", None, "N_t", "d_t"),
+    "question": ("n", "N_t", "d_t"),
+    "labels": ("n",),
+    "candidates": ("n", "N_k", "N_t", "d_t"),
+    "correct": ("n",),
+    "sources": ("n",),
+}
+_INDEX_ARRAYS = ("labels", "correct", "sources")
+
 
 def save_dataset(ds: SyntheticDataset, out_dir: str):
     os.makedirs(out_dir, exist_ok=True)
@@ -411,26 +428,77 @@ def save_dataset(ds: SyntheticDataset, out_dir: str):
                 f.write("\n")
 
 
+def _check_layout(arrays: dict):
+    """Raise DataError unless every array has its documented rank, a real
+    dtype (integers for the index arrays) and extents that agree, and
+    every index lies in range."""
+    extents = {"4": 4}
+    for name, arr in arrays.items():
+        axes = _LAYOUT[name]
+        kinds = "iu" if name in _INDEX_ARRAYS else "iuf"
+        if arr.dtype.kind not in kinds:
+            raise DataError(f"dataset array {name} has unsupported dtype {arr.dtype}")
+        if arr.ndim != len(axes):
+            raise DataError(
+                f"dataset array {name} has shape {arr.shape}, expected rank {len(axes)}"
+            )
+        for axis, size in zip(axes, arr.shape):
+            if axis is not None and extents.setdefault(axis, size) != size:
+                raise DataError(
+                    f"dataset array {name} has shape {arr.shape}: its {axis} axis "
+                    f"is {size}, other arrays have {extents[axis]}"
+                )
+    # labels are capped by the answer set in check_config; sources name
+    # one of the four planted channels
+    caps = {"labels": None, "correct": extents.get("N_k"), "sources": 4}
+    for name, cap in caps.items():
+        arr = arrays.get(name)
+        if arr is not None and arr.size and (arr.min() < 0 or cap and arr.max() >= cap):
+            raise DataError(f"dataset array {name} holds an out-of-range index")
+
+
 def load_dataset(data_dir: str) -> SyntheticDataset:
+    """Read a directory written by save_dataset. Every malformed or
+    inconsistent file raises DataError."""
     meta_path = os.path.join(data_dir, "meta.json")
     try:
         with open(meta_path, "r", encoding="utf-8") as f:
             meta = json.load(f)
     except OSError as e:
         raise DataError(f"cannot read dataset meta {meta_path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad JSON or bad UTF-8
         raise DataError(f"dataset meta is not valid JSON: {e}") from e
+    if not isinstance(meta, dict):
+        raise DataError("dataset meta must be a JSON object")
     if meta.get("format") != DATASET_FORMAT:
         raise DataError(f"unsupported dataset format {meta.get('format')!r}")
+    try:
+        spec = SyntheticTaskSpec.from_dict(meta["spec"])
+        seed = int(meta["seed"])
+        lo, hi = (int(v) for v in meta["signal_span"])
+        extents = dict(meta["extents"])
+    except (ConfigError, KeyError, TypeError, ValueError, OverflowError) as e:
+        raise DataError(f"malformed dataset meta: {e!r}") from e
 
     def load_arr(name):
         path = os.path.join(data_dir, f"{name}.npy")
         try:
-            return np.load(path)
+            # memory-mapped first, so a header that claims more data than
+            # the file holds fails before anything is allocated
+            return np.array(np.load(path, mmap_mode="r"))
         except OSError as e:
             raise DataError(f"missing dataset array {path}: {e}") from e
+        except (ValueError, EOFError, SyntaxError, tokenize.TokenError) as e:
+            # what numpy raises on a corrupted header or body
+            raise DataError(f"malformed dataset array {path}: {e!r}") from e
 
-    arrays = {name: load_arr(name) for name in _ARRAY_FILES}
+    names = list(_ARRAY_FILES)
+    if meta.get("has_candidates"):
+        names += ["candidates", "correct"]
+    if meta.get("has_sources"):
+        names.append("sources")
+    arrays = {name: load_arr(name) for name in names}
+    _check_layout(arrays)
     n = arrays["labels"].shape[0]
     n_s = arrays["sent_tokens"].shape[1]
     parses_flat = []
@@ -442,7 +510,7 @@ def load_dataset(data_dir: str) -> SyntheticDataset:
                     parses_flat.append(SrlParse.from_dict(json.loads(line)))
     except OSError as e:
         raise DataError(f"cannot read parses: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad JSON or bad UTF-8
         raise DataError(f"malformed parses.jsonl: {e}") from e
     if len(parses_flat) != n * n_s:
         raise DataError(
@@ -450,17 +518,10 @@ def load_dataset(data_dir: str) -> SyntheticDataset:
         )
     parses = [parses_flat[i * n_s : (i + 1) * n_s] for i in range(n)]
 
-    candidates = correct = sources = None
-    if meta.get("has_candidates"):
-        candidates = load_arr("candidates")
-        correct = load_arr("correct")
-    if meta.get("has_sources"):
-        sources = load_arr("sources")
-
     return SyntheticDataset(
-        spec=SyntheticTaskSpec.from_dict(meta["spec"]),
-        extents=meta["extents"],
-        seed=int(meta["seed"]),
+        spec=spec,
+        extents=extents,
+        seed=seed,
         appearance=arrays["appearance"],
         objects=arrays["objects"],
         class_attr=arrays["class_attr"],
@@ -469,8 +530,8 @@ def load_dataset(data_dir: str) -> SyntheticDataset:
         question=arrays["question"],
         labels=arrays["labels"],
         parses=parses,
-        signal_span=tuple(meta["signal_span"]),
-        sources=sources,
-        candidates=candidates,
-        correct=correct,
+        signal_span=(lo, hi),
+        sources=arrays.get("sources"),
+        candidates=arrays.get("candidates"),
+        correct=arrays.get("correct"),
     )

@@ -86,7 +86,7 @@ class DavlParams:
     w_concat: Tensor | None  # (4d, d) for the concatenation baseline
     b_concat: Tensor | None
     n_keep: int
-    normalize: bool
+    normalize: bool  # mean (True) vs sum aggregation in the GCN; models build True
     variant: RiVariant
 
     @property
@@ -96,8 +96,7 @@ class DavlParams:
 
 
 def create_davl_params(
-    store: ParamStore, rng, d: int, n_heads: int, n_keep: int,
-    variant: RiVariant, dtype, normalize: bool = True,
+    store: ParamStore, rng, d: int, n_heads: int, n_keep: int, variant: RiVariant, dtype
 ) -> DavlParams:
     if d % n_heads != 0:
         raise ConfigError(f"head count {n_heads} must divide width {d}")
@@ -136,7 +135,7 @@ def create_davl_params(
         w_concat=w_concat,
         b_concat=b_concat,
         n_keep=n_keep,
-        normalize=normalize,
+        normalize=True,
         variant=variant,
     )
 

@@ -111,13 +111,6 @@ def score_candidates(
     return concat(scores, axis=0)
 
 
-def predict_multichoice(
-    head: MultiChoiceHead, x_hat: Tensor, q_hat: Tensor, candidates: np.ndarray
-) -> Tensor:
-    """Scores (N_k,) straight from the candidate token matrices."""
-    return score_candidates(head, x_hat, q_hat, encode_candidates(head, candidates))
-
-
 def hinge_loss(scores: Tensor, correct: int) -> Tensor:
     """Sum over wrong candidates of max(0, 1 - (s_correct - s_wrong))."""
     n = scores.data.shape[0]

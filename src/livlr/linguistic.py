@@ -90,8 +90,10 @@ class SrlParse:
                 for a in d["arguments"]
             ]
             return cls(tokens=int(d["tokens"]), predicates=preds, arguments=args)
-        except (KeyError, TypeError, ValueError) as e:
-            raise DataError(f"malformed parse record: {e}") from e
+        except (
+            KeyError, IndexError, TypeError, ValueError, OverflowError, GraphIntegrityError
+        ) as e:
+            raise DataError(f"malformed parse record: {e!r}") from e
 
 
 def build_role_graph(parse: SrlParse) -> tuple[DenseGraph, list[int], list[tuple[int, int]]]:
@@ -125,7 +127,7 @@ class LinguisticEncoderParams:
     sentence: SeqEncoderParams  # token projection (no ReLU) + sentence BiLSTM
     w_local: Tensor  # span-mean projection, no bias
     role_matrix: Tensor  # (n_roles, d), multiplicative, ones at init
-    role_layers: list[AttnGcnParams]
+    role_gcn: AttnGcnParams
 
     @property
     def dtype(self):
@@ -137,22 +139,18 @@ class LinguisticEncoderParams:
 
 
 def create_linguistic_params(
-    store: ParamStore, rng, d: int, d_t: int, n_roles: int, n_layers: int, dtype,
-    prefix: str = "linguistic",
+    store: ParamStore, rng, d: int, d_t: int, n_roles: int, dtype
 ) -> LinguisticEncoderParams:
-    mk = lambda name, shape, **kw: make_param(store, f"{prefix}.{name}", rng, shape, dtype, **kw)
+    mk = lambda name, shape, **kw: make_param(store, f"linguistic.{name}", rng, shape, dtype, **kw)
     return LinguisticEncoderParams(
-        sentence=create_seq_encoder(store, prefix, rng, d_t, d, dtype, lstm="sent_lstm"),
+        sentence=create_seq_encoder(store, "linguistic", rng, d_t, d, dtype, lstm="sent_lstm"),
         w_local=mk("local_proj.w", (d_t, d)),
         role_matrix=mk("roles", (n_roles, d), init="ones"),
-        role_layers=[
-            AttnGcnParams(
-                w=mk(f"role_gcn.l{i}.w", (d, d)),
-                w_q=mk(f"role_gcn.l{i}.w_q", (d, d)),
-                w_k=mk(f"role_gcn.l{i}.w_k", (d, d)),
-            )
-            for i in range(n_layers)
-        ],
+        role_gcn=AttnGcnParams(  # ".l0" names the graph's one layer
+            w=mk("role_gcn.l0.w", (d, d)),
+            w_q=mk("role_gcn.l0.w_q", (d, d)),
+            w_k=mk("role_gcn.l0.w_k", (d, d)),
+        ),
     )
 
 
@@ -163,8 +161,8 @@ def encode_sentence(
 
     Local nodes start from projected span means of the raw tokens, get
     scaled per-feature by their role's row of the role matrix, then mix
-    through the role graph. A parse with no predicates and no arguments
-    pools to the zero vector.
+    with the event node through one role-graph layer. A parse with no
+    predicates and no arguments pools to the zero vector.
     """
     tokens = np.asarray(tokens, dtype=np.float64)
     if tokens.ndim != 2 or tokens.shape[0] != parse.tokens:
@@ -183,16 +181,12 @@ def encode_sentence(
     if n_local:
         span_means = np.stack([tokens[lo : hi + 1].mean(axis=0) for lo, hi in spans])
         locals_ = matmul(constant(span_means, params.dtype), params.w_local)
-        role_idx = [r - 1 for r in roles]
-        for layer in params.role_layers:
-            scale = index_rows(params.role_matrix, role_idx)
-            nodes = concat([index_rows(nodes, [0]), mul(locals_, scale)], axis=0)
-            nodes = attn_gcn_layer(layer, nodes, graph)
-            locals_ = index_rows(nodes, list(range(1, 1 + n_local)))
+        scale = index_rows(params.role_matrix, [r - 1 for r in roles])
+        nodes = concat([nodes, mul(locals_, scale)], axis=0)
+    nodes = attn_gcn_layer(params.role_gcn, nodes, graph)
+    if n_local:
         pooled = mean_pool(nodes, subset=list(range(1, 1 + n_local)))
     else:
-        for layer in params.role_layers:
-            nodes = attn_gcn_layer(layer, nodes, graph)
         pooled = constant(np.zeros(d), params.dtype)
     event_out = reshape(index_rows(nodes, [0]), (d,))
     return event_out, pooled

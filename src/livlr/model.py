@@ -65,11 +65,10 @@ class Model:
         rng = np.random.default_rng(config.seed)
 
         self.visual: VisualEncoderParams = create_visual_params(
-            self.store, rng, config.d, config.d_a, config.d_o, config.d_c,
-            config.N_n, config.gcn_layers, dtype,
+            self.store, rng, config.d, config.d_a, config.d_o, config.d_c, config.N_n, dtype,
         )
         self.linguistic: LinguisticEncoderParams = create_linguistic_params(
-            self.store, rng, config.d, config.d_t, config.N_r, config.gcn_layers, dtype,
+            self.store, rng, config.d, config.d_t, config.N_r, dtype,
         )
         self.question: SeqEncoderParams = create_seq_encoder(
             self.store, "question", rng, config.d_t, config.d, dtype,
@@ -77,7 +76,6 @@ class Model:
         self.davl: DavlParams = create_davl_params(
             self.store, rng, config.d, config.N_h, config.N_n,
             RiVariant(config.ri_variant), dtype,
-            normalize=config.davl_gcn_normalize,
         )
         self.oe_head: OpenEndedHead | None = None
         self.mc_head: MultiChoiceHead | None = None

@@ -108,12 +108,6 @@ def adamw_step(
             p.data -= lr * weight_decay * p.data
 
 
-def uniform_init(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
-    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)), the usual dense init."""
-    limit = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
-
-
 def make_param(
     store: ParamStore,
     name: str,
@@ -121,16 +115,15 @@ def make_param(
     shape,
     dtype,
     init: str = "uniform",
-    fan_in: int | None = None,
 ) -> Tensor:
     """Create, register and return one parameter tensor.
 
-    init is "uniform" (scaled by fan_in, defaulting to shape[0]),
+    init is "uniform" (the usual dense init, Uniform(+-1/sqrt(shape[0]))),
     "zeros" (biases) or "ones" (multiplicative embedding tables).
     """
     if init == "uniform":
-        fi = shape[0] if fan_in is None else fan_in
-        data = uniform_init(rng, shape, fi, dtype)
+        limit = 1.0 / math.sqrt(shape[0])
+        data = rng.uniform(-limit, limit, size=shape).astype(dtype)
     elif init == "zeros":
         data = np.zeros(shape, dtype=dtype)
     elif init == "ones":

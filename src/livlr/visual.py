@@ -4,8 +4,8 @@ Each frame contributes one holistic row (projected appearance feature)
 and one fine-grained row. The fine-grained row pools two object graphs:
 a spatial graph whose edges carry an 11-way geometric relation label,
 and a semantic graph whose adjacency is learned from object class
-embeddings. Boxes are (x, y, w, h) in pixels with the origin at the
-top-left corner.
+embeddings; each graph is mixed by one attention layer. Boxes are
+(x, y, w, h) in pixels with the origin at the top-left corner.
 """
 from __future__ import annotations
 
@@ -54,7 +54,7 @@ class FrameFeatures:
         n = self.objects.shape[0] if self.objects.ndim == 2 else -1
         if n < 1:
             raise DataError(f"objects must be (n, d_o) with n >= 1, got {self.objects.shape}")
-        if self.class_attr.shape[0] != n or self.class_attr.ndim != 2:
+        if self.class_attr.ndim != 2 or self.class_attr.shape[0] != n:
             raise DataError(
                 f"class_attr shape {self.class_attr.shape} does not match {n} objects"
             )
@@ -63,10 +63,11 @@ class FrameFeatures:
         fw, fh = self.frame_size
         if fw <= 0 or fh <= 0:
             raise DataError(f"bad frame size {self.frame_size}")
+        # phrased so that a nan or infinite coordinate fails the check too
         x, y, w, h = self.boxes.T
-        if (w <= 0).any() or (h <= 0).any():
+        if not ((w > 0) & (h > 0)).all():
             raise DataError("boxes must have positive width and height")
-        if (x < 0).any() or (y < 0).any() or (x + w > fw).any() or (y + h > fh).any():
+        if not ((x >= 0) & (y >= 0) & (x + w <= fw) & (y + h <= fh)).all():
             raise DataError("boxes must lie within the frame bounds")
         self._geometry = None
 
@@ -175,8 +176,8 @@ class VisualEncoderParams:
     w_cls: Tensor
     b_cls: Tensor
     w_semantic_mix: Tensor
-    spatial_layers: list[TypedGcnParams]
-    semantic_layers: list[AttnGcnParams]
+    spatial_gcn: TypedGcnParams
+    semantic_gcn: AttnGcnParams
     learn_w1: Tensor
     learn_w2: Tensor
     n_keep: int
@@ -187,27 +188,21 @@ class VisualEncoderParams:
 
 
 def create_visual_params(
-    store: ParamStore, rng, d: int, d_a: int, d_o: int, d_c: int,
-    n_keep: int, n_layers: int, dtype,
+    store: ParamStore, rng, d: int, d_a: int, d_o: int, d_c: int, n_keep: int, dtype
 ) -> VisualEncoderParams:
     mk = lambda name, shape, **kw: make_param(store, f"visual.{name}", rng, shape, dtype, **kw)
-    spatial_layers = [
-        TypedGcnParams(
-            w=mk(f"spatial_gcn.l{i}.w", (d, d)),
-            w_q=mk(f"spatial_gcn.l{i}.w_q", (d, d)),
-            w_k=mk(f"spatial_gcn.l{i}.w_k", (d, d)),
-            type_bias=mk(f"spatial_gcn.l{i}.type_bias", (N_SPATIAL_TYPES,), init="zeros"),
-        )
-        for i in range(n_layers)
-    ]
-    semantic_layers = [
-        AttnGcnParams(
-            w=mk(f"semantic_gcn.l{i}.w", (d, d)),
-            w_q=mk(f"semantic_gcn.l{i}.w_q", (d, d)),
-            w_k=mk(f"semantic_gcn.l{i}.w_k", (d, d)),
-        )
-        for i in range(n_layers)
-    ]
+    # the graph layers draw first; ".l0" names the one layer of each graph
+    spatial_gcn = TypedGcnParams(
+        w=mk("spatial_gcn.l0.w", (d, d)),
+        w_q=mk("spatial_gcn.l0.w_q", (d, d)),
+        w_k=mk("spatial_gcn.l0.w_k", (d, d)),
+        type_bias=mk("spatial_gcn.l0.type_bias", (N_SPATIAL_TYPES,), init="zeros"),
+    )
+    semantic_gcn = AttnGcnParams(
+        w=mk("semantic_gcn.l0.w", (d, d)),
+        w_q=mk("semantic_gcn.l0.w_q", (d, d)),
+        w_k=mk("semantic_gcn.l0.w_k", (d, d)),
+    )
     return VisualEncoderParams(
         w_hol=mk("holistic.w", (d_a, d)),
         b_hol=mk("holistic.b", (d,), init="zeros"),
@@ -219,8 +214,8 @@ def create_visual_params(
         w_cls=mk("cls_proj.w", (d_c, d)),
         b_cls=mk("cls_proj.b", (d,), init="zeros"),
         w_semantic_mix=mk("semantic_mix.w", (2 * d, d)),
-        spatial_layers=spatial_layers,
-        semantic_layers=semantic_layers,
+        spatial_gcn=spatial_gcn,
+        semantic_gcn=semantic_gcn,
         learn_w1=mk("learner.w1", (d, d)),
         learn_w2=mk("learner.w2", (d, d)),
         n_keep=n_keep,
@@ -244,15 +239,13 @@ def encode_frame(params: VisualEncoderParams, frame: FrameFeatures) -> Tensor:
     v_sp = matmul(concat([obj, pos], axis=1), params.w_spatial_mix)
     adj, types = frame.spatial_edges()
     g_sp = DenseGraph(len(frame.boxes), adj, types)
-    for layer in params.spatial_layers:
-        v_sp = typed_edge_gcn_layer(layer, v_sp, g_sp)
+    v_sp = typed_edge_gcn_layer(params.spatial_gcn, v_sp, g_sp)
 
     # semantic branch: adjacency learned from class/attribute content
     cls = linear(constant(frame.class_attr, dtype), params.w_cls, params.b_cls)
     v_se = matmul(concat([obj, cls], axis=1), params.w_semantic_mix)
     _, g_se = learn_adjacency(params.learn_w1, params.learn_w2, v_se, params.n_keep)
-    for layer in params.semantic_layers:
-        v_se = attn_gcn_layer(layer, v_se, g_se)
+    v_se = attn_gcn_layer(params.semantic_gcn, v_se, g_se)
 
     return add(mean_pool(v_sp), mean_pool(v_se))
 

@@ -341,16 +341,31 @@ def test_failed_save_keeps_the_previous_file(tmp_path, monkeypatch, fault):
 # retired config keys
 
 
-@pytest.mark.parametrize("value", [False, True])
-def test_retired_attention_gcn_key_is_rejected(tmp_path, value):
-    # configs and checkpoints written while davl_attention_gcn existed carry
-    # the key; they must fail loudly, never build a model without it
+def _assert_retired_key_rejected(tmp_path, key, value):
+    # configs and checkpoints written while a retired field existed carry
+    # its key; they must fail loudly, never build a model without it
     old = tiny_config().to_dict()
-    old["davl_attention_gcn"] = value
+    old[key] = value
     old_json = json.dumps(old, sort_keys=True, separators=(",", ":"))
-    with pytest.raises(ConfigError, match="davl_attention_gcn"):
+    with pytest.raises(ConfigError, match=key):
         ModelConfig.from_json(old_json)
     path = tmp_path / "old.lvlr"
     save_checkpoint(path, old_json, Model(tiny_config()).store)
-    with pytest.raises(ConfigError, match="davl_attention_gcn"):
+    with pytest.raises(ConfigError, match=key):
         load_model_from(path)
+
+
+@pytest.mark.parametrize("value", [False, True])
+def test_retired_attention_gcn_key_is_rejected(tmp_path, value):
+    _assert_retired_key_rejected(tmp_path, "davl_attention_gcn", value)
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("gcn_layers", 1), ("gcn_layers", 2), ("davl_gcn_normalize", True),
+     ("davl_gcn_normalize", False)],
+)
+def test_retired_layer_keys_are_rejected(tmp_path, key, value):
+    # every model ran one graph layer with mean aggregation; both fields
+    # went when those became constants
+    _assert_retired_key_rejected(tmp_path, key, value)

@@ -171,6 +171,14 @@ def test_config_extent_mismatch_exits_3(tmp_path):
     assert code == 3
 
 
+def test_malformed_dataset_exits_3(tmp_path, capsys):
+    cfg, data = gen_micro_dataset(tmp_path)
+    np.save(f"{data}/sent_tokens.npy", np.zeros(4))
+    code = main(["train", "--config", cfg, "--data", data, "--out-dir", str(tmp_path / "run")])
+    assert code == 3
+    assert "sent_tokens" in capsys.readouterr().err
+
+
 def test_corrupt_checkpoint_exits_3(tmp_path, capsys):
     _, data = gen_micro_dataset(tmp_path)
     fake = tmp_path / "fake.lvlr"

@@ -9,9 +9,12 @@ signal mode.
 """
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from livlr.config import tiny_config
 from livlr.data import (
@@ -346,6 +349,138 @@ def test_load_rejects_truncated_parses(tmp_path):
     (d / "parses.jsonl").write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
     with pytest.raises(DataError):
         load_dataset(d)
+
+
+def _saved(tmp_path, setting="OE"):
+    d = tmp_path / "ds"
+    cfg = tiny_config(question_setting=setting)
+    save_dataset(gen_synthetic(spec_for("question_dependent", n=3), cfg, seed=0), d)
+    return d
+
+
+def _edit_meta(d, edit):
+    meta = json.loads((d / "meta.json").read_text(encoding="utf-8"))
+    (d / "meta.json").write_text(json.dumps(edit(meta)), encoding="utf-8")
+
+
+def test_load_rejects_wrong_rank_array(tmp_path):
+    d = _saved(tmp_path)
+    np.save(d / "sent_tokens.npy", np.zeros(5))
+    with pytest.raises(DataError, match="sent_tokens"):
+        load_dataset(d)
+
+
+def test_load_rejects_meta_without_spec(tmp_path):
+    d = _saved(tmp_path)
+    _edit_meta(d, lambda m: {k: v for k, v in m.items() if k != "spec"})
+    with pytest.raises(DataError, match="spec"):
+        load_dataset(d)
+
+
+def test_load_rejects_meta_that_is_not_an_object(tmp_path):
+    d = _saved(tmp_path)
+    _edit_meta(d, lambda m: [m])
+    with pytest.raises(DataError, match="JSON object"):
+        load_dataset(d)
+
+
+@pytest.mark.parametrize("content", ["object", "garbage"])
+def test_load_rejects_unreadable_array(tmp_path, content):
+    d = _saved(tmp_path)
+    if content == "object":
+        np.save(d / "labels.npy", np.array([0, None, 1], dtype=object), allow_pickle=True)
+    else:
+        (d / "labels.npy").write_bytes(b"not an array at all")
+    with pytest.raises(DataError, match="labels"):
+        load_dataset(d)
+
+
+def test_load_rejects_short_argument_span(tmp_path):
+    d = _saved(tmp_path)
+    text = (d / "parses.jsonl").read_text(encoding="utf-8")
+    (d / "parses.jsonl").write_text(text.replace('"span":[0,0]', '"span":[0]', 1), encoding="utf-8")
+    with pytest.raises(DataError, match="parse"):
+        load_dataset(d)
+
+
+def test_load_rejects_dangling_predicate_index(tmp_path):
+    d = _saved(tmp_path)
+    text = (d / "parses.jsonl").read_text(encoding="utf-8")
+    (d / "parses.jsonl").write_text(text.replace('"pred":0', '"pred":4', 1), encoding="utf-8")
+    with pytest.raises(DataError, match="predicate 4"):
+        load_dataset(d)
+
+
+@pytest.mark.parametrize("name,value", [("labels", -1), ("correct", 3), ("sources", 4)])
+def test_load_rejects_out_of_range_index(tmp_path, name, value):
+    d = _saved(tmp_path, setting="MC")
+    arr = np.load(d / f"{name}.npy")
+    arr[0] = value
+    np.save(d / f"{name}.npy", arr)
+    with pytest.raises(DataError, match=name):
+        load_dataset(d)
+
+
+def test_load_rejects_extents_that_disagree(tmp_path):
+    d = _saved(tmp_path)
+    np.save(d / "question.npy", np.load(d / "question.npy")[:, :, :2])
+    with pytest.raises(DataError, match="d_t"):
+        load_dataset(d)
+
+
+def _dataset_files():
+    with tempfile.TemporaryDirectory() as d:
+        cfg = tiny_config(question_setting="MC")
+        save_dataset(gen_synthetic(spec_for("question_dependent", n=3, noise=0.2), cfg, seed=0), d)
+        return {name: open(os.path.join(d, name), "rb").read() for name in os.listdir(d)}
+
+
+_FILES = _dataset_files()
+_ARRAYS = sorted(name for name in _FILES if name.endswith(".npy"))
+
+
+def _corruption(size, header):
+    """An optional truncation point plus up to 6 xor flips, half of them
+    drawn from the first `header` bytes."""
+    offset = st.one_of(st.integers(0, size - 1), st.integers(0, min(header, size) - 1))
+    return st.tuples(
+        st.none() | st.integers(0, size - 1),
+        st.lists(st.tuples(offset, st.integers(1, 255)), max_size=6),
+    )
+
+
+def _apply(blob, corruption):
+    cut, flips = corruption
+    blob = bytearray(blob)
+    for at, mask in flips:
+        blob[at] ^= mask
+    return bytes(blob if cut is None else blob[:cut])
+
+
+@st.composite
+def _corrupted_files(draw):
+    files = dict(_FILES)
+    array = draw(st.sampled_from(_ARRAYS))
+    for name, header in (("meta.json", 1 << 30), ("parses.jsonl", 1 << 30), (array, 128)):
+        files[name] = _apply(files[name], draw(_corruption(len(files[name]), header)))
+    return files
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(files=_corrupted_files())
+def test_corrupted_dataset_raises_only_data_errors(files):
+    # whatever load_dataset accepts must also pass the config check and
+    # build every sample, or fail there with a DataError
+    with tempfile.TemporaryDirectory() as d:
+        for name, blob in files.items():
+            with open(os.path.join(d, name), "wb") as f:
+                f.write(blob)
+        try:
+            ds = load_dataset(d)
+            ds.check_config(tiny_config(question_setting="MC"))
+            ds.samples()
+        except DataError:
+            pass
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,10 @@ from oracles import (
 )
 
 
-def make_params(rng, d=6, n_heads=2, n_keep=2, variant=RiVariant.DAVL, normalize=True):
+def make_params(rng, d=6, n_heads=2, n_keep=2, variant=RiVariant.DAVL):
     store = ParamStore()
     params = create_davl_params(
-        store, rng, d=d, n_heads=n_heads, n_keep=n_keep,
-        variant=variant, dtype=np.float64, normalize=normalize,
+        store, rng, d=d, n_heads=n_heads, n_keep=n_keep, variant=variant, dtype=np.float64,
     )
     return store, params
 

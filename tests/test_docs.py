@@ -1,0 +1,27 @@
+"""The README's configuration table must list exactly the config fields."""
+import dataclasses
+import re
+from pathlib import Path
+
+from livlr.config import PRECISIONS, QUESTION_SETTINGS, RI_VARIANTS, ModelConfig
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _config_table_tokens() -> set[str]:
+    section = README.read_text(encoding="utf-8").split("## Configuration", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("|")]
+    assert rows, "no table under ## Configuration"
+    return set(re.findall(r"`([^`]+)`", "\n".join(rows)))
+
+
+def test_every_config_field_is_in_the_readme_table():
+    fields = {f.name for f in dataclasses.fields(ModelConfig)}
+    assert fields - _config_table_tokens() == set()
+
+
+def test_readme_table_names_only_fields_and_their_values():
+    known = {f.name for f in dataclasses.fields(ModelConfig)}
+    known |= set(RI_VARIANTS) | set(QUESTION_SETTINGS) | set(PRECISIONS)
+    assert _config_table_tokens() - known == set()

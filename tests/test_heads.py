@@ -9,10 +9,11 @@ from livlr.heads import (
     create_multichoice_head,
     create_open_ended_head,
     cross_entropy,
+    encode_candidates,
     encode_question,
     hinge_loss,
-    predict_multichoice,
     predict_open_ended,
+    score_candidates,
 )
 from livlr.optim import ParamStore
 from livlr.rnn import create_seq_encoder
@@ -150,6 +151,10 @@ class TestHinge:
             hinge_loss(Tensor(np.zeros(3), requires_grad=True), 5)
 
 
+def mc_scores(head, x_hat, q_hat, candidates):
+    return score_candidates(head, x_hat, q_hat, encode_candidates(head, candidates))
+
+
 class TestMultiChoiceHead:
     def test_scores_shape_and_identical_candidates_tie(self):
         rng = np.random.default_rng(407)
@@ -159,7 +164,7 @@ class TestMultiChoiceHead:
         q_hat = constant(rng.standard_normal(6), np.float64)
         one = rng.standard_normal((3, 4))
         cands = np.stack([one, one, one])
-        scores = predict_multichoice(head, x_hat, q_hat, cands)
+        scores = mc_scores(head, x_hat, q_hat, cands)
         assert scores.data.shape == (3,)
         assert np.allclose(scores.data, scores.data[0], atol=1e-12)
 
@@ -170,7 +175,7 @@ class TestMultiChoiceHead:
         x_hat = constant(rng.standard_normal(6), np.float64)
         q_hat = constant(rng.standard_normal(6), np.float64)
         cands = rng.standard_normal((3, 3, 4))
-        scores = predict_multichoice(head, x_hat, q_hat, cands).data
+        scores = mc_scores(head, x_hat, q_hat, cands).data
         assert len(np.unique(np.round(scores, 9))) == 3
 
     def test_bad_candidate_rank_rejected(self):
@@ -178,7 +183,7 @@ class TestMultiChoiceHead:
         store = ParamStore()
         head = create_multichoice_head(store, rng, d=6, d_t=4, dtype=np.float64)
         with pytest.raises(ContractError):
-            predict_multichoice(
+            mc_scores(
                 head,
                 constant(np.zeros(6), np.float64),
                 constant(np.zeros(6), np.float64),
@@ -194,7 +199,7 @@ class TestMultiChoiceHead:
         cands = rng.standard_normal((3, 3, 4))
 
         def build():
-            return hinge_loss(predict_multichoice(head, x_hat, q_hat, cands), 1)
+            return hinge_loss(mc_scores(head, x_hat, q_hat, cands), 1)
 
         def loss_value():
             with no_grad():

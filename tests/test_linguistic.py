@@ -148,10 +148,10 @@ class TestRoleGraph:
         assert g.n_nodes == 1 and roles == [] and spans == []
 
 
-def make_encoder(rng, d=6, d_t=4, n_roles=5, n_layers=1):
+def make_encoder(rng, d=6, d_t=4, n_roles=5):
     store = ParamStore()
     params = create_linguistic_params(
-        store, rng, d=d, d_t=d_t, n_roles=n_roles, n_layers=n_layers, dtype=np.float64
+        store, rng, d=d, d_t=d_t, n_roles=n_roles, dtype=np.float64
     )
     return store, params
 
@@ -160,19 +160,20 @@ class TestSentenceEncoder:
     def test_embedding_is_linear_projection_no_relu(self):
         # the sentence encoder shares its code with the question encoder,
         # which rectifies the projection; sentences must keep the negative
-        # entries. With no role layers the event vector is the BiLSTM summary.
+        # entries. An empty parse leaves the event node isolated, so the role
+        # layer passes it through its ReLU residual alone.
         rng = np.random.default_rng(210)
-        store, params = make_encoder(rng, n_layers=0)
+        store, params = make_encoder(rng)
         toks = rng.standard_normal((4, 4))
         sent = params.sentence
         sent.b_tok.data[...] = rng.standard_normal(sent.b_tok.data.shape)
         ev, _ = encode_sentence(params, toks, SrlParse(tokens=4))
         proj = toks @ sent.w_tok.data + sent.b_tok.data
         assert (proj < 0).any()
-        want = bilstm_embed(sent.lstm, constant(proj, np.float64)).data
+        want = np.maximum(bilstm_embed(sent.lstm, constant(proj, np.float64)).data, 0.0)
         clipped = bilstm_embed(sent.lstm, constant(np.maximum(proj, 0.0), np.float64)).data
         assert np.array_equal(ev.data, want)
-        assert not np.allclose(ev.data, clipped)
+        assert not np.allclose(ev.data, np.maximum(clipped, 0.0))
 
     def test_shapes_and_zero_local_path(self):
         rng = np.random.default_rng(211)
@@ -229,7 +230,7 @@ class TestSentenceEncoder:
 
     def test_encode_all_shapes_and_gradients(self):
         rng = np.random.default_rng(216)
-        store, params = make_encoder(rng, n_layers=2)
+        store, params = make_encoder(rng)
         sents = []
         for _ in range(3):
             toks = rng.standard_normal((4, 4))

@@ -134,10 +134,11 @@ def test_fused_nodes_match_tape_oracles_bit_for_bit(
     assert any(np.frombuffer(g, dtype=cfg.dtype).any() for g in live)
 
 
-def test_desk_oe_sample_tape_node_count():
+@pytest.mark.parametrize("setting,nodes", [("OE", 176), ("MC", 235)], ids=["OE", "MC"])
+def test_desk_sample_tape_node_count(setting, nodes):
     # the number of tape nodes one training sample records; it repeats
     # exactly, and it is the dispatch cost the fused nodes drive down
-    cfg = desk_config(ri_variant="DAVL", question_setting="OE", seed=3)
+    cfg = desk_config(ri_variant="DAVL", question_setting=setting, seed=3)
     spec = SyntheticTaskSpec(
         n_samples=2, signal_source="question_dependent", noise_scale=0.1, n_classes=4
     )
@@ -146,7 +147,7 @@ def test_desk_oe_sample_tape_node_count():
     for s in samples:
         assert tape_size() == 0
         loss, _ = model.forward(s)
-        assert tape_size() == 182
+        assert tape_size() == nodes
         backward(loss)
 
 

@@ -142,23 +142,25 @@ class TestFrameValidation:
             self.make_frame(class_attr=np.ones((3, 4)))
 
     def test_out_of_bounds_box_rejected(self):
-        with pytest.raises(DataError):
-            self.make_frame(boxes=np.array([[0.0, 0.0, 10.0, 10.0], [315.0, 0.0, 10.0, 10.0]]))
+        # a nan or infinite coordinate is out of bounds too
+        for x in (315.0, np.nan, np.inf):
+            with pytest.raises(DataError):
+                self.make_frame(boxes=np.array([[0.0, 0.0, 10.0, 10.0], [x, 0.0, 10.0, 10.0]]))
 
     def test_nonpositive_box_rejected(self):
-        with pytest.raises(DataError):
-            self.make_frame(boxes=np.array([[0.0, 0.0, 0.0, 10.0], [1.0, 1.0, 5.0, 5.0]]))
+        for w in (0.0, np.nan):
+            with pytest.raises(DataError):
+                self.make_frame(boxes=np.array([[0.0, 0.0, w, 10.0], [1.0, 1.0, 5.0, 5.0]]))
 
     def test_empty_clip_rejected(self):
         with pytest.raises(DataError):
             ClipFeatures([])
 
 
-def build_encoder(rng, d=6, d_a=5, d_o=4, d_c=3, n_keep=2, n_layers=1):
+def build_encoder(rng, d=6, d_a=5, d_o=4, d_c=3, n_keep=2):
     store = ParamStore()
     params = create_visual_params(
-        store, rng, d=d, d_a=d_a, d_o=d_o, d_c=d_c,
-        n_keep=n_keep, n_layers=n_layers, dtype=np.float64,
+        store, rng, d=d, d_a=d_a, d_o=d_o, d_c=d_c, n_keep=n_keep, dtype=np.float64,
     )
     return store, params
 
@@ -218,7 +220,7 @@ class TestEncoder:
 
     def test_gradients_flow_to_every_visual_parameter(self):
         rng = np.random.default_rng(54)
-        store, params = build_encoder(rng, n_layers=2)
+        store, params = build_encoder(rng)
         clip = ClipFeatures([random_frame(rng, 3), random_frame(rng, 4)])
         store.zero_grads()
         hol, fine = encode_clip(params, clip)
