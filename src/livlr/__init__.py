@@ -33,7 +33,7 @@ from .errors import (
 from .gradcheck import GradCheckReport, check_gradients, grad_check
 from .model import Model
 from .optim import ParamStore, adamw_step
-from .tensor import Tensor, as_tensor, backward, constant, no_grad
+from .tensor import Tensor, as_tensor, backward, constant, no_grad, recording
 from .train import TrainResult, evaluate, train
 
 __version__ = "0.1.0"
@@ -75,6 +75,7 @@ __all__ = [
     "load_model_from",
     "no_grad",
     "probe_accuracy",
+    "recording",
     "save_checkpoint",
     "save_dataset",
     "tiny_config",

@@ -29,8 +29,6 @@ from .train import evaluate, train
 def _load_config(args) -> ModelConfig:
     preset = getattr(args, "preset", None)
     if preset is not None:
-        if preset not in PRESETS:
-            raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
         return PRESETS[preset]()
     path = getattr(args, "config", None)
     if path is None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import os
 import tokenize
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -124,6 +124,7 @@ class SyntheticDataset:
     sources: np.ndarray | None = None  # (n,) channel per sample, question_dependent
     candidates: np.ndarray | None = None  # (n, N_k, N_t, d_t)
     correct: np.ndarray | None = None  # (n,)
+    _samples: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return self.labels.shape[0]
@@ -153,8 +154,11 @@ class SyntheticDataset:
             correct=int(self.correct[i]) if mc else None,
         )
 
-    def samples(self):
-        return [self.sample(i) for i in range(len(self))]
+    def samples(self) -> list[Sample]:
+        """Every sample, built on the first call and shared by later ones."""
+        if self._samples is None:
+            self._samples = [self.sample(i) for i in range(len(self))]
+        return self._samples
 
     def check_config(self, cfg: ModelConfig):
         """Raise DataError when the feature extents disagree with cfg."""
@@ -168,11 +172,11 @@ class SyntheticDataset:
             "N_s": self.sent_tokens.shape[1],
             "N_t": self.sent_tokens.shape[2],
         }
-        for field, have in checks.items():
-            want = getattr(cfg, field)
+        for key, have in checks.items():
+            want = getattr(cfg, key)
             if have != want:
                 raise DataError(
-                    f"dataset {field}={have} does not match config {field}={want}"
+                    f"dataset {key}={have} does not match config {key}={want}"
                 )
         if self.candidates is not None:
             if cfg.question_setting != "MC":

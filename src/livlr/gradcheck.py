@@ -8,11 +8,11 @@ so near-zero entries compare absolutely against the floor.
 The full-model audit (``grad_check``) perturbs one scalar at a time, and
 each encoder stage (visual, linguistic, question, MC candidates) reads
 only its own parameter group, so most stages see unchanged parameters in
-most forward passes. Under ``no_grad`` the audit keeps each stage's last
-output per sample together with a byte snapshot of that stage's
-parameters, and hands the output back while the parameters are still
-bit-equal to the snapshot: only the perturbed stage, the integration
-module and the head are rerun. The analytic pass (grad enabled) reuses
+most forward passes. Outside a recording scope the audit keeps each
+stage's last output per sample together with a byte snapshot of that
+stage's parameters, and hands the output back while the parameters are
+still bit-equal to the snapshot: only the perturbed stage, the integration
+module and the head are rerun. The analytic pass (recorded) reuses
 nothing. A reused output is exactly what a rerun would compute, and no
 later op writes into its inputs, so the numeric gradients are
 bit-identical to those from full forward passes.
@@ -27,7 +27,7 @@ from .config import ModelConfig
 from .data import SyntheticTaskSpec, gen_synthetic
 from .errors import ConfigError
 from .model import Model
-from .tensor import Tensor, backward, grad_enabled, mul, no_grad
+from .tensor import Tensor, backward, is_recording, mul, recording
 
 DEFAULT_H = 1e-5
 DEFAULT_TOLERANCE = 1e-4
@@ -69,27 +69,26 @@ def check_gradients(
     """
     for name in sorted(params):
         params[name].zero_grad()
-    loss = loss_fn()
-    backward(loss)
+    with recording():
+        backward(loss_fn())
     analytic = {name: params[name].grad.copy() for name in params}
 
     entries = []
-    with no_grad():
-        for name in sorted(params):
-            p = params[name]
-            numeric = np.zeros_like(p.data)
-            flat = p.data.reshape(-1)
-            num_flat = numeric.reshape(-1)
-            for j in range(flat.size):
-                orig = flat[j]
-                flat[j] = orig + h
-                up = float(loss_fn().data)
-                flat[j] = orig - h
-                down = float(loss_fn().data)
-                flat[j] = orig
-                num_flat[j] = (up - down) / (2.0 * h)
-            err = relative_error(analytic[name], numeric)
-            entries.append(TensorReport(name, err, err < tolerance))
+    for name in sorted(params):
+        p = params[name]
+        numeric = np.zeros_like(p.data)
+        flat = p.data.reshape(-1)
+        num_flat = numeric.reshape(-1)
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + h
+            up = float(loss_fn().data)
+            flat[j] = orig - h
+            down = float(loss_fn().data)
+            flat[j] = orig
+            num_flat[j] = (up - down) / (2.0 * h)
+        err = relative_error(analytic[name], numeric)
+        entries.append(TensorReport(name, err, err < tolerance))
     return GradCheckReport(entries, tolerance, all(e.passed for e in entries))
 
 
@@ -97,10 +96,10 @@ class StageReuse:
     """Stage runner for ``Model.forward`` that reuses encoder outputs.
 
     ``runner(key)`` returns the ``run(name, fn)`` hook for one sample.
-    Under ``no_grad`` it returns the output stored for (key, name) when the
-    stage's parameters are byte-for-byte the ones it was computed from,
-    and otherwise reruns the stage and stores the new output. With grad
-    enabled it always reruns and stores nothing.
+    Outside a recording scope it returns the output stored for (key, name)
+    when the stage's parameters are byte-for-byte the ones it was computed
+    from, and otherwise reruns the stage and stores the new output. While
+    recording it always reruns and stores nothing.
     """
 
     def __init__(self, model: Model):
@@ -109,7 +108,7 @@ class StageReuse:
 
     def runner(self, key):
         def run(name, fn):
-            if grad_enabled():
+            if is_recording():
                 return fn()
             snap = [p.data.tobytes() for p in self.params[name]]
             hit = self._memo.get((key, name))

@@ -24,7 +24,7 @@ from .heads import (
 from .linguistic import LinguisticEncoderParams, create_linguistic_params, encode_all
 from .optim import ParamStore
 from .rnn import SeqEncoderParams, create_seq_encoder
-from .tensor import Tensor, no_grad
+from .tensor import Tensor
 from .visual import VisualEncoderParams, create_visual_params, encode_clip
 
 
@@ -132,9 +132,8 @@ class Model:
 
     def predict(self, sample) -> int:
         """Index of the best answer (OE) or candidate (MC); records nothing
-        on the tape."""
-        with no_grad():
-            _, scores = self.forward(sample)
+        outside a recording() scope."""
+        _, scores = self.forward(sample)
         return int(np.argmax(scores.data))
 
     def target_of(self, sample) -> int:

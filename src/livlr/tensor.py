@@ -1,9 +1,10 @@
 """Dense tensors with a reverse-mode autodiff tape.
 
-Forward operations append nodes to a module-level tape (a Wengert list).
-``backward(loss)`` walks the recorded nodes in reverse, accumulating
-gradients into the ``grad`` buffers of requires-grad leaves, then clears
-the tape. Gradients accumulate across calls; callers zero them explicitly.
+Inside ``with recording():`` forward operations append nodes to a tape (a
+Wengert list) that the scope drops on exit; outside any scope ops compute
+values only. ``backward(loss)`` walks the nodes in reverse, accumulating
+gradients into the ``grad`` buffers of requires-grad leaves. Gradients
+accumulate across calls; callers zero them explicitly.
 
 Storage is numpy, float32 or float64. The engine only implements the
 operations the model needs; every op validates shapes up front and raises
@@ -20,59 +21,45 @@ import numpy as np
 from .errors import ContractError, DegenerateRowError, ShapeError
 
 
-class _Node:
-    """One recorded op: its input tensors and a vjp closure.
-
-    ``backward(g)`` maps the output cotangent to a tuple of input
-    cotangents aligned with ``inputs`` (None for inputs that do not
-    require grad).
-    """
-
-    __slots__ = ("inputs", "backward")
-
-    def __init__(self, inputs, backward):
-        self.inputs = inputs
-        self.backward = backward
-
-
-class Tape:
-    def __init__(self):
-        self.nodes = []
-        self.epoch = 0
-
-    def clear(self):
-        self.nodes.clear()
-        self.epoch += 1
-
-
-_TAPE = Tape()
-_GRAD_ENABLED = True
+# The nodes of the innermost recording() scope; None outside one or under
+# no_grad. A node is one op's (inputs, vjp): vjp(g) maps the output cotangent
+# to a tuple of input cotangents aligned with inputs (None for inputs that do
+# not require grad).
+_TAPE: list | None = None
 
 
 @contextmanager
-def no_grad():
-    """Disable tape recording inside the block (eval / finite differences)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+def _tape_scope(tape):
+    """Make ``tape`` (a fresh list, or None) current for the block; on exit,
+    empty the current tape, which frees its node -> vjp closure -> input
+    tensor -> tape cycles without a gc pass, and restore the previous one."""
+    global _TAPE
+    prev, _TAPE = _TAPE, tape
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        if _TAPE is not None:
+            _TAPE.clear()
+        _TAPE = prev
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
+def recording():
+    """Record ops on a fresh tape in the block; its nodes are dropped on any exit."""
+    return _tape_scope([])
+
+
+def no_grad():
+    """Compute values only in the block, also inside a recording() scope."""
+    return _tape_scope(None)
+
+
+def is_recording() -> bool:
+    return _TAPE is not None
 
 
 def tape_size() -> int:
-    return len(_TAPE.nodes)
-
-
-def clear_tape():
-    """Drop every recorded node without a reverse pass (a forward that
-    failed before its backward)."""
-    _TAPE.clear()
+    """Nodes on the tape now recording; 0 outside a scope."""
+    return 0 if _TAPE is None else len(_TAPE)
 
 
 class Tensor:
@@ -84,14 +71,14 @@ class Tensor:
     transiently inside ``backward``.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "tape_id", "_epoch")
+    __slots__ = ("data", "requires_grad", "grad", "tape_id", "_tape")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data)
         self.requires_grad = requires_grad
         self.grad = np.zeros_like(self.data) if requires_grad else None
         self.tape_id = None
-        self._epoch = -1
+        self._tape = None
 
     @property
     def shape(self):
@@ -148,35 +135,38 @@ def constant(x, dtype) -> Tensor:
 
 
 def _record(out: Tensor, inputs, backward):
-    """Attach ``out`` to the tape if recording is on and any input needs grad."""
-    if not _GRAD_ENABLED:
+    """Attach ``out`` to the tape if one is recording and any input needs grad."""
+    tape = _TAPE
+    if tape is None:
         return out
     needs = False
     for t in inputs:
         if t.requires_grad:
-            if t.tape_id is not None and t._epoch != _TAPE.epoch:
+            if t.tape_id is not None and t._tape is not tape:
                 raise ContractError(
-                    "input tensor belongs to a cleared tape; recompute it "
-                    "instead of reusing intermediates across backward calls"
+                    "input tensor belongs to a closed or consumed tape; recompute "
+                    "it instead of reusing intermediates across scopes or backward calls"
                 )
             needs = True
     if not needs:
         return out
     out.requires_grad = True
     out.grad = None  # non-leaf: transient gradient only
-    out.tape_id = len(_TAPE.nodes)
-    out._epoch = _TAPE.epoch
-    _TAPE.nodes.append(_Node(tuple(inputs), backward))
+    out.tape_id = len(tape)
+    out._tape = tape
+    tape.append((tuple(inputs), backward))
     return out
 
 
 def backward(loss: Tensor):
-    """Reverse pass from a scalar loss. Accumulates into leaf ``grad``
-    buffers (existing contents are kept: gradients sum across calls),
-    then clears the tape."""
+    """Reverse pass from a scalar loss on the current tape. Accumulates into
+    leaf ``grad`` buffers (existing contents are kept: gradients sum across
+    calls), then empties the tape and records what follows on a fresh one."""
+    global _TAPE
     if loss.size != 1:
         raise ContractError(f"loss must be a scalar, got shape {loss.data.shape}")
-    if loss.tape_id is None:
+    tape = _TAPE
+    if loss.tape_id is None or loss._tape is not tape:
         raise ContractError("loss is not on the current tape (no grad path)")
 
     pending = {loss.tape_id: np.ones_like(loss.data)}
@@ -184,9 +174,8 @@ def backward(loss: Tensor):
         g = pending.pop(nid, None)
         if g is None:
             continue
-        node = _TAPE.nodes[nid]
-        grads = node.backward(g)
-        for t, gi in zip(node.inputs, grads):
+        inputs, vjp = tape[nid]
+        for t, gi in zip(inputs, vjp(g)):
             if gi is None or not t.requires_grad:
                 continue
             if t.tape_id is None:
@@ -195,7 +184,8 @@ def backward(loss: Tensor):
                 acc = pending.get(t.tape_id)
                 # out-of-place: vjp results may alias each other or g
                 pending[t.tape_id] = gi if acc is None else acc + gi
-    _TAPE.clear()
+    _TAPE = []
+    tape.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 One optimizer step per batch; epoch order comes from a seeded permutation
 indexed by (config seed, epoch), so a (config, dataset) pair fully
 determines every metric and checkpoint byte. The batch loss is the mean
-of per-sample losses; samples run sequentially on the single tape.
+of per-sample losses; a batch's samples run sequentially in one tape scope.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from .data import SyntheticDataset
 from .errors import NumericError
 from .model import Model
 from .optim import adamw_step
-from .tensor import backward, clear_tape, mul, no_grad
+from .tensor import backward, mul, recording
 
 METRIC_COLUMNS = ("epoch", "train_loss", "train_acc", "wall_ms")
 
@@ -108,10 +108,6 @@ def train(
                 )
             if stop_at_acc is not None and epoch_acc >= stop_at_acc:
                 break
-    except BaseException:
-        # a batch that failed before its backward left its nodes recorded
-        clear_tape()
-        raise
     finally:
         if csv_file is not None:
             csv_file.close()
@@ -139,42 +135,41 @@ def _run_epoch(model: Model, samples, order, epoch) -> tuple[float, float]:
         idx = order[start : start + cfg.batch_size]
         model.store.zero_grads()
         batch_loss = None
-        try:
-            for i in idx:
-                s = samples[int(i)]
-                loss, scores = model.forward(s)
-                if int(np.argmax(scores.data)) == model.target_of(s):
-                    hits += 1
-                loss_sum += float(loss.data)
-                batch_loss = loss if batch_loss is None else batch_loss + loss
-        except NumericError as e:
-            # a forward pass can detect the blow-up before a loss exists;
-            # attach the same diagnostics the loss check would have added
-            culprit = _first_nonfinite_param(model)
-            detail = (
-                f"; first non-finite parameter: {culprit}"
-                if culprit is not None
-                else "; parameters are finite"
-            )
-            raise NumericError(f"{e} at epoch {epoch}, batch {b}{detail}") from e
-        batch_loss = mul(batch_loss, 1.0 / len(idx))
-        _check_finite(float(batch_loss.data), model, epoch, b)
-        backward(batch_loss)
+        with recording():
+            try:
+                for i in idx:
+                    s = samples[int(i)]
+                    loss, scores = model.forward(s)
+                    if int(np.argmax(scores.data)) == model.target_of(s):
+                        hits += 1
+                    loss_sum += float(loss.data)
+                    batch_loss = loss if batch_loss is None else batch_loss + loss
+            except NumericError as e:
+                # a forward pass can detect the blow-up before a loss exists;
+                # attach the same diagnostics the loss check would have added
+                culprit = _first_nonfinite_param(model)
+                detail = (
+                    f"; first non-finite parameter: {culprit}"
+                    if culprit is not None
+                    else "; parameters are finite"
+                )
+                raise NumericError(f"{e} at epoch {epoch}, batch {b}{detail}") from e
+            batch_loss = mul(batch_loss, 1.0 / len(idx))
+            _check_finite(float(batch_loss.data), model, epoch, b)
+            backward(batch_loss)
         adamw_step(model.store, cfg.lr, cfg.betas, cfg.eps, cfg.weight_decay)
     return loss_sum / n, hits / n
 
 
 def evaluate(model: Model, dataset: SyntheticDataset) -> dict:
-    """Mean loss and accuracy over a dataset, without recording gradients."""
+    """Mean loss and accuracy over a dataset (values only, outside a scope)."""
     dataset.check_config(model.config)
     loss_sum = 0.0
     hits = 0
     n = len(dataset)
-    with no_grad():
-        for i in range(n):
-            s = dataset.sample(i)
-            loss, scores = model.forward(s)
-            loss_sum += float(loss.data)
-            if int(np.argmax(scores.data)) == model.target_of(s):
-                hits += 1
+    for s in dataset.samples():
+        loss, scores = model.forward(s)
+        loss_sum += float(loss.data)
+        if int(np.argmax(scores.data)) == model.target_of(s):
+            hits += 1
     return {"n": n, "loss": loss_sum / n, "accuracy": hits / n}

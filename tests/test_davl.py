@@ -13,7 +13,7 @@ from livlr.davl import (
 )
 from livlr.errors import ConfigError, DegenerateRowError, ShapeError
 from livlr.optim import ParamStore
-from livlr.tensor import Tensor, backward, concat, constant, no_grad, sum_all, tape_size
+from livlr.tensor import Tensor, backward, concat, constant, no_grad, recording, sum_all, tape_size
 
 from oracles import (
     davl_loop,
@@ -90,8 +90,9 @@ def fused_and_tape(store, params, xs, q):
         store.zero_grads()
         for t in leaves:
             t.grad[...] = 0.0
-        out = fn()
-        backward(sum_all(out))
+        with recording():
+            out = fn()
+            backward(sum_all(out))
         grads = [p.grad.tobytes() for _, p in store.items()]
         return out.data.tobytes(), grads + [t.grad.tobytes() for t in leaves]
 
@@ -163,13 +164,14 @@ class TestFusedQuestionAttention:
         store, params = make_params(rng, d=6, n_heads=3)
         bundle = random_bundle(rng)
         q = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
-        before = tape_size()
-        out = question_attention(
-            [params.qatt[s] for s in SOURCE_NAMES], bundle.matrices(), q
-        )
-        assert tape_size() == before + 1
-        assert out.data.shape == (9, 6)
-        backward(sum_all(out))
+        with recording():
+            before = tape_size()
+            out = question_attention(
+                [params.qatt[s] for s in SOURCE_NAMES], bundle.matrices(), q
+            )
+            assert tape_size() == before + 1
+            assert out.data.shape == (9, 6)
+            backward(sum_all(out))
 
 
 class TestIndexEmbedding:
@@ -287,9 +289,10 @@ class TestIntegrate:
             bundle = random_bundle(rng)
             q = constant(rng.standard_normal((3, 6)), np.float64)
             store.zero_grads()
-            out = integrate(params, bundle, q)
-            assert out.data.shape == (6,)
-            backward(sum_all(out))
+            with recording():
+                out = integrate(params, bundle, q)
+                assert out.data.shape == (6,)
+                backward(sum_all(out))
             grads = sum(float(np.abs(p.grad).sum()) for _, p in store.items())
             assert grads > 0.0, variant
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from livlr.config import tiny_config
-from livlr.errors import ConfigError
+from livlr.errors import ConfigError, NumericError
 from livlr.gradcheck import (
     StageReuse,
     batch_loss,
@@ -18,7 +18,7 @@ from livlr.gradcheck import (
     relative_error,
 )
 from livlr.model import Model
-from livlr.tensor import Tensor, _record, matmul, relu, sum_all
+from livlr.tensor import Tensor, _record, matmul, relu, sum_all, tape_size
 
 
 def test_relative_error_uses_absolute_floor_near_zero():
@@ -40,6 +40,18 @@ def test_correct_composite_passes():
     assert report.passed
     assert {e.name for e in report.entries} == {"w", "v"}
     assert all(e.max_rel_err < 1e-6 for e in report.entries)
+
+
+def test_raising_loss_fn_leaves_no_tape():
+    w = Tensor(np.ones(3), requires_grad=True)
+
+    def loss_fn():
+        sum_all(relu(w))  # recorded, then abandoned
+        raise NumericError("loss blew up")
+
+    with pytest.raises(NumericError):
+        check_gradients(loss_fn, {"w": w})
+    assert tape_size() == 0
 
 
 def test_wrong_backward_rule_is_flagged():

@@ -14,7 +14,7 @@ from livlr.graph import (
     typed_edge_gcn_layer,
     vanilla_gcn_layer,
 )
-from livlr.tensor import Tensor, backward, constant, no_grad, sum_all, tape_size
+from livlr.tensor import Tensor, backward, constant, no_grad, recording, sum_all, tape_size
 
 from oracles import (
     attention_loop,
@@ -165,7 +165,8 @@ class TestTypedGcn:
         tp = TypedGcnParams(w=p.w, w_q=p.w_q, w_k=p.w_k,
                             type_bias=Tensor(rng.standard_normal(11), requires_grad=True))
         x = constant(rng.standard_normal((n, d)), np.float64)
-        backward(sum_all(typed_edge_gcn_layer(tp, x, g)))
+        with recording():
+            backward(sum_all(typed_edge_gcn_layer(tp, x, g)))
         present = np.unique(g.edge_types[g.adjacency])
         assert np.abs(tp.type_bias.grad[present - 1]).sum() > 0.0
 
@@ -177,8 +178,9 @@ def layer_bytes(layer, params, x, g):
         leaves.append(params.type_bias)
     for t in leaves:
         t.grad[...] = 0.0
-    out = layer(params, x, g)
-    backward(sum_all(out))
+    with recording():
+        out = layer(params, x, g)
+        backward(sum_all(out))
     return [out.data.tobytes()] + [t.grad.tobytes() for t in leaves]
 
 
@@ -327,9 +329,10 @@ class TestGraphLearner:
         rng = np.random.default_rng(135)
         w1 = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
         v = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-        before = tape_size()
-        learn_adjacency(w1, w1, v, 2)
-        assert tape_size() == before
+        with recording():
+            before = tape_size()
+            learn_adjacency(w1, w1, v, 2)
+            assert tape_size() == before
 
     def test_single_node_graph_is_edgeless(self):
         w = Tensor(np.eye(2), requires_grad=True)
@@ -350,8 +353,9 @@ class TestGraphLearner:
         w2 = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
         w = Tensor(rng.standard_normal((3, 3)) * 0.05, requires_grad=True)
         v = Tensor(rng.uniform(0.5, 1.5, (4, 3)), requires_grad=True)
-        _, g = learn_adjacency(w1, w2, v, 2)
-        backward(sum_all(vanilla_gcn_layer(w, v, g)))
+        with recording():
+            _, g = learn_adjacency(w1, w2, v, 2)
+            backward(sum_all(vanilla_gcn_layer(w, v, g)))
         assert np.abs(w1.grad).sum() == 0.0
         assert np.abs(w2.grad).sum() == 0.0
         assert np.abs(v.grad).sum() > 0.0
@@ -370,5 +374,6 @@ class TestMeanPool:
 
     def test_gradient_is_uniform(self):
         x = Tensor(np.ones((4, 2)), requires_grad=True)
-        backward(sum_all(mean_pool(x)))
+        with recording():
+            backward(sum_all(mean_pool(x)))
         assert np.allclose(x.grad, 0.25)

@@ -17,7 +17,7 @@ from livlr.heads import (
 )
 from livlr.optim import ParamStore
 from livlr.rnn import create_seq_encoder
-from livlr.tensor import Tensor, backward, constant, no_grad, sum_all
+from livlr.tensor import Tensor, backward, constant, no_grad, recording, sum_all
 
 from oracles import central_diff, max_rel_err
 
@@ -58,7 +58,8 @@ class TestCrossEntropy:
     def test_gradient_is_softmax_minus_onehot(self):
         rng = np.random.default_rng(402)
         logits = Tensor(rng.standard_normal(5), requires_grad=True)
-        backward(cross_entropy(logits, 3))
+        with recording():
+            backward(cross_entropy(logits, 3))
         e = np.exp(logits.data - logits.data.max())
         p = e / e.sum()
         onehot = np.eye(5)[3]
@@ -99,7 +100,8 @@ class TestOpenEndedHead:
         logits = predict_open_ended(head, x_hat, q_hat)
         assert logits.data.shape == (4,)
         store.zero_grads()
-        backward(build())
+        with recording():
+            backward(build())
         for t in (head.w1, head.w2, x_hat, q_hat):
             num = central_diff(loss_value, t.data, h=1e-6)
             assert max_rel_err(t.grad, num) < 1e-6
@@ -138,7 +140,8 @@ class TestHinge:
 
     def test_gradient_counts_violations(self):
         s = Tensor(np.array([0.0, 0.0, 5.0]), requires_grad=True)
-        backward(hinge_loss(s, 0))
+        with recording():
+            backward(hinge_loss(s, 0))
         # candidate 1 violates (margin 0 < 1), candidate 2 violates hugely
         assert np.array_equal(s.grad, [-2.0, 1.0, 1.0])
 
@@ -206,7 +209,8 @@ class TestMultiChoiceHead:
                 return build().data
 
         store.zero_grads()
-        backward(build())
+        with recording():
+            backward(build())
         for name in ("head.score.w", "head.cand.token_proj.w"):
             t = store[name]
             num = central_diff(loss_value, t.data, h=1e-6)

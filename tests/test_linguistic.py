@@ -13,7 +13,7 @@ from livlr.linguistic import (
 )
 from livlr.optim import ParamStore
 from livlr.rnn import BiLstmParams, LstmParams, bilstm_embed, create_bilstm_params, lstm_final_hidden
-from livlr.tensor import Tensor, backward, constant, mul, no_grad, sum_all
+from livlr.tensor import Tensor, backward, constant, mul, no_grad, recording, sum_all
 
 from oracles import central_diff, lstm_final_loop, max_rel_err
 
@@ -60,7 +60,8 @@ class TestLstm:
             with no_grad():
                 return build().data
 
-        backward(build())
+        with recording():
+            backward(build())
         for t in (p.w_x, p.w_h, p.bias, seq):
             num = central_diff(loss_value, t.data, h=1e-6)
             assert max_rel_err(t.grad, num) < 1e-6
@@ -238,10 +239,11 @@ class TestSentenceEncoder:
                              arguments=[SrlArgument(span=(2, 3), role=2, pred=0),
                                         SrlArgument(span=(0, 0), role=3, pred=0)])
             sents.append((toks, parse))
-        ev, loc = encode_all(params, sents)
-        assert ev.data.shape == (3, 6) and loc.data.shape == (3, 6)
-        store.zero_grads()
-        backward(sum_all(ev) + sum_all(loc))
+        with recording():
+            ev, loc = encode_all(params, sents)
+            assert ev.data.shape == (3, 6) and loc.data.shape == (3, 6)
+            store.zero_grads()
+            backward(sum_all(ev) + sum_all(loc))
         dead = [n for n, p in store.items() if np.abs(p.grad).sum() == 0.0]
         # only role rows never referenced by any parse may stay silent
         assert all("roles" in n for n in dead)

@@ -26,7 +26,7 @@ from livlr.heads import (
 )
 from livlr.linguistic import encode_all
 from livlr.model import Model
-from livlr.tensor import backward, concat, linear, tape_size
+from livlr.tensor import backward, concat, linear, recording, tape_size
 from livlr.visual import encode_clip
 
 
@@ -51,10 +51,11 @@ def unsplit_forward(model, sample):
 def loss_and_grads(model, samples, forward):
     model.store.zero_grads()
     total = None
-    for s in samples:
-        loss, _ = forward(s)
-        total = loss if total is None else total + loss
-    backward(total)
+    with recording():
+        for s in samples:
+            loss, _ = forward(s)
+            total = loss if total is None else total + loss
+        backward(total)
     return total.data.tobytes(), {n: p.grad.tobytes() for n, p in model.store.items()}
 
 
@@ -144,11 +145,12 @@ def test_desk_sample_tape_node_count(setting, nodes):
     )
     samples = gen_synthetic(spec, cfg, seed=3).samples()
     model = Model(cfg)
-    for s in samples:
-        assert tape_size() == 0
-        loss, _ = model.forward(s)
-        assert tape_size() == nodes
-        backward(loss)
+    with recording():
+        for s in samples:
+            assert tape_size() == 0
+            loss, _ = model.forward(s)
+            assert tape_size() == nodes
+            backward(loss)
 
 
 @pytest.mark.parametrize("setting", ["OE", "MC"])
@@ -164,3 +166,17 @@ def test_predict_leaves_the_tape_alone(setting):
         for s in samples:
             model.predict(s)
             assert tape_size() == before
+
+
+@pytest.mark.parametrize("setting", ["OE", "MC"])
+def test_forward_outside_a_scope_records_nothing(setting):
+    cfg = tiny_config(question_setting=setting)
+    spec = SyntheticTaskSpec(
+        n_samples=2, signal_source="question_dependent", noise_scale=0.3, n_classes=4
+    )
+    model = Model(cfg)
+    for s in gen_synthetic(spec, cfg, seed=9).samples():
+        loss, scores = model.forward(s)
+        assert tape_size() == 0
+        for t in (loss, scores):
+            assert t.tape_id is None and not t.requires_grad

@@ -1,5 +1,7 @@
 """Autodiff engine: frozen values, finite differences, tape semantics."""
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from livlr.errors import ContractError, DegenerateRowError, ShapeError
 from livlr.optim import ParamStore, adamw_step, make_param
 from livlr.tensor import (
     Tensor,
+    _record,
     add,
     backward,
     concat,
@@ -21,6 +24,7 @@ from livlr.tensor import (
     mul,
     neg,
     no_grad,
+    recording,
     relu,
     reshape,
     row_softmax,
@@ -70,7 +74,8 @@ class TestMatmul:
             with no_grad():
                 return sum_all(matmul(a, b)).data
 
-        backward(sum_all(matmul(a, b)))
+        with recording():
+            backward(sum_all(matmul(a, b)))
         for t in (a, b):
             num = central_diff(loss_value, t.data, h=1e-5)
             assert max_rel_err(t.grad, num) < 1e-6
@@ -135,7 +140,8 @@ class TestRowSoftmax:
             with no_grad():
                 return build().data
 
-        backward(build())
+        with recording():
+            backward(build())
         num = central_diff(loss_value, x.data, h=1e-6)
         assert max_rel_err(x.grad, num) < 1e-6
 
@@ -147,7 +153,8 @@ class TestElementwise:
 
     def test_relu_subgradient_zero_at_zero(self):
         x = leaf([-1.0, 0.0, 2.0])
-        backward(sum_all(relu(x)))
+        with recording():
+            backward(sum_all(relu(x)))
         assert np.array_equal(x.grad, [0.0, 0.0, 1.0])
 
     def test_mul_identity_mask(self):
@@ -178,7 +185,8 @@ class TestElementwise:
             with no_grad():
                 return build().data
 
-        backward(build())
+        with recording():
+            backward(build())
         for t in (m, row, col):
             num = central_diff(loss_value, t.data, h=1e-6)
             assert max_rel_err(t.grad, num) < 1e-6
@@ -195,7 +203,8 @@ class TestElementwise:
                 with no_grad():
                     return build().data
 
-            backward(build())
+            with recording():
+                backward(build())
             num = central_diff(loss_value, x.data, h=1e-6)
             assert max_rel_err(x.grad, num) < 1e-6, op.__name__
 
@@ -221,7 +230,8 @@ class TestElementwise:
             with no_grad():
                 return sum_all(log(x)).data
 
-        backward(sum_all(log(x)))
+        with recording():
+            backward(sum_all(log(x)))
         num = central_diff(loss_value, x.data, h=1e-7)
         assert max_rel_err(x.grad, num) < 1e-6
 
@@ -245,7 +255,8 @@ class TestStructuralOps:
             with no_grad():
                 return build().data
 
-        backward(build())
+        with recording():
+            backward(build())
         for t in (a, b, v):
             num = central_diff(loss_value, t.data, h=1e-6)
             assert max_rel_err(t.grad, num) < 1e-6
@@ -262,7 +273,8 @@ class TestStructuralOps:
             with no_grad():
                 return build().data
 
-        backward(build())
+        with recording():
+            backward(build())
         num = central_diff(loss_value, x.data, h=1e-6)
         assert max_rel_err(x.grad, num) < 1e-6
 
@@ -282,14 +294,16 @@ class TestStructuralOps:
 class TestBackwardSemantics:
     def test_square_gradient(self):
         w = leaf([3.0])
-        backward(sum_all(mul(w, w)))
+        with recording():
+            backward(sum_all(mul(w, w)))
         assert np.array_equal(w.grad, [6.0])
 
     def test_two_backwards_double_the_grad(self):
         w = leaf([3.0])
-        backward(sum_all(mul(w, w)))
-        first = w.grad.copy()
-        backward(sum_all(mul(w, w)))
+        with recording():
+            backward(sum_all(mul(w, w)))
+            first = w.grad.copy()
+            backward(sum_all(mul(w, w)))
         assert np.array_equal(w.grad, 2.0 * first)
 
     def test_matmul_chain_depth5_fd(self):
@@ -309,7 +323,8 @@ class TestBackwardSemantics:
                 with no_grad():
                     return build().data
 
-            backward(build())
+            with recording():
+                backward(build())
             for t in mats:
                 num = central_diff(loss_value, t.data, h=1e-5)
                 assert max_rel_err(t.grad, num) < 1e-6
@@ -318,47 +333,88 @@ class TestBackwardSemantics:
         # y feeds two branches; the add vjp returns the upstream cotangent
         # itself, so accumulation must not alias it
         x = leaf([1.0, 2.0])
-        y = mul(x, 2.0)
-        z = add(add(y, y), y)
-        backward(sum_all(z))
+        with recording():
+            y = mul(x, 2.0)
+            z = add(add(y, y), y)
+            backward(sum_all(z))
         assert np.array_equal(x.grad, [6.0, 6.0])
 
     def test_non_scalar_loss_rejected(self):
         x = leaf([1.0, 2.0])
-        with pytest.raises(ContractError):
+        with recording(), pytest.raises(ContractError):
             backward(mul(x, 2.0))
 
     def test_constant_only_loss_rejected(self):
         c = constant([1.0], np.float64)
-        with pytest.raises(ContractError):
+        with recording(), pytest.raises(ContractError):
             backward(sum_all(c))
 
     def test_stale_intermediate_rejected(self):
         x = leaf([1.0, 2.0])
-        y = mul(x, 3.0)
-        backward(sum_all(y))
-        with pytest.raises(ContractError):
+        with recording():
+            y = mul(x, 3.0)
+            backward(sum_all(y))
+            with pytest.raises(ContractError):
+                mul(y, 2.0)
+
+    def test_tensor_from_closed_scope_rejected(self):
+        x = leaf([1.0, 2.0])
+        with recording():
+            y = mul(x, 3.0)
+        with recording(), pytest.raises(ContractError):
             mul(y, 2.0)
+
+    def test_nothing_recorded_outside_a_scope(self):
+        x = leaf([1.0, 2.0])
+        y = mul(x, x)
+        assert y.tape_id is None and not y.requires_grad
+        assert tape_size() == 0
+        with pytest.raises(ContractError):
+            backward(sum_all(y))
+
+    def test_scope_exit_frees_vjp_closures(self):
+        # a recorded input points back at its tape, so tape -> node -> input
+        # -> tape is a cycle; the scope must break it without a gc pass
+        refs = []
+
+        def scaled(t):
+            held = np.full(t.shape, 2.0)  # only the vjp closure keeps this
+            refs.append(weakref.ref(held))
+            return _record(Tensor(t.data * held), (t,), lambda g: (g * held,))
+
+        x = leaf([1.0, 2.0])
+        gc.disable()
+        try:
+            with recording():
+                y = scaled(mul(x, x))
+                assert tape_size() == 2
+            assert refs[0]() is None
+            assert np.array_equal(y.data, [2.0, 8.0])
+        finally:
+            gc.enable()
 
     def test_tape_cleared_after_backward(self):
         x = leaf([1.0])
-        backward(sum_all(mul(x, x)))
-        assert tape_size() == 0
+        with recording():
+            backward(sum_all(mul(x, x)))
+            assert tape_size() == 0
 
     def test_no_grad_skips_recording(self):
         x = leaf([1.0])
-        with no_grad():
-            y = mul(x, x)
-        assert y.tape_id is None
-        assert tape_size() == 0
+        with recording():
+            with no_grad():
+                y = mul(x, x)
+            assert y.tape_id is None
+            assert tape_size() == 0
 
     def test_deterministic_replay(self):
         def run():
             rng = np.random.default_rng(77)
             a = leaf(rng.standard_normal((4, 4)))
             b = leaf(rng.standard_normal((4, 4)))
-            loss = sum_all(relu(matmul(a, b)))
-            backward(loss)
+            with recording():
+                loss = sum_all(relu(matmul(a, b)))
+                backward(loss)
             return loss.data.copy(), a.grad.copy(), b.grad.copy()
 
         l1, ga1, gb1 = run()

@@ -16,7 +16,7 @@ from livlr.config import ModelConfig, tiny_config
 from livlr.data import SyntheticTaskSpec, gen_synthetic
 from livlr.errors import DataError, NumericError
 from livlr.model import Model
-from livlr.tensor import tape_size
+from livlr.tensor import recording, tape_size
 from livlr.train import METRIC_COLUMNS, _check_finite, evaluate, train
 
 
@@ -189,6 +189,17 @@ def test_failed_batch_leaves_the_tape_empty(monkeypatch, poisoned, message):
     assert tape_size() == 0
 
 
+def test_numeric_error_mid_forward_leaves_no_tape():
+    cfg = tiny_config()
+    model = Model(cfg)
+    model.store["davl.learner.w1"].data[...] = np.nan
+    sample = make_dataset(cfg, n=1).samples()[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="edge affinity"), recording():
+            model.forward(sample)
+    assert tape_size() == 0
+
+
 def test_abort_diagnostic_names_first_bad_parameter():
     cfg = tiny_config()
     model = Model(cfg)
@@ -219,6 +230,24 @@ def test_evaluate_is_deterministic_and_bounded():
     assert e1["n"] == len(ds)
     assert 0.0 <= e1["accuracy"] <= 1.0
     assert e1["loss"] >= 0.0
+
+
+def test_evaluate_builds_each_frame_once(monkeypatch):
+    data_module = importlib.import_module("livlr.data")
+    built = []
+
+    class CountingFrame(data_module.FrameFeatures):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(data_module, "FrameFeatures", CountingFrame)
+    cfg = tiny_config()
+    ds = make_dataset(cfg, n=3)
+    model = Model(cfg)
+    first = evaluate(model, ds)
+    assert evaluate(model, ds) == first
+    assert len(built) == len(ds) * cfg.N_f
 
 
 def test_evaluate_rejects_mismatched_dataset():

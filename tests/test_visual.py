@@ -4,7 +4,7 @@ import pytest
 
 from livlr.errors import ContractError, DataError
 from livlr.optim import ParamStore
-from livlr.tensor import backward, sum_all
+from livlr.tensor import backward, recording, sum_all
 from livlr.visual import (
     ClipFeatures,
     FrameFeatures,
@@ -223,8 +223,9 @@ class TestEncoder:
         store, params = build_encoder(rng)
         clip = ClipFeatures([random_frame(rng, 3), random_frame(rng, 4)])
         store.zero_grads()
-        hol, fine = encode_clip(params, clip)
-        backward(sum_all(hol) + sum_all(fine))
+        with recording():
+            hol, fine = encode_clip(params, clip)
+            backward(sum_all(hol) + sum_all(fine))
         dead = [
             n for n, p in store.items()
             if np.abs(p.grad).sum() == 0.0 and "learner" not in n
