@@ -3,9 +3,15 @@
 Graphs are small (tens of nodes), so adjacency is a dense boolean matrix
 and edge types a dense integer matrix. Node update layers follow the
 residual pattern out_i = ReLU(v_i + aggregate(neighbors)).
+
+The attention layers and the graph learner run a whole ``GraphBatch`` at
+once: the graphs' node rows are stacked in one matrix, and each op pads
+them into a (B, n_max) block, so one tape node serves every frame or
+sentence of a sample. A ``DenseGraph`` runs as a batch of one.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +28,23 @@ from .tensor import (
     mean_axis0,
     relu,
 )
+
+
+def _check_edges(adj: np.ndarray, edge_types):
+    """Self loops and edges whose type label disagrees raise
+    GraphIntegrityError; adj is (..., n, n)."""
+    n = adj.shape[-1]
+    if adj[..., np.arange(n), np.arange(n)].any():
+        raise GraphIntegrityError("self loop on the adjacency diagonal")
+    if edge_types is not None:
+        if edge_types.shape != adj.shape:
+            raise ShapeError(
+                f"edge_types shape {edge_types.shape} does not match adjacency {adj.shape}"
+            )
+        bad = (edge_types > 0) != adj
+        if bad.any():
+            where = tuple(int(i) for i in np.argwhere(bad)[0])
+            raise GraphIntegrityError(f"edge {where} disagrees with its type label")
 
 
 @dataclass
@@ -45,23 +68,83 @@ class DenseGraph:
                 f"adjacency shape {adj.shape} does not match n_nodes={self.n_nodes}"
             )
         self.adjacency = adj
-        if adj.trace() > 0:
-            raise GraphIntegrityError("self loop on the adjacency diagonal")
         if self.edge_types is not None:
-            et = np.asarray(self.edge_types)
-            if et.shape != adj.shape:
-                raise ShapeError(
-                    f"edge_types shape {et.shape} does not match adjacency {adj.shape}"
-                )
-            if ((et > 0) != adj).any():
-                i, j = np.argwhere((et > 0) != adj)[0]
-                raise GraphIntegrityError(
-                    f"edge ({i}, {j}) disagrees with its type label"
-                )
-            self.edge_types = et
+            self.edge_types = np.asarray(self.edge_types)
+        _check_edges(adj, self.edge_types)
 
     def degree(self) -> np.ndarray:
         return self.adjacency.sum(axis=1)
+
+    def batch(self) -> "GraphBatch":
+        """This graph as a batch of one over its own node rows."""
+        return stack_graphs([self], [np.arange(self.n_nodes)])
+
+
+class GraphBatch:
+    """B graphs over the rows of one stacked node matrix.
+
+    ``slots[b, i]`` is the row holding node i of graph b, or -1 past that
+    graph's last node; every row fills exactly one slot. ``adjacency`` and
+    ``edge_types`` (B, n_max, n_max) hold each graph's DenseGraph matrices,
+    padded with no edges. The layers pad the rows into a (B * n_max, d)
+    block with ``pad`` and return them in stacked order with ``unpad``.
+    """
+
+    def __init__(self, slots, adjacency, edge_types=None):
+        slots = np.asarray(slots, dtype=np.intp)
+        adj = np.asarray(adjacency, dtype=bool)
+        if slots.ndim != 2 or adj.shape != slots.shape + slots.shape[1:]:
+            raise ShapeError(f"slots {slots.shape} and adjacency {adj.shape} do not fit")
+        valid = slots >= 0
+        pos = np.flatnonzero(valid)  # the padded position of each node
+        rows = slots.ravel()[pos]
+        if not np.array_equal(np.sort(rows), np.arange(rows.size)):
+            raise GraphIntegrityError("slots must name every node row exactly once")
+        if (adj & ~(valid[:, :, None] & valid[:, None, :])).any():
+            raise GraphIntegrityError("edge at a padding slot")
+        if edge_types is not None:
+            edge_types = np.asarray(edge_types)
+        _check_edges(adj, edge_types)
+        self.slots = slots
+        self.valid = valid  # (B, n_max): the slot holds a node
+        self.n_rows = rows.size
+        self.row_pos = np.empty(rows.size, dtype=np.intp)
+        self.row_pos[rows] = pos  # the padded position of each stacked row
+        self.adjacency = adj
+        self.edge_types = edge_types
+
+    def with_edges(self, adjacency: np.ndarray) -> "GraphBatch":
+        """The same node layout with new untyped edges, which the caller
+        guarantees are loop-free and lie between real nodes."""
+        out = copy.copy(self)
+        out.adjacency, out.edge_types = adjacency, None
+        return out
+
+    def pad(self, x: np.ndarray) -> np.ndarray:
+        """Stacked rows (R, d) -> (B * n_max, d), zero at the padding."""
+        out = np.zeros((self.slots.size,) + x.shape[1:], dtype=x.dtype)
+        out[self.row_pos] = x
+        return out
+
+    def unpad(self, y: np.ndarray) -> np.ndarray:
+        """(B * n_max, d) -> the node rows (R, d) in stacked order."""
+        return y[self.row_pos]
+
+
+def stack_graphs(graphs: list[DenseGraph], rows) -> GraphBatch:
+    """The graphs as one batch; rows[b] lists the stacked row of each node
+    of graph b. Edge types are kept when the graphs have them."""
+    n_max = max(g.n_nodes for g in graphs)
+    slots = np.full((len(graphs), n_max), -1, dtype=np.intp)
+    adj = np.zeros((len(graphs), n_max, n_max), dtype=bool)
+    types = None if graphs[0].edge_types is None else np.zeros(adj.shape, dtype=np.int64)
+    for b, (g, r) in enumerate(zip(graphs, rows)):
+        n = g.n_nodes
+        slots[b, :n] = r
+        adj[b, :n, :n] = g.adjacency
+        if types is not None:
+            types[b, :n, :n] = g.edge_types
+    return GraphBatch(slots, adj, types)
 
 
 @dataclass
@@ -84,57 +167,69 @@ class TypedGcnParams:
     type_bias: Tensor  # (n_types,)
 
 
-def _neighbor_weights(params, v: np.ndarray, adjacency: np.ndarray):
+def _neighbor_weights(params, p: np.ndarray, graph: GraphBatch):
     """Bilinear scores, score(i, j) = <W_q v_i, W_k v_j>, softmaxed over
-    each node's neighborhood on raw arrays; rows with no neighbors get
-    all-zero weights. Returns (W_q v, (W_k v)^T, alpha, softmax vjp)."""
-    q = v @ params.w_q.data
-    k_t = (v @ params.w_k.data).T.copy()  # contiguous like a transpose op's copy
-    alpha, softmax_vjp = masked_softmax(q @ k_t, adjacency)
+    each node's neighborhood within its graph, on the padded rows p
+    (B * n_max, d). Rows with no neighbors get all-zero weights. Returns
+    (W_q v, (W_k v)^T, alpha, softmax vjp), each (B, ...)."""
+    b, n = graph.slots.shape
+    q = (p @ params.w_q.data).reshape(b, n, -1)
+    # contiguous like a transpose op's copy
+    k_t = np.ascontiguousarray((p @ params.w_k.data).reshape(b, n, -1).transpose(0, 2, 1))
+    alpha, softmax_vjp = masked_softmax(q @ k_t, graph.adjacency)
     return q, k_t, alpha, softmax_vjp
 
 
-def _attention_layer(params, nodes: Tensor, graph: DenseGraph, typed: bool) -> Tensor:
-    """One attention aggregation layer as a single tape node:
-    out_i = ReLU(v_i + sum_j alpha_ij (W v_j + typed * b[type_ij])).
+def _attention_layer(params, nodes: Tensor, graph, typed: bool) -> Tensor:
+    """One attention aggregation layer over every graph of a batch, as a
+    single tape node: out_i = ReLU(v_i + sum_j alpha_ij (W v_j + typed *
+    b[type_ij])) over the neighbors j in node i's own graph.
 
-    The vjp adds up each input's contributions in the order a per-op tape
-    would, so gradients match that composition bit for bit.
+    The row-wise products run once over the padded block and the per-graph
+    ones as stacked matmuls; the vjp adds up each input's contributions in
+    the order a per-op tape over the same block would, so gradients match
+    that composition (tests/oracles.py) bit for bit.
     """
+    if isinstance(graph, DenseGraph):
+        graph = graph.batch()
     v, w, w_q, w_k = nodes.data, params.w.data, params.w_q.data, params.w_k.data
-    if v.shape != (graph.n_nodes, w.shape[0]):
-        raise ShapeError(f"node matrix {v.shape} does not fit {graph.n_nodes} nodes of width {w.shape[0]}")
-    q, k_t, alpha, softmax_vjp = _neighbor_weights(params, v, graph.adjacency)
-    msgs = v @ w
-    pre = v + alpha @ msgs
+    if v.shape != (graph.n_rows, w.shape[0]):
+        raise ShapeError(f"node matrix {v.shape} does not fit {graph.n_rows} nodes of width {w.shape[0]}")
+    b, n = graph.slots.shape
+    p = graph.pad(v)
+    q, k_t, alpha, softmax_vjp = _neighbor_weights(params, p, graph)
+    msgs = (p @ w).reshape(b, n, -1)
+    pre = p + (alpha @ msgs).reshape(b * n, -1)
     inputs = (nodes, params.w, params.w_q, params.w_k)
     if typed:
         # per-edge scalars: 0 off-edge entries are masked by alpha being 0 there
         idx = np.where(graph.adjacency, graph.edge_types - 1, 0).ravel()
         bias_mat = params.type_bias.data[idx].reshape(graph.adjacency.shape)
-        pre = pre + (alpha * bias_mat).sum(axis=1, keepdims=True)
+        pre = pre + (alpha * bias_mat).sum(axis=2).reshape(b * n, 1)
         inputs += (params.type_bias,)
     live = pre > 0
-    out = Tensor(np.maximum(pre, 0.0))
+    out = Tensor(graph.unpad(np.maximum(pre, 0.0)))
 
     def bwd(g):
-        g = g * live
+        g = graph.pad(g) * live
+        g3 = g.reshape(b, n, -1)
         grads = ()
-        g_alpha = g @ msgs.T
+        g_alpha = g3 @ msgs.transpose(0, 2, 1)
         if typed:
-            g_shift = np.repeat(g.sum(axis=1, keepdims=True), v.shape[0], axis=1)
+            g_shift = np.repeat(g.sum(axis=1, keepdims=True).reshape(b, n, 1), n, axis=2)
             g_bias = np.zeros_like(params.type_bias.data)
             np.add.at(g_bias, idx, (g_shift * alpha).reshape(-1))
             grads = (g_bias,)
             g_alpha = g_shift * bias_mat + g_alpha
-        g_msgs = alpha.T @ g
+        g_msgs = (alpha.transpose(0, 2, 1) @ g3).reshape(b * n, -1)
         g_scores = softmax_vjp(g_alpha)
-        g_q = g_scores @ k_t.T
-        g_k = (q.T @ g_scores).T
+        g_q = (g_scores @ k_t.transpose(0, 2, 1)).reshape(b * n, -1)
+        g_k = np.ascontiguousarray((q.transpose(0, 2, 1) @ g_scores).transpose(0, 2, 1))
+        g_k = g_k.reshape(b * n, -1)
         g_v = g + g_msgs @ w.T
         g_v = g_v + g_k @ w_k.T
         g_v = g_v + g_q @ w_q.T
-        return (g_v, v.T @ g_msgs, v.T @ g_q, v.T @ g_k) + grads
+        return (graph.unpad(g_v), p.T @ g_msgs, p.T @ g_q, p.T @ g_k) + grads
 
     return _record(out, inputs, bwd)
 
@@ -142,17 +237,16 @@ def _attention_layer(params, nodes: Tensor, graph: DenseGraph, typed: bool) -> T
 def attention_coefficients(params, nodes: Tensor, graph: DenseGraph) -> Tensor:
     """The row-stochastic neighbor weights the attention layers use, as a
     no-grad tensor for inspection. Rows with no neighbors are all zero."""
-    return Tensor(_neighbor_weights(params, nodes.data, graph.adjacency)[2])
+    return Tensor(_neighbor_weights(params, nodes.data, graph.batch())[2][0])
 
 
-def attn_gcn_layer(params: AttnGcnParams, nodes: Tensor, graph: DenseGraph) -> Tensor:
-    """out_i = ReLU(v_i + sum_j alpha_ij W v_j) over neighbors j."""
+def attn_gcn_layer(params: AttnGcnParams, nodes: Tensor, graph) -> Tensor:
+    """out_i = ReLU(v_i + sum_j alpha_ij W v_j) over neighbors j; graph is
+    a DenseGraph or a GraphBatch over the rows of nodes."""
     return _attention_layer(params, nodes, graph, typed=False)
 
 
-def typed_edge_gcn_layer(
-    params: TypedGcnParams, nodes: Tensor, graph: DenseGraph
-) -> Tensor:
+def typed_edge_gcn_layer(params: TypedGcnParams, nodes: Tensor, graph) -> Tensor:
     """Attention aggregation where each message also carries a scalar bias
     chosen by the edge's type label, broadcast over feature dims."""
     if graph.edge_types is None:
@@ -174,14 +268,16 @@ def vanilla_gcn_layer(
 
 
 def learn_adjacency(
-    w1: Tensor, w2: Tensor, nodes: Tensor, n_keep: int
-) -> tuple[Tensor, DenseGraph]:
-    """Score every ordered node pair bilinearly and keep each row's top
-    n_keep off-diagonal entries as edges.
+    w1: Tensor, w2: Tensor, nodes: Tensor, n_keep: int, layout: GraphBatch | None = None
+):
+    """Score every ordered node pair of a graph bilinearly and keep each
+    row's top n_keep off-diagonal entries as edges.
 
     Ties keep the lower column index. Rows keep min(n_keep, n-1) edges, so
-    a single-node graph comes out edgeless. The raw score matrix is
-    returned alongside the graph.
+    a single-node graph comes out edgeless. With ``layout`` every graph of
+    that batch is scored within itself at once, and the result is
+    (padded scores (B, n_max, n_max), ``layout.with_edges``); without, the
+    rows form one graph and the result is (scores (n, n), DenseGraph).
     """
     if n_keep < 1:
         raise ContractError(f"n_keep must be >= 1, got {n_keep}")
@@ -189,23 +285,32 @@ def learn_adjacency(
     v = nodes.data
     if v.ndim != 2 or v.shape[1] != w1.data.shape[0]:
         raise ShapeError(f"node matrix {v.shape} does not match scorer {w1.data.shape}")
-    scores = (v @ w1.data) @ (v @ w2.data).T.copy()
-    if not np.isfinite(scores).all():
+    if layout is None:
+        p, valid = v[None], np.ones((1, v.shape[0]), dtype=bool)
+    else:
+        if v.shape[0] != layout.n_rows:
+            raise ShapeError(f"node matrix {v.shape} does not fit {layout.n_rows} nodes")
+        p, valid = layout.pad(v).reshape(layout.slots.shape + (-1,)), layout.valid
+    scores = (p @ w1.data) @ np.ascontiguousarray((p @ w2.data).transpose(0, 2, 1))
+    scored = valid[:, :, None] & valid[:, None, :]
+    if not np.isfinite(scores[scored]).all():
         # nan never orders correctly under argsort, so selection would pick
         # forbidden columns; fail as a numeric problem, not a graph bug
         raise NumericError("non-finite edge affinity scores")
 
-    n = scores.shape[0]
-    keep = min(n_keep, n - 1)
-    adj = np.zeros((n, n), dtype=bool)
-    if keep > 0:
-        vals = scores.copy()
-        np.fill_diagonal(vals, -np.inf)
-        # stable sort on the negated rows: descending value, then
-        # ascending column index among ties
-        order = np.argsort(-vals, axis=1, kind="stable")
-        np.put_along_axis(adj, order[:, :keep], True, axis=1)
-    return Tensor(scores), DenseGraph(n, adj)
+    n = scores.shape[1]
+    vals = np.where(scored, scores, -np.inf)
+    vals[:, np.arange(n), np.arange(n)] = -np.inf
+    # stable sort on the negated rows: descending value, then ascending
+    # column index among ties; rank r is kept while r < min(n_keep, n_b - 1)
+    order = np.argsort(-vals, axis=2, kind="stable")
+    keep = np.minimum(n_keep, valid.sum(axis=1) - 1)
+    kept = (np.arange(n) < keep[:, None, None]) & valid[:, :, None]
+    adj = np.zeros(scores.shape, dtype=bool)
+    np.put_along_axis(adj, order, np.broadcast_to(kept, adj.shape), axis=2)
+    if layout is None:
+        return Tensor(scores[0]), DenseGraph(n, adj[0])
+    return Tensor(scores), layout.with_edges(adj)
 
 
 def mean_pool(nodes: Tensor, subset=None) -> Tensor:

@@ -14,12 +14,13 @@ import numpy as np
 
 from .errors import ContractError
 from .optim import ParamStore, make_param
-from .rnn import SeqEncoderParams, create_seq_encoder, encode_sequence
+from .rnn import SeqEncoderParams, create_seq_encoder, encode_sequences
 from .tensor import (
     Tensor,
     add,
     concat,
     exp,
+    index_rows,
     linear,
     log,
     mul,
@@ -69,7 +70,8 @@ def create_multichoice_head(
 def encode_question(params: SeqEncoderParams, tokens: np.ndarray) -> tuple[Tensor, Tensor]:
     """(Q, q_hat): token-level rows (N_t, d) after a ReLU projection, and
     the BiLSTM summary (d,) over those rows."""
-    return encode_sequence(params, tokens, rectify=True)
+    rows, summary = encode_sequences(params, tokens, [len(tokens)], rectify=True)
+    return rows, reshape(summary, (summary.data.shape[1],))
 
 
 def predict_open_ended(head: OpenEndedHead, x_hat: Tensor, q_hat: Tensor) -> Tensor:
@@ -91,24 +93,28 @@ def cross_entropy(logits: Tensor, label: int) -> Tensor:
     return add(lse, mul(picked, -1.0))
 
 
-def encode_candidates(head: MultiChoiceHead, candidates: np.ndarray) -> list[Tensor]:
-    """One BiLSTM embedding (d,) per candidate token matrix."""
+def encode_candidates(head: MultiChoiceHead, candidates: np.ndarray) -> Tensor:
+    """Candidate token matrices (N_k, n_tok, d_t) -> one BiLSTM embedding
+    per candidate, (N_k, d), through one ragged BiLSTM node."""
     if candidates.ndim != 3:
         raise ContractError(
             f"candidates must be (N_k, n_tok, d_t), got {candidates.shape}"
         )
-    return [encode_sequence(head.cand_encoder, c, rectify=True)[1] for c in candidates]
+    n_k, n_tok, d_t = candidates.shape
+    rows = candidates.reshape(n_k * n_tok, d_t)
+    return encode_sequences(head.cand_encoder, rows, [n_tok] * n_k, rectify=True)[1]
 
 
 def score_candidates(
-    head: MultiChoiceHead, x_hat: Tensor, q_hat: Tensor, embeddings: list[Tensor]
+    head: MultiChoiceHead, x_hat: Tensor, q_hat: Tensor, embeddings: Tensor
 ) -> Tensor:
-    """Scores (N_k,): one linear regression per candidate embedding."""
-    scores = [
-        linear(concat([x_hat, q_hat, e_k], axis=0), head.w_score, head.b_score)
-        for e_k in embeddings
-    ]
-    return concat(scores, axis=0)
+    """Scores (N_k,): one linear regression over the stacked rows
+    [x_hat; q_hat; e_k] of every candidate embedding e_k."""
+    n_k = embeddings.data.shape[0]
+    shared = concat([x_hat, q_hat], axis=0)
+    shared = index_rows(reshape(shared, (1, shared.data.shape[0])), np.zeros(n_k, dtype=np.intp))
+    joint = concat([shared, embeddings], axis=1)  # (N_k, 3d)
+    return reshape(linear(joint, head.w_score, head.b_score), (n_k,))
 
 
 def hinge_loss(scores: Tensor, correct: int) -> Tensor:

@@ -4,7 +4,9 @@ Each sentence yields one event-level vector (a bidirectional LSTM summary
 of its tokens) and one local vector (mean of its role-graph nodes after
 message passing). The role graph has the sentence event as node 0,
 one node per predicate, and one node per argument entry; arguments hang
-off their predicate, predicates hang off the event node.
+off their predicate, predicates hang off the event node. All sentences of
+a sample are encoded at once: one ragged BiLSTM node, one role-graph
+layer over every sentence's graph and one segment mean.
 """
 from __future__ import annotations
 
@@ -13,18 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, GraphIntegrityError
-from .graph import AttnGcnParams, DenseGraph, attn_gcn_layer, mean_pool
+from .graph import AttnGcnParams, DenseGraph, attn_gcn_layer, stack_graphs
 from .optim import ParamStore, make_param
-from .rnn import SeqEncoderParams, create_seq_encoder, encode_sequence
-from .tensor import (
-    Tensor,
-    concat,
-    constant,
-    index_rows,
-    matmul,
-    mul,
-    reshape,
-)
+from .rnn import SeqEncoderParams, create_seq_encoder, encode_sequences
+from .tensor import Tensor, concat, constant, index_rows, matmul, mul, segment_mean
 
 PREDICATE_ROLE = 1  # role id reserved for predicate nodes themselves
 
@@ -154,55 +148,56 @@ def create_linguistic_params(
     )
 
 
-def encode_sentence(
-    params: LinguisticEncoderParams, tokens: np.ndarray, parse: SrlParse
-) -> tuple[Tensor, Tensor]:
-    """One sentence -> (event vector (d,), pooled local vector (d,)).
-
-    Local nodes start from projected span means of the raw tokens, get
-    scaled per-feature by their role's row of the role matrix, then mix
-    with the event node through one role-graph layer. A parse with no
-    predicates and no arguments pools to the zero vector.
-    """
-    tokens = np.asarray(tokens, dtype=np.float64)
-    if tokens.ndim != 2 or tokens.shape[0] != parse.tokens:
-        raise DataError(
-            f"token matrix {tokens.shape} does not match parse over {parse.tokens} tokens"
-        )
-    d = params.sentence.w_tok.data.shape[1]
-    _, event = encode_sequence(params.sentence, tokens, rectify=False)
-    graph, roles, spans = build_role_graph(parse)
-    if any(r > params.n_roles for r in roles):
-        bad = max(roles)
-        raise DataError(f"role id {bad} exceeds the role vocabulary ({params.n_roles})")
-
-    n_local = len(roles)
-    nodes = reshape(event, (1, d))
-    if n_local:
-        span_means = np.stack([tokens[lo : hi + 1].mean(axis=0) for lo, hi in spans])
-        locals_ = matmul(constant(span_means, params.dtype), params.w_local)
-        scale = index_rows(params.role_matrix, [r - 1 for r in roles])
-        nodes = concat([nodes, mul(locals_, scale)], axis=0)
-    nodes = attn_gcn_layer(params.role_gcn, nodes, graph)
-    if n_local:
-        pooled = mean_pool(nodes, subset=list(range(1, 1 + n_local)))
-    else:
-        pooled = constant(np.zeros(d), params.dtype)
-    event_out = reshape(index_rows(nodes, [0]), (d,))
-    return event_out, pooled
-
-
 def encode_all(
     params: LinguisticEncoderParams,
     sentences: list[tuple[np.ndarray, SrlParse]],
 ) -> tuple[Tensor, Tensor]:
-    """All sentences -> event rows (N_s, d) and local rows (N_s, d)."""
+    """All sentences -> event rows (N_s, d) and pooled local rows (N_s, d).
+
+    Every sentence's tokens go through one ragged BiLSTM node. Local nodes
+    start from projected span means of the raw tokens, get scaled
+    per-feature by their role's row of the role matrix, then mix with their
+    sentence's event node through one role-graph layer over every
+    sentence's graph. A parse with no predicates and no arguments pools to
+    the zero vector.
+    """
     if not sentences:
         raise DataError("need at least one sentence")
-    d = params.sentence.w_tok.data.shape[1]
-    ev_rows, loc_rows = [], []
-    for tokens, parse in sentences:
-        ev, loc = encode_sentence(params, tokens, parse)
-        ev_rows.append(reshape(ev, (1, d)))
-        loc_rows.append(reshape(loc, (1, d)))
-    return concat(ev_rows, axis=0), concat(loc_rows, axis=0)
+    n_s = len(sentences)
+    d_t = params.sentence.w_tok.data.shape[0]
+    tokens, graphs, roles, spans = [], [], [], []
+    start = 0
+    for toks, parse in sentences:
+        toks = np.asarray(toks, dtype=np.float64)
+        if toks.ndim != 2 or toks.shape != (parse.tokens, d_t):
+            raise DataError(
+                f"token matrix {toks.shape} does not match parse over {parse.tokens} "
+                f"tokens of width {d_t}"
+            )
+        graph, r, sp = build_role_graph(parse)
+        tokens.append(toks)
+        graphs.append(graph)
+        roles += r
+        spans += [(start + lo, start + hi) for lo, hi in sp]
+        start += parse.tokens
+    if roles and max(roles) > params.n_roles:
+        raise DataError(f"role id {max(roles)} exceeds the role vocabulary ({params.n_roles})")
+
+    lengths = [len(t) for t in tokens]
+    tokens = np.concatenate(tokens)
+    _, events = encode_sequences(params.sentence, tokens, lengths, rectify=False)
+    # each local node's span mean of the raw tokens, as one averaging matmul
+    lo, hi = np.array(spans, dtype=np.intp).reshape(-1, 2).T
+    inside = (np.arange(start) >= lo[:, None]) & (np.arange(start) <= hi[:, None])
+    means = (inside / inside.sum(axis=1, keepdims=True)) @ tokens
+    locals_ = matmul(constant(means, params.dtype), params.w_local)
+    scale = index_rows(params.role_matrix, np.asarray(roles, dtype=np.intp) - 1)
+    # rows: every sentence's event, then every sentence's local nodes
+    nodes = concat([events, mul(locals_, scale)], axis=0)
+    # sentence b's graph: its event row b, then its local rows in order
+    n_local = [g.n_nodes - 1 for g in graphs]
+    first = n_s + np.cumsum(n_local) - n_local
+    rows = [np.r_[b, lo : lo + n] for b, (lo, n) in enumerate(zip(first, n_local))]
+    nodes = attn_gcn_layer(params.role_gcn, nodes, stack_graphs(graphs, rows))
+    owner = np.repeat(np.arange(-1, n_s), [n_s] + n_local)
+    return index_rows(nodes, np.arange(n_s)), segment_mean(nodes, owner, n_s)

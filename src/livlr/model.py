@@ -35,7 +35,7 @@ class Encoded:
     visual: tuple[Tensor, Tensor]  # holistic rows, fine-grained rows
     linguistic: tuple[Tensor, Tensor]  # event rows, local rows
     question: tuple[Tensor, Tensor]  # token rows, summary q_hat
-    candidates: list[Tensor] | None  # MC candidate embeddings
+    candidates: Tensor | None  # MC candidate embeddings (N_k, d)
 
 
 def _run_stage(name: str, fn):

@@ -1,15 +1,16 @@
 """LSTM cell and the bidirectional sequence embedder.
 
 Gate weights are packed (input, forget, output, cell) along the output
-axis, so one matmul per sequence covers every gate pre-activation. The
-recurrence itself is a single fused tape node: the forward loop runs on
-raw arrays and the backward replays it in reverse (backprop through
-time), keeping the tape cost per sequence constant rather than per step.
-The bidirectional embedder runs one pass forward and one over the
-reversed sequence, each with hidden width d/2, and concatenates the two
-final hidden states. The sequence encoder, shared by sentences, questions
-and multiple-choice candidates, projects tokens to width d and summarises
-them with that embedder.
+axis, so one matmul covers every gate pre-activation. The bidirectional
+embedder runs one pass forward and one over the reversed sequence, each
+with hidden width d/2, and concatenates the two final hidden states. It
+takes a ragged batch of sequences and is a single fused tape node: the
+forward loop steps every sequence and both directions at once on raw
+arrays, and the backward replays it in reverse (backprop through time),
+so the tape cost is constant rather than per step or per sequence. The
+sequence encoder, shared by sentences, questions and multiple-choice
+candidates, projects tokens to width d and summarises them with that
+embedder.
 """
 from __future__ import annotations
 
@@ -19,19 +20,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .optim import ParamStore, make_param
-from .tensor import (
-    Tensor,
-    _record,
-    add,
-    concat,
-    constant,
-    index_rows,
-    linear,
-    matmul,
-    relu,
-    reshape,
-    stable_sigmoid,
-)
+from .tensor import Tensor, _record, constant, linear, relu, stable_sigmoid
 
 
 @dataclass
@@ -103,83 +92,100 @@ def create_seq_encoder(
     )
 
 
-def lstm_final_hidden(params: LstmParams, seq: Tensor) -> Tensor:
-    """Run the cell over seq (T, d_in) from zero states; return the final
-    hidden state as (1, h)."""
-    t_len = seq.data.shape[0]
-    h_dim = params.hidden
-    pre = add(matmul(seq, params.w_x), params.bias)  # (T, 4h)
-    w_h = params.w_h
+def bilstm_embed(params: BiLstmParams, seq: Tensor, lengths) -> Tensor:
+    """Ragged batch of sequences -> one fixed vector per sequence, (B, d_out).
 
-    p = pre.data
-    wh = w_h.data
-    h = np.zeros(h_dim, dtype=p.dtype)
-    c = np.zeros(h_dim, dtype=p.dtype)
-    h_prev = np.zeros((t_len, h_dim), dtype=p.dtype)
-    c_prev = np.zeros((t_len, h_dim), dtype=p.dtype)
-    act = np.zeros((t_len, 4 * h_dim), dtype=p.dtype)  # i, f, o, g after squashing
-    c_new = np.zeros((t_len, h_dim), dtype=p.dtype)
-    for t in range(t_len):
+    seq stacks the B sequences' rows in order, lengths[b] rows for sequence
+    b. Row b of the output concatenates the forward pass's hidden state
+    after sequence b's last row and the reversed pass's after its first.
+    Step t advances every sequence longer than t; the others hold their
+    state, so each one's final state is taken at its own length.
+    """
+    lengths = np.asarray(lengths, dtype=np.intp)
+    x = seq.data
+    if (x.ndim != 2 or lengths.ndim != 1 or lengths.size == 0
+            or lengths.min() < 1 or lengths.sum() != x.shape[0]):
+        raise ShapeError(f"sequence rows {x.shape} do not split into lengths {lengths.tolist()}")
+    fwd, rev = params.fwd, params.bwd
+    hd = fwd.hidden
+    n_seq, t_max = lengths.size, int(lengths.max())
+    # the row each direction reads at step t; held steps read row 0
+    starts = np.cumsum(lengths) - lengths
+    step = np.arange(t_max)[:, None]
+    active = step < lengths  # (T, B)
+    rows_f = np.where(active, starts + step, 0)
+    rows_b = np.where(active, starts + lengths - 1 - step, 0)
+    w_x = np.concatenate([fwd.w_x.data, rev.w_x.data], axis=1)  # (d_in, 8h)
+    pre = x @ w_x + np.concatenate([fwd.bias.data, rev.bias.data])
+    z_in = np.stack([pre[rows_f, : 4 * hd], pre[rows_b, 4 * hd :]], axis=1)  # (T, 2, B, 4h)
+    w_h = np.stack([fwd.w_h.data, rev.w_h.data])  # (2, h, 4h)
+
+    dt = pre.dtype
+    h = np.zeros((2, n_seq, hd), dtype=dt)
+    c = np.zeros((2, n_seq, hd), dtype=dt)
+    h_prev = np.zeros((t_max, 2, n_seq, hd), dtype=dt)
+    c_prev = np.zeros((t_max, 2, n_seq, hd), dtype=dt)
+    tanh_c = np.zeros((t_max, 2, n_seq, hd), dtype=dt)
+    act = np.zeros((t_max, 2, n_seq, 4 * hd), dtype=dt)  # i, f, o, g after squashing
+    gates = lambda a: (a[..., :hd], a[..., hd : 2 * hd], a[..., 2 * hd : 3 * hd], a[..., 3 * hd :])
+    for t in range(t_max):
         h_prev[t] = h
         c_prev[t] = c
-        z = p[t] + h @ wh
-        act[t, : 3 * h_dim] = stable_sigmoid(z[: 3 * h_dim])
-        act[t, 3 * h_dim :] = np.tanh(z[3 * h_dim :])
-        gi = act[t, :h_dim]
-        gf = act[t, h_dim : 2 * h_dim]
-        go = act[t, 2 * h_dim : 3 * h_dim]
-        gg = act[t, 3 * h_dim :]
-        c = gf * c + gi * gg
-        c_new[t] = c
-        h = go * np.tanh(c)
+        z = z_in[t] + h @ w_h
+        act[t, ..., : 3 * hd] = stable_sigmoid(z[..., : 3 * hd])
+        act[t, ..., 3 * hd :] = np.tanh(z[..., 3 * hd :])
+        gi, gf, go, gg = gates(act[t])
+        c_t = gf * c + gi * gg
+        tanh_c[t] = np.tanh(c_t)
+        live = active[t][:, None]
+        h, c = np.where(live, go * tanh_c[t], h), np.where(live, c_t, c)
 
-    out = Tensor(h.reshape(1, h_dim).copy())
+    out = Tensor(np.concatenate([h[0], h[1]], axis=1))
 
     def bwd(g):
-        dh = g.reshape(h_dim).copy()
-        dc = np.zeros(h_dim, dtype=p.dtype)
-        dpre = np.zeros_like(p)
-        dwh = np.zeros_like(wh)
-        for t in range(t_len - 1, -1, -1):
-            gi = act[t, :h_dim]
-            gf = act[t, h_dim : 2 * h_dim]
-            go = act[t, 2 * h_dim : 3 * h_dim]
-            gg = act[t, 3 * h_dim :]
-            tc = np.tanh(c_new[t])
-            d_o = dh * tc
-            dc = dc + dh * go * (1.0 - tc * tc)
-            dz = np.empty(4 * h_dim, dtype=p.dtype)
-            dz[:h_dim] = dc * gg * gi * (1.0 - gi)
-            dz[h_dim : 2 * h_dim] = dc * c_prev[t] * gf * (1.0 - gf)
-            dz[2 * h_dim : 3 * h_dim] = d_o * go * (1.0 - go)
-            dz[3 * h_dim :] = dc * gi * (1.0 - gg * gg)
-            dpre[t] = dz
-            dwh += np.outer(h_prev[t], dz)
-            dh = wh @ dz
-            dc = dc * gf
-        return dpre, dwh
+        gi, gf, go, gg = gates(act)
+        # each step's pre-activation gradient is [dc, dc, dh, dc] times these
+        coef = np.concatenate([
+            gg * gi * (1.0 - gi),
+            c_prev * gf * (1.0 - gf),
+            tanh_c * go * (1.0 - go),
+            gi * (1.0 - gg * gg),
+        ], axis=-1)
+        dc_dh = go * (1.0 - tanh_c * tanh_c)
+        w_h_t = w_h.transpose(0, 2, 1)
+        dh = np.stack([g[:, :hd], g[:, hd:]])
+        dc = np.zeros_like(dh)
+        dz = np.zeros_like(z_in)
+        for t in range(t_max - 1, -1, -1):
+            dct = dc + dh * dc_dh[t]
+            live = active[t][:, None]
+            dz[t] = np.where(live, np.concatenate([dct, dct, dh, dct], axis=-1) * coef[t], 0.0)
+            dh = np.where(live, dz[t] @ w_h_t, dh)
+            dc = np.where(live, dct * gf[t], dc)
+        # sum over steps and sequences at once: (2, h, T*B) @ (2, T*B, 4h)
+        dwh = (h_prev.transpose(1, 3, 0, 2).reshape(2, hd, -1)
+               @ dz.transpose(1, 0, 2, 3).reshape(2, -1, 4 * hd))
+        dpre = np.zeros_like(pre)
+        dpre[rows_f[active], : 4 * hd] = dz[:, 0][active]
+        dpre[rows_b[active], 4 * hd :] = dz[:, 1][active]
+        g_wx = x.T @ dpre
+        g_b = dpre.sum(axis=0)
+        return (dpre @ w_x.T,
+                g_wx[:, : 4 * hd], dwh[0], g_b[: 4 * hd],
+                g_wx[:, 4 * hd :], dwh[1], g_b[4 * hd :])
 
-    return _record(out, (pre, w_h), bwd)
-
-
-def bilstm_embed(params: BiLstmParams, seq: Tensor) -> Tensor:
-    """Sequence (T, d_in) -> fixed vector (d_out,): concat of the forward
-    pass's final hidden state and the reversed pass's final hidden state."""
-    t_len = seq.data.shape[0]
-    h_f = lstm_final_hidden(params.fwd, seq)
-    rev = index_rows(seq, list(range(t_len - 1, -1, -1)))
-    h_b = lstm_final_hidden(params.bwd, rev)
-    both = concat([h_f, h_b], axis=1)  # (1, d_out)
-    return reshape(both, (both.data.shape[1],))
+    inputs = (seq, fwd.w_x, fwd.w_h, fwd.bias, rev.w_x, rev.w_h, rev.bias)
+    return _record(out, inputs, bwd)
 
 
-def encode_sequence(
-    params: SeqEncoderParams, tokens: np.ndarray, rectify: bool
+def encode_sequences(
+    params: SeqEncoderParams, tokens: np.ndarray, lengths, rectify: bool
 ) -> tuple[Tensor, Tensor]:
-    """Token matrix (T, d_t) -> (projected rows (T, d), BiLSTM summary (d,)).
-    rectify puts a ReLU on the projection (questions and candidates do,
-    sentences do not)."""
+    """Stacked token rows (sum(lengths), d_t) of a ragged batch ->
+    (projected rows (sum(lengths), d), BiLSTM summaries (B, d)). rectify
+    puts a ReLU on the projection (questions and candidates do, sentences
+    do not)."""
     proj = linear(constant(tokens, params.dtype), params.w_tok, params.b_tok)
     if rectify:
         proj = relu(proj)
-    return proj, bilstm_embed(params.lstm, proj)
+    return proj, bilstm_embed(params.lstm, proj, lengths)

@@ -355,13 +355,12 @@ def masked_softmax(x: np.ndarray, mask=None):
     return y, vjp
 
 
-def row_softmax(x: Tensor, mask=None, allow_empty: bool = False) -> Tensor:
+def row_softmax(x: Tensor, mask=None) -> Tensor:
     """Softmax along axis 1 of a 2-d tensor, restricted to unmasked entries.
 
     ``mask`` is a boolean array (or Tensor) of the same shape; masked
     entries get probability 0 and receive no gradient. A fully masked row
-    raises ``DegenerateRowError`` unless ``allow_empty``, in which case the
-    row comes out all zero.
+    raises ``DegenerateRowError``.
     """
     x = as_tensor(x)
     if x.data.ndim != 2:
@@ -375,7 +374,7 @@ def row_softmax(x: Tensor, mask=None, allow_empty: bool = False) -> Tensor:
                 f"mask shape {m.shape} does not match input {x.data.shape}"
             )
     alive = m.any(axis=1)
-    if not alive.all() and not allow_empty:
+    if not alive.all():
         row = int(np.flatnonzero(~alive)[0])
         raise DegenerateRowError(f"softmax row {row} has every entry masked")
     y, vjp = masked_softmax(x.data, None if mask is None else m)
@@ -393,20 +392,6 @@ def sum_all(a: Tensor) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-def sum_axis1(a: Tensor) -> Tensor:
-    """Row sums of a 2-d tensor, kept as a column (m, 1)."""
-    a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"sum_axis1 needs a 2-d tensor, got {a.data.shape}")
-    out = Tensor(a.data.sum(axis=1, keepdims=True))
-    n = a.data.shape[1]
-
-    def bwd(g):
-        return (np.repeat(g, n, axis=1),)
-
-    return _record(out, (a,), bwd)
-
-
 def mean_axis0(a: Tensor) -> Tensor:
     """Column means of a 2-d tensor: (n, d) -> (d,)."""
     a = as_tensor(a)
@@ -419,6 +404,27 @@ def mean_axis0(a: Tensor) -> Tensor:
         return (np.broadcast_to(g / n, a.data.shape).astype(g.dtype, copy=True),)
 
     return _record(out, (a,), bwd)
+
+
+def segment_mean(a: Tensor, segments, n_segments: int) -> Tensor:
+    """Row means of a 2-d tensor by segment: row r joins segment
+    ``segments[r]``, or none when that is -1. (R, d) -> (n_segments, d);
+    an empty segment's row is zero. One averaging matmul each way."""
+    a = as_tensor(a)
+    seg = np.asarray(segments, dtype=np.intp)
+    if a.data.ndim != 2 or seg.shape != a.data.shape[:1]:
+        raise ShapeError(
+            f"segment_mean needs (rows, d) data and one segment per row, got "
+            f"{a.data.shape} and {seg.shape}"
+        )
+    if seg.size and (seg.min() < -1 or seg.max() >= n_segments):
+        raise ContractError(f"segment ids must lie in -1..{n_segments - 1}")
+    rows = np.flatnonzero(seg >= 0)
+    counts = np.bincount(seg[rows], minlength=n_segments)
+    avg = np.zeros((n_segments, seg.size), dtype=a.data.dtype)
+    avg[seg[rows], rows] = 1.0 / counts[seg[rows]]
+    out = Tensor(avg @ a.data)
+    return _record(out, (a,), lambda g: (avg.T @ g,))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:

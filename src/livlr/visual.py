@@ -6,6 +6,10 @@ a spatial graph whose edges carry an 11-way geometric relation label,
 and a semantic graph whose adjacency is learned from object class
 embeddings; each graph is mixed by one attention layer. Boxes are
 (x, y, w, h) in pixels with the origin at the top-left corner.
+
+A clip is encoded at once: its frames' object rows are stacked, so each
+projection is one linear, each graph layer one tape node over every
+frame's graph, and each pooling one segment mean.
 """
 from __future__ import annotations
 
@@ -18,14 +22,15 @@ from .errors import ContractError, DataError
 from .graph import (
     AttnGcnParams,
     DenseGraph,
+    GraphBatch,
     TypedGcnParams,
     attn_gcn_layer,
     learn_adjacency,
-    mean_pool,
+    stack_graphs,
     typed_edge_gcn_layer,
 )
 from .optim import ParamStore, make_param
-from .tensor import Tensor, add, concat, constant, linear, matmul, reshape
+from .tensor import Tensor, add, concat, constant, linear, matmul, segment_mean
 
 N_SPATIAL_TYPES = 11
 
@@ -89,12 +94,47 @@ class FrameFeatures:
 
 
 @dataclass
+class ClipGeometry:
+    """A clip's frames over its stacked object rows: every frame's spatial
+    graph as one batch, the rows' box geometry (R, 6) and each row's frame."""
+
+    spatial: GraphBatch
+    positions: np.ndarray
+    frame_of_row: np.ndarray
+
+
+def clip_geometry(frames: list[FrameFeatures]) -> ClipGeometry:
+    sizes = [len(f.boxes) for f in frames]
+    starts = np.cumsum(sizes) - sizes
+    graphs = [DenseGraph(n, *f.spatial_edges()) for f, n in zip(frames, sizes)]
+    return ClipGeometry(
+        stack_graphs(graphs, [np.arange(lo, lo + n) for lo, n in zip(starts, sizes)]),
+        np.concatenate([f.position_rows() for f in frames]),
+        np.repeat(np.arange(len(frames)), sizes),
+    )
+
+
+@dataclass
 class ClipFeatures:
     frames: list[FrameFeatures]
 
     def __post_init__(self):
         if not self.frames:
             raise DataError("a clip needs at least one frame")
+        first = self.frames[0]
+        for f in self.frames[1:]:
+            if (f.appearance.shape != first.appearance.shape
+                    or f.objects.shape[1] != first.objects.shape[1]
+                    or f.class_attr.shape[1] != first.class_attr.shape[1]):
+                raise DataError("a clip's frames must share their feature widths")
+        self._geometry = None
+
+    def geometry(self) -> ClipGeometry:
+        """Built on first use and kept: geometry is a pure function of the
+        data, so one build serves every forward pass."""
+        if self._geometry is None:
+            self._geometry = clip_geometry(self.frames)
+        return self._geometry
 
 
 def spatial_relation(box_i, box_j, frame_size) -> int:
@@ -228,31 +268,29 @@ def encode_holistic(params: VisualEncoderParams, clip: ClipFeatures) -> Tensor:
     return linear(app, params.w_hol, params.b_hol)
 
 
-def encode_frame(params: VisualEncoderParams, frame: FrameFeatures) -> Tensor:
-    """One fine-grained frame vector (d,): pooled spatial graph plus
-    pooled semantic graph over the frame's objects."""
+def encode_clip(params: VisualEncoderParams, clip: ClipFeatures) -> tuple[Tensor, Tensor]:
+    """Holistic rows (N_f, d) and fine-grained rows (N_f, d). A frame's
+    fine-grained row is its pooled spatial graph plus its pooled semantic
+    graph over the frame's objects."""
     dtype = params.dtype
-    obj = linear(constant(frame.objects, dtype), params.w_obj, params.b_obj)
+    geo = clip.geometry()
+    frames = clip.frames
+    hol = encode_holistic(params, clip)
+    obj = linear(constant(np.concatenate([f.objects for f in frames]), dtype),
+                 params.w_obj, params.b_obj)
 
     # spatial branch: geometry-typed edges over box relations
-    pos = linear(constant(frame.position_rows(), dtype), params.w_pos, params.b_pos)
+    pos = linear(constant(geo.positions, dtype), params.w_pos, params.b_pos)
     v_sp = matmul(concat([obj, pos], axis=1), params.w_spatial_mix)
-    adj, types = frame.spatial_edges()
-    g_sp = DenseGraph(len(frame.boxes), adj, types)
-    v_sp = typed_edge_gcn_layer(params.spatial_gcn, v_sp, g_sp)
+    v_sp = typed_edge_gcn_layer(params.spatial_gcn, v_sp, geo.spatial)
 
     # semantic branch: adjacency learned from class/attribute content
-    cls = linear(constant(frame.class_attr, dtype), params.w_cls, params.b_cls)
+    cls = linear(constant(np.concatenate([f.class_attr for f in frames]), dtype),
+                 params.w_cls, params.b_cls)
     v_se = matmul(concat([obj, cls], axis=1), params.w_semantic_mix)
-    _, g_se = learn_adjacency(params.learn_w1, params.learn_w2, v_se, params.n_keep)
+    _, g_se = learn_adjacency(params.learn_w1, params.learn_w2, v_se, params.n_keep, geo.spatial)
     v_se = attn_gcn_layer(params.semantic_gcn, v_se, g_se)
 
-    return add(mean_pool(v_sp), mean_pool(v_se))
-
-
-def encode_clip(params: VisualEncoderParams, clip: ClipFeatures) -> tuple[Tensor, Tensor]:
-    """Holistic rows (N_f, d) and fine-grained rows (N_f, d)."""
-    hol = encode_holistic(params, clip)
-    rows = [reshape(encode_frame(params, f), (1, -1)) for f in clip.frames]
-    fine = concat(rows, axis=0)
+    n_f = len(frames)
+    fine = add(segment_mean(v_sp, geo.frame_of_row, n_f), segment_mean(v_se, geo.frame_of_row, n_f))
     return hol, fine

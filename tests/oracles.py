@@ -5,10 +5,15 @@ scalar math, sharing no code with the package (numpy is used only as an
 array container). Tests compare the real implementations against these
 on random instances.
 
-The tape oracles at the end are the straight compositions of primitive
-tape ops (one node per matmul, transpose, softmax, ...) that the fused
-attention nodes replace. They record the same arithmetic in the same
-order, so a fused node must match them bit for bit, gradients included.
+The tape oracles are the straight compositions of primitive tape ops
+(one node per matmul, transpose, softmax, ...) that the fused attention
+nodes replace, applied graph by graph to the same padded batch layout.
+They record the same arithmetic in the same order, so a fused node must
+match them bit for bit, gradients included.
+
+The per-item oracles at the end are the encoders as they ran before the
+batch axis: one frame, sentence, sequence or candidate at a time. The
+batched encoders must match them to rounding (tests/test_batching.py).
 """
 from __future__ import annotations
 
@@ -275,26 +280,266 @@ def integrate_tape(params, bundle, q):
     return mean_pool(add(nodes, matmul(beta, nodes)))
 
 
-def attention_coefficients_tape(params, nodes, graph):
-    from livlr.tensor import matmul, row_softmax, transpose
+def row_softmax(x, mask=None, allow_empty=False):
+    """tensor.row_softmax with the option to let a fully masked row come
+    out all zero instead of raising DegenerateRowError."""
+    from livlr.errors import DegenerateRowError, ShapeError
+    from livlr.tensor import Tensor, _record, as_tensor, masked_softmax
 
-    scores = matmul(matmul(nodes, params.w_q), transpose(matmul(nodes, params.w_k)))
-    return row_softmax(scores, mask=graph.adjacency, allow_empty=True)
+    x = as_tensor(x)
+    if x.data.ndim != 2:
+        raise ShapeError(f"row_softmax needs a 2-d tensor, got {x.data.shape}")
+    if mask is None:
+        m = np.ones(x.data.shape, dtype=bool)
+    else:
+        m = np.asarray(mask.data if isinstance(mask, Tensor) else mask, dtype=bool)
+        if m.shape != x.data.shape:
+            raise ShapeError(
+                f"mask shape {m.shape} does not match input {x.data.shape}"
+            )
+    alive = m.any(axis=1)
+    if not alive.all() and not allow_empty:
+        row = int(np.flatnonzero(~alive)[0])
+        raise DegenerateRowError(f"softmax row {row} has every entry masked")
+    y, vjp = masked_softmax(x.data, None if mask is None else m)
+    return _record(Tensor(y), (x,), lambda g: (vjp(g),))
+
+
+def sum_axis1(a):
+    """Row sums of a 2-d tensor, kept as a column (m, 1)."""
+    from livlr.errors import ShapeError
+    from livlr.tensor import Tensor, _record, as_tensor
+
+    a = as_tensor(a)
+    if a.data.ndim != 2:
+        raise ShapeError(f"sum_axis1 needs a 2-d tensor, got {a.data.shape}")
+    out = Tensor(a.data.sum(axis=1, keepdims=True))
+    n = a.data.shape[1]
+
+    def bwd(g):
+        return (np.repeat(g, n, axis=1),)
+
+    return _record(out, (a,), bwd)
+
+
+def _batch(graph):
+    from livlr.graph import DenseGraph
+
+    return graph.batch() if isinstance(graph, DenseGraph) else graph
+
+
+def _padded(nodes, graph):
+    """The stacked node rows gathered into the layers' padded block
+    (B * n_max, d); padding slots read an appended zero row."""
+    from livlr.tensor import concat, constant, index_rows
+
+    src = np.full(graph.slots.size, graph.n_rows)
+    src[graph.row_pos] = np.arange(graph.n_rows)
+    zero = constant(np.zeros((1, nodes.data.shape[1])), nodes.data.dtype)
+    return index_rows(concat([nodes, zero], axis=0), src)
+
+
+def _graph_rows(graph):
+    """Each graph's rows of the padded block."""
+    b, n = graph.slots.shape
+    return [np.arange(i * n, (i + 1) * n) for i in range(b)]
+
+
+def _attention_tape(params, nodes, graph, typed):
+    from livlr.tensor import add, concat, index_rows, matmul, mul, relu, reshape, take, transpose
+
+    graph = _batch(graph)
+    p = _padded(nodes, graph)
+    q, k = matmul(p, params.w_q), matmul(p, params.w_k)
+    alphas = [
+        row_softmax(matmul(index_rows(q, rows), transpose(index_rows(k, rows))),
+                    mask=graph.adjacency[b], allow_empty=True)
+        for b, rows in enumerate(_graph_rows(graph))
+    ]
+    msgs = matmul(p, params.w)
+    agg = concat([matmul(a, index_rows(msgs, rows))
+                  for a, rows in zip(alphas, _graph_rows(graph))], axis=0)
+    pre = add(p, agg)
+    if typed:
+        b, n = graph.slots.shape
+        idx = np.where(graph.adjacency, graph.edge_types - 1, 0).ravel()
+        bias = reshape(take(params.type_bias, idx), (b * n, n))
+        shift = concat([sum_axis1(mul(a, index_rows(bias, rows)))
+                        for a, rows in zip(alphas, _graph_rows(graph))], axis=0)
+        pre = add(pre, shift)
+    return index_rows(relu(pre), graph.row_pos)
 
 
 def attn_gcn_layer_tape(params, nodes, graph):
-    from livlr.tensor import add, matmul, relu
-
-    alpha = attention_coefficients_tape(params, nodes, graph)
-    return relu(add(nodes, matmul(alpha, matmul(nodes, params.w))))
+    return _attention_tape(params, nodes, graph, typed=False)
 
 
 def typed_edge_gcn_layer_tape(params, nodes, graph):
-    from livlr.tensor import add, matmul, mul, relu, reshape, sum_axis1, take
+    return _attention_tape(params, nodes, graph, typed=True)
 
-    alpha = attention_coefficients_tape(params, nodes, graph)
-    agg = matmul(alpha, matmul(nodes, params.w))
-    idx = np.where(graph.adjacency, graph.edge_types - 1, 0).ravel()
-    bias_mat = reshape(take(params.type_bias, idx), graph.adjacency.shape)
-    shift = sum_axis1(mul(alpha, bias_mat))
-    return relu(add(add(nodes, agg), shift))
+
+# ---------------------------------------------------------------------------
+# per-item oracles: the encoders one frame, sentence, sequence and candidate
+# at a time, each graph through the single-graph layers
+
+def lstm_final_hidden(params, seq):
+    """One direction over one sequence (T, d_in) from zero states, as one
+    tape node; returns the final hidden state (1, h)."""
+    from livlr.tensor import Tensor, _record, add, matmul, stable_sigmoid
+
+    t_len = seq.data.shape[0]
+    h_dim = params.hidden
+    pre = add(matmul(seq, params.w_x), params.bias)  # (T, 4h)
+    w_h = params.w_h
+
+    p = pre.data
+    wh = w_h.data
+    h = np.zeros(h_dim, dtype=p.dtype)
+    c = np.zeros(h_dim, dtype=p.dtype)
+    h_prev = np.zeros((t_len, h_dim), dtype=p.dtype)
+    c_prev = np.zeros((t_len, h_dim), dtype=p.dtype)
+    act = np.zeros((t_len, 4 * h_dim), dtype=p.dtype)  # i, f, o, g after squashing
+    c_new = np.zeros((t_len, h_dim), dtype=p.dtype)
+    for t in range(t_len):
+        h_prev[t] = h
+        c_prev[t] = c
+        z = p[t] + h @ wh
+        act[t, : 3 * h_dim] = stable_sigmoid(z[: 3 * h_dim])
+        act[t, 3 * h_dim :] = np.tanh(z[3 * h_dim :])
+        gi, gf, go, gg = np.split(act[t], 4)
+        c = gf * c + gi * gg
+        c_new[t] = c
+        h = go * np.tanh(c)
+
+    out = Tensor(h.reshape(1, h_dim).copy())
+
+    def bwd(g):
+        dh = g.reshape(h_dim).copy()
+        dc = np.zeros(h_dim, dtype=p.dtype)
+        dpre = np.zeros_like(p)
+        dwh = np.zeros_like(wh)
+        for t in range(t_len - 1, -1, -1):
+            gi, gf, go, gg = np.split(act[t], 4)
+            tc = np.tanh(c_new[t])
+            d_o = dh * tc
+            dc = dc + dh * go * (1.0 - tc * tc)
+            dz = np.concatenate([
+                dc * gg * gi * (1.0 - gi),
+                dc * c_prev[t] * gf * (1.0 - gf),
+                d_o * go * (1.0 - go),
+                dc * gi * (1.0 - gg * gg),
+            ])
+            dpre[t] = dz
+            dwh += np.outer(h_prev[t], dz)
+            dh = wh @ dz
+            dc = dc * gf
+        return dpre, dwh
+
+    return _record(out, (pre, w_h), bwd)
+
+
+def bilstm_embed(params, seq):
+    """One sequence (T, d_in) -> (d_out,): the forward pass's final state,
+    then the reversed pass's."""
+    from livlr.tensor import concat, index_rows, reshape
+
+    t_len = seq.data.shape[0]
+    h_f = lstm_final_hidden(params.fwd, seq)
+    h_b = lstm_final_hidden(params.bwd, index_rows(seq, list(range(t_len - 1, -1, -1))))
+    both = concat([h_f, h_b], axis=1)
+    return reshape(both, (both.data.shape[1],))
+
+
+def encode_sequence(params, tokens, rectify):
+    """One token matrix -> (projected rows (T, d), summary (d,))."""
+    from livlr.tensor import constant, linear, relu
+
+    proj = linear(constant(tokens, params.dtype), params.w_tok, params.b_tok)
+    if rectify:
+        proj = relu(proj)
+    return proj, bilstm_embed(params.lstm, proj)
+
+
+def encode_question(params, tokens):
+    return encode_sequence(params, tokens, rectify=True)
+
+
+def encode_frame(params, frame):
+    """One frame's fine-grained vector (d,)."""
+    from livlr.graph import DenseGraph, attn_gcn_layer, learn_adjacency, mean_pool
+    from livlr.graph import typed_edge_gcn_layer
+    from livlr.tensor import add, concat, constant, linear, matmul
+
+    dtype = params.dtype
+    obj = linear(constant(frame.objects, dtype), params.w_obj, params.b_obj)
+    pos = linear(constant(frame.position_rows(), dtype), params.w_pos, params.b_pos)
+    v_sp = matmul(concat([obj, pos], axis=1), params.w_spatial_mix)
+    adj, types = frame.spatial_edges()
+    v_sp = typed_edge_gcn_layer(params.spatial_gcn, v_sp, DenseGraph(len(frame.boxes), adj, types))
+    cls = linear(constant(frame.class_attr, dtype), params.w_cls, params.b_cls)
+    v_se = matmul(concat([obj, cls], axis=1), params.w_semantic_mix)
+    _, g_se = learn_adjacency(params.learn_w1, params.learn_w2, v_se, params.n_keep)
+    v_se = attn_gcn_layer(params.semantic_gcn, v_se, g_se)
+    return add(mean_pool(v_sp), mean_pool(v_se))
+
+
+def encode_clip(params, clip):
+    from livlr.tensor import concat, reshape
+    from livlr.visual import encode_holistic
+
+    rows = [reshape(encode_frame(params, f), (1, -1)) for f in clip.frames]
+    return encode_holistic(params, clip), concat(rows, axis=0)
+
+
+def encode_sentence(params, tokens, parse):
+    """One sentence -> (event vector (d,), pooled local vector (d,))."""
+    from livlr.errors import DataError
+    from livlr.graph import attn_gcn_layer, mean_pool
+    from livlr.linguistic import build_role_graph
+    from livlr.tensor import concat, constant, index_rows, matmul, mul, reshape
+
+    tokens = np.asarray(tokens, dtype=np.float64)
+    if tokens.ndim != 2 or tokens.shape[0] != parse.tokens:
+        raise DataError(f"token matrix {tokens.shape} does not match {parse.tokens} tokens")
+    d = params.sentence.w_tok.data.shape[1]
+    _, event = encode_sequence(params.sentence, tokens, rectify=False)
+    graph, roles, spans = build_role_graph(parse)
+    if any(r > params.n_roles for r in roles):
+        raise DataError(f"role id {max(roles)} exceeds the role vocabulary ({params.n_roles})")
+    nodes = reshape(event, (1, d))
+    if roles:
+        span_means = np.stack([tokens[lo : hi + 1].mean(axis=0) for lo, hi in spans])
+        locals_ = matmul(constant(span_means, params.dtype), params.w_local)
+        scale = index_rows(params.role_matrix, [r - 1 for r in roles])
+        nodes = concat([nodes, mul(locals_, scale)], axis=0)
+    nodes = attn_gcn_layer(params.role_gcn, nodes, graph)
+    if roles:
+        pooled = mean_pool(nodes, subset=list(range(1, 1 + len(roles))))
+    else:
+        pooled = constant(np.zeros(d), params.dtype)
+    return reshape(index_rows(nodes, [0]), (d,)), pooled
+
+
+def encode_all(params, sentences):
+    from livlr.errors import DataError
+    from livlr.tensor import concat, reshape
+
+    if not sentences:
+        raise DataError("need at least one sentence")
+    pairs = [encode_sentence(params, t, p) for t, p in sentences]
+    rows = lambda i: concat([reshape(pair[i], (1, -1)) for pair in pairs], axis=0)
+    return rows(0), rows(1)
+
+
+def encode_candidates(head, candidates):
+    """One BiLSTM embedding (d,) per candidate, in a list."""
+    return [encode_sequence(head.cand_encoder, c, rectify=True)[1] for c in candidates]
+
+
+def score_candidates(head, x_hat, q_hat, embeddings):
+    """One linear regression per candidate embedding, scores (N_k,)."""
+    from livlr.tensor import concat, linear
+
+    scores = [linear(concat([x_hat, q_hat, e], axis=0), head.w_score, head.b_score)
+              for e in embeddings]
+    return concat(scores, axis=0)

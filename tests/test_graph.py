@@ -6,11 +6,13 @@ from livlr.errors import ContractError, GraphIntegrityError, ShapeError
 from livlr.graph import (
     AttnGcnParams,
     DenseGraph,
+    GraphBatch,
     TypedGcnParams,
     attention_coefficients,
     attn_gcn_layer,
     learn_adjacency,
     mean_pool,
+    stack_graphs,
     typed_edge_gcn_layer,
     vanilla_gcn_layer,
 )
@@ -64,6 +66,30 @@ class TestDenseGraph:
         adj = np.array([[False, True, True], [False, False, False], [True, False, False]])
         g = DenseGraph(3, adj)
         assert np.array_equal(g.degree(), [2, 0, 1])
+
+
+class TestGraphBatch:
+    def test_pad_and_unpad_follow_the_slots(self):
+        # graph 0 holds rows 2 and 0, graph 1 holds row 1
+        g = GraphBatch([[2, 0], [1, -1]], np.zeros((2, 2, 2), dtype=bool))
+        x = np.array([[1.0], [2.0], [3.0]])
+        assert np.array_equal(g.pad(x), [[3.0], [1.0], [2.0], [0.0]])
+        assert np.array_equal(g.unpad(g.pad(x)), x)
+
+    def test_every_row_fills_one_slot(self):
+        for slots in ([[0, 0], [1, -1]], [[0, 2], [-1, -1]]):
+            with pytest.raises(GraphIntegrityError):
+                GraphBatch(slots, np.zeros((2, 2, 2), dtype=bool))
+
+    def test_bad_edges_rejected(self):
+        adj = np.zeros((2, 2, 2), dtype=bool)
+        adj[1, 0, 1] = True  # graph 1 has one node; slot 1 is padding
+        with pytest.raises(GraphIntegrityError):
+            GraphBatch([[0, 1], [2, -1]], adj)
+        loop = np.zeros((1, 2, 2), dtype=bool)
+        loop[0, 1, 1] = True
+        with pytest.raises(GraphIntegrityError):
+            GraphBatch([[0, 1]], loop)
 
 
 class TestAttentionGcn:
@@ -203,6 +229,30 @@ class TestFusedLayers:
             p = AttnGcnParams(w=tp.w, w_q=tp.w_q, w_k=tp.w_k)
             assert (layer_bytes(attn_gcn_layer, p, x, g)
                     == layer_bytes(attn_gcn_layer_tape, p, x, g))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_ragged_batch_matches_tape_oracles_bit_for_bit(self, dtype):
+        # graphs of 1-6 nodes whose rows sit in shuffled order in the stack
+        for seed in range(20):
+            rng = np.random.default_rng([119, seed])
+            sizes = rng.integers(1, 7, size=int(rng.integers(1, 5)))
+            d = int(rng.integers(2, 6))
+            graphs = [random_graph(rng, int(n), with_types=True, p=float(rng.uniform(0.1, 0.9)))
+                      for n in sizes]
+            rows = np.split(rng.permutation(sizes.sum()), np.cumsum(sizes)[:-1])
+            g = stack_graphs(graphs, rows)
+            tp = typed_params_for(rng, d, dtype)
+            x = Tensor(rng.standard_normal((sizes.sum(), d)).astype(dtype), requires_grad=True)
+            assert (layer_bytes(typed_edge_gcn_layer, tp, x, g)
+                    == layer_bytes(typed_edge_gcn_layer_tape, tp, x, g))
+            p = AttnGcnParams(w=tp.w, w_q=tp.w_q, w_k=tp.w_k)
+            assert (layer_bytes(attn_gcn_layer, p, x, g)
+                    == layer_bytes(attn_gcn_layer_tape, p, x, g))
+            # graph by graph, each slice matches the graph run on its own
+            out = attn_gcn_layer(p, x, g).data
+            for graph, r in zip(graphs, rows):
+                alone = attn_gcn_layer(p, constant(x.data[r], dtype), graph).data
+                assert max_rel_err(out[r], alone) <= (1e-12 if dtype == np.float64 else 1e-5)
 
     @pytest.mark.parametrize("typed", [False, True])
     def test_isolated_node_is_pure_relu_residual(self, typed):

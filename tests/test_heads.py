@@ -17,7 +17,7 @@ from livlr.heads import (
 )
 from livlr.optim import ParamStore
 from livlr.rnn import create_seq_encoder
-from livlr.tensor import Tensor, backward, constant, no_grad, recording, sum_all
+from livlr.tensor import Tensor, backward, constant, recording, sum_all
 
 from oracles import central_diff, max_rel_err
 
@@ -94,8 +94,7 @@ class TestOpenEndedHead:
             return cross_entropy(predict_open_ended(head, x_hat, q_hat), 1)
 
         def loss_value():
-            with no_grad():
-                return build().data
+            return build().data
 
         logits = predict_open_ended(head, x_hat, q_hat)
         assert logits.data.shape == (4,)
@@ -205,8 +204,7 @@ class TestMultiChoiceHead:
             return hinge_loss(mc_scores(head, x_hat, q_hat, cands), 1)
 
         def loss_value():
-            with no_grad():
-                return build().data
+            return build().data
 
         store.zero_grads()
         with recording():
@@ -214,4 +212,13 @@ class TestMultiChoiceHead:
         for name in ("head.score.w", "head.cand.token_proj.w"):
             t = store[name]
             num = central_diff(loss_value, t.data, h=1e-6)
-            assert max_rel_err(t.grad, num) < 1e-6, name
+            live = slice(None)
+            if name == "head.score.w":
+                # the x_hat and q_hat rows add the same amount to every
+                # score, which the pairwise hinge cancels (ROADMAP item 1):
+                # their gradient is exactly zero, and central differences
+                # there see only the loss's rounding, about ulp(loss) / h
+                live = slice(12, None)
+                assert not t.grad[:12].any()
+                assert np.abs(num[:12]).max() <= 1e-9
+            assert max_rel_err(t.grad[live], num[live]) < 1e-6, name

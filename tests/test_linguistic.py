@@ -9,11 +9,10 @@ from livlr.linguistic import (
     build_role_graph,
     create_linguistic_params,
     encode_all,
-    encode_sentence,
 )
 from livlr.optim import ParamStore
-from livlr.rnn import BiLstmParams, LstmParams, bilstm_embed, create_bilstm_params, lstm_final_hidden
-from livlr.tensor import Tensor, backward, constant, mul, no_grad, recording, sum_all
+from livlr.rnn import BiLstmParams, LstmParams, bilstm_embed, create_bilstm_params
+from livlr.tensor import Tensor, backward, constant, mul, recording, sum_all
 
 from oracles import central_diff, lstm_final_loop, max_rel_err
 
@@ -28,15 +27,18 @@ def lstm_params(rng, d_in, h, scale=0.5):
 
 class TestLstm:
     def test_matches_recurrence_oracle(self):
+        # a ragged batch: every sequence's final states, both directions
         for seed in range(20):
             rng = np.random.default_rng([201, seed])
             d_in, h = int(rng.integers(2, 5)), int(rng.integers(2, 4))
-            t_len = int(rng.integers(1, 6))
-            p = lstm_params(rng, d_in, h)
-            seq = rng.standard_normal((t_len, d_in))
-            got = lstm_final_hidden(p, constant(seq, np.float64)).data[0]
-            want = lstm_final_loop(seq, p.w_x.data, p.w_h.data, p.bias.data)
-            assert max_rel_err(got, want) <= 1e-9
+            lengths = rng.integers(1, 6, size=int(rng.integers(1, 4)))
+            p = BiLstmParams(fwd=lstm_params(rng, d_in, h), bwd=lstm_params(rng, d_in, h))
+            seqs = [rng.standard_normal((t, d_in)) for t in lengths]
+            got = bilstm_embed(p, constant(np.concatenate(seqs), np.float64), lengths).data
+            for row, seq in zip(got, seqs):
+                want_f = lstm_final_loop(seq, p.fwd.w_x.data, p.fwd.w_h.data, p.fwd.bias.data)
+                want_b = lstm_final_loop(seq[::-1], p.bwd.w_x.data, p.bwd.w_h.data, p.bwd.bias.data)
+                assert max_rel_err(row, np.concatenate([want_f, want_b])) <= 1e-9
 
     def test_zero_weights_give_zero_state(self):
         p = LstmParams(
@@ -44,25 +46,25 @@ class TestLstm:
             w_h=Tensor(np.zeros((2, 8)), requires_grad=True),
             bias=Tensor(np.zeros(8), requires_grad=True),
         )
-        out = lstm_final_hidden(p, constant(np.ones((4, 3)), np.float64))
-        assert np.array_equal(out.data, np.zeros((1, 2)))
+        out = bilstm_embed(BiLstmParams(fwd=p, bwd=p), constant(np.ones((4, 3)), np.float64), [4])
+        assert np.array_equal(out.data, np.zeros((1, 4)))
 
     def test_backward_through_time_matches_fd(self):
+        # two sequences of different lengths, so one holds its state
         rng = np.random.default_rng(202)
-        p = lstm_params(rng, 3, 2)
-        seq = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-        w = constant(rng.standard_normal((1, 2)), np.float64)
+        p = BiLstmParams(fwd=lstm_params(rng, 3, 2), bwd=lstm_params(rng, 3, 2))
+        seq = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+        w = constant(rng.standard_normal((2, 4)), np.float64)
 
         def build():
-            return sum_all(mul(lstm_final_hidden(p, seq), w))
+            return sum_all(mul(bilstm_embed(p, seq, [4, 2]), w))
 
         def loss_value():
-            with no_grad():
-                return build().data
+            return build().data
 
         with recording():
             backward(build())
-        for t in (p.w_x, p.w_h, p.bias, seq):
+        for t in (p.fwd.w_x, p.fwd.w_h, p.fwd.bias, p.bwd.w_x, p.bwd.w_h, p.bwd.bias, seq):
             num = central_diff(loss_value, t.data, h=1e-6)
             assert max_rel_err(t.grad, num) < 1e-6
 
@@ -72,7 +74,7 @@ class TestLstm:
         bwd_p = lstm_params(rng, 3, 2)
         p = BiLstmParams(fwd=fwd, bwd=bwd_p)
         seq = rng.standard_normal((5, 3))
-        out = bilstm_embed(p, constant(seq, np.float64)).data
+        out = bilstm_embed(p, constant(seq, np.float64), [5]).data[0]
         want_f = lstm_final_loop(seq, fwd.w_x.data, fwd.w_h.data, fwd.bias.data)
         want_b = lstm_final_loop(seq[::-1], bwd_p.w_x.data, bwd_p.w_h.data, bwd_p.bias.data)
         assert max_rel_err(out, np.concatenate([want_f, want_b])) <= 1e-9
@@ -81,7 +83,7 @@ class TestLstm:
         rng = np.random.default_rng(204)
         shared = lstm_params(rng, 3, 2)
         p = BiLstmParams(fwd=shared, bwd=shared)
-        out = bilstm_embed(p, constant(rng.standard_normal((1, 3)), np.float64)).data
+        out = bilstm_embed(p, constant(rng.standard_normal((1, 3)), np.float64), [1]).data[0]
         assert np.allclose(out[:2], out[2:], atol=1e-12)
 
     def test_odd_output_width_rejected(self):
@@ -149,6 +151,12 @@ class TestRoleGraph:
         assert g.n_nodes == 1 and roles == [] and spans == []
 
 
+def encode_sentence(params, tokens, parse):
+    """One sentence through encode_all: (event row (d,), local row (d,))."""
+    ev, loc = encode_all(params, [(tokens, parse)])
+    return ev.data[0], loc.data[0]
+
+
 def make_encoder(rng, d=6, d_t=4, n_roles=5):
     store = ParamStore()
     params = create_linguistic_params(
@@ -171,18 +179,18 @@ class TestSentenceEncoder:
         ev, _ = encode_sentence(params, toks, SrlParse(tokens=4))
         proj = toks @ sent.w_tok.data + sent.b_tok.data
         assert (proj < 0).any()
-        want = np.maximum(bilstm_embed(sent.lstm, constant(proj, np.float64)).data, 0.0)
-        clipped = bilstm_embed(sent.lstm, constant(np.maximum(proj, 0.0), np.float64)).data
-        assert np.array_equal(ev.data, want)
-        assert not np.allclose(ev.data, np.maximum(clipped, 0.0))
+        want = np.maximum(bilstm_embed(sent.lstm, constant(proj, np.float64), [4]).data[0], 0.0)
+        clipped = bilstm_embed(sent.lstm, constant(np.maximum(proj, 0.0), np.float64), [4]).data[0]
+        assert np.array_equal(ev, want)
+        assert not np.allclose(ev, np.maximum(clipped, 0.0))
 
     def test_shapes_and_zero_local_path(self):
         rng = np.random.default_rng(211)
         store, params = make_encoder(rng)
         toks = rng.standard_normal((3, 4))
         ev, loc = encode_sentence(params, toks, SrlParse(tokens=3))
-        assert ev.data.shape == (6,) and loc.data.shape == (6,)
-        assert np.array_equal(loc.data, np.zeros(6))
+        assert ev.shape == (6,) and loc.shape == (6,)
+        assert np.array_equal(loc, np.zeros(6))
 
     def test_token_count_mismatch_rejected(self):
         rng = np.random.default_rng(212)
@@ -210,8 +218,8 @@ class TestSentenceEncoder:
                       arguments=[SrlArgument(span=(2, 3), role=5, pred=0)])
         a = encode_sentence(params, toks, p2)
         b = encode_sentence(params, toks, p5)
-        assert np.array_equal(a[0].data, b[0].data)
-        assert np.array_equal(a[1].data, b[1].data)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_role_scaling_reaches_only_its_role(self):
         rng = np.random.default_rng(215)
@@ -220,14 +228,14 @@ class TestSentenceEncoder:
         parse = SrlParse(tokens=4, predicates=[(1, 1)],
                          arguments=[SrlArgument(span=(2, 3), role=2, pred=0)])
         base_ev, base_loc = encode_sentence(params, toks, parse)
-        base = (base_ev.data.copy(), base_loc.data.copy())
+        base = (base_ev.copy(), base_loc.copy())
         params.role_matrix.data[4, :] = 7.0  # role 5: unused by this parse
         same_ev, same_loc = encode_sentence(params, toks, parse)
-        assert np.array_equal(same_ev.data, base[0])
-        assert np.array_equal(same_loc.data, base[1])
+        assert np.array_equal(same_ev, base[0])
+        assert np.array_equal(same_loc, base[1])
         params.role_matrix.data[1, :] = 3.0  # role 2: used
         diff_ev, diff_loc = encode_sentence(params, toks, parse)
-        assert not np.array_equal(diff_loc.data, base[1])
+        assert not np.array_equal(diff_loc, base[1])
 
     def test_encode_all_shapes_and_gradients(self):
         rng = np.random.default_rng(216)

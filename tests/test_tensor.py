@@ -28,11 +28,10 @@ from livlr.tensor import (
     relu,
     reshape,
     row_softmax,
+    segment_mean,
     sum_all,
-    sum_axis1,
     take,
     tape_size,
-    transpose,
 )
 
 from oracles import central_diff, mat_loop, max_rel_err
@@ -71,8 +70,7 @@ class TestMatmul:
         b = leaf(rng.standard_normal((4, 2)))
 
         def loss_value():
-            with no_grad():
-                return sum_all(matmul(a, b)).data
+            return sum_all(matmul(a, b)).data
 
         with recording():
             backward(sum_all(matmul(a, b)))
@@ -101,12 +99,6 @@ class TestRowSoftmax:
     def test_fully_masked_row_raises(self):
         with pytest.raises(DegenerateRowError):
             row_softmax(leaf([[1.0, 2.0]]), mask=np.array([[False, False]]))
-
-    def test_fully_masked_row_allowed_is_zero(self):
-        mask = np.array([[False, False], [True, False]])
-        out = row_softmax(leaf([[1.0, 2.0], [3.0, 4.0]]), mask=mask, allow_empty=True)
-        assert np.array_equal(out.data[0], [0.0, 0.0])
-        assert np.array_equal(out.data[1], [1.0, 0.0])
 
     def test_rows_sum_to_one_and_nonnegative(self):
         rng = np.random.default_rng(11)
@@ -137,8 +129,7 @@ class TestRowSoftmax:
             return sum_all(mul(row_softmax(x, mask=mask), w))
 
         def loss_value():
-            with no_grad():
-                return build().data
+            return build().data
 
         with recording():
             backward(build())
@@ -182,8 +173,7 @@ class TestElementwise:
             return sum_all(mul(add(add(m, row), col), w))
 
         def loss_value():
-            with no_grad():
-                return build().data
+            return build().data
 
         with recording():
             backward(build())
@@ -200,8 +190,7 @@ class TestElementwise:
                 return sum_all(mul(op(x), x))
 
             def loss_value():
-                with no_grad():
-                    return build().data
+                return build().data
 
             with recording():
                 backward(build())
@@ -227,8 +216,7 @@ class TestElementwise:
         x = leaf(rng.uniform(0.5, 2.0, size=(2, 3)))
 
         def loss_value():
-            with no_grad():
-                return sum_all(log(x)).data
+            return sum_all(log(x)).data
 
         with recording():
             backward(sum_all(log(x)))
@@ -252,31 +240,13 @@ class TestStructuralOps:
             return sum_all(mul(flat, gathered))
 
         def loss_value():
-            with no_grad():
-                return build().data
+            return build().data
 
         with recording():
             backward(build())
         for t in (a, b, v):
             num = central_diff(loss_value, t.data, h=1e-6)
             assert max_rel_err(t.grad, num) < 1e-6
-
-    def test_transpose_and_sum_axis1(self):
-        rng = np.random.default_rng(22)
-        x = leaf(rng.standard_normal((3, 4)))
-        w = constant(rng.standard_normal((3, 1)), np.float64)
-
-        def build():
-            return sum_all(mul(sum_axis1(transpose(transpose(x))), w))
-
-        def loss_value():
-            with no_grad():
-                return build().data
-
-        with recording():
-            backward(build())
-        num = central_diff(loss_value, x.data, h=1e-6)
-        assert max_rel_err(x.grad, num) < 1e-6
 
     def test_linear_vector_and_matrix(self):
         rng = np.random.default_rng(23)
@@ -289,6 +259,38 @@ class TestStructuralOps:
         out2 = linear(x_mat, w, b)
         assert out2.data.shape == (4, 2)
         assert np.allclose(out2.data, x_mat.data @ w.data + b.data)
+
+
+class TestSegmentMean:
+    def test_values_skipped_rows_and_empty_segments(self):
+        x = leaf([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
+        out = segment_mean(x, [1, -1, 1, 0], 3).data
+        assert np.allclose(out, [[7.0, 8.0], [3.0, 4.0], [0.0, 0.0]], atol=1e-15)
+
+    def test_gradient_matches_fd(self):
+        rng = np.random.default_rng(24)
+        x = leaf(rng.standard_normal((5, 3)))
+        w = constant(rng.standard_normal((3, 3)), np.float64)
+        seg = [2, 0, -1, 2, 2]
+
+        def build():
+            return sum_all(mul(segment_mean(x, seg, 3), w))
+
+        def loss_value():
+            return build().data
+
+        with recording():
+            backward(build())
+        num = central_diff(loss_value, x.data, h=1e-6)
+        assert max_rel_err(x.grad, num) < 1e-6
+        assert not x.grad[2].any()
+
+    def test_bad_segments_rejected(self):
+        x = leaf(np.ones((3, 2)))
+        with pytest.raises(ShapeError):
+            segment_mean(x, [0, 1], 2)
+        with pytest.raises(ContractError):
+            segment_mean(x, [0, 1, 2], 2)
 
 
 class TestBackwardSemantics:
@@ -320,8 +322,7 @@ class TestBackwardSemantics:
                 return sum_all(out)
 
             def loss_value():
-                with no_grad():
-                    return build().data
+                return build().data
 
             with recording():
                 backward(build())

@@ -250,6 +250,26 @@ def test_evaluate_builds_each_frame_once(monkeypatch):
     assert len(built) == len(ds) * cfg.N_f
 
 
+def test_evaluate_builds_each_clip_geometry_once(monkeypatch):
+    # the clip-level graph batch and stacked box geometry are built on a
+    # clip's first forward pass and kept with it
+    visual = importlib.import_module("livlr.visual")
+    built = []
+    build = visual.clip_geometry
+
+    def counting(frames):
+        built.append(frames)
+        return build(frames)
+
+    monkeypatch.setattr(visual, "clip_geometry", counting)
+    cfg = tiny_config()
+    ds = make_dataset(cfg, n=3)
+    model = Model(cfg)
+    first = evaluate(model, ds)
+    assert evaluate(model, ds) == first
+    assert len(built) == len(ds)
+
+
 def test_evaluate_rejects_mismatched_dataset():
     cfg = tiny_config()
     other = tiny_config(N_f=3)
