@@ -151,6 +151,21 @@ def test_desk_sample_tape_node_count(setting, nodes):
             backward(loss)
 
 
+@pytest.mark.parametrize("setting", ["OE", "MC"])
+def test_predict_leaves_the_tape_alone(setting):
+    cfg = tiny_config(question_setting=setting)
+    spec = SyntheticTaskSpec(
+        n_samples=3, signal_source="question_dependent", noise_scale=0.3, n_classes=4
+    )
+    samples = gen_synthetic(spec, cfg, seed=9).samples()
+    model = Model(cfg)
+    before = tape_size()
+    for _ in range(2):
+        for s in samples:
+            model.predict(s)
+            assert tape_size() == before
+
+
 def test_encoder_node_counts_do_not_grow_with_items():
     # every frame, sentence and candidate goes through the same nodes
     counts = []
