@@ -7,6 +7,7 @@ embedded in checkpoints are reproducible.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 
 from .errors import ConfigError
@@ -14,6 +15,18 @@ from .errors import ConfigError
 RI_VARIANTS = ("DAVL", "RI_GCN", "RI_AT", "RI_CONCAT")
 QUESTION_SETTINGS = ("OE", "MC")
 PRECISIONS = ("single", "double")
+
+# integer fields and their least value
+_COUNTS = {
+    **dict.fromkeys(("d", "d_a", "d_o", "d_c", "d_t", "N_f", "N_o", "N_s", "N_t",
+                     "N_r", "N_n", "N_h", "batch_size", "epochs", "d_h"), 1),
+    "N_k": 2, "answer_set_size": 2, "seed": 0,
+}
+
+
+def _number(v) -> bool:
+    """A finite int or float; bools, strings and None are not numbers here."""
+    return not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
 
 
 @dataclass
@@ -45,22 +58,14 @@ class ModelConfig:
     d_h: int  # hidden width of the open-ended classifier
 
     def validate(self) -> "ModelConfig":
-        ints_ge1 = [
-            "d", "d_a", "d_o", "d_c", "d_t", "N_f", "N_o", "N_s", "N_t",
-            "N_r", "N_n", "N_h", "batch_size", "epochs", "d_h",
-        ]
-        for f in ints_ge1:
+        for f, lo in _COUNTS.items():
             v = getattr(self, f)
-            if not isinstance(v, int) or v < 1:
-                raise ConfigError(f"{f} must be an integer >= 1, got {v!r}")
+            if isinstance(v, bool) or not isinstance(v, int) or v < lo:
+                raise ConfigError(f"{f} must be an integer >= {lo}, got {v!r}")
         if self.d % 2 != 0:
             raise ConfigError(f"d must be even for the bidirectional split, got {self.d}")
         if self.d % self.N_h != 0:
             raise ConfigError(f"N_h={self.N_h} must divide d={self.d}")
-        if self.N_k < 2:
-            raise ConfigError(f"N_k must be >= 2, got {self.N_k}")
-        if self.answer_set_size < 2:
-            raise ConfigError(f"answer_set_size must be >= 2, got {self.answer_set_size}")
         if self.ri_variant not in RI_VARIANTS:
             raise ConfigError(f"ri_variant must be one of {RI_VARIANTS}, got {self.ri_variant!r}")
         if self.question_setting not in QUESTION_SETTINGS:
@@ -69,18 +74,17 @@ class ModelConfig:
             )
         if self.precision not in PRECISIONS:
             raise ConfigError(f"precision must be one of {PRECISIONS}, got {self.precision!r}")
-        if self.lr < 0:
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
-        b = tuple(self.betas)
-        if len(b) != 2 or not all(0.0 <= x < 1.0 for x in b):
-            raise ConfigError(f"betas must be two values in [0, 1), got {self.betas!r}")
-        self.betas = b
-        if self.eps <= 0:
-            raise ConfigError(f"eps must be > 0, got {self.eps}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if not _number(self.lr) or self.lr < 0:
+            raise ConfigError(f"lr must be a finite number >= 0, got {self.lr!r}")
+        b = self.betas
+        if (not isinstance(b, (list, tuple)) or len(b) != 2
+                or not all(_number(x) and 0.0 <= x < 1.0 for x in b)):
+            raise ConfigError(f"betas must be two values in [0, 1), got {b!r}")
+        self.betas = tuple(b)
+        if not _number(self.eps) or self.eps <= 0:
+            raise ConfigError(f"eps must be a finite number > 0, got {self.eps!r}")
+        if not _number(self.weight_decay) or self.weight_decay < 0:
+            raise ConfigError(f"weight_decay must be a finite number >= 0, got {self.weight_decay!r}")
         return self
 
     @property
@@ -113,11 +117,8 @@ class ModelConfig:
             raise ConfigError(
                 f"config must list every field explicitly; missing: {sorted(missing)}"
             )
-        vals = dict(d)
-        if isinstance(vals.get("betas"), list):
-            vals["betas"] = tuple(vals["betas"])
         try:
-            cfg = cls(**vals)
+            cfg = cls(**d)
         except TypeError as e:
             raise ConfigError(f"bad config: {e}") from e
         return cfg.validate()

@@ -24,7 +24,7 @@ from .tensor import (
     _record,
     add,
     concat,
-    index_rows,
+    gather,
     linear,
     masked_softmax,
     matmul,
@@ -230,7 +230,7 @@ def apply_index_embedding(index_matrix: Tensor, nodes: Tensor, sources) -> Tenso
         )
     if src.size and (src.min() < 1 or src.max() > index_matrix.data.shape[0]):
         raise ConfigError(f"source ids must lie in 1..{index_matrix.data.shape[0]}")
-    return mul(nodes, index_rows(index_matrix, src - 1))
+    return mul(nodes, gather(index_matrix, src - 1))
 
 
 def integrate(params: DavlParams, bundle: RepresentationBundle, q: Tensor) -> Tensor:

@@ -22,7 +22,7 @@ from .tensor import (
     _record,
     add,
     constant,
-    index_rows,
+    gather,
     masked_softmax,
     matmul,
     mean_axis0,
@@ -320,4 +320,4 @@ def mean_pool(nodes: Tensor, subset=None) -> Tensor:
     idx = np.asarray(subset, dtype=np.intp)
     if idx.size == 0:
         raise ContractError("mean_pool over an empty subset")
-    return mean_axis0(index_rows(nodes, idx))
+    return mean_axis0(gather(nodes, idx))

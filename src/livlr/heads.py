@@ -20,14 +20,13 @@ from .tensor import (
     add,
     concat,
     exp,
-    index_rows,
+    gather,
     linear,
     log,
     mul,
     relu,
     reshape,
     sum_all,
-    take,
 )
 
 
@@ -89,7 +88,7 @@ def cross_entropy(logits: Tensor, label: int) -> Tensor:
     m = float(logits.data.max())
     shifted = add(logits, -m)
     lse = log(sum_all(exp(shifted)))  # log-sum-exp of the shifted logits
-    picked = reshape(take(shifted, [label]), ())
+    picked = reshape(gather(shifted, [label]), ())
     return add(lse, mul(picked, -1.0))
 
 
@@ -112,7 +111,7 @@ def score_candidates(
     [x_hat; q_hat; e_k] of every candidate embedding e_k."""
     n_k = embeddings.data.shape[0]
     shared = concat([x_hat, q_hat], axis=0)
-    shared = index_rows(reshape(shared, (1, shared.data.shape[0])), np.zeros(n_k, dtype=np.intp))
+    shared = gather(reshape(shared, (1, shared.data.shape[0])), np.zeros(n_k, dtype=np.intp))
     joint = concat([shared, embeddings], axis=1)  # (N_k, 3d)
     return reshape(linear(joint, head.w_score, head.b_score), (n_k,))
 
@@ -124,8 +123,8 @@ def hinge_loss(scores: Tensor, correct: int) -> Tensor:
         raise ContractError(f"correct index {correct} out of range for {n} candidates")
     if n < 2:
         raise ContractError("need at least two candidates")
-    pos = take(scores, [correct])  # (1,)
+    pos = gather(scores, [correct])  # (1,)
     neg_idx = [k for k in range(n) if k != correct]
-    neg = take(scores, neg_idx)
+    neg = gather(scores, neg_idx)
     margins = relu(add(add(neg, mul(pos, -1.0)), 1.0))
     return reshape(sum_all(margins), ())

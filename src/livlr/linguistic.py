@@ -18,7 +18,7 @@ from .errors import DataError, GraphIntegrityError
 from .graph import AttnGcnParams, DenseGraph, attn_gcn_layer, stack_graphs
 from .optim import ParamStore, make_param
 from .rnn import SeqEncoderParams, create_seq_encoder, encode_sequences
-from .tensor import Tensor, concat, constant, index_rows, matmul, mul, segment_mean
+from .tensor import Tensor, concat, constant, gather, matmul, mul, segment_mean
 
 PREDICATE_ROLE = 1  # role id reserved for predicate nodes themselves
 
@@ -191,7 +191,7 @@ def encode_all(
     inside = (np.arange(start) >= lo[:, None]) & (np.arange(start) <= hi[:, None])
     means = (inside / inside.sum(axis=1, keepdims=True)) @ tokens
     locals_ = matmul(constant(means, params.dtype), params.w_local)
-    scale = index_rows(params.role_matrix, np.asarray(roles, dtype=np.intp) - 1)
+    scale = gather(params.role_matrix, np.asarray(roles, dtype=np.intp) - 1)
     # rows: every sentence's event, then every sentence's local nodes
     nodes = concat([events, mul(locals_, scale)], axis=0)
     # sentence b's graph: its event row b, then its local rows in order
@@ -200,4 +200,4 @@ def encode_all(
     rows = [np.r_[b, lo : lo + n] for b, (lo, n) in enumerate(zip(first, n_local))]
     nodes = attn_gcn_layer(params.role_gcn, nodes, stack_graphs(graphs, rows))
     owner = np.repeat(np.arange(-1, n_s), [n_s] + n_local)
-    return index_rows(nodes, np.arange(n_s)), segment_mean(nodes, owner, n_s)
+    return gather(nodes, np.arange(n_s)), segment_mean(nodes, owner, n_s)

@@ -96,30 +96,9 @@ class Tensor:
         tag = "leaf" if self.tape_id is None else f"node{self.tape_id}"
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, {tag})"
 
-    # operator sugar; python scalars are wrapped as constants
+    # the one operator, for summing per-sample losses
     def __add__(self, other):
         return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, neg(as_tensor(other, self.data.dtype)))
-
-    def __rsub__(self, other):
-        return add(neg(self), other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def as_tensor(x, dtype=None) -> Tensor:
@@ -218,81 +197,43 @@ def transpose(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda g: (g.T,))
 
 
-def _bcast_case(sa, sb):
-    """Classify supported add/mul broadcasts. Returns (case, swap)."""
+def _broadcast(op: str, a, b):
+    """The one broadcast rule of add and mul: the right operand has the
+    left's shape, holds one element, or is one row (d,) of a 2-d left
+    operand (n, d). A python scalar on the right is wrapped in the left's
+    dtype. Returns (a, b, b's values to combine with a's, reduce), where
+    reduce sums an output cotangent down to b's shape."""
+    a = as_tensor(a)
+    b = as_tensor(b, a.data.dtype)
+    sa, sb = a.data.shape, b.data.shape
     if sa == sb:
-        return "equal", False
+        return a, b, b.data, lambda g: g
     if math.prod(sb) == 1:
-        return "scalar", False
-    if math.prod(sa) == 1:
-        return "scalar", True
-    if len(sa) == 2 and len(sb) == 1 and sa[1] == sb[0]:
-        return "row", False
-    if len(sb) == 2 and len(sa) == 1 and sb[1] == sa[0]:
-        return "row", True
-    if len(sa) == 2 and len(sb) == 2 and sb == (sa[0], 1):
-        return "col", False
-    if len(sb) == 2 and len(sa) == 2 and sa == (sb[0], 1):
-        return "col", True
-    return None, False
-
-
-def _reduce_to(g, case, shape):
-    """Sum an output cotangent back down to a broadcast operand's shape."""
-    if case == "equal":
-        return g
-    if case == "scalar":
-        return g.sum().reshape(shape)
-    if case == "row":
-        return g.sum(axis=0)
-    if case == "col":
-        return g.sum(axis=1, keepdims=True)
-    raise AssertionError(case)
+        return a, b, b.data.reshape(()), lambda g: g.sum().reshape(sb)
+    if len(sa) == 2 and sb == sa[1:]:
+        return a, b, b.data, lambda g: g.sum(axis=0)
+    raise ShapeError(f"{op} cannot broadcast {sa} with {sb}")
 
 
 def add(a, b) -> Tensor:
-    a = as_tensor(a)
-    b = as_tensor(b, a.data.dtype)
-    case, swap = _bcast_case(a.data.shape, b.data.shape)
-    if case is None:
-        raise ShapeError(f"add cannot broadcast {a.data.shape} with {b.data.shape}")
-    big, small = (b, a) if swap else (a, b)
-    out = Tensor(big.data + (small.data.reshape(()) if case == "scalar" else small.data))
+    a, b, bv, reduce = _broadcast("add", a, b)
+    out = Tensor(a.data + bv)
 
     def bwd(g):
-        g_big = g if big.requires_grad else None
-        g_small = _reduce_to(g, case, small.data.shape) if small.requires_grad else None
-        return (g_small, g_big) if swap else (g_big, g_small)
+        return (g if a.requires_grad else None, reduce(g) if b.requires_grad else None)
 
     return _record(out, (a, b), bwd)
 
 
 def mul(a, b) -> Tensor:
-    a = as_tensor(a)
-    b = as_tensor(b, a.data.dtype)
-    case, swap = _bcast_case(a.data.shape, b.data.shape)
-    if case is None:
-        raise ShapeError(f"mul cannot broadcast {a.data.shape} with {b.data.shape}")
-    big, small = (b, a) if swap else (a, b)
-    sm = small.data.reshape(()) if case == "scalar" else small.data
-    out = Tensor(big.data * sm)
+    a, b, bv, reduce = _broadcast("mul", a, b)
+    out = Tensor(a.data * bv)
 
     def bwd(g):
-        g_big = g * sm if big.requires_grad else None
-        g_small = (
-            _reduce_to(g * big.data, case, small.data.shape)
-            if small.requires_grad
-            else None
-        )
-        return (g_small, g_big) if swap else (g_big, g_small)
+        return (g * bv if a.requires_grad else None,
+                reduce(g * a.data) if b.requires_grad else None)
 
     return _record(out, (a, b), bwd)
-
-
-def neg(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(-a.data)
-    return _record(out, (a,), lambda g: (-g,))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -358,9 +299,9 @@ def masked_softmax(x: np.ndarray, mask=None):
 def row_softmax(x: Tensor, mask=None) -> Tensor:
     """Softmax along axis 1 of a 2-d tensor, restricted to unmasked entries.
 
-    ``mask`` is a boolean array (or Tensor) of the same shape; masked
-    entries get probability 0 and receive no gradient. A fully masked row
-    raises ``DegenerateRowError``.
+    ``mask`` is a boolean array of the same shape; masked entries get
+    probability 0 and receive no gradient. A fully masked row raises
+    ``DegenerateRowError``.
     """
     x = as_tensor(x)
     if x.data.ndim != 2:
@@ -368,7 +309,7 @@ def row_softmax(x: Tensor, mask=None) -> Tensor:
     if mask is None:
         m = np.ones(x.data.shape, dtype=bool)
     else:
-        m = np.asarray(mask.data if isinstance(mask, Tensor) else mask, dtype=bool)
+        m = np.asarray(mask, dtype=bool)
         if m.shape != x.data.shape:
             raise ShapeError(
                 f"mask shape {m.shape} does not match input {x.data.shape}"
@@ -463,37 +404,18 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return _record(out, tuple(ts), bwd)
 
 
-def index_rows(a: Tensor, idx) -> Tensor:
-    """Gather rows of a 2-d tensor. Backward scatter-adds, so repeated
-    indices accumulate."""
+def gather(a: Tensor, idx) -> Tensor:
+    """Gather along axis 0: elements of a 1-d tensor or rows of a 2-d one,
+    by a flat index list. Backward scatter-adds, so repeated indices
+    accumulate."""
     a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"index_rows needs a 2-d tensor, got {a.data.shape}")
+    if a.data.ndim not in (1, 2):
+        raise ShapeError(f"gather needs a 1-d or 2-d tensor, got {a.data.shape}")
     ix = np.asarray(idx, dtype=np.intp)
     if ix.ndim != 1:
-        raise ShapeError(f"index_rows needs a flat index list, got shape {ix.shape}")
+        raise ShapeError(f"gather needs a flat index list, got shape {ix.shape}")
     if ix.size and (ix.min() < 0 or ix.max() >= a.data.shape[0]):
-        raise ContractError(
-            f"row index out of range for {a.data.shape[0]} rows: {ix}"
-        )
-    out = Tensor(a.data[ix])
-
-    def bwd(g):
-        da = np.zeros_like(a.data)
-        np.add.at(da, ix, g)
-        return (da,)
-
-    return _record(out, (a,), bwd)
-
-
-def take(a: Tensor, idx) -> Tensor:
-    """Gather elements of a 1-d tensor."""
-    a = as_tensor(a)
-    if a.data.ndim != 1:
-        raise ShapeError(f"take needs a 1-d tensor, got {a.data.shape}")
-    ix = np.asarray(idx, dtype=np.intp).ravel()
-    if ix.size and (ix.min() < 0 or ix.max() >= a.data.shape[0]):
-        raise ContractError(f"index out of range for length {a.data.shape[0]}")
+        raise ContractError(f"index out of range for {a.data.shape[0]} rows: {ix}")
     out = Tensor(a.data[ix])
 
     def bwd(g):
@@ -515,13 +437,11 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w (+ b). Accepts a vector (in,) or a matrix (m, in); the weight
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b. Accepts a vector (in,) or a matrix (m, in); the weight
     is stored (in, out)."""
     x = as_tensor(x)
     vec = x.data.ndim == 1
     h = reshape(x, (1, x.data.shape[0])) if vec else x
-    y = matmul(h, w)
-    if b is not None:
-        y = add(y, b)
+    y = add(matmul(h, w), b)
     return reshape(y, (y.data.shape[1],)) if vec else y

@@ -52,16 +52,12 @@ def _first_nonfinite_param(model: Model) -> str | None:
     return None
 
 
-def _check_finite(loss_val: float, model: Model, epoch: int, batch: int):
-    if np.isfinite(loss_val):
-        return
+def _numeric_error(what: str, model: Model, epoch: int, batch: int) -> NumericError:
+    """``what`` at the epoch and batch, plus the first non-finite parameter."""
     culprit = _first_nonfinite_param(model)
-    where = f"epoch {epoch}, batch {batch}"
-    if culprit is not None:
-        raise NumericError(
-            f"non-finite loss at {where}; first non-finite parameter: {culprit}"
-        )
-    raise NumericError(f"non-finite loss at {where}; parameters are finite (loss overflow)")
+    detail = ("parameters are finite" if culprit is None
+              else f"first non-finite parameter: {culprit}")
+    return NumericError(f"{what} at epoch {epoch}, batch {batch}; {detail}")
 
 
 def train(
@@ -145,17 +141,11 @@ def _run_epoch(model: Model, samples, order, epoch) -> tuple[float, float]:
                     loss_sum += float(loss.data)
                     batch_loss = loss if batch_loss is None else batch_loss + loss
             except NumericError as e:
-                # a forward pass can detect the blow-up before a loss exists;
-                # attach the same diagnostics the loss check would have added
-                culprit = _first_nonfinite_param(model)
-                detail = (
-                    f"; first non-finite parameter: {culprit}"
-                    if culprit is not None
-                    else "; parameters are finite"
-                )
-                raise NumericError(f"{e} at epoch {epoch}, batch {b}{detail}") from e
+                # a forward pass can detect the blow-up before a loss exists
+                raise _numeric_error(str(e), model, epoch, b) from e
             batch_loss = mul(batch_loss, 1.0 / len(idx))
-            _check_finite(float(batch_loss.data), model, epoch, b)
+            if not np.isfinite(batch_loss.data):
+                raise _numeric_error("non-finite loss", model, epoch, b)
             backward(batch_loss)
         adamw_step(model.store, cfg.lr, cfg.betas, cfg.eps, cfg.weight_decay)
     return loss_sum / n, hits / n

@@ -74,23 +74,6 @@ class FrameFeatures:
             raise DataError("boxes must have positive width and height")
         if not ((x >= 0) & (y >= 0) & (x + w <= fw) & (y + h <= fh)).all():
             raise DataError("boxes must lie within the frame bounds")
-        self._geometry = None
-
-    def spatial_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached (adjacency, types) for the frame's boxes; geometry is a
-        pure function of the data, so one classification serves every
-        forward pass."""
-        if self._geometry is None:
-            self._geometry = (
-                classify_spatial_edges(self.boxes, self.frame_size),
-                position_features(self.boxes, self.frame_size),
-            )
-        return self._geometry[0]
-
-    def position_rows(self) -> np.ndarray:
-        if self._geometry is None:
-            self.spatial_edges()
-        return self._geometry[1]
 
 
 @dataclass
@@ -106,10 +89,11 @@ class ClipGeometry:
 def clip_geometry(frames: list[FrameFeatures]) -> ClipGeometry:
     sizes = [len(f.boxes) for f in frames]
     starts = np.cumsum(sizes) - sizes
-    graphs = [DenseGraph(n, *f.spatial_edges()) for f, n in zip(frames, sizes)]
+    graphs = [DenseGraph(n, *classify_spatial_edges(f.boxes, f.frame_size))
+              for f, n in zip(frames, sizes)]
     return ClipGeometry(
         stack_graphs(graphs, [np.arange(lo, lo + n) for lo, n in zip(starts, sizes)]),
-        np.concatenate([f.position_rows() for f in frames]),
+        np.concatenate([position_features(f.boxes, f.frame_size) for f in frames]),
         np.repeat(np.arange(len(frames)), sizes),
     )
 

@@ -322,6 +322,18 @@ def sum_axis1(a):
     return _record(out, (a,), bwd)
 
 
+def add_column(a, col):
+    """a (m, d) plus a column (m, 1) broadcast along each row, a form the
+    tape's add does not take; backward sums each row for the column."""
+    from livlr.errors import ShapeError
+    from livlr.tensor import Tensor, _record
+
+    if a.data.ndim != 2 or col.data.shape != (a.data.shape[0], 1):
+        raise ShapeError(f"add_column needs (m, d) and (m, 1), got {a.data.shape} and {col.data.shape}")
+    out = Tensor(a.data + col.data)
+    return _record(out, (a, col), lambda g: (g, g.sum(axis=1, keepdims=True)))
+
+
 def _batch(graph):
     from livlr.graph import DenseGraph
 
@@ -331,12 +343,12 @@ def _batch(graph):
 def _padded(nodes, graph):
     """The stacked node rows gathered into the layers' padded block
     (B * n_max, d); padding slots read an appended zero row."""
-    from livlr.tensor import concat, constant, index_rows
+    from livlr.tensor import concat, constant, gather
 
     src = np.full(graph.slots.size, graph.n_rows)
     src[graph.row_pos] = np.arange(graph.n_rows)
     zero = constant(np.zeros((1, nodes.data.shape[1])), nodes.data.dtype)
-    return index_rows(concat([nodes, zero], axis=0), src)
+    return gather(concat([nodes, zero], axis=0), src)
 
 
 def _graph_rows(graph):
@@ -346,28 +358,28 @@ def _graph_rows(graph):
 
 
 def _attention_tape(params, nodes, graph, typed):
-    from livlr.tensor import add, concat, index_rows, matmul, mul, relu, reshape, take, transpose
+    from livlr.tensor import add, concat, gather, matmul, mul, relu, reshape, transpose
 
     graph = _batch(graph)
     p = _padded(nodes, graph)
     q, k = matmul(p, params.w_q), matmul(p, params.w_k)
     alphas = [
-        row_softmax(matmul(index_rows(q, rows), transpose(index_rows(k, rows))),
+        row_softmax(matmul(gather(q, rows), transpose(gather(k, rows))),
                     mask=graph.adjacency[b], allow_empty=True)
         for b, rows in enumerate(_graph_rows(graph))
     ]
     msgs = matmul(p, params.w)
-    agg = concat([matmul(a, index_rows(msgs, rows))
+    agg = concat([matmul(a, gather(msgs, rows))
                   for a, rows in zip(alphas, _graph_rows(graph))], axis=0)
     pre = add(p, agg)
     if typed:
         b, n = graph.slots.shape
         idx = np.where(graph.adjacency, graph.edge_types - 1, 0).ravel()
-        bias = reshape(take(params.type_bias, idx), (b * n, n))
-        shift = concat([sum_axis1(mul(a, index_rows(bias, rows)))
+        bias = reshape(gather(params.type_bias, idx), (b * n, n))
+        shift = concat([sum_axis1(mul(a, gather(bias, rows)))
                         for a, rows in zip(alphas, _graph_rows(graph))], axis=0)
-        pre = add(pre, shift)
-    return index_rows(relu(pre), graph.row_pos)
+        pre = add_column(pre, shift)
+    return gather(relu(pre), graph.row_pos)
 
 
 def attn_gcn_layer_tape(params, nodes, graph):
@@ -441,11 +453,11 @@ def lstm_final_hidden(params, seq):
 def bilstm_embed(params, seq):
     """One sequence (T, d_in) -> (d_out,): the forward pass's final state,
     then the reversed pass's."""
-    from livlr.tensor import concat, index_rows, reshape
+    from livlr.tensor import concat, gather, reshape
 
     t_len = seq.data.shape[0]
     h_f = lstm_final_hidden(params.fwd, seq)
-    h_b = lstm_final_hidden(params.bwd, index_rows(seq, list(range(t_len - 1, -1, -1))))
+    h_b = lstm_final_hidden(params.bwd, gather(seq, list(range(t_len - 1, -1, -1))))
     both = concat([h_f, h_b], axis=1)
     return reshape(both, (both.data.shape[1],))
 
@@ -469,12 +481,14 @@ def encode_frame(params, frame):
     from livlr.graph import DenseGraph, attn_gcn_layer, learn_adjacency, mean_pool
     from livlr.graph import typed_edge_gcn_layer
     from livlr.tensor import add, concat, constant, linear, matmul
+    from livlr.visual import classify_spatial_edges, position_features
 
     dtype = params.dtype
     obj = linear(constant(frame.objects, dtype), params.w_obj, params.b_obj)
-    pos = linear(constant(frame.position_rows(), dtype), params.w_pos, params.b_pos)
+    positions = position_features(frame.boxes, frame.frame_size)
+    pos = linear(constant(positions, dtype), params.w_pos, params.b_pos)
     v_sp = matmul(concat([obj, pos], axis=1), params.w_spatial_mix)
-    adj, types = frame.spatial_edges()
+    adj, types = classify_spatial_edges(frame.boxes, frame.frame_size)
     v_sp = typed_edge_gcn_layer(params.spatial_gcn, v_sp, DenseGraph(len(frame.boxes), adj, types))
     cls = linear(constant(frame.class_attr, dtype), params.w_cls, params.b_cls)
     v_se = matmul(concat([obj, cls], axis=1), params.w_semantic_mix)
@@ -496,7 +510,7 @@ def encode_sentence(params, tokens, parse):
     from livlr.errors import DataError
     from livlr.graph import attn_gcn_layer, mean_pool
     from livlr.linguistic import build_role_graph
-    from livlr.tensor import concat, constant, index_rows, matmul, mul, reshape
+    from livlr.tensor import concat, constant, gather, matmul, mul, reshape
 
     tokens = np.asarray(tokens, dtype=np.float64)
     if tokens.ndim != 2 or tokens.shape[0] != parse.tokens:
@@ -510,14 +524,14 @@ def encode_sentence(params, tokens, parse):
     if roles:
         span_means = np.stack([tokens[lo : hi + 1].mean(axis=0) for lo, hi in spans])
         locals_ = matmul(constant(span_means, params.dtype), params.w_local)
-        scale = index_rows(params.role_matrix, [r - 1 for r in roles])
+        scale = gather(params.role_matrix, [r - 1 for r in roles])
         nodes = concat([nodes, mul(locals_, scale)], axis=0)
     nodes = attn_gcn_layer(params.role_gcn, nodes, graph)
     if roles:
         pooled = mean_pool(nodes, subset=list(range(1, 1 + len(roles))))
     else:
         pooled = constant(np.zeros(d), params.dtype)
-    return reshape(index_rows(nodes, [0]), (d,)), pooled
+    return reshape(gather(nodes, [0]), (d,)), pooled
 
 
 def encode_all(params, sentences):

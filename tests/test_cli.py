@@ -142,6 +142,16 @@ def test_bad_config_json_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value", [("lr", "0.1"), ("N_h", True)])
+def test_wrong_typed_config_value_exits_2(tmp_path, capsys, field, value):
+    d = tiny_config().to_dict()
+    d[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d), encoding="utf-8")
+    assert main(["param-count", "--config", str(bad)]) == 2
+    assert f"config error: {field} must be" in capsys.readouterr().err
+
+
 def test_missing_config_and_preset_exits_2(tmp_path, capsys):
     spec = write_spec(tmp_path)
     code = main(["gen-data", "--spec", spec, "--out", str(tmp_path / "d")])

@@ -1,6 +1,7 @@
 """Configuration tests: validation, canonical JSON, presets."""
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from livlr.config import (
     full_config,
     tiny_config,
 )
+from livlr.checkpoint import load_model_from, save_checkpoint
 from livlr.errors import ConfigError
+from livlr.model import Model
 
 
 def test_presets_are_registered_and_valid():
@@ -113,3 +116,27 @@ def test_from_dict_rejects_unknown_and_missing_fields():
     del missing["d_h"]
     with pytest.raises(ConfigError):
         ModelConfig.from_dict(missing)
+
+
+NUMBER_FIELDS = ("d", "N_h", "N_k", "answer_set_size", "epochs", "seed", "lr", "eps",
+                 "weight_decay")
+WRONG_TYPED = (
+    [(f, v) for f in NUMBER_FIELDS for v in ("1", None, True, math.nan, math.inf)]
+    + [("betas", v) for v in (5, "0.9", None, [0.9, "0.999"], [0.9, None], [True, 0.999],
+                              [0.9, math.nan], [0.9])]
+)
+
+
+@pytest.mark.parametrize("field,value", WRONG_TYPED)
+def test_wrong_typed_values_are_config_errors(tmp_path, field, value):
+    # a string, null, bool or non-finite number is a ConfigError naming
+    # the field, in a config file and in a checkpoint's embedded config
+    d = tiny_config().to_dict()
+    d[field] = value
+    text = json.dumps(d, sort_keys=True, separators=(",", ":"))
+    with pytest.raises(ConfigError, match=field):
+        ModelConfig.from_json(text)
+    path = tmp_path / "bad.lvlr"
+    save_checkpoint(path, text, Model(tiny_config()).store)
+    with pytest.raises(ConfigError, match=field):
+        load_model_from(path)

@@ -1,10 +1,11 @@
 """The tape ops that only the oracles use: a softmax that lets a fully
-masked row come out zero, and row sums kept as a column."""
+masked row come out zero, row sums kept as a column, and a column added
+along each row."""
 import numpy as np
 
 from livlr.tensor import Tensor, backward, constant, mul, recording, sum_all, transpose
 
-from oracles import central_diff, max_rel_err, row_softmax, sum_axis1
+from oracles import add_column, central_diff, max_rel_err, row_softmax, sum_axis1
 
 
 def leaf(data):
@@ -35,3 +36,21 @@ class TestStructuralOps:
             backward(build())
         num = central_diff(loss_value, x.data, h=1e-6)
         assert max_rel_err(x.grad, num) < 1e-6
+
+    def test_add_column_gradients(self):
+        rng = np.random.default_rng(23)
+        m = leaf(rng.standard_normal((3, 4)))
+        col = leaf(rng.standard_normal((3, 1)))
+        w = constant(rng.standard_normal((3, 4)), np.float64)
+
+        def build():
+            return sum_all(mul(add_column(m, col), w))
+
+        def loss_value():
+            return build().data
+
+        with recording():
+            backward(build())
+        for t in (m, col):
+            num = central_diff(loss_value, t.data, h=1e-6)
+            assert max_rel_err(t.grad, num) < 1e-6

@@ -7,6 +7,7 @@ run."""
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -67,3 +68,24 @@ def test_every_package_name_the_workloads_use_resolves():
         if not hasattr(importlib.import_module(mod), attr)
     )
     assert not missing, f"package names the benchmark uses that no longer resolve: {missing}"
+
+
+def test_audit_workload_oracle_check_runs(monkeypatch):
+    # audit-tiny's collect step reads DaVL's parameters and calls the loop
+    # oracle by name; a rename there must fail here, not in a benchmark run
+    from types import SimpleNamespace
+
+    from oracles import max_rel_err
+
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", BENCHMARKS / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
+    spec.loader.exec_module(workloads)
+    audit = workloads.AuditTiny()
+    st = audit.setup(seed=0, workdir="")
+    stub = SimpleNamespace(entries=[], passed=True, tolerance=audit.TOLERANCE)
+    evidence = audit.collect(st, [[stub] * len(st.cfgs)])
+    assert [c["setting"] for c in evidence["combos"]] == ["OE", "MC"]
+    for combo in evidence["combos"]:
+        assert max_rel_err(combo["integrate"], combo["oracle"]) <= 1e-6, combo["setting"]

@@ -240,8 +240,14 @@ class TestEncoder:
 
     def test_geometry_cache_matches_direct_classification(self):
         rng = np.random.default_rng(55)
-        f = random_frame(rng, 3)
-        adj, types = f.spatial_edges()
-        adj2, types2 = classify_spatial_edges(f.boxes, f.frame_size)
-        assert np.array_equal(adj, adj2) and np.array_equal(types, types2)
-        assert np.allclose(f.position_rows(), position_features(f.boxes, f.frame_size))
+        clip = ClipFeatures([random_frame(rng, 3), random_frame(rng, 2)])
+        geo = clip.geometry()
+        assert clip.geometry() is geo
+        for b, f in enumerate(clip.frames):
+            n = len(f.boxes)
+            adj, types = classify_spatial_edges(f.boxes, f.frame_size)
+            assert np.array_equal(geo.spatial.adjacency[b, :n, :n], adj)
+            assert np.array_equal(geo.spatial.edge_types[b, :n, :n], types)
+        want = np.concatenate([position_features(f.boxes, f.frame_size) for f in clip.frames])
+        assert np.array_equal(geo.positions, want)
+        assert np.array_equal(geo.frame_of_row, [0, 0, 0, 1, 1])
