@@ -48,7 +48,6 @@ def _cmd_gen_data(args) -> int:
 def _cmd_train(args) -> int:
     config = _load_config(args)
     dataset = load_dataset(args.data)
-    dataset.check_config(config)
     result = train(config, dataset, out_dir=args.out_dir, stop_at_acc=args.stop_at_acc)
     print(
         f"trained {len(result.metrics)} epochs: "
@@ -60,9 +59,8 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     from .checkpoint import load_model_from
 
-    model, config = load_model_from(args.checkpoint)
+    model, _ = load_model_from(args.checkpoint)
     dataset = load_dataset(args.data)
-    dataset.check_config(config)
     stats = evaluate(model, dataset)
     print(f"loss={stats['loss']:.6f} acc={stats['accuracy']:.4f}")
     return 0
@@ -101,7 +99,6 @@ def _cmd_sweep_nh(args) -> int:
     results = []
     for n_h in values:
         config = base.with_overrides(N_h=n_h)
-        dataset.check_config(config)
         run_dir = out_root / f"nh_{n_h}"
         result = train(config, dataset, out_dir=str(run_dir), stop_at_acc=args.stop_at_acc)
         results.append(

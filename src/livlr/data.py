@@ -504,6 +504,8 @@ def load_dataset(data_dir: str) -> SyntheticDataset:
     arrays = {name: load_arr(name) for name in names}
     _check_layout(arrays)
     n = arrays["labels"].shape[0]
+    if n == 0:
+        raise DataError("dataset holds no samples")
     n_s = arrays["sent_tokens"].shape[1]
     parses_flat = []
     try:

@@ -89,11 +89,6 @@ class DavlParams:
     normalize: bool  # mean (True) vs sum aggregation in the GCN; models build True
     variant: RiVariant
 
-    @property
-    def dtype(self):
-        first = next(iter(self.qatt.values())).heads[0]
-        return first.w_q.data.dtype
-
 
 def create_davl_params(
     store: ParamStore, rng, d: int, n_heads: int, n_keep: int, variant: RiVariant, dtype

@@ -27,7 +27,7 @@ from .config import ModelConfig
 from .data import SyntheticTaskSpec, gen_synthetic
 from .errors import ConfigError
 from .model import Model
-from .tensor import Tensor, backward, is_recording, mul, recording
+from .tensor import backward, is_recording, recording
 
 DEFAULT_H = 1e-5
 DEFAULT_TOLERANCE = 1e-4
@@ -93,9 +93,9 @@ def check_gradients(
 
 
 class StageReuse:
-    """Stage runner for ``Model.forward`` that reuses encoder outputs.
+    """Stage runners for ``Model.batch_loss`` that reuse encoder outputs.
 
-    ``runner(key)`` returns the ``run(name, fn)`` hook for one sample.
+    ``runner(key)`` returns the ``run(name, fn)`` hook for sample ``key``.
     Outside a recording scope it returns the output stored for (key, name)
     when the stage's parameters are byte-for-byte the ones it was computed
     from, and otherwise reruns the stage and stores the new output. While
@@ -137,19 +137,6 @@ def probe_batch(config: ModelConfig, seed: int = 0, batch_size: int = 2):
     return Model(config), dataset.samples()
 
 
-def batch_loss(model: Model, samples, reuse: StageReuse | None = None) -> Tensor:
-    """Mean forward loss over the samples, optionally reusing encoder
-    outputs through ``reuse``."""
-    total = None
-    for i, s in enumerate(samples):
-        if reuse is None:
-            loss, _ = model.forward(s)
-        else:
-            loss, _ = model.forward(s, run=reuse.runner(i))
-        total = loss if total is None else total + loss
-    return mul(total, 1.0 / len(samples))
-
-
 def grad_check(
     config: ModelConfig,
     seed: int = 0,
@@ -166,5 +153,5 @@ def grad_check(
     reuse = StageReuse(model)
     params = {name: model.store[name] for name in model.store.names()}
     return check_gradients(
-        lambda: batch_loss(model, samples, reuse), params, tolerance=tolerance
+        lambda: model.batch_loss(samples, reuse.runner)[0], params, tolerance=tolerance
     )

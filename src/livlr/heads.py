@@ -88,7 +88,7 @@ def cross_entropy(logits: Tensor, label: int) -> Tensor:
     m = float(logits.data.max())
     shifted = add(logits, -m)
     lse = log(sum_all(exp(shifted)))  # log-sum-exp of the shifted logits
-    picked = reshape(gather(shifted, [label]), ())
+    picked = gather(shifted, [label])  # (1,), added to the 0-d lse as one element
     return add(lse, mul(picked, -1.0))
 
 
@@ -127,4 +127,4 @@ def hinge_loss(scores: Tensor, correct: int) -> Tensor:
     neg_idx = [k for k in range(n) if k != correct]
     neg = gather(scores, neg_idx)
     margins = relu(add(add(neg, mul(pos, -1.0)), 1.0))
-    return reshape(sum_all(margins), ())
+    return sum_all(margins)

@@ -8,7 +8,7 @@ import numpy as np
 
 from .config import ModelConfig
 from .davl import DavlParams, RepresentationBundle, RiVariant, create_davl_params, integrate
-from .errors import DataError
+from .errors import ContractError, DataError
 from .heads import (
     MultiChoiceHead,
     OpenEndedHead,
@@ -24,7 +24,7 @@ from .heads import (
 from .linguistic import LinguisticEncoderParams, create_linguistic_params, encode_all
 from .optim import ParamStore
 from .rnn import SeqEncoderParams, create_seq_encoder
-from .tensor import Tensor
+from .tensor import Tensor, mul
 from .visual import VisualEncoderParams, create_visual_params, encode_clip
 
 
@@ -57,10 +57,10 @@ def _leaves(obj):
 class Model:
     """Owns the parameter store and runs the end-to-end forward pass."""
 
-    def __init__(self, config: ModelConfig, store: ParamStore | None = None):
+    def __init__(self, config: ModelConfig):
         config.validate()
         self.config = config
-        self.store = store if store is not None else ParamStore()
+        self.store = ParamStore()
         dtype = config.dtype
         rng = np.random.default_rng(config.seed)
 
@@ -136,8 +136,23 @@ class Model:
         _, scores = self.forward(sample)
         return int(np.argmax(scores.data))
 
-    def target_of(self, sample) -> int:
-        return sample.label if self.oe_head is not None else sample.correct
+    def batch_loss(self, samples, runner=lambda i: _run_stage) -> tuple[Tensor, list[float], int]:
+        """Forward the samples in order: (mean loss, each sample's loss as
+        a float, how many samples the argmax answers right). runner(i) is
+        sample i's stage hook for encode. The mean is the loss sum times
+        1/n, so a recording caller can backward it."""
+        if not samples:
+            raise ContractError("batch_loss needs at least one sample")
+        total = None
+        losses = []
+        hits = 0
+        for i, s in enumerate(samples):
+            loss, scores = self.forward(s, runner(i))
+            losses.append(float(loss.data))
+            target = s.label if self.oe_head is not None else s.correct
+            hits += int(np.argmax(scores.data)) == target
+            total = loss if total is None else total + loss
+        return mul(total, 1.0 / len(samples)), losses, hits
 
     def param_count(self) -> dict:
         groups = self.store.count_by_group()

@@ -171,7 +171,6 @@ def backward(loss: Tensor):
 # ops
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(
             f"matmul needs 2-d operands, got {a.data.shape} and {b.data.shape}"
@@ -197,13 +196,12 @@ def transpose(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda g: (g.T,))
 
 
-def _broadcast(op: str, a, b):
+def _broadcast(op: str, a: Tensor, b):
     """The one broadcast rule of add and mul: the right operand has the
     left's shape, holds one element, or is one row (d,) of a 2-d left
     operand (n, d). A python scalar on the right is wrapped in the left's
     dtype. Returns (a, b, b's values to combine with a's, reduce), where
     reduce sums an output cotangent down to b's shape."""
-    a = as_tensor(a)
     b = as_tensor(b, a.data.dtype)
     sa, sb = a.data.shape, b.data.shape
     if sa == sb:
@@ -215,7 +213,7 @@ def _broadcast(op: str, a, b):
     raise ShapeError(f"{op} cannot broadcast {sa} with {sb}")
 
 
-def add(a, b) -> Tensor:
+def add(a: Tensor, b) -> Tensor:
     a, b, bv, reduce = _broadcast("add", a, b)
     out = Tensor(a.data + bv)
 
@@ -225,7 +223,7 @@ def add(a, b) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-def mul(a, b) -> Tensor:
+def mul(a: Tensor, b) -> Tensor:
     a, b, bv, reduce = _broadcast("mul", a, b)
     out = Tensor(a.data * bv)
 
@@ -238,7 +236,6 @@ def mul(a, b) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     """max(x, 0); the subgradient at exactly 0 is taken as 0."""
-    a = as_tensor(a)
     out = Tensor(np.maximum(a.data, 0.0))
     mask = a.data > 0
 
@@ -257,14 +254,12 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def exp(a: Tensor) -> Tensor:
-    a = as_tensor(a)
     e = np.exp(a.data)
     out = Tensor(e)
     return _record(out, (a,), lambda g: (g * e,))
 
 
 def log(a: Tensor) -> Tensor:
-    a = as_tensor(a)
     out = Tensor(np.log(a.data))
     return _record(out, (a,), lambda g: (g / a.data,))
 
@@ -303,7 +298,6 @@ def row_softmax(x: Tensor, mask=None) -> Tensor:
     probability 0 and receive no gradient. A fully masked row raises
     ``DegenerateRowError``.
     """
-    x = as_tensor(x)
     if x.data.ndim != 2:
         raise ShapeError(f"row_softmax needs a 2-d tensor, got {x.data.shape}")
     if mask is None:
@@ -323,7 +317,6 @@ def row_softmax(x: Tensor, mask=None) -> Tensor:
 
 
 def sum_all(a: Tensor) -> Tensor:
-    a = as_tensor(a)
     out = Tensor(np.asarray(a.data.sum(), dtype=a.data.dtype))
     shape = a.data.shape
 
@@ -335,7 +328,6 @@ def sum_all(a: Tensor) -> Tensor:
 
 def mean_axis0(a: Tensor) -> Tensor:
     """Column means of a 2-d tensor: (n, d) -> (d,)."""
-    a = as_tensor(a)
     if a.data.ndim != 2:
         raise ShapeError(f"mean_axis0 needs a 2-d tensor, got {a.data.shape}")
     n = a.data.shape[0]
@@ -351,7 +343,6 @@ def segment_mean(a: Tensor, segments, n_segments: int) -> Tensor:
     """Row means of a 2-d tensor by segment: row r joins segment
     ``segments[r]``, or none when that is -1. (R, d) -> (n_segments, d);
     an empty segment's row is zero. One averaging matmul each way."""
-    a = as_tensor(a)
     seg = np.asarray(segments, dtype=np.intp)
     if a.data.ndim != 2 or seg.shape != a.data.shape[:1]:
         raise ShapeError(
@@ -369,7 +360,7 @@ def segment_mean(a: Tensor, segments, n_segments: int) -> Tensor:
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
-    ts = [as_tensor(t) for t in tensors]
+    ts = list(tensors)
     if not ts:
         raise ContractError("concat of an empty sequence")
     nd = ts[0].data.ndim
@@ -408,7 +399,6 @@ def gather(a: Tensor, idx) -> Tensor:
     """Gather along axis 0: elements of a 1-d tensor or rows of a 2-d one,
     by a flat index list. Backward scatter-adds, so repeated indices
     accumulate."""
-    a = as_tensor(a)
     if a.data.ndim not in (1, 2):
         raise ShapeError(f"gather needs a 1-d or 2-d tensor, got {a.data.shape}")
     ix = np.asarray(idx, dtype=np.intp)
@@ -427,7 +417,6 @@ def gather(a: Tensor, idx) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    a = as_tensor(a)
     out = Tensor(a.data.reshape(shape).copy())
     orig = a.data.shape
 
@@ -440,7 +429,6 @@ def reshape(a: Tensor, shape) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b. Accepts a vector (in,) or a matrix (m, in); the weight
     is stored (in, out)."""
-    x = as_tensor(x)
     vec = x.data.ndim == 1
     h = reshape(x, (1, x.data.shape[0])) if vec else x
     y = add(matmul(h, w), b)

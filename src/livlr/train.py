@@ -2,8 +2,9 @@
 
 One optimizer step per batch; epoch order comes from a seeded permutation
 indexed by (config seed, epoch), so a (config, dataset) pair fully
-determines every metric and checkpoint byte. The batch loss is the mean
-of per-sample losses; a batch's samples run sequentially in one tape scope.
+determines every metric and checkpoint byte. ``Model.batch_loss`` is the
+one per-sample loop: it gives a batch's mean loss, recorded in one tape
+scope, and ``evaluate`` runs it over the whole dataset outside a scope.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from .data import SyntheticDataset
 from .errors import NumericError
 from .model import Model
 from .optim import adamw_step
-from .tensor import backward, mul, recording
+from .tensor import backward, recording
 
 METRIC_COLUMNS = ("epoch", "train_loss", "train_acc", "wall_ms")
 
@@ -130,20 +131,15 @@ def _run_epoch(model: Model, samples, order, epoch) -> tuple[float, float]:
     for b, start in enumerate(range(0, n, cfg.batch_size)):
         idx = order[start : start + cfg.batch_size]
         model.store.zero_grads()
-        batch_loss = None
         with recording():
             try:
-                for i in idx:
-                    s = samples[int(i)]
-                    loss, scores = model.forward(s)
-                    if int(np.argmax(scores.data)) == model.target_of(s):
-                        hits += 1
-                    loss_sum += float(loss.data)
-                    batch_loss = loss if batch_loss is None else batch_loss + loss
+                batch_loss, losses, batch_hits = model.batch_loss([samples[int(i)] for i in idx])
             except NumericError as e:
                 # a forward pass can detect the blow-up before a loss exists
                 raise _numeric_error(str(e), model, epoch, b) from e
-            batch_loss = mul(batch_loss, 1.0 / len(idx))
+            for loss in losses:  # sequential, as sum() would round differently
+                loss_sum += loss
+            hits += batch_hits
             if not np.isfinite(batch_loss.data):
                 raise _numeric_error("non-finite loss", model, epoch, b)
             backward(batch_loss)
@@ -154,12 +150,9 @@ def _run_epoch(model: Model, samples, order, epoch) -> tuple[float, float]:
 def evaluate(model: Model, dataset: SyntheticDataset) -> dict:
     """Mean loss and accuracy over a dataset (values only, outside a scope)."""
     dataset.check_config(model.config)
+    _, losses, hits = model.batch_loss(dataset.samples())
     loss_sum = 0.0
-    hits = 0
-    n = len(dataset)
-    for s in dataset.samples():
-        loss, scores = model.forward(s)
-        loss_sum += float(loss.data)
-        if int(np.argmax(scores.data)) == model.target_of(s):
-            hits += 1
+    for loss in losses:  # sequential, as sum() would round differently
+        loss_sum += loss
+    n = len(losses)
     return {"n": n, "loss": loss_sum / n, "accuracy": hits / n}

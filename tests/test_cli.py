@@ -9,9 +9,11 @@ import json
 import numpy as np
 import pytest
 
+from livlr.checkpoint import save_checkpoint
 from livlr.cli import main
 from livlr.config import tiny_config
 from livlr.data import load_dataset
+from livlr.model import Model
 
 MICRO = dict(
     d=4, d_a=3, d_o=3, d_c=3, d_t=3,
@@ -187,6 +189,19 @@ def test_malformed_dataset_exits_3(tmp_path, capsys):
     code = main(["train", "--config", cfg, "--data", data, "--out-dir", str(tmp_path / "run")])
     assert code == 3
     assert "sent_tokens" in capsys.readouterr().err
+
+
+def test_eval_on_a_dataset_with_no_samples_exits_3(tmp_path, capsys):
+    _, data = gen_micro_dataset(tmp_path)
+    ckpt = str(tmp_path / "model.lvlr")
+    config = tiny_config(**MICRO)
+    save_checkpoint(ckpt, config, Model(config).store)
+    for path in (tmp_path / "data").glob("*.npy"):
+        np.save(path, np.load(path)[:0])
+    (tmp_path / "data" / "parses.jsonl").write_text("", encoding="utf-8")
+    code = main(["eval", "--checkpoint", ckpt, "--data", data])
+    assert code == 3
+    assert "data error: dataset holds no samples" in capsys.readouterr().err
 
 
 def test_corrupt_checkpoint_exits_3(tmp_path, capsys):

@@ -428,6 +428,18 @@ def test_load_rejects_extents_that_disagree(tmp_path):
         load_dataset(d)
 
 
+@pytest.mark.parametrize("setting", ["OE", "MC"])
+def test_load_rejects_a_dataset_with_no_samples(tmp_path, setting):
+    # every array cut to 0 rows and no parses: consistent, but nothing to
+    # average a loss or an accuracy over
+    d = _saved(tmp_path, setting)
+    for path in d.glob("*.npy"):
+        np.save(path, np.load(path)[:0])
+    (d / "parses.jsonl").write_text("", encoding="utf-8")
+    with pytest.raises(DataError, match="no samples"):
+        load_dataset(d)
+
+
 def _dataset_files():
     with tempfile.TemporaryDirectory() as d:
         cfg = tiny_config(question_setting="MC")

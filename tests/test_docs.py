@@ -1,9 +1,11 @@
-"""The README's configuration table must list exactly the config fields."""
+"""The README's configuration table must list exactly the config fields,
+and its tape node counts must be the ones the model records."""
 import dataclasses
 import re
 from pathlib import Path
 
 from livlr.config import PRECISIONS, QUESTION_SETTINGS, RI_VARIANTS, ModelConfig
+from test_model import desk_sample_nodes
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -25,3 +27,12 @@ def test_readme_table_names_only_fields_and_their_values():
     known = {f.name for f in dataclasses.fields(ModelConfig)}
     known |= set(RI_VARIANTS) | set(QUESTION_SETTINGS) | set(PRECISIONS)
     assert _config_table_tokens() - known == set()
+
+
+def test_readme_node_counts_match_a_recorded_desk_forward():
+    text = README.read_text(encoding="utf-8")
+    found = re.findall(r"records (\d+) nodes under OE and (\d+) under\s+MC", text)
+    assert len(found) == 1, found
+    oe, mc = (int(v) for v in found[0])
+    assert desk_sample_nodes("OE") == [oe, oe]
+    assert desk_sample_nodes("MC") == [mc, mc]

@@ -11,7 +11,6 @@ from livlr.config import tiny_config
 from livlr.errors import ConfigError, NumericError
 from livlr.gradcheck import (
     StageReuse,
-    batch_loss,
     check_gradients,
     grad_check,
     probe_batch,
@@ -109,7 +108,7 @@ def test_stage_reuse_errors_match_full_forwards_bit_for_bit(setting):
 
     model, samples = probe_batch(cfg, seed=0, batch_size=1)
     params = {name: model.store[name] for name in model.store.names()}
-    plain = check_gradients(lambda: batch_loss(model, samples), params)
+    plain = check_gradients(lambda: model.batch_loss(samples)[0], params)
 
     assert [(e.name, e.max_rel_err.hex()) for e in reused.entries] == [
         (e.name, e.max_rel_err.hex()) for e in plain.entries
@@ -155,7 +154,7 @@ def test_stage_reuse_reruns_only_the_perturbed_stage():
     def loss_fn():
         nonlocal evals
         evals += 1
-        return batch_loss(model, samples, reuse)
+        return model.batch_loss(samples, reuse.runner)[0]
 
     params = {name: model.store[name] for name in model.store.names()}
     assert check_gradients(loss_fn, params).passed

@@ -19,6 +19,7 @@ import oracles
 from livlr.config import desk_config, tiny_config
 from livlr.data import SyntheticTaskSpec, gen_synthetic
 from livlr.davl import RepresentationBundle, integrate
+from livlr.errors import ContractError
 from livlr.heads import (
     cross_entropy,
     encode_candidates,
@@ -29,7 +30,7 @@ from livlr.heads import (
 )
 from livlr.linguistic import encode_all
 from livlr.model import Model
-from livlr.tensor import backward, recording, tape_size
+from livlr.tensor import backward, mul, recording, tape_size
 from livlr.visual import encode_clip
 
 
@@ -133,22 +134,58 @@ def test_fused_nodes_match_tape_oracles_bit_for_bit(
     assert any(np.frombuffer(g, dtype=cfg.dtype).any() for g in live)
 
 
-@pytest.mark.parametrize("setting,nodes", [("OE", 58), ("MC", 59)], ids=["OE", "MC"])
-def test_desk_sample_tape_node_count(setting, nodes):
-    # the number of tape nodes one training sample records; it repeats
-    # exactly, and it is the dispatch cost the fused nodes drive down
+def desk_sample_nodes(setting):
+    """Tape nodes each of two desk DaVL training samples records, one
+    forward and backward at a time."""
     cfg = desk_config(ri_variant="DAVL", question_setting=setting, seed=3)
     spec = SyntheticTaskSpec(
         n_samples=2, signal_source="question_dependent", noise_scale=0.1, n_classes=4
     )
     samples = gen_synthetic(spec, cfg, seed=3).samples()
     model = Model(cfg)
+    nodes = []
     with recording():
         for s in samples:
             assert tape_size() == 0
             loss, _ = model.forward(s)
-            assert tape_size() == nodes
+            nodes.append(tape_size())
             backward(loss)
+    return nodes
+
+
+@pytest.mark.parametrize("setting,nodes", [("OE", 57), ("MC", 58)], ids=["OE", "MC"])
+def test_desk_sample_tape_node_count(setting, nodes):
+    # the number of tape nodes one training sample records; it repeats
+    # exactly, and it is the dispatch cost the fused nodes drive down
+    assert desk_sample_nodes(setting) == [nodes, nodes]
+
+
+@pytest.mark.parametrize("setting", ["OE", "MC"])
+def test_batch_loss_is_the_forward_losses_and_hits(setting):
+    cfg = tiny_config(question_setting=setting)
+    spec = SyntheticTaskSpec(
+        n_samples=5, signal_source="question_dependent", noise_scale=0.3, n_classes=4
+    )
+    samples = gen_synthetic(spec, cfg, seed=4).samples()
+    model = Model(cfg)
+    seen = []
+
+    def runner(i):
+        seen.append(i)
+        return lambda name, fn: fn()
+
+    mean, losses, hits = model.batch_loss(samples, runner)
+    assert seen == list(range(len(samples)))
+    forwards = [model.forward(s) for s in samples]
+    assert losses == [float(loss.data) for loss, _ in forwards]
+    targets = [s.label if setting == "OE" else s.correct for s in samples]
+    assert hits == sum(int(np.argmax(sc.data)) == t for (_, sc), t in zip(forwards, targets))
+    total = forwards[0][0]
+    for loss, _ in forwards[1:]:
+        total = total + loss
+    assert mean.data.tobytes() == mul(total, 1.0 / len(samples)).data.tobytes()
+    with pytest.raises(ContractError):
+        model.batch_loss([])
 
 
 @pytest.mark.parametrize("setting", ["OE", "MC"])
