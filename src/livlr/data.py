@@ -506,6 +506,8 @@ def load_dataset(data_dir: str) -> SyntheticDataset:
     n = arrays["labels"].shape[0]
     if n == 0:
         raise DataError("dataset holds no samples")
+    if n != spec.n_samples:
+        raise DataError(f"dataset arrays hold {n} samples, but meta.json's spec says {spec.n_samples}")
     n_s = arrays["sent_tokens"].shape[1]
     parses_flat = []
     try:

@@ -204,6 +204,21 @@ def test_eval_on_a_dataset_with_no_samples_exits_3(tmp_path, capsys):
     assert "data error: dataset holds no samples" in capsys.readouterr().err
 
 
+def test_eval_on_a_truncated_dataset_exits_3(tmp_path, capsys):
+    _, data = gen_micro_dataset(tmp_path)
+    ckpt = str(tmp_path / "model.lvlr")
+    config = tiny_config(**MICRO)
+    save_checkpoint(ckpt, config, Model(config).store)
+    for path in (tmp_path / "data").glob("*.npy"):
+        np.save(path, np.load(path)[:3])
+    parses = tmp_path / "data" / "parses.jsonl"
+    lines = parses.read_text(encoding="utf-8").splitlines()
+    parses.write_text("\n".join(lines[: len(lines) // 2]) + "\n", encoding="utf-8")
+    code = main(["eval", "--checkpoint", ckpt, "--data", data])
+    assert code == 3
+    assert "hold 3 samples, but meta.json's spec says 6" in capsys.readouterr().err
+
+
 def test_corrupt_checkpoint_exits_3(tmp_path, capsys):
     _, data = gen_micro_dataset(tmp_path)
     fake = tmp_path / "fake.lvlr"

@@ -440,6 +440,19 @@ def test_load_rejects_a_dataset_with_no_samples(tmp_path, setting):
         load_dataset(d)
 
 
+@pytest.mark.parametrize("setting", ["OE", "MC"])
+def test_load_rejects_a_dataset_cut_short(tmp_path, setting):
+    # every array and the parses cut to 2 of 3 samples: consistent with
+    # each other, but not with the spec's sample count
+    d = _saved(tmp_path, setting)
+    for path in d.glob("*.npy"):
+        np.save(path, np.load(path)[:2])
+    lines = (d / "parses.jsonl").read_text(encoding="utf-8").splitlines()
+    (d / "parses.jsonl").write_text("\n".join(lines[: 2 * len(lines) // 3]) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match="hold 2 samples.*says 3"):
+        load_dataset(d)
+
+
 def _dataset_files():
     with tempfile.TemporaryDirectory() as d:
         cfg = tiny_config(question_setting="MC")
