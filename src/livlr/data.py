@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import ModelConfig
 from .errors import ConfigError, DataError
-from .linguistic import SrlArgument, SrlParse
+from .linguistic import SentenceLayout, SrlArgument, SrlParse, sentence_layout
 from .visual import ClipFeatures, FrameFeatures
 
 SIGNAL_SOURCES = (
@@ -105,6 +105,16 @@ class Sample:
     label: int | None
     candidates: np.ndarray | None
     correct: int | None
+
+    def __post_init__(self):
+        self._sentence_layout = None
+
+    def sentence_layout(self) -> SentenceLayout:
+        """Built on first use and kept, as ``ClipFeatures.geometry()`` keeps
+        a clip's: the layout is a pure function of the sentences."""
+        if self._sentence_layout is None:
+            self._sentence_layout = sentence_layout(self.sentences)
+        return self._sentence_layout
 
 
 @dataclass

@@ -9,6 +9,7 @@ as selectable ablation baselines.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -17,18 +18,20 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, DegenerateRowError, ShapeError
-from .graph import learn_adjacency, mean_pool, vanilla_gcn_layer
+from .graph import GraphBatch, learn_adjacency, vanilla_gcn_layer
 from .optim import ParamStore, make_param
 from .tensor import (
     Tensor,
     _record,
     add,
-    concat,
+    averaging_matrix,
+    constant,
     gather,
     linear,
     masked_softmax,
     matmul,
     mul,
+    reshape,
     row_softmax,
     transpose,
 )
@@ -135,11 +138,15 @@ def create_davl_params(
     )
 
 
-def question_attention(blocks, xs, q: Tensor) -> Tensor:
+def question_attention(blocks, xs, q: Tensor, mask=None) -> Tensor:
     """Multi-head cross attention, one block per source: each row of a
     source matrix x attends over the question rows q, and values come from
     q. Every head of every source runs in a single tape node. Returns the
     attended rows of all sources stacked in order, (sum of rows, d).
+
+    ``mask`` (sum of rows, question rows), when given, names the question
+    rows each source row may attend to; a batch's block mask keeps every
+    row on its own sample's question.
 
     The heads run as stacked matmuls, whose slices compute exactly what
     per-head 2-d products compute, and the vjp adds up each input's
@@ -169,7 +176,7 @@ def question_attention(blocks, xs, q: Tensor) -> Tensor:
     xq = [x.data @ w_q[s] for s, x in enumerate(xs)]  # (H, n_s, dh) each
     # the softmax runs once over every source's score rows: (H, N, t)
     scores = np.concatenate([a @ qk_t[s] for s, a in enumerate(xq)], axis=1)
-    alpha, softmax_vjp = masked_softmax(scores * scale)
+    alpha, softmax_vjp = masked_softmax(scores * scale, mask)
     ctx = [alpha[:, lo:hi] @ qv[s] for s, (lo, hi) in enumerate(spans)]
     o = np.concatenate([c @ w_o[s] for s, c in enumerate(ctx)], axis=1)  # (H, N, dh)
     out = Tensor(o.transpose(1, 0, 2).reshape(rows[-1], n_heads * dh))
@@ -228,29 +235,82 @@ def apply_index_embedding(index_matrix: Tensor, nodes: Tensor, sources) -> Tenso
     return mul(nodes, gather(index_matrix, src - 1))
 
 
-def integrate(params: DavlParams, bundle: RepresentationBundle, q: Tensor) -> Tensor:
-    """Fuse the four representation matrices into one vector (d,)."""
+class BundleLayout:
+    """Where each sample of a batch sits in its stacked representation
+    bundle, from row counts alone. Each source matrix stacks its rows
+    sample by sample; question attention stacks the four sources in
+    bundle order, so sample b's nodes are scattered over four blocks.
+
+    ``counts`` (B, 4) holds each sample's rows per source and ``tokens``
+    (B,) its question rows. Per stacked node row: ``sources`` (ids 1..4)
+    and ``owner`` (its sample). ``graph`` holds one edgeless graph per
+    sample over its nodes, in source order. ``attend`` is the question
+    attention block mask (None for one sample), and ``co_attend`` the
+    co-attention mask: every other node of the same sample. ``pool`` and
+    ``source_pool`` average the node rows per sample and per (sample,
+    source).
+    """
+
+    def __init__(self, counts, tokens):
+        counts = np.asarray(counts, dtype=np.intp).reshape(-1, 4)
+        self.n = b = counts.shape[0]
+        per_source = counts.sum(axis=0)
+        self.sources = np.repeat(np.arange(1, 5), per_source)
+        self.owner = np.concatenate([np.repeat(np.arange(b), counts[:, k]) for k in range(4)])
+        # stacked row where sample b's rows of source k begin
+        first = (np.cumsum(per_source) - per_source) + (np.cumsum(counts, axis=0) - counts)
+        sizes = counts.sum(axis=1)
+        slots = np.full((b, int(sizes.max())), -1, dtype=np.intp)
+        for i in range(b):
+            slots[i, : sizes[i]] = np.concatenate(
+                [np.arange(lo, lo + n) for lo, n in zip(first[i], counts[i])])
+        self.graph = GraphBatch(slots, np.zeros(slots.shape + slots.shape[1:], dtype=bool))
+        self.pool = averaging_matrix(self.owner, b)
+        self.source_pool = averaging_matrix(4 * self.owner + self.sources - 1, 4 * b)
+        self.attend = None
+        if b > 1:
+            token_owner = np.repeat(np.arange(b), np.asarray(tokens, dtype=np.intp))
+            self.attend = self.owner[:, None] == token_owner[None, :]
+
+    @functools.cached_property
+    def co_attend(self) -> np.ndarray:
+        same = self.owner[:, None] == self.owner[None, :]
+        np.fill_diagonal(same, False)
+        return same
+
+
+def integrate(
+    params: DavlParams, bundle: RepresentationBundle, q: Tensor, layout: BundleLayout | None = None
+) -> Tensor:
+    """Fuse the four representation matrices into one vector (d,) per
+    sample. Without ``layout`` the bundle and the question rows q are one
+    sample's, and the result is (d,); with it they stack a batch's samples
+    as the layout says, and the result is (B, d)."""
+    single = layout is None
+    if single:
+        layout = BundleLayout([m.data.shape[0] for m in bundle.matrices()], [q.data.shape[0]])
     blocks = [params.qatt[name] for name in SOURCE_NAMES]
-    nodes = question_attention(blocks, bundle.matrices(), q)
+    nodes = question_attention(blocks, bundle.matrices(), q, layout.attend)
     variant = params.variant
+    dtype = nodes.data.dtype
 
     if variant == RiVariant.RI_CONCAT:
-        sources = bundle.sources()
-        pooled = [mean_pool(nodes, np.flatnonzero(sources == k)) for k in range(1, 5)]
-        flat = concat(pooled, axis=0)  # (4d,)
-        return linear(flat, params.w_concat, params.b_concat)
-
-    if variant == RiVariant.DAVL:
-        nodes = apply_index_embedding(params.index_matrix, nodes, bundle.sources())
-
-    if variant in (RiVariant.DAVL, RiVariant.RI_GCN):
-        _, graph = learn_adjacency(params.learn_w1, params.learn_w2, nodes, params.n_keep)
-        nodes = vanilla_gcn_layer(params.w_gcn, nodes, graph, normalize=params.normalize)
-        return mean_pool(nodes)
-
-    # co-attention baseline: every node attends over all the others
-    n = nodes.data.shape[0]
-    scores = matmul(matmul(nodes, params.learn_w1), transpose(matmul(nodes, params.learn_w2)))
-    off_diag = ~np.eye(n, dtype=bool)
-    beta = row_softmax(scores, mask=off_diag)
-    return mean_pool(add(nodes, matmul(beta, nodes)))
+        # one mean per (sample, source), each sample's four side by side
+        pooled = matmul(constant(layout.source_pool, dtype), nodes)
+        fused = linear(reshape(pooled, (layout.n, -1)), params.w_concat, params.b_concat)
+    else:
+        if variant == RiVariant.DAVL:
+            nodes = apply_index_embedding(params.index_matrix, nodes, layout.sources)
+        if variant in (RiVariant.DAVL, RiVariant.RI_GCN):
+            _, graph = learn_adjacency(
+                params.learn_w1, params.learn_w2, nodes, params.n_keep, layout.graph)
+            nodes = vanilla_gcn_layer(params.w_gcn, nodes, graph, normalize=params.normalize)
+        else:
+            # co-attention baseline: every node attends over the other
+            # nodes of its own sample
+            scores = matmul(matmul(nodes, params.learn_w1),
+                            transpose(matmul(nodes, params.learn_w2)))
+            beta = row_softmax(scores, mask=layout.co_attend)
+            nodes = add(nodes, matmul(beta, nodes))
+        fused = matmul(constant(layout.pool, dtype), nodes)
+    return reshape(fused, (fused.data.shape[1],)) if single else fused

@@ -9,10 +9,10 @@ The full-model audit (``grad_check``) perturbs one scalar at a time, and
 each encoder stage (visual, linguistic, question, MC candidates) reads
 only its own parameter group, so most stages see unchanged parameters in
 most forward passes. Outside a recording scope the audit keeps each
-stage's last output per sample together with a byte snapshot of that
-stage's parameters, and hands the output back while the parameters are
-still bit-equal to the snapshot: only the perturbed stage, the integration
-module and the head are rerun. The analytic pass (recorded) reuses
+stage's last output for the probe batch together with a byte snapshot of
+that stage's parameters, and hands the output back while the parameters
+are still bit-equal to the snapshot: only the perturbed stage, the
+integration module and the head are rerun. The analytic pass (recorded) reuses
 nothing. A reused output is exactly what a rerun would compute, and no
 later op writes into its inputs, so the numeric gradients are
 bit-identical to those from full forward passes.
@@ -93,32 +93,29 @@ def check_gradients(
 
 
 class StageReuse:
-    """Stage runners for ``Model.batch_loss`` that reuse encoder outputs.
+    """A stage hook for ``Model.batch_loss`` that reuses encoder outputs of
+    the one batch it is used with.
 
-    ``runner(key)`` returns the ``run(name, fn)`` hook for sample ``key``.
-    Outside a recording scope it returns the output stored for (key, name)
-    when the stage's parameters are byte-for-byte the ones it was computed
-    from, and otherwise reruns the stage and stores the new output. While
-    recording it always reruns and stores nothing.
+    Outside a recording scope ``run(name, fn)`` returns the output stored
+    for stage ``name`` when the stage's parameters are byte-for-byte the
+    ones it was computed from, and otherwise reruns the stage and stores
+    the new output. While recording it always reruns and stores nothing.
     """
 
     def __init__(self, model: Model):
         self.params = model.encoder_params()
         self._memo = {}
 
-    def runner(self, key):
-        def run(name, fn):
-            if is_recording():
-                return fn()
-            snap = [p.data.tobytes() for p in self.params[name]]
-            hit = self._memo.get((key, name))
-            if hit is not None and hit[0] == snap:
-                return hit[1]
-            out = fn()
-            self._memo[(key, name)] = (snap, out)
-            return out
-
-        return run
+    def run(self, name, fn):
+        if is_recording():
+            return fn()
+        snap = [p.data.tobytes() for p in self.params[name]]
+        hit = self._memo.get(name)
+        if hit is not None and hit[0] == snap:
+            return hit[1]
+        out = fn()
+        self._memo[name] = (snap, out)
+        return out
 
 
 def probe_batch(config: ModelConfig, seed: int = 0, batch_size: int = 2):
@@ -145,7 +142,7 @@ def grad_check(
 ) -> GradCheckReport:
     """Build a model and one random batch, then finite-difference every
     parameter tensor. The probe batch is kept small because the cost is
-    2 * (number of parameter scalars) forward passes per sample; encoder
+    2 * (number of parameter scalars) forward passes of the batch; encoder
     stages whose parameters are not being perturbed are reused rather
     than rerun.
     """
@@ -153,5 +150,5 @@ def grad_check(
     reuse = StageReuse(model)
     params = {name: model.store[name] for name in model.store.names()}
     return check_gradients(
-        lambda: model.batch_loss(samples, reuse.runner)[0], params, tolerance=tolerance
+        lambda: model.batch_loss(samples, reuse.run)[0], params, tolerance=tolerance
     )

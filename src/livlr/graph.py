@@ -4,10 +4,11 @@ Graphs are small (tens of nodes), so adjacency is a dense boolean matrix
 and edge types a dense integer matrix. Node update layers follow the
 residual pattern out_i = ReLU(v_i + aggregate(neighbors)).
 
-The attention layers and the graph learner run a whole ``GraphBatch`` at
-once: the graphs' node rows are stacked in one matrix, and each op pads
-them into a (B, n_max) block, so one tape node serves every frame or
-sentence of a sample. A ``DenseGraph`` runs as a batch of one.
+The layers and the graph learner run a whole ``GraphBatch`` at once: the
+graphs' node rows are stacked in one matrix, and each op pads them into a
+(B, n_max) block, so one tape node serves every frame or sentence of a
+minibatch, or every sample's integration graph. A ``DenseGraph`` runs as
+a batch of one.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ from .tensor import (
     Tensor,
     _record,
     add,
-    constant,
     gather,
     masked_softmax,
     matmul,
@@ -129,6 +129,28 @@ class GraphBatch:
     def unpad(self, y: np.ndarray) -> np.ndarray:
         """(B * n_max, d) -> the node rows (R, d) in stacked order."""
         return y[self.row_pos]
+
+
+def join_batches(batches: list[GraphBatch], row_maps) -> GraphBatch:
+    """The graphs of several batches as one batch, in order; row_maps[i][r]
+    is the joined row of batch i's row r. A single batch whose map is the
+    identity comes back as it is."""
+    if len(batches) == 1 and np.array_equal(row_maps[0], np.arange(batches[0].n_rows)):
+        return batches[0]
+    n_max = max(b.slots.shape[1] for b in batches)
+    n_graphs = sum(b.slots.shape[0] for b in batches)
+    slots = np.full((n_graphs, n_max), -1, dtype=np.intp)
+    adj = np.zeros((n_graphs, n_max, n_max), dtype=bool)
+    types = None if batches[0].edge_types is None else np.zeros(adj.shape, dtype=np.int64)
+    lo = 0
+    for b, rows in zip(batches, row_maps):
+        g, n = b.slots.shape
+        slots[lo : lo + g, :n] = np.where(b.valid, np.asarray(rows)[b.slots], -1)
+        adj[lo : lo + g, :n, :n] = b.adjacency
+        if types is not None:
+            types[lo : lo + g, :n, :n] = b.edge_types
+        lo += g
+    return GraphBatch(slots, adj, types)
 
 
 def stack_graphs(graphs: list[DenseGraph], rows) -> GraphBatch:
@@ -254,17 +276,32 @@ def typed_edge_gcn_layer(params: TypedGcnParams, nodes: Tensor, graph) -> Tensor
     return _attention_layer(params, nodes, graph, typed=True)
 
 
-def vanilla_gcn_layer(
-    w: Tensor, nodes: Tensor, graph: DenseGraph, normalize: bool = True
-) -> Tensor:
-    """Unweighted aggregation: out_i = ReLU(v_i + mean_j W v_j) over
-    neighbors, or a plain sum when normalize is off."""
+def vanilla_gcn_layer(w: Tensor, nodes: Tensor, graph, normalize: bool = True) -> Tensor:
+    """Unweighted aggregation: out_i = ReLU(v_i + mean_j W v_j) over the
+    neighbors j in node i's own graph, or a plain sum when normalize is
+    off; graph is a DenseGraph or a GraphBatch over the rows of nodes."""
+    if isinstance(graph, DenseGraph):
+        graph = graph.batch()
     msgs = matmul(nodes, w)
     a = graph.adjacency.astype(nodes.data.dtype)
     if normalize:
-        deg = a.sum(axis=1, keepdims=True)
+        deg = a.sum(axis=2, keepdims=True)
         a = a / np.where(deg == 0.0, 1.0, deg)
-    return relu(add(nodes, matmul(constant(a, nodes.data.dtype), msgs)))
+    return relu(add(nodes, _aggregate(a, msgs, graph)))
+
+
+def _aggregate(weights: np.ndarray, x: Tensor, graph: GraphBatch) -> Tensor:
+    """Row i of each graph gets sum_j weights[b, i, j] x_j over its own
+    graph's rows, as one node: (R, d) -> (R, d)."""
+    b, n = graph.slots.shape
+    if x.data.shape[0] != graph.n_rows:
+        raise ShapeError(f"node matrix {x.data.shape} does not fit {graph.n_rows} nodes")
+
+    def apply(w, v):
+        return graph.unpad((w @ graph.pad(v).reshape(b, n, -1)).reshape(b * n, -1))
+
+    w_t = weights.transpose(0, 2, 1)
+    return _record(Tensor(apply(weights, x.data)), (x,), lambda g: (apply(w_t, g),))
 
 
 def learn_adjacency(

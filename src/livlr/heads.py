@@ -5,6 +5,10 @@ cross entropy. Multiple-choice answering scores each candidate with a
 linear regressor over [fused; question; candidate] and trains with a
 summed pairwise hinge: every wrong candidate must trail the right one by
 a margin of 1.
+
+Each function takes one sample or a minibatch with its samples' rows
+stacked in order, and each loss is one tape node that gives one loss per
+sample.
 """
 from __future__ import annotations
 
@@ -15,19 +19,7 @@ import numpy as np
 from .errors import ContractError
 from .optim import ParamStore, make_param
 from .rnn import SeqEncoderParams, create_seq_encoder, encode_sequences
-from .tensor import (
-    Tensor,
-    add,
-    concat,
-    exp,
-    gather,
-    linear,
-    log,
-    mul,
-    relu,
-    reshape,
-    sum_all,
-)
+from .tensor import Tensor, _record, concat, gather, linear, relu, reshape
 
 
 @dataclass
@@ -66,65 +58,108 @@ def create_multichoice_head(
     )
 
 
-def encode_question(params: SeqEncoderParams, tokens: np.ndarray) -> tuple[Tensor, Tensor]:
-    """(Q, q_hat): token-level rows (N_t, d) after a ReLU projection, and
-    the BiLSTM summary (d,) over those rows."""
-    rows, summary = encode_sequences(params, tokens, [len(tokens)], rectify=True)
-    return rows, reshape(summary, (summary.data.shape[1],))
+def encode_question(params: SeqEncoderParams, tokens) -> tuple[Tensor, Tensor]:
+    """(Q, q_hat): token-level rows after a ReLU projection, and the BiLSTM
+    summary over them. ``tokens`` is one question (N_t, d_t), which gives
+    rows (N_t, d) and q_hat (d,), or a list of questions, which gives every
+    question's rows stacked and q_hat (B, d), through one BiLSTM node."""
+    one = isinstance(tokens, np.ndarray)
+    questions = [tokens] if one else tokens
+    rows, summary = encode_sequences(
+        params, np.concatenate(questions), [len(t) for t in questions], rectify=True)
+    return rows, reshape(summary, (summary.data.shape[1],)) if one else summary
 
 
 def predict_open_ended(head: OpenEndedHead, x_hat: Tensor, q_hat: Tensor) -> Tensor:
-    """Answer-set logits from the fused and question vectors."""
-    joint = concat([x_hat, q_hat], axis=0)
+    """Answer-set logits from the fused and question vectors: (A,) from
+    one sample's (d,) vectors, (B, A) from a batch's (B, d) rows."""
+    joint = concat([x_hat, q_hat], axis=x_hat.data.ndim - 1)
     hidden = relu(linear(joint, head.w1, head.b1))
     return linear(hidden, head.w2, head.b2)
 
 
-def cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """-log softmax(logits)[label], stabilized by max subtraction."""
-    n = logits.data.shape[0]
-    if not (0 <= label < n):
-        raise ContractError(f"label {label} out of range for {n} answers")
-    m = float(logits.data.max())
-    shifted = add(logits, -m)
-    lse = log(sum_all(exp(shifted)))  # log-sum-exp of the shifted logits
-    picked = gather(shifted, [label])  # (1,), added to the 0-d lse as one element
-    return add(lse, mul(picked, -1.0))
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """-log softmax(logits)[label], stabilized by max subtraction, as one
+    node: a scalar from logits (A,) and an int label, or one loss per row
+    (B,) from logits (B, A) and B labels."""
+    z = logits.data
+    rows = z.reshape(-1, z.shape[-1])
+    y = np.asarray(labels, dtype=np.intp).reshape(-1)
+    n = rows.shape[1]
+    if y.shape != rows.shape[:1] or ((y < 0) | (y >= n)).any():
+        raise ContractError(f"labels {labels} out of range for {n} answers, or not one per row")
+    pick = (np.arange(y.size), y)
+    shifted = rows - rows.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    s = e.sum(axis=1, keepdims=True)
+    loss = np.log(s[:, 0]) - shifted[pick]
+
+    def bwd(g):
+        g = np.reshape(g, (-1, 1))
+        dz = (g / s) * e
+        dz[pick] -= g[:, 0]
+        return (dz.reshape(z.shape),)
+
+    return _record(Tensor(loss.reshape(z.shape[:-1])), (logits,), bwd)
 
 
-def encode_candidates(head: MultiChoiceHead, candidates: np.ndarray) -> Tensor:
-    """Candidate token matrices (N_k, n_tok, d_t) -> one BiLSTM embedding
-    per candidate, (N_k, d), through one ragged BiLSTM node."""
-    if candidates.ndim != 3:
-        raise ContractError(
-            f"candidates must be (N_k, n_tok, d_t), got {candidates.shape}"
-        )
-    n_k, n_tok, d_t = candidates.shape
-    rows = candidates.reshape(n_k * n_tok, d_t)
-    return encode_sequences(head.cand_encoder, rows, [n_tok] * n_k, rectify=True)[1]
+def encode_candidates(head: MultiChoiceHead, candidates) -> Tensor:
+    """Candidate token matrices (N_k, n_tok, d_t), or a list of them, one
+    per sample -> one BiLSTM embedding per candidate, (total N_k, d),
+    through one ragged BiLSTM node."""
+    sets = [candidates] if isinstance(candidates, np.ndarray) else candidates
+    for c in sets:
+        if c.ndim != 3:
+            raise ContractError(f"candidates must be (N_k, n_tok, d_t), got {c.shape}")
+    rows = np.concatenate([c.reshape(-1, c.shape[2]) for c in sets])
+    lengths = [c.shape[1] for c in sets for _ in range(c.shape[0])]
+    return encode_sequences(head.cand_encoder, rows, lengths, rectify=True)[1]
 
 
 def score_candidates(
-    head: MultiChoiceHead, x_hat: Tensor, q_hat: Tensor, embeddings: Tensor
+    head: MultiChoiceHead, x_hat: Tensor, q_hat: Tensor, embeddings: Tensor, sizes=None
 ) -> Tensor:
-    """Scores (N_k,): one linear regression over the stacked rows
-    [x_hat; q_hat; e_k] of every candidate embedding e_k."""
+    """Scores (total N_k,): one linear regression over the stacked rows
+    [x_hat; q_hat; e_k] of every candidate embedding e_k. x_hat and q_hat
+    are one sample's (d,) vectors, or a batch's (B, d) rows with sizes[b]
+    candidates for sample b, stacked in sample order."""
     n_k = embeddings.data.shape[0]
-    shared = concat([x_hat, q_hat], axis=0)
-    shared = gather(reshape(shared, (1, shared.data.shape[0])), np.zeros(n_k, dtype=np.intp))
-    joint = concat([shared, embeddings], axis=1)  # (N_k, 3d)
+    if x_hat.data.ndim == 1:
+        shared = concat([x_hat, q_hat], axis=0)
+        shared = reshape(shared, (1, shared.data.shape[0]))
+        owner = np.zeros(n_k, dtype=np.intp)
+    else:
+        shared = concat([x_hat, q_hat], axis=1)
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+    joint = concat([gather(shared, owner), embeddings], axis=1)  # (N_k, 3d)
     return reshape(linear(joint, head.w_score, head.b_score), (n_k,))
 
 
-def hinge_loss(scores: Tensor, correct: int) -> Tensor:
-    """Sum over wrong candidates of max(0, 1 - (s_correct - s_wrong))."""
-    n = scores.data.shape[0]
-    if not (0 <= correct < n):
-        raise ContractError(f"correct index {correct} out of range for {n} candidates")
-    if n < 2:
+def hinge_loss(scores: Tensor, correct, sizes=None) -> Tensor:
+    """Sum over wrong candidates of max(0, 1 - (s_correct - s_wrong)), as
+    one node. scores (N_k,) with an int correct gives a scalar; scores
+    stacking B samples' candidates, sizes[b] of them for sample b and
+    correct[b] the right one among those, give one loss per sample (B,)."""
+    s = scores.data
+    one = sizes is None
+    sizes = np.asarray([s.shape[0]] if one else sizes, dtype=np.intp)
+    c = np.asarray(correct, dtype=np.intp).reshape(-1)
+    if c.shape != sizes.shape or ((c < 0) | (c >= sizes)).any():
+        raise ContractError(f"correct index {correct} out of range for {sizes.tolist()} candidates")
+    if (sizes < 2).any():
         raise ContractError("need at least two candidates")
-    pos = gather(scores, [correct])  # (1,)
-    neg_idx = [k for k in range(n) if k != correct]
-    neg = gather(scores, neg_idx)
-    margins = relu(add(add(neg, mul(pos, -1.0)), 1.0))
-    return sum_all(margins)
+    starts = np.cumsum(sizes) - sizes
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    right = starts + c
+    wrong = np.ones(s.shape, dtype=bool)
+    wrong[right] = False
+    pre = (s + s[right][owner] * -1.0) + 1.0
+    live = wrong & (pre > 0)  # relu's subgradient at 0 is 0
+    loss = np.add.reduceat(np.where(wrong, np.maximum(pre, 0.0), 0.0), starts)
+
+    def bwd(g):
+        gk = np.where(live, np.reshape(g, -1)[owner], 0.0)
+        gk[right] = np.add.reduceat(gk, starts) * -1.0
+        return (gk,)
+
+    return _record(Tensor(loss.reshape(()) if one else loss), (scores,), bwd)

@@ -5,8 +5,10 @@ of its tokens) and one local vector (mean of its role-graph nodes after
 message passing). The role graph has the sentence event as node 0,
 one node per predicate, and one node per argument entry; arguments hang
 off their predicate, predicates hang off the event node. All sentences of
-a sample are encoded at once: one ragged BiLSTM node, one role-graph
-layer over every sentence's graph and one segment mean.
+a minibatch are encoded at once: one ragged BiLSTM node, one role-graph
+layer over every sentence's graph and one segment mean. What the encoder
+needs of the sentences besides their tokens is a ``SentenceLayout``, a
+pure function of the data that ``Sample.sentence_layout()`` keeps.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, GraphIntegrityError
-from .graph import AttnGcnParams, DenseGraph, attn_gcn_layer, stack_graphs
+from .graph import AttnGcnParams, DenseGraph, GraphBatch, attn_gcn_layer, join_batches, stack_graphs
 from .optim import ParamStore, make_param
 from .rnn import SeqEncoderParams, create_seq_encoder, encode_sequences
 from .tensor import Tensor, concat, constant, gather, matmul, mul, segment_mean
@@ -148,11 +150,93 @@ def create_linguistic_params(
     )
 
 
-def encode_all(
-    params: LinguisticEncoderParams,
-    sentences: list[tuple[np.ndarray, SrlParse]],
-) -> tuple[Tensor, Tensor]:
+@dataclass
+class SentenceLayout:
+    """Sentences as the encoder stacks them, from the data alone: their
+    tokens (T, d_t) and lengths, and their role graphs as one batch over
+    the node rows [every event; every local node], sentence by sentence
+    within each block. Per local node: its role id and its span's mean of
+    the raw tokens (one row of ``means``). ``owner`` names each node row's
+    sentence for pooling, -1 for the event rows."""
+
+    tokens: np.ndarray
+    lengths: np.ndarray
+    graphs: GraphBatch
+    roles: np.ndarray
+    means: np.ndarray
+    owner: np.ndarray
+
+    @property
+    def n_sentences(self) -> int:
+        return len(self.lengths)
+
+    @staticmethod
+    def join(layouts: list["SentenceLayout"]) -> "SentenceLayout":
+        """Several layouts as one, in order; one layout is itself."""
+        if len(layouts) == 1:
+            return layouts[0]
+        n_s = np.array([t.n_sentences for t in layouts])
+        n_loc = np.array([len(t.roles) for t in layouts])
+        s_lo, l_lo = np.cumsum(n_s) - n_s, np.cumsum(n_loc) - n_loc
+        events = int(n_s.sum())
+        # a layout's event row r moves to s_lo + r, its local row r to the
+        # local block, after every layout's events
+        maps = [np.r_[lo : lo + n, events + ll : events + ll + k]
+                for lo, n, ll, k in zip(s_lo, n_s, l_lo, n_loc)]
+        cat = lambda name: np.concatenate([getattr(t, name) for t in layouts])
+        return SentenceLayout(
+            cat("tokens"),
+            cat("lengths"),
+            join_batches([t.graphs for t in layouts], maps),
+            cat("roles"),
+            cat("means"),
+            np.concatenate([np.full(events, -1)]
+                           + [t.owner[n:] + lo for t, n, lo in zip(layouts, n_s, s_lo)]),
+        )
+
+
+def sentence_layout(sentences: list[tuple[np.ndarray, SrlParse]]) -> SentenceLayout:
+    if not sentences:
+        raise DataError("need at least one sentence")
+    n_s = len(sentences)
+    tokens, graphs, roles, spans = [], [], [], []
+    start = 0
+    for toks, parse in sentences:
+        toks = np.asarray(toks, dtype=np.float64)
+        if toks.ndim != 2 or toks.shape[0] != parse.tokens:
+            raise DataError(
+                f"token matrix {toks.shape} does not match parse over {parse.tokens} tokens"
+            )
+        graph, r, sp = build_role_graph(parse)
+        tokens.append(toks)
+        graphs.append(graph)
+        roles += r
+        spans += [(start + lo, start + hi) for lo, hi in sp]
+        start += parse.tokens
+    lengths = np.array([len(t) for t in tokens], dtype=np.intp)
+    tokens = np.concatenate(tokens)
+    # each local node's span mean of the raw tokens, as one averaging matmul
+    lo, hi = np.array(spans, dtype=np.intp).reshape(-1, 2).T
+    inside = (np.arange(start) >= lo[:, None]) & (np.arange(start) <= hi[:, None])
+    means = (inside / inside.sum(axis=1, keepdims=True)) @ tokens
+    # sentence b's graph: its event row b, then its local rows in order
+    n_local = [g.n_nodes - 1 for g in graphs]
+    first = n_s + np.cumsum(n_local) - n_local
+    rows = [np.r_[b, lo : lo + n] for b, (lo, n) in enumerate(zip(first, n_local))]
+    return SentenceLayout(
+        tokens,
+        lengths,
+        stack_graphs(graphs, rows),
+        np.asarray(roles, dtype=np.intp),
+        means,
+        np.repeat(np.arange(-1, n_s), [n_s] + n_local),
+    )
+
+
+def encode_all(params: LinguisticEncoderParams, sentences) -> tuple[Tensor, Tensor]:
     """All sentences -> event rows (N_s, d) and pooled local rows (N_s, d).
+    ``sentences`` is a list of (tokens, parse) pairs or their
+    ``SentenceLayout``, which may stack several samples' sentences.
 
     Every sentence's tokens go through one ragged BiLSTM node. Local nodes
     start from projected span means of the raw tokens, get scaled
@@ -161,43 +245,18 @@ def encode_all(
     sentence's graph. A parse with no predicates and no arguments pools to
     the zero vector.
     """
-    if not sentences:
-        raise DataError("need at least one sentence")
-    n_s = len(sentences)
+    text = sentences if isinstance(sentences, SentenceLayout) else sentence_layout(sentences)
     d_t = params.sentence.w_tok.data.shape[0]
-    tokens, graphs, roles, spans = [], [], [], []
-    start = 0
-    for toks, parse in sentences:
-        toks = np.asarray(toks, dtype=np.float64)
-        if toks.ndim != 2 or toks.shape != (parse.tokens, d_t):
-            raise DataError(
-                f"token matrix {toks.shape} does not match parse over {parse.tokens} "
-                f"tokens of width {d_t}"
-            )
-        graph, r, sp = build_role_graph(parse)
-        tokens.append(toks)
-        graphs.append(graph)
-        roles += r
-        spans += [(start + lo, start + hi) for lo, hi in sp]
-        start += parse.tokens
-    if roles and max(roles) > params.n_roles:
-        raise DataError(f"role id {max(roles)} exceeds the role vocabulary ({params.n_roles})")
+    if text.tokens.shape[1] != d_t:
+        raise DataError(f"token width {text.tokens.shape[1]} does not match d_t={d_t}")
+    if text.roles.size and text.roles.max() > params.n_roles:
+        raise DataError(f"role id {text.roles.max()} exceeds the role vocabulary ({params.n_roles})")
 
-    lengths = [len(t) for t in tokens]
-    tokens = np.concatenate(tokens)
-    _, events = encode_sequences(params.sentence, tokens, lengths, rectify=False)
-    # each local node's span mean of the raw tokens, as one averaging matmul
-    lo, hi = np.array(spans, dtype=np.intp).reshape(-1, 2).T
-    inside = (np.arange(start) >= lo[:, None]) & (np.arange(start) <= hi[:, None])
-    means = (inside / inside.sum(axis=1, keepdims=True)) @ tokens
-    locals_ = matmul(constant(means, params.dtype), params.w_local)
-    scale = gather(params.role_matrix, np.asarray(roles, dtype=np.intp) - 1)
+    n_s = text.n_sentences
+    _, events = encode_sequences(params.sentence, text.tokens, text.lengths, rectify=False)
+    locals_ = matmul(constant(text.means, params.dtype), params.w_local)
+    scale = gather(params.role_matrix, text.roles - 1)
     # rows: every sentence's event, then every sentence's local nodes
     nodes = concat([events, mul(locals_, scale)], axis=0)
-    # sentence b's graph: its event row b, then its local rows in order
-    n_local = [g.n_nodes - 1 for g in graphs]
-    first = n_s + np.cumsum(n_local) - n_local
-    rows = [np.r_[b, lo : lo + n] for b, (lo, n) in enumerate(zip(first, n_local))]
-    nodes = attn_gcn_layer(params.role_gcn, nodes, stack_graphs(graphs, rows))
-    owner = np.repeat(np.arange(-1, n_s), [n_s] + n_local)
-    return gather(nodes, np.arange(n_s)), segment_mean(nodes, owner, n_s)
+    nodes = attn_gcn_layer(params.role_gcn, nodes, text.graphs)
+    return gather(nodes, np.arange(n_s)), segment_mean(nodes, text.owner, n_s)

@@ -1,13 +1,28 @@
 """Full model: both encoders, the integration module and an answer head,
-built into one named parameter store."""
+built into one named parameter store.
+
+The forward runs a batch of samples at once: each layer is one tape node
+over every frame, sentence, question and candidate of the batch, so the
+node count does not grow with the batch. One sample is a batch of one.
+"""
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
 from .config import ModelConfig
-from .davl import DavlParams, RepresentationBundle, RiVariant, create_davl_params, integrate
+from .data import Sample
+from .davl import (
+    BundleLayout,
+    DavlParams,
+    RepresentationBundle,
+    RiVariant,
+    create_davl_params,
+    integrate,
+)
 from .errors import ContractError, DataError
 from .heads import (
     MultiChoiceHead,
@@ -21,25 +36,45 @@ from .heads import (
     predict_open_ended,
     score_candidates,
 )
-from .linguistic import LinguisticEncoderParams, create_linguistic_params, encode_all
+from .linguistic import (
+    LinguisticEncoderParams,
+    SentenceLayout,
+    create_linguistic_params,
+    encode_all,
+)
 from .optim import ParamStore
 from .rnn import SeqEncoderParams, create_seq_encoder
-from .tensor import Tensor, mul
+from .tensor import Tensor, mul, reshape, sum_all
 from .visual import VisualEncoderParams, create_visual_params, encode_clip
 
 
 @dataclass
 class Encoded:
-    """One sample's encoder outputs; the rest of the forward reads only these."""
+    """A batch's encoder outputs, each stacking the samples' rows in
+    order, and where each sample's rows sit; the rest of the forward reads
+    only these."""
 
-    visual: tuple[Tensor, Tensor]  # holistic rows, fine-grained rows
-    linguistic: tuple[Tensor, Tensor]  # event rows, local rows
-    question: tuple[Tensor, Tensor]  # token rows, summary q_hat
-    candidates: Tensor | None  # MC candidate embeddings (N_k, d)
+    visual: tuple[Tensor, Tensor]  # holistic rows, fine-grained rows (one per frame)
+    linguistic: tuple[Tensor, Tensor]  # event rows, local rows (one per sentence)
+    question: tuple[Tensor, Tensor]  # token rows, summaries q_hat (B, d)
+    candidates: Tensor | None  # MC candidate embeddings (total N_k, d)
+    layout: BundleLayout
 
 
 def _run_stage(name: str, fn):
     return fn()
+
+
+@functools.lru_cache(maxsize=64)
+def _bundle_layout(counts: tuple) -> BundleLayout:
+    """The layout of a batch whose samples have these (frames, sentences,
+    question tokens); a pure function of the counts, so built once each."""
+    c = np.array(counts, dtype=np.intp).reshape(-1, 3)
+    return BundleLayout(c[:, [0, 0, 1, 1]], c[:, 2])
+
+
+def _batch(samples) -> list:
+    return [samples] if isinstance(samples, Sample) else samples
 
 
 def _leaves(obj):
@@ -97,37 +132,53 @@ class Model:
             stages["candidates"] = self.mc_head.cand_encoder
         return {name: list(_leaves(params)) for name, params in stages.items()}
 
-    def encode(self, sample, run=_run_stage) -> Encoded:
-        """Run the encoder stages. Each stage goes through run(name, fn),
-        which must return fn(); a caller may instead hand back an earlier
-        output of that stage (see gradcheck)."""
+    def encode(self, samples, run=_run_stage) -> Encoded:
+        """Run the encoder stages over one sample or a list of samples (a
+        batch), each stage once over the whole batch. Each stage goes
+        through run(name, fn), which must return fn(); a caller may instead
+        hand back an earlier output of that stage (see gradcheck)."""
+        batch = _batch(samples)
         mc = self.mc_head
-        if mc is not None and (sample.candidates is None or sample.correct is None):
+        if mc is not None and any(s.candidates is None or s.correct is None for s in batch):
             raise DataError("multiple-choice sample is missing candidates")
-        visual = run("visual", lambda: encode_clip(self.visual, sample.clip))
-        linguistic = run("linguistic", lambda: encode_all(self.linguistic, sample.sentences))
-        question = run("question", lambda: encode_question(self.question, sample.question))
+        visual = run("visual", lambda: encode_clip(self.visual, [s.clip for s in batch]))
+        linguistic = run("linguistic", lambda: encode_all(
+            self.linguistic, SentenceLayout.join([s.sentence_layout() for s in batch])))
+        question = run("question", lambda: encode_question(self.question, [s.question for s in batch]))
         candidates = None
         if mc is not None:
-            candidates = run("candidates", lambda: encode_candidates(mc, sample.candidates))
-        return Encoded(visual, linguistic, question, candidates)
+            candidates = run("candidates", lambda: encode_candidates(mc, [s.candidates for s in batch]))
+        layout = _bundle_layout(tuple(
+            (len(s.clip.frames), len(s.sentences), len(s.question)) for s in batch))
+        return Encoded(visual, linguistic, question, candidates, layout)
 
-    def answer(self, sample, enc: Encoded) -> tuple[Tensor, Tensor]:
+    def answer(self, samples, enc: Encoded) -> tuple[Tensor, Tensor]:
         """The integration module, the answer head and its loss on top of
-        the encoder outputs: (loss, scores)."""
+        the encoder outputs, each one node over the batch: (losses,
+        scores). A batch gets one loss per sample (B,) and scores (B, A)
+        (OE) or every candidate's score in sample order (MC); one sample
+        gets a scalar loss and scores (A,) or (N_k,)."""
+        batch = _batch(samples)
         q, q_hat = enc.question
-        x_hat = integrate(self.davl, RepresentationBundle(*enc.visual, *enc.linguistic), q)
+        bundle = RepresentationBundle(*enc.visual, *enc.linguistic)
+        x_hat = integrate(self.davl, bundle, q, enc.layout)
         if self.oe_head is not None:
-            if sample.label is None:
+            labels = [s.label for s in batch]
+            if None in labels:
                 raise DataError("open-ended sample is missing its label")
-            logits = predict_open_ended(self.oe_head, x_hat, q_hat)
-            return cross_entropy(logits, sample.label), logits
-        scores = score_candidates(self.mc_head, x_hat, q_hat, enc.candidates)
-        return hinge_loss(scores, sample.correct), scores
+            scores = predict_open_ended(self.oe_head, x_hat, q_hat)
+            losses = cross_entropy(scores, labels)
+        else:
+            sizes = [len(s.candidates) for s in batch]
+            scores = score_candidates(self.mc_head, x_hat, q_hat, enc.candidates, sizes)
+            losses = hinge_loss(scores, [s.correct for s in batch], sizes)
+        if batch is samples:
+            return losses, scores
+        return reshape(losses, ()), scores if self.mc_head is not None else reshape(scores, (-1,))
 
     def forward(self, sample, run=_run_stage) -> tuple[Tensor, Tensor]:
-        """(loss, scores): scores are answer-set logits (OE) or candidate
-        scores (MC)."""
+        """(loss, scores) of one sample, a batch of one: scores are
+        answer-set logits (OE) or candidate scores (MC)."""
         return self.answer(sample, self.encode(sample, run))
 
     def predict(self, sample) -> int:
@@ -136,23 +187,22 @@ class Model:
         _, scores = self.forward(sample)
         return int(np.argmax(scores.data))
 
-    def batch_loss(self, samples, runner=lambda i: _run_stage) -> tuple[Tensor, list[float], int]:
-        """Forward the samples in order: (mean loss, each sample's loss as
-        a float, how many samples the argmax answers right). runner(i) is
-        sample i's stage hook for encode. The mean is the loss sum times
-        1/n, so a recording caller can backward it."""
+    def batch_loss(self, samples: list, run=_run_stage) -> tuple[Tensor, list[float], int]:
+        """Forward a batch, each layer once over all its samples: (mean
+        loss, each sample's loss as a float, how many samples the argmax
+        answers right). run is encode's stage hook. The mean is the loss
+        sum times 1/n, so a recording caller can backward it."""
         if not samples:
             raise ContractError("batch_loss needs at least one sample")
-        total = None
-        losses = []
-        hits = 0
-        for i, s in enumerate(samples):
-            loss, scores = self.forward(s, runner(i))
-            losses.append(float(loss.data))
-            target = s.label if self.oe_head is not None else s.correct
-            hits += int(np.argmax(scores.data)) == target
-            total = loss if total is None else total + loss
-        return mul(total, 1.0 / len(samples)), losses, hits
+        losses, scores = self.answer(samples, self.encode(samples, run))
+        if self.oe_head is not None:
+            right = scores.data.argmax(axis=1) == [s.label for s in samples]
+        else:
+            ends = list(itertools.accumulate(len(s.candidates) for s in samples))
+            right = [int(np.argmax(scores.data[hi - len(s.candidates) : hi])) == s.correct
+                     for s, hi in zip(samples, ends)]
+        mean = mul(sum_all(losses), 1.0 / len(samples))
+        return mean, [float(v) for v in losses.data], int(np.sum(right))
 
     def param_count(self) -> dict:
         groups = self.store.count_by_group()

@@ -96,10 +96,6 @@ class Tensor:
         tag = "leaf" if self.tape_id is None else f"node{self.tape_id}"
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, {tag})"
 
-    # the one operator, for summing per-sample losses
-    def __add__(self, other):
-        return add(self, other)
-
 
 def as_tensor(x, dtype=None) -> Tensor:
     if isinstance(x, Tensor):
@@ -339,10 +335,22 @@ def mean_axis0(a: Tensor) -> Tensor:
     return _record(out, (a,), bwd)
 
 
+def averaging_matrix(segments, n_segments: int) -> np.ndarray:
+    """The (n_segments, rows) float64 matrix whose product with a (rows, d)
+    matrix gives its row means by segment: row r joins segment
+    ``segments[r]``, or none when that is -1; an empty segment's row is
+    zero."""
+    seg = np.asarray(segments, dtype=np.intp)
+    rows = np.flatnonzero(seg >= 0)
+    counts = np.bincount(seg[rows], minlength=n_segments)
+    avg = np.zeros((n_segments, seg.size))
+    avg[seg[rows], rows] = 1.0 / counts[seg[rows]]
+    return avg
+
+
 def segment_mean(a: Tensor, segments, n_segments: int) -> Tensor:
-    """Row means of a 2-d tensor by segment: row r joins segment
-    ``segments[r]``, or none when that is -1. (R, d) -> (n_segments, d);
-    an empty segment's row is zero. One averaging matmul each way."""
+    """Row means of a 2-d tensor by segment (see ``averaging_matrix``):
+    (R, d) -> (n_segments, d). One averaging matmul each way."""
     seg = np.asarray(segments, dtype=np.intp)
     if a.data.ndim != 2 or seg.shape != a.data.shape[:1]:
         raise ShapeError(
@@ -351,12 +359,7 @@ def segment_mean(a: Tensor, segments, n_segments: int) -> Tensor:
         )
     if seg.size and (seg.min() < -1 or seg.max() >= n_segments):
         raise ContractError(f"segment ids must lie in -1..{n_segments - 1}")
-    rows = np.flatnonzero(seg >= 0)
-    counts = np.bincount(seg[rows], minlength=n_segments)
-    avg = np.zeros((n_segments, seg.size), dtype=a.data.dtype)
-    avg[seg[rows], rows] = 1.0 / counts[seg[rows]]
-    out = Tensor(avg @ a.data)
-    return _record(out, (a,), lambda g: (avg.T @ g,))
+    return matmul(constant(averaging_matrix(seg, n_segments), a.data.dtype), a)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:

@@ -2,9 +2,10 @@
 
 One optimizer step per batch; epoch order comes from a seeded permutation
 indexed by (config seed, epoch), so a (config, dataset) pair fully
-determines every metric and checkpoint byte. ``Model.batch_loss`` is the
-one per-sample loop: it gives a batch's mean loss, recorded in one tape
-scope, and ``evaluate`` runs it over the whole dataset outside a scope.
+determines every metric and checkpoint byte. ``Model.batch_loss`` runs a
+minibatch through the model, each layer once over all its samples, and
+gives its mean loss, recorded in one tape scope. ``evaluate`` runs it
+outside a scope, one sample at a time.
 """
 from __future__ import annotations
 
@@ -150,9 +151,14 @@ def _run_epoch(model: Model, samples, order, epoch) -> tuple[float, float]:
 def evaluate(model: Model, dataset: SyntheticDataset) -> dict:
     """Mean loss and accuracy over a dataset (values only, outside a scope)."""
     dataset.check_config(model.config)
-    _, losses, hits = model.batch_loss(dataset.samples())
+    samples = dataset.samples()
     loss_sum = 0.0
-    for loss in losses:  # sequential, as sum() would round differently
-        loss_sum += loss
-    n = len(losses)
+    hits = 0
+    # each sample is its own batch of one, so its scores are bit for bit
+    # those of Model.forward and Model.predict, whatever its batch-mates
+    for s in samples:
+        _, (loss,), hit = model.batch_loss([s])
+        loss_sum += loss  # sequential, as sum() would round differently
+        hits += hit
+    n = len(samples)
     return {"n": n, "loss": loss_sum / n, "accuracy": hits / n}

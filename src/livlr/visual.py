@@ -7,9 +7,10 @@ and a semantic graph whose adjacency is learned from object class
 embeddings; each graph is mixed by one attention layer. Boxes are
 (x, y, w, h) in pixels with the origin at the top-left corner.
 
-A clip is encoded at once: its frames' object rows are stacked, so each
-projection is one linear, each graph layer one tape node over every
-frame's graph, and each pooling one segment mean.
+The clips of a minibatch are encoded at once: the object rows of all
+their frames are stacked, so each projection is one linear, each graph
+layer one tape node over every frame's graph, and each pooling one
+segment mean.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from .graph import (
     GraphBatch,
     TypedGcnParams,
     attn_gcn_layer,
+    join_batches,
     learn_adjacency,
     stack_graphs,
     typed_edge_gcn_layer,
@@ -79,11 +81,39 @@ class FrameFeatures:
 @dataclass
 class ClipGeometry:
     """A clip's frames over its stacked object rows: every frame's spatial
-    graph as one batch, the rows' box geometry (R, 6) and each row's frame."""
+    graph as one batch, the rows' box geometry (R, 6), each row's frame,
+    and the stacked features: appearance (N_f, d_a), objects (R, d_o) and
+    class embeddings (R, d_c)."""
 
     spatial: GraphBatch
     positions: np.ndarray
     frame_of_row: np.ndarray
+    appearance: np.ndarray
+    objects: np.ndarray
+    class_attr: np.ndarray
+
+    @property
+    def n_frames(self) -> int:
+        return self.appearance.shape[0]
+
+    @staticmethod
+    def join(geos: list["ClipGeometry"]) -> "ClipGeometry":
+        """Several clips as one, clip after clip; one clip is itself."""
+        if len(geos) == 1:
+            return geos[0]
+        rows = [len(g.frame_of_row) for g in geos]
+        frames = [g.n_frames for g in geos]
+        row_lo, frame_lo = np.cumsum(rows) - rows, np.cumsum(frames) - frames
+        cat = lambda name: np.concatenate([getattr(g, name) for g in geos])
+        return ClipGeometry(
+            join_batches([g.spatial for g in geos],
+                         [np.arange(lo, lo + n) for lo, n in zip(row_lo, rows)]),
+            cat("positions"),
+            np.concatenate([g.frame_of_row + lo for g, lo in zip(geos, frame_lo)]),
+            cat("appearance"),
+            cat("objects"),
+            cat("class_attr"),
+        )
 
 
 def clip_geometry(frames: list[FrameFeatures]) -> ClipGeometry:
@@ -95,6 +125,9 @@ def clip_geometry(frames: list[FrameFeatures]) -> ClipGeometry:
         stack_graphs(graphs, [np.arange(lo, lo + n) for lo, n in zip(starts, sizes)]),
         np.concatenate([position_features(f.boxes, f.frame_size) for f in frames]),
         np.repeat(np.arange(len(frames)), sizes),
+        np.stack([f.appearance for f in frames]),
+        np.concatenate([f.objects for f in frames]),
+        np.concatenate([f.class_attr for f in frames]),
     )
 
 
@@ -248,20 +281,19 @@ def create_visual_params(
 
 def encode_holistic(params: VisualEncoderParams, clip: ClipFeatures) -> Tensor:
     """(N_f, d): one projected appearance row per frame."""
-    app = constant(np.stack([f.appearance for f in clip.frames]), params.dtype)
-    return linear(app, params.w_hol, params.b_hol)
+    return linear(constant(clip.geometry().appearance, params.dtype), params.w_hol, params.b_hol)
 
 
-def encode_clip(params: VisualEncoderParams, clip: ClipFeatures) -> tuple[Tensor, Tensor]:
-    """Holistic rows (N_f, d) and fine-grained rows (N_f, d). A frame's
+def encode_clip(params: VisualEncoderParams, clip) -> tuple[Tensor, Tensor]:
+    """Holistic rows (N_f, d) and fine-grained rows (N_f, d) of a clip, or
+    of a list of clips with their frames stacked clip after clip. A frame's
     fine-grained row is its pooled spatial graph plus its pooled semantic
     graph over the frame's objects."""
+    clips = [clip] if isinstance(clip, ClipFeatures) else clip
     dtype = params.dtype
-    geo = clip.geometry()
-    frames = clip.frames
-    hol = encode_holistic(params, clip)
-    obj = linear(constant(np.concatenate([f.objects for f in frames]), dtype),
-                 params.w_obj, params.b_obj)
+    geo = ClipGeometry.join([c.geometry() for c in clips])
+    hol = linear(constant(geo.appearance, dtype), params.w_hol, params.b_hol)
+    obj = linear(constant(geo.objects, dtype), params.w_obj, params.b_obj)
 
     # spatial branch: geometry-typed edges over box relations
     pos = linear(constant(geo.positions, dtype), params.w_pos, params.b_pos)
@@ -269,12 +301,11 @@ def encode_clip(params: VisualEncoderParams, clip: ClipFeatures) -> tuple[Tensor
     v_sp = typed_edge_gcn_layer(params.spatial_gcn, v_sp, geo.spatial)
 
     # semantic branch: adjacency learned from class/attribute content
-    cls = linear(constant(np.concatenate([f.class_attr for f in frames]), dtype),
-                 params.w_cls, params.b_cls)
+    cls = linear(constant(geo.class_attr, dtype), params.w_cls, params.b_cls)
     v_se = matmul(concat([obj, cls], axis=1), params.w_semantic_mix)
     _, g_se = learn_adjacency(params.learn_w1, params.learn_w2, v_se, params.n_keep, geo.spatial)
     v_se = attn_gcn_layer(params.semantic_gcn, v_se, g_se)
 
-    n_f = len(frames)
+    n_f = geo.n_frames
     fine = add(segment_mean(v_sp, geo.frame_of_row, n_f), segment_mean(v_se, geo.frame_of_row, n_f))
     return hol, fine

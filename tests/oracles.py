@@ -11,9 +11,11 @@ nodes replace, applied graph by graph to the same padded batch layout.
 They record the same arithmetic in the same order, so a fused node must
 match them bit for bit, gradients included.
 
-The per-item oracles at the end are the encoders as they ran before the
-batch axis: one frame, sentence, sequence or candidate at a time. The
-batched encoders must match them to rounding (tests/test_batching.py).
+The per-item oracles are the encoders as they ran before the batch
+axis: one frame, sentence, sequence or candidate at a time. With
+``integrate_tape`` and the one-sample heads and losses they make up
+``sample_forward``, the model as it ran one sample at a time. The batched
+model must match it to rounding (tests/test_batching.py).
 """
 from __future__ import annotations
 
@@ -253,11 +255,22 @@ def question_attention_tape(block, x, q):
     return concat(outs, axis=1)
 
 
+def question_attention_tapes(blocks, xs, q, mask=None):
+    """davl.question_attention as one question_attention_tape per source,
+    for one sample's question (no block mask)."""
+    from livlr.tensor import concat
+
+    assert mask is None
+    return concat([question_attention_tape(b, x, q) for b, x in zip(blocks, xs)], axis=0)
+
+
 def integrate_tape(params, bundle, q):
-    """davl.integrate with one question_attention_tape per source."""
+    """davl.integrate over one sample as it ran before the batch axis: one
+    question_attention_tape per source, per-source mean pools and the GCN's
+    aggregation as a matmul by the normalized adjacency; (d,)."""
     from livlr.davl import SOURCE_NAMES, RiVariant, apply_index_embedding
-    from livlr.graph import learn_adjacency, mean_pool, vanilla_gcn_layer
-    from livlr.tensor import add, concat, linear, matmul, row_softmax, transpose
+    from livlr.graph import learn_adjacency, mean_pool
+    from livlr.tensor import add, concat, constant, linear, matmul, relu, row_softmax, transpose
 
     attended = [
         question_attention_tape(params.qatt[name], x, q)
@@ -272,7 +285,12 @@ def integrate_tape(params, bundle, q):
         nodes = apply_index_embedding(params.index_matrix, nodes, bundle.sources())
     if variant in (RiVariant.DAVL, RiVariant.RI_GCN):
         _, graph = learn_adjacency(params.learn_w1, params.learn_w2, nodes, params.n_keep)
-        nodes = vanilla_gcn_layer(params.w_gcn, nodes, graph, normalize=params.normalize)
+        a = graph.adjacency.astype(nodes.data.dtype)
+        if params.normalize:
+            deg = a.sum(axis=1, keepdims=True)
+            a = a / np.where(deg == 0.0, 1.0, deg)
+        msgs = matmul(nodes, params.w_gcn)
+        nodes = relu(add(nodes, matmul(constant(a, nodes.data.dtype), msgs)))
         return mean_pool(nodes)
     n = nodes.data.shape[0]
     scores = matmul(matmul(nodes, params.learn_w1), transpose(matmul(nodes, params.learn_w2)))
@@ -557,3 +575,64 @@ def score_candidates(head, x_hat, q_hat, embeddings):
     scores = [linear(concat([x_hat, q_hat, e], axis=0), head.w_score, head.b_score)
               for e in embeddings]
     return concat(scores, axis=0)
+
+
+def open_ended(head, x_hat, q_hat):
+    """Answer-set logits (A,) of one sample from its (d,) vectors."""
+    from livlr.tensor import concat, linear, relu
+
+    hidden = relu(linear(concat([x_hat, q_hat], axis=0), head.w1, head.b1))
+    return linear(hidden, head.w2, head.b2)
+
+
+def cross_entropy(logits, label):
+    """-log softmax(logits)[label] of one sample, op by op."""
+    from livlr.tensor import add, exp, gather, log, mul, sum_all
+
+    shifted = add(logits, -float(logits.data.max()))
+    picked = gather(shifted, [label])
+    return add(log(sum_all(exp(shifted))), mul(picked, -1.0))
+
+
+def hinge_loss(scores, correct):
+    """One sample's summed pairwise hinge, op by op."""
+    from livlr.tensor import add, gather, mul, relu, sum_all
+
+    pos = gather(scores, [correct])
+    neg = gather(scores, [k for k in range(scores.data.shape[0]) if k != correct])
+    return sum_all(relu(add(add(neg, mul(pos, -1.0)), 1.0)))
+
+
+# ---------------------------------------------------------------------------
+# the per-sample model: Model.forward as it ran before the sample-batch axis
+
+def sample_forward(model, sample):
+    """One sample's (loss, scores, encoder rows) through the per-item
+    encoders above, integrate_tape and the heads one sample at a time."""
+    from livlr.davl import RepresentationBundle
+    from livlr.tensor import reshape
+
+    x_vg, x_vl = encode_clip(model.visual, sample.clip)
+    x_lg, x_ll = encode_all(model.linguistic, sample.sentences)
+    q, q_hat = encode_question(model.question, sample.question)
+    rows = (x_vg, x_vl, x_lg, x_ll, q, reshape(q_hat, (1, -1)))
+    x_hat = integrate_tape(model.davl, RepresentationBundle(x_vg, x_vl, x_lg, x_ll), q)
+    if model.oe_head is not None:
+        logits = open_ended(model.oe_head, x_hat, q_hat)
+        return cross_entropy(logits, sample.label), logits, rows
+    head = model.mc_head
+    scores = score_candidates(head, x_hat, q_hat, encode_candidates(head, sample.candidates))
+    return hinge_loss(scores, sample.correct), scores, rows
+
+
+def batch_forward(model, samples):
+    """Model.batch_loss's mean loss as the sum of sample_forward losses
+    times 1/n, and each sample's scores."""
+    from livlr.tensor import add, mul
+
+    total, scores = None, []
+    for s in samples:
+        loss, sc, _ = sample_forward(model, s)
+        total = loss if total is None else add(total, loss)
+        scores.append(sc)
+    return mul(total, 1.0 / len(samples)), scores

@@ -1,18 +1,18 @@
-"""Batched encoders against the per-item oracles.
+"""The batched model against the per-sample oracle.
 
-Every frame, sentence and candidate of a sample goes through one graph
-layer node and one ragged BiLSTM node. ``oracles.py`` keeps the encoders
-as they ran before, one item at a time. In double precision the batched
-model must reproduce their loss, outputs and every parameter gradient to
-within 1e-12 of each tensor's largest entry, on ragged inputs drawn by
-hypothesis. Malformed inputs must raise the same error types as before.
+Every frame, sentence, question and candidate of a batch goes through one
+node per layer. ``oracles.py`` keeps the model as it ran before, one
+sample, frame, sentence, sequence and candidate at a time. In double
+precision the batched model must reproduce its loss, outputs and every
+parameter gradient to within 1e-12 of each tensor's largest entry, on
+ragged samples and batches drawn by hypothesis. Malformed inputs must
+raise the same error types as before.
 """
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import livlr.model
 import oracles
 from livlr.config import tiny_config
 from livlr.data import Sample
@@ -92,11 +92,6 @@ def ragged_samples(draw):
     )
 
 
-PER_ITEM = {name: getattr(oracles, name) for name in (
-    "encode_clip", "encode_all", "encode_question", "encode_candidates", "score_candidates",
-)}
-
-
 def run(model, sample):
     """Loss, outputs, encoder rows and every gradient of one recorded pass."""
     model.store.zero_grads()
@@ -109,31 +104,79 @@ def run(model, sample):
     return float(loss.data), scores.data.copy(), rows, grads
 
 
+def oracle_run(model, sample):
+    model.store.zero_grads()
+    with recording():
+        loss, scores, rows = oracles.sample_forward(model, sample)
+        rows = [t.data.copy() for t in rows]
+        backward(loss)
+    grads = {n: p.grad.copy() for n, p in model.store.items()}
+    return float(loss.data), scores.data.copy(), rows, grads
+
+
+def assert_grads_match(setting, got, want):
+    # under MC the pairwise hinge cancels whatever adds the same amount to
+    # every candidate's score (ROADMAP item 2): nothing before the head,
+    # the score bias and the x_hat/q_hat rows of the score weights have a
+    # true gradient, and both paths leave only rounding residue there,
+    # such as -3w + 3w, which each path rounds its own way
+    largest = max(np.abs(g).max() for g in want.values())
+    for name, grad in want.items():
+        g, w = got[name], grad
+        if setting == "MC" and not name.startswith("head.cand."):
+            if name == "head.score.w":  # its candidate rows do have one
+                shared = 2 * w.shape[0] // 3
+                assert rel_err(g[shared:], w[shared:]) <= TOL, name
+                g, w = g[:shared], w[:shared]
+            assert max(np.abs(w).max(), np.abs(g).max()) <= TOL * largest, name
+        else:
+            assert rel_err(g, w) <= TOL, name
+
+
 @pytest.mark.parametrize("setting", ["OE", "MC"])
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=40, deadline=None)
 @given(sample=ragged_samples(), keep=st.integers(1, 5))
-def test_batched_model_matches_per_item_oracles(monkeypatch, setting, sample, keep):
+def test_batched_model_matches_per_item_oracles(setting, sample, keep):
     model = Model(tiny_config(question_setting=setting, N_n=keep))
     batched = run(model, sample)
-    with monkeypatch.context() as m:
-        for name, fn in PER_ITEM.items():
-            m.setattr(livlr.model, name, fn)
-        per_item = run(model, sample)
+    per_item = oracle_run(model, sample)
     assert rel_err(batched[0], per_item[0]) <= TOL
     assert rel_err(batched[1], per_item[1]) <= TOL
     for got, want in zip(batched[2], per_item[2]):
         assert got.shape == want.shape and rel_err(got, want) <= TOL
-    # under MC nothing before the head has a true gradient (ROADMAP item
-    # 1): both paths leave only rounding residue there, such as -3w + 3w
-    largest = max(np.abs(g).max() for g in per_item[3].values())
-    for name, grad in per_item[3].items():
-        if setting == "MC" and not name.startswith("head."):
-            assert max(np.abs(grad).max(), np.abs(batched[3][name]).max()) <= TOL * largest
-        else:
-            assert rel_err(batched[3][name], grad) <= TOL, name
+    assert_grads_match(setting, batched[3], per_item[3])
     # the sentence whose parse is empty pools to exactly zero
     empty = [i for i, (_, p) in enumerate(sample.sentences) if not p.predicates]
     assert not batched[2][3][empty].any()
+
+
+@pytest.mark.parametrize("variant", ["DAVL", "RI_GCN", "RI_AT", "RI_CONCAT"])
+@pytest.mark.parametrize("setting", ["OE", "MC"])
+@settings(max_examples=15, deadline=None)
+@given(samples=st.lists(ragged_samples(), min_size=1, max_size=5), keep=st.integers(1, 5))
+def test_batch_loss_matches_the_per_sample_oracle(setting, variant, samples, keep):
+    # one node per layer over the whole ragged batch: the block masks keep
+    # each sample's rows on its own question, graph and candidates
+    model = Model(tiny_config(question_setting=setting, ri_variant=variant, N_n=keep))
+    model.store.zero_grads()
+    with recording():
+        mean, losses, hits = model.batch_loss(samples)
+        enc = model.encode(samples)
+        _, scores = model.answer(samples, enc)
+        backward(mean)
+    batched = {n: p.grad.copy() for n, p in model.store.items()}
+    model.store.zero_grads()
+    with recording():
+        want, want_scores = oracles.batch_forward(model, samples)
+        backward(want)
+    assert rel_err(float(mean.data), float(want.data)) <= TOL
+    per_sample = np.split(scores.data, np.cumsum([len(s.candidates) for s in samples])[:-1]) \
+        if setting == "MC" else list(scores.data)
+    for got, w in zip(per_sample, want_scores):
+        assert got.shape == w.data.shape and rel_err(got, w.data) <= TOL
+    targets = [s.label if setting == "OE" else s.correct for s in samples]
+    assert hits == sum(int(np.argmax(w.data)) == t for w, t in zip(want_scores, targets))
+    assert_grads_match(setting, batched, {n: p.grad.copy() for n, p in model.store.items()})
 
 
 @settings(max_examples=60, deadline=None)

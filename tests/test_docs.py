@@ -5,7 +5,7 @@ import re
 from pathlib import Path
 
 from livlr.config import PRECISIONS, QUESTION_SETTINGS, RI_VARIANTS, ModelConfig
-from test_model import desk_sample_nodes
+from test_model import desk_batch_nodes
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -31,8 +31,8 @@ def test_readme_table_names_only_fields_and_their_values():
 
 def test_readme_node_counts_match_a_recorded_desk_forward():
     text = README.read_text(encoding="utf-8")
-    found = re.findall(r"records (\d+) nodes under OE and (\d+) under\s+MC", text)
+    found = re.findall(r"batch records (\d+) nodes under OE and (\d+)\s+under\s+MC", text)
     assert len(found) == 1, found
     oe, mc = (int(v) for v in found[0])
-    assert desk_sample_nodes("OE") == [oe, oe]
-    assert desk_sample_nodes("MC") == [mc, mc]
+    assert desk_batch_nodes("OE") == [oe, oe]
+    assert desk_batch_nodes("MC") == [mc, mc]

@@ -22,6 +22,7 @@ from oracles import (
     attention_loop,
     attn_gcn_layer_tape,
     attn_gcn_loop,
+    central_diff,
     learned_edges_loop,
     max_rel_err,
     typed_edge_gcn_layer_tape,
@@ -319,6 +320,38 @@ class TestVanillaGcn:
                 got = vanilla_gcn_layer(w, x, g, normalize=normalize).data
                 want = vanilla_gcn_loop(x.data, w.data, g.adjacency, normalize=normalize)
                 assert max_rel_err(got, want) <= 1e-6
+
+
+    def test_a_batch_aggregates_each_graph_within_itself(self):
+        # interleaved rows: graph b's nodes are every len(sizes)-th row
+        for seed in range(10):
+            rng = np.random.default_rng([122, seed])
+            sizes = [int(n) for n in rng.integers(1, 6, size=3)]
+            d = 3
+            graphs = [random_graph(rng, n) for n in sizes]
+            order = rng.permutation(sum(sizes))
+            starts = np.cumsum(sizes) - sizes
+            rows = [order[lo : lo + n] for lo, n in zip(starts, sizes)]
+            batch = stack_graphs(graphs, rows)
+            w = Tensor(rng.standard_normal((d, d)) * 0.5, requires_grad=True)
+            x = rng.standard_normal((sum(sizes), d))
+            for normalize in (True, False):
+                got = vanilla_gcn_layer(w, constant(x, np.float64), batch, normalize=normalize).data
+                for g, r in zip(graphs, rows):
+                    want = vanilla_gcn_loop(x[r], w.data, g.adjacency, normalize=normalize)
+                    assert max_rel_err(got[r], want) <= 1e-6
+
+    def test_batch_gradients_match_central_differences(self):
+        rng = np.random.default_rng(123)
+        graphs = [random_graph(rng, n) for n in (3, 1, 4)]
+        batch = stack_graphs(graphs, [np.arange(0, 3), [3], np.arange(4, 8)])
+        w = Tensor(rng.standard_normal((2, 2)) * 0.5, requires_grad=True)
+        x = Tensor(rng.standard_normal((8, 2)), requires_grad=True)
+        with recording():
+            backward(sum_all(vanilla_gcn_layer(w, x, batch)))
+        for t in (w, x):
+            want = central_diff(lambda: sum_all(vanilla_gcn_layer(w, x, batch)).data, t.data)
+            assert max_rel_err(t.grad, want) <= 1e-6
 
 
 class TestGraphLearner:

@@ -12,7 +12,7 @@ from livlr.linguistic import (
 )
 from livlr.optim import ParamStore
 from livlr.rnn import BiLstmParams, LstmParams, bilstm_embed, create_bilstm_params
-from livlr.tensor import Tensor, backward, constant, mul, recording, sum_all
+from livlr.tensor import Tensor, add, backward, constant, mul, recording, sum_all
 
 from oracles import central_diff, lstm_final_loop, max_rel_err
 
@@ -251,7 +251,7 @@ class TestSentenceEncoder:
             ev, loc = encode_all(params, sents)
             assert ev.data.shape == (3, 6) and loc.data.shape == (3, 6)
             store.zero_grads()
-            backward(sum_all(ev) + sum_all(loc))
+            backward(add(sum_all(ev), sum_all(loc)))
         dead = [n for n, p in store.items() if np.abs(p.grad).sum() == 0.0]
         # only role rows never referenced by any parse may stay silent
         assert all("roles" in n for n in dead)

@@ -12,8 +12,8 @@ itself changes the numbers is tests/test_batching.py's question.
 import numpy as np
 import pytest
 
+import livlr.davl
 import livlr.linguistic
-import livlr.model
 import livlr.visual
 import oracles
 from livlr.config import desk_config, tiny_config
@@ -30,7 +30,7 @@ from livlr.heads import (
 )
 from livlr.linguistic import encode_all
 from livlr.model import Model
-from livlr.tensor import backward, mul, recording, tape_size
+from livlr.tensor import add, backward, recording, tape_size
 from livlr.visual import encode_clip
 
 
@@ -53,7 +53,7 @@ def loss_and_grads(model, samples, forward):
     with recording():
         for s in samples:
             loss, _ = forward(s)
-            total = loss if total is None else total + loss
+            total = loss if total is None else add(total, loss)
         backward(total)
     return total.data.tobytes(), {n: p.grad.tobytes() for n, p in model.store.items()}
 
@@ -83,7 +83,7 @@ def tape_oracle_forward(monkeypatch, model, sample):
     """model.forward with every fused attention node swapped for the per-op
     tape composition it replaces."""
     with monkeypatch.context() as m:
-        m.setattr(livlr.model, "integrate", oracles.integrate_tape)
+        m.setattr(livlr.davl, "question_attention", oracles.question_attention_tapes)
         m.setattr(livlr.visual, "attn_gcn_layer", oracles.attn_gcn_layer_tape)
         m.setattr(livlr.visual, "typed_edge_gcn_layer", oracles.typed_edge_gcn_layer_tape)
         m.setattr(livlr.linguistic, "attn_gcn_layer", oracles.attn_gcn_layer_tape)
@@ -134,56 +134,54 @@ def test_fused_nodes_match_tape_oracles_bit_for_bit(
     assert any(np.frombuffer(g, dtype=cfg.dtype).any() for g in live)
 
 
-def desk_sample_nodes(setting):
-    """Tape nodes each of two desk DaVL training samples records, one
-    forward and backward at a time."""
+def desk_batch_nodes(setting, batch_size=16):
+    """Tape nodes the forward of one desk DaVL training batch records, for
+    two batches in a row."""
     cfg = desk_config(ri_variant="DAVL", question_setting=setting, seed=3)
     spec = SyntheticTaskSpec(
-        n_samples=2, signal_source="question_dependent", noise_scale=0.1, n_classes=4
+        n_samples=2 * batch_size, signal_source="question_dependent", noise_scale=0.1,
+        n_classes=4,
     )
     samples = gen_synthetic(spec, cfg, seed=3).samples()
     model = Model(cfg)
     nodes = []
     with recording():
-        for s in samples:
+        for lo in (0, batch_size):
             assert tape_size() == 0
-            loss, _ = model.forward(s)
+            loss, _, _ = model.batch_loss(samples[lo : lo + batch_size])
             nodes.append(tape_size())
             backward(loss)
     return nodes
 
 
-@pytest.mark.parametrize("setting,nodes", [("OE", 57), ("MC", 58)], ids=["OE", "MC"])
-def test_desk_sample_tape_node_count(setting, nodes):
-    # the number of tape nodes one training sample records; it repeats
-    # exactly, and it is the dispatch cost the fused nodes drive down
-    assert desk_sample_nodes(setting) == [nodes, nodes]
+@pytest.mark.parametrize("setting", ["OE", "MC"])
+def test_desk_batch_node_count_does_not_grow_with_the_batch(setting):
+    # one node per layer per minibatch: the forward of a batch records as
+    # many nodes as that of a single sample, and repeats exactly
+    counts = [desk_batch_nodes(setting, b) for b in (1, 4, 16)]
+    assert counts[0][0] == counts[0][1]
+    assert counts[0] == counts[1] == counts[2]
 
 
 @pytest.mark.parametrize("setting", ["OE", "MC"])
 def test_batch_loss_is_the_forward_losses_and_hits(setting):
+    # the gate of tests/test_batching.py on one fixed batch: the mean
+    # loss, each loss and each sample's scores match the per-sample oracle
     cfg = tiny_config(question_setting=setting)
     spec = SyntheticTaskSpec(
         n_samples=5, signal_source="question_dependent", noise_scale=0.3, n_classes=4
     )
     samples = gen_synthetic(spec, cfg, seed=4).samples()
     model = Model(cfg)
-    seen = []
-
-    def runner(i):
-        seen.append(i)
-        return lambda name, fn: fn()
-
-    mean, losses, hits = model.batch_loss(samples, runner)
-    assert seen == list(range(len(samples)))
-    forwards = [model.forward(s) for s in samples]
-    assert losses == [float(loss.data) for loss, _ in forwards]
+    mean, losses, hits = model.batch_loss(samples)
+    want = [oracles.sample_forward(model, s) for s in samples]
+    assert np.allclose(losses, [float(loss.data) for loss, _, _ in want], rtol=1e-12, atol=0)
     targets = [s.label if setting == "OE" else s.correct for s in samples]
-    assert hits == sum(int(np.argmax(sc.data)) == t for (_, sc), t in zip(forwards, targets))
-    total = forwards[0][0]
-    for loss, _ in forwards[1:]:
-        total = total + loss
-    assert mean.data.tobytes() == mul(total, 1.0 / len(samples)).data.tobytes()
+    assert hits == sum(int(np.argmax(sc.data)) == t for (_, sc, _), t in zip(want, targets))
+    total = want[0][0]
+    for loss, _, _ in want[1:]:
+        total = add(total, loss)
+    assert np.isclose(float(mean.data), float(total.data) / len(samples), rtol=1e-12, atol=0)
     with pytest.raises(ContractError):
         model.batch_loss([])
 
@@ -240,3 +238,30 @@ def test_forward_outside_a_scope_records_nothing(setting):
             assert t.tape_id is None and not t.requires_grad
         assert model.predict(s) == int(np.argmax(scores.data))
         assert tape_size() == 0
+
+
+def test_each_sentence_layout_is_built_once(monkeypatch):
+    # a sample's role graphs, their batch and its span means are built on
+    # its first forward and kept with it, also when batches join them
+    built = {"role graphs": 0, "graph batches": 0}
+    build_role_graph, stack_graphs = livlr.linguistic.build_role_graph, livlr.linguistic.stack_graphs
+
+    def count(key, fn):
+        def counted(*args):
+            built[key] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(livlr.linguistic, "build_role_graph", count("role graphs", build_role_graph))
+    monkeypatch.setattr(livlr.linguistic, "stack_graphs", count("graph batches", stack_graphs))
+    cfg = tiny_config()
+    spec = SyntheticTaskSpec(
+        n_samples=3, signal_source="question_dependent", noise_scale=0.3, n_classes=4
+    )
+    samples = gen_synthetic(spec, cfg, seed=6).samples()
+    model = Model(cfg)
+    first = loss_and_grads(model, [samples], lambda batch: model.batch_loss(batch)[:2])
+    assert built == {"role graphs": 3 * cfg.N_s, "graph batches": 3}
+    again = loss_and_grads(model, [samples], lambda batch: model.batch_loss(batch)[:2])
+    assert built == {"role graphs": 3 * cfg.N_s, "graph batches": 3}
+    assert again == first

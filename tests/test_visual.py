@@ -4,7 +4,7 @@ import pytest
 
 from livlr.errors import ContractError, DataError
 from livlr.optim import ParamStore
-from livlr.tensor import backward, recording, sum_all
+from livlr.tensor import add, backward, recording, sum_all
 from livlr.visual import (
     ClipFeatures,
     FrameFeatures,
@@ -229,7 +229,7 @@ class TestEncoder:
         store.zero_grads()
         with recording():
             hol, fine = encode_clip(params, clip)
-            backward(sum_all(hol) + sum_all(fine))
+            backward(add(sum_all(hol), sum_all(fine)))
         dead = [
             n for n, p in store.items()
             if np.abs(p.grad).sum() == 0.0 and "learner" not in n
