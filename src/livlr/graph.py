@@ -133,10 +133,7 @@ class GraphBatch:
 
 def join_batches(batches: list[GraphBatch], row_maps) -> GraphBatch:
     """The graphs of several batches as one batch, in order; row_maps[i][r]
-    is the joined row of batch i's row r. A single batch whose map is the
-    identity comes back as it is."""
-    if len(batches) == 1 and np.array_equal(row_maps[0], np.arange(batches[0].n_rows)):
-        return batches[0]
+    is the joined row of batch i's row r."""
     n_max = max(b.slots.shape[1] for b in batches)
     n_graphs = sum(b.slots.shape[0] for b in batches)
     slots = np.full((n_graphs, n_max), -1, dtype=np.intp)

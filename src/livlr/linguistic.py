@@ -153,14 +153,14 @@ def create_linguistic_params(
 @dataclass
 class SentenceLayout:
     """Sentences as the encoder stacks them, from the data alone: their
-    tokens (T, d_t) and lengths, and their role graphs as one batch over
-    the node rows [every event; every local node], sentence by sentence
-    within each block. Per local node: its role id and its span's mean of
-    the raw tokens (one row of ``means``). ``owner`` names each node row's
-    sentence for pooling, -1 for the event rows."""
+    token matrices (the sentences' own arrays, not copies) and their role
+    graphs as one batch over the node rows [every event; every local
+    node], sentence by sentence within each block. Per local node: its role
+    id and its span's mean of the raw tokens (one row of ``means``).
+    ``owner`` names each node row's sentence for pooling, -1 for the event
+    rows."""
 
-    tokens: np.ndarray
-    lengths: np.ndarray
+    tokens: list[np.ndarray]
     graphs: GraphBatch
     roles: np.ndarray
     means: np.ndarray
@@ -168,7 +168,7 @@ class SentenceLayout:
 
     @property
     def n_sentences(self) -> int:
-        return len(self.lengths)
+        return len(self.tokens)
 
     @staticmethod
     def join(layouts: list["SentenceLayout"]) -> "SentenceLayout":
@@ -185,8 +185,7 @@ class SentenceLayout:
                 for lo, n, ll, k in zip(s_lo, n_s, l_lo, n_loc)]
         cat = lambda name: np.concatenate([getattr(t, name) for t in layouts])
         return SentenceLayout(
-            cat("tokens"),
-            cat("lengths"),
+            [t for text in layouts for t in text.tokens],
             join_batches([t.graphs for t in layouts], maps),
             cat("roles"),
             cat("means"),
@@ -213,19 +212,16 @@ def sentence_layout(sentences: list[tuple[np.ndarray, SrlParse]]) -> SentenceLay
         roles += r
         spans += [(start + lo, start + hi) for lo, hi in sp]
         start += parse.tokens
-    lengths = np.array([len(t) for t in tokens], dtype=np.intp)
-    tokens = np.concatenate(tokens)
     # each local node's span mean of the raw tokens, as one averaging matmul
     lo, hi = np.array(spans, dtype=np.intp).reshape(-1, 2).T
     inside = (np.arange(start) >= lo[:, None]) & (np.arange(start) <= hi[:, None])
-    means = (inside / inside.sum(axis=1, keepdims=True)) @ tokens
+    means = (inside / inside.sum(axis=1, keepdims=True)) @ np.concatenate(tokens)
     # sentence b's graph: its event row b, then its local rows in order
     n_local = [g.n_nodes - 1 for g in graphs]
     first = n_s + np.cumsum(n_local) - n_local
     rows = [np.r_[b, lo : lo + n] for b, (lo, n) in enumerate(zip(first, n_local))]
     return SentenceLayout(
         tokens,
-        lengths,
         stack_graphs(graphs, rows),
         np.asarray(roles, dtype=np.intp),
         means,
@@ -247,13 +243,15 @@ def encode_all(params: LinguisticEncoderParams, sentences) -> tuple[Tensor, Tens
     """
     text = sentences if isinstance(sentences, SentenceLayout) else sentence_layout(sentences)
     d_t = params.sentence.w_tok.data.shape[0]
-    if text.tokens.shape[1] != d_t:
-        raise DataError(f"token width {text.tokens.shape[1]} does not match d_t={d_t}")
+    tokens = np.concatenate(text.tokens)
+    if tokens.shape[1] != d_t:
+        raise DataError(f"token width {tokens.shape[1]} does not match d_t={d_t}")
     if text.roles.size and text.roles.max() > params.n_roles:
         raise DataError(f"role id {text.roles.max()} exceeds the role vocabulary ({params.n_roles})")
 
     n_s = text.n_sentences
-    _, events = encode_sequences(params.sentence, text.tokens, text.lengths, rectify=False)
+    lengths = [len(t) for t in text.tokens]
+    _, events = encode_sequences(params.sentence, tokens, lengths, rectify=False)
     locals_ = matmul(constant(text.means, params.dtype), params.w_local)
     scale = gather(params.role_matrix, text.roles - 1)
     # rows: every sentence's event, then every sentence's local nodes

@@ -81,20 +81,12 @@ class FrameFeatures:
 @dataclass
 class ClipGeometry:
     """A clip's frames over its stacked object rows: every frame's spatial
-    graph as one batch, the rows' box geometry (R, 6), each row's frame,
-    and the stacked features: appearance (N_f, d_a), objects (R, d_o) and
-    class embeddings (R, d_c)."""
+    graph as one batch, the rows' box geometry (R, 6) and each row's frame."""
 
     spatial: GraphBatch
     positions: np.ndarray
     frame_of_row: np.ndarray
-    appearance: np.ndarray
-    objects: np.ndarray
-    class_attr: np.ndarray
-
-    @property
-    def n_frames(self) -> int:
-        return self.appearance.shape[0]
+    n_frames: int
 
     @staticmethod
     def join(geos: list["ClipGeometry"]) -> "ClipGeometry":
@@ -104,15 +96,12 @@ class ClipGeometry:
         rows = [len(g.frame_of_row) for g in geos]
         frames = [g.n_frames for g in geos]
         row_lo, frame_lo = np.cumsum(rows) - rows, np.cumsum(frames) - frames
-        cat = lambda name: np.concatenate([getattr(g, name) for g in geos])
         return ClipGeometry(
             join_batches([g.spatial for g in geos],
                          [np.arange(lo, lo + n) for lo, n in zip(row_lo, rows)]),
-            cat("positions"),
+            np.concatenate([g.positions for g in geos]),
             np.concatenate([g.frame_of_row + lo for g, lo in zip(geos, frame_lo)]),
-            cat("appearance"),
-            cat("objects"),
-            cat("class_attr"),
+            sum(frames),
         )
 
 
@@ -125,9 +114,7 @@ def clip_geometry(frames: list[FrameFeatures]) -> ClipGeometry:
         stack_graphs(graphs, [np.arange(lo, lo + n) for lo, n in zip(starts, sizes)]),
         np.concatenate([position_features(f.boxes, f.frame_size) for f in frames]),
         np.repeat(np.arange(len(frames)), sizes),
-        np.stack([f.appearance for f in frames]),
-        np.concatenate([f.objects for f in frames]),
-        np.concatenate([f.class_attr for f in frames]),
+        len(frames),
     )
 
 
@@ -281,7 +268,8 @@ def create_visual_params(
 
 def encode_holistic(params: VisualEncoderParams, clip: ClipFeatures) -> Tensor:
     """(N_f, d): one projected appearance row per frame."""
-    return linear(constant(clip.geometry().appearance, params.dtype), params.w_hol, params.b_hol)
+    app = constant(np.stack([f.appearance for f in clip.frames]), params.dtype)
+    return linear(app, params.w_hol, params.b_hol)
 
 
 def encode_clip(params: VisualEncoderParams, clip) -> tuple[Tensor, Tensor]:
@@ -292,8 +280,10 @@ def encode_clip(params: VisualEncoderParams, clip) -> tuple[Tensor, Tensor]:
     clips = [clip] if isinstance(clip, ClipFeatures) else clip
     dtype = params.dtype
     geo = ClipGeometry.join([c.geometry() for c in clips])
-    hol = linear(constant(geo.appearance, dtype), params.w_hol, params.b_hol)
-    obj = linear(constant(geo.objects, dtype), params.w_obj, params.b_obj)
+    frames = [f for c in clips for f in c.frames]
+    stack = lambda name: constant(np.concatenate([getattr(f, name) for f in frames]), dtype)
+    hol = linear(constant(np.stack([f.appearance for f in frames]), dtype), params.w_hol, params.b_hol)
+    obj = linear(stack("objects"), params.w_obj, params.b_obj)
 
     # spatial branch: geometry-typed edges over box relations
     pos = linear(constant(geo.positions, dtype), params.w_pos, params.b_pos)
@@ -301,7 +291,7 @@ def encode_clip(params: VisualEncoderParams, clip) -> tuple[Tensor, Tensor]:
     v_sp = typed_edge_gcn_layer(params.spatial_gcn, v_sp, geo.spatial)
 
     # semantic branch: adjacency learned from class/attribute content
-    cls = linear(constant(geo.class_attr, dtype), params.w_cls, params.b_cls)
+    cls = linear(stack("class_attr"), params.w_cls, params.b_cls)
     v_se = matmul(concat([obj, cls], axis=1), params.w_semantic_mix)
     _, g_se = learn_adjacency(params.learn_w1, params.learn_w2, v_se, params.n_keep, geo.spatial)
     v_se = attn_gcn_layer(params.semantic_gcn, v_se, g_se)
