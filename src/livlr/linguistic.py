@@ -212,6 +212,8 @@ def sentence_layout(sentences: list[tuple[np.ndarray, SrlParse]]) -> SentenceLay
         roles += r
         spans += [(start + lo, start + hi) for lo, hi in sp]
         start += parse.tokens
+    if len({t.shape[1] for t in tokens}) > 1:
+        raise DataError(f"a sample's sentences differ in token width: {[t.shape for t in tokens]}")
     # each local node's span mean of the raw tokens, as one averaging matmul
     lo, hi = np.array(spans, dtype=np.intp).reshape(-1, 2).T
     inside = (np.arange(start) >= lo[:, None]) & (np.arange(start) <= hi[:, None])
@@ -243,15 +245,15 @@ def encode_all(params: LinguisticEncoderParams, sentences) -> tuple[Tensor, Tens
     """
     text = sentences if isinstance(sentences, SentenceLayout) else sentence_layout(sentences)
     d_t = params.sentence.w_tok.data.shape[0]
-    tokens = np.concatenate(text.tokens)
-    if tokens.shape[1] != d_t:
-        raise DataError(f"token width {tokens.shape[1]} does not match d_t={d_t}")
+    widths = {t.shape[1] for t in text.tokens}
+    if widths != {d_t}:
+        raise DataError(f"token widths {sorted(widths)} do not match d_t={d_t}")
     if text.roles.size and text.roles.max() > params.n_roles:
         raise DataError(f"role id {text.roles.max()} exceeds the role vocabulary ({params.n_roles})")
 
     n_s = text.n_sentences
     lengths = [len(t) for t in text.tokens]
-    _, events = encode_sequences(params.sentence, tokens, lengths, rectify=False)
+    _, events = encode_sequences(params.sentence, np.concatenate(text.tokens), lengths, rectify=False)
     locals_ = matmul(constant(text.means, params.dtype), params.w_local)
     scale = gather(params.role_matrix, text.roles - 1)
     # rows: every sentence's event, then every sentence's local nodes

@@ -247,6 +247,17 @@ def test_role_beyond_the_vocabulary_is_a_data_error(encode):
         encode(model.linguistic, [ok, (rng.standard_normal((3, cfg.d_t)), bad)])
 
 
+def test_token_width_mismatch_is_a_data_error():
+    cfg = tiny_config()
+    rng = np.random.default_rng(6)
+    model = Model(cfg)
+    ok = (rng.standard_normal((3, cfg.d_t)), SrlParse(tokens=3))
+    wide = (rng.standard_normal((3, cfg.d_t + 1)), SrlParse(tokens=3))
+    for sentences in ([wide], [ok, wide]):  # every sentence too wide, or one of them
+        with pytest.raises(DataError, match="width"):
+            encode_all(model.linguistic, sentences)
+
+
 def test_box_and_object_mismatch_is_a_data_error():
     cfg = tiny_config()
     rng = np.random.default_rng(5)
