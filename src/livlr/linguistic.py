@@ -156,14 +156,14 @@ class SentenceLayout:
     token matrices (the sentences' own arrays, not copies) and their role
     graphs as one batch over the node rows [every event; every local
     node], sentence by sentence within each block. Per local node: its role
-    id and its span's mean of the raw tokens (one row of ``means``).
+    id and its token span (inclusive rows of the stacked tokens).
     ``owner`` names each node row's sentence for pooling, -1 for the event
     rows."""
 
     tokens: list[np.ndarray]
     graphs: GraphBatch
     roles: np.ndarray
-    means: np.ndarray
+    spans: np.ndarray
     owner: np.ndarray
 
     @property
@@ -177,7 +177,8 @@ class SentenceLayout:
             return layouts[0]
         n_s = np.array([t.n_sentences for t in layouts])
         n_loc = np.array([len(t.roles) for t in layouts])
-        s_lo, l_lo = np.cumsum(n_s) - n_s, np.cumsum(n_loc) - n_loc
+        n_tok = np.array([sum(len(x) for x in t.tokens) for t in layouts])
+        s_lo, l_lo, t_lo = (np.cumsum(n) - n for n in (n_s, n_loc, n_tok))
         events = int(n_s.sum())
         # a layout's event row r moves to s_lo + r, its local row r to the
         # local block, after every layout's events
@@ -188,7 +189,7 @@ class SentenceLayout:
             [t for text in layouts for t in text.tokens],
             join_batches([t.graphs for t in layouts], maps),
             cat("roles"),
-            cat("means"),
+            np.concatenate([t.spans + lo for t, lo in zip(layouts, t_lo)]),
             np.concatenate([np.full(events, -1)]
                            + [t.owner[n:] + lo for t, n, lo in zip(layouts, n_s, s_lo)]),
         )
@@ -214,10 +215,6 @@ def sentence_layout(sentences: list[tuple[np.ndarray, SrlParse]]) -> SentenceLay
         start += parse.tokens
     if len({t.shape[1] for t in tokens}) > 1:
         raise DataError(f"a sample's sentences differ in token width: {[t.shape for t in tokens]}")
-    # each local node's span mean of the raw tokens, as one averaging matmul
-    lo, hi = np.array(spans, dtype=np.intp).reshape(-1, 2).T
-    inside = (np.arange(start) >= lo[:, None]) & (np.arange(start) <= hi[:, None])
-    means = (inside / inside.sum(axis=1, keepdims=True)) @ np.concatenate(tokens)
     # sentence b's graph: its event row b, then its local rows in order
     n_local = [g.n_nodes - 1 for g in graphs]
     first = n_s + np.cumsum(n_local) - n_local
@@ -226,7 +223,7 @@ def sentence_layout(sentences: list[tuple[np.ndarray, SrlParse]]) -> SentenceLay
         tokens,
         stack_graphs(graphs, rows),
         np.asarray(roles, dtype=np.intp),
-        means,
+        np.array(spans, dtype=np.intp).reshape(-1, 2),
         np.repeat(np.arange(-1, n_s), [n_s] + n_local),
     )
 
@@ -252,9 +249,16 @@ def encode_all(params: LinguisticEncoderParams, sentences) -> tuple[Tensor, Tens
         raise DataError(f"role id {text.roles.max()} exceeds the role vocabulary ({params.n_roles})")
 
     n_s = text.n_sentences
-    lengths = [len(t) for t in text.tokens]
-    _, events = encode_sequences(params.sentence, np.concatenate(text.tokens), lengths, rectify=False)
-    locals_ = matmul(constant(text.means, params.dtype), params.w_local)
+    tokens = np.concatenate(text.tokens)
+    _, events = encode_sequences(
+        params.sentence, tokens, [len(t) for t in text.tokens], rectify=False)
+    # each local node's mean of its span of raw tokens: every span's sum is
+    # one reduceat over [lo, hi + 1) row pairs, after a zero row
+    lo, hi = text.spans.T
+    ends = np.stack([lo, hi + 1], axis=1).ravel()
+    sums = np.add.reduceat(np.vstack([tokens, np.zeros_like(tokens[:1])]), ends, axis=0)[::2]
+    means = sums / (hi - lo + 1)[:, None]
+    locals_ = matmul(constant(means, params.dtype), params.w_local)
     scale = gather(params.role_matrix, text.roles - 1)
     # rows: every sentence's event, then every sentence's local nodes
     nodes = concat([events, mul(locals_, scale)], axis=0)

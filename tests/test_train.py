@@ -232,6 +232,23 @@ def test_evaluate_is_deterministic_and_bounded():
     assert e1["loss"] >= 0.0
 
 
+@pytest.mark.parametrize("setting", ["OE", "MC"])
+@pytest.mark.parametrize("precision", ["single", "double"])
+def test_evaluate_is_the_per_sample_forwards(setting, precision):
+    # each sample is its own batch of one, so evaluate agrees with forward
+    # and predict bit for bit, whatever its neighbours in the dataset
+    cfg = tiny_config(question_setting=setting, precision=precision)
+    ds = make_dataset(cfg, n=7, source="question_dependent")
+    model = train(cfg.with_overrides(epochs=2), ds).model
+    got = evaluate(model, ds)
+    loss_sum, hits = 0.0, 0
+    for s in ds.samples():
+        loss, _ = model.forward(s)
+        loss_sum += float(loss.data)
+        hits += model.predict(s) == (s.label if setting == "OE" else s.correct)
+    assert got == {"n": 7, "loss": loss_sum / 7, "accuracy": hits / 7}
+
+
 def test_evaluate_builds_each_frame_once(monkeypatch):
     data_module = importlib.import_module("livlr.data")
     built = []
