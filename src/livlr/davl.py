@@ -138,15 +138,113 @@ def create_davl_params(
     )
 
 
-def question_attention(blocks, xs, q: Tensor, mask=None) -> Tensor:
+class QattPadding:
+    """Question attention's padded per-sample blocks for a batch, the way
+    ``GraphBatch`` pads graphs. Sample b's question rows fill the first
+    slots of row b of a (B, t_max) token block, and its rows of source s
+    those of row b of a (B, m_s) block, m_s the source's largest count per
+    sample; the other slots hold zeros. A source row then scores only its
+    own sample's t_max slots, so the scores grow linearly with the batch.
+    ``mask`` (rows, t_max) marks, per stacked source row, the slots its
+    sample's question fills.
+
+    ``counts`` (B, 4) holds each sample's rows per source and ``tokens``
+    (B,) its question rows."""
+
+    def __init__(self, counts, tokens):
+        counts = np.asarray(counts, dtype=np.intp).reshape(-1, 4)
+        tokens = np.asarray(tokens, dtype=np.intp)
+        self.n, self.t_max = counts.shape[0], int(tokens.max())
+        self._sizes = (counts.sum(axis=0).tolist(), int(tokens.sum()))
+        self._width = counts.max(axis=0).tolist()
+        self._token_slots = _filled_slots(tokens, self.t_max)
+        self._row_slots = [_filled_slots(c, m) for c, m in zip(counts.T, self._width)]
+        owner_tokens = np.concatenate([np.repeat(tokens, c) for c in counts.T])
+        self.mask = np.arange(self.t_max) < owner_tokens[:, None]
+
+    def check(self, rows, tokens):
+        """ShapeError unless the batch has these rows per source and
+        question rows in all."""
+        if (rows, tokens) != self._sizes:
+            raise ShapeError(
+                f"question attention over {rows} source rows and {tokens} question rows, "
+                f"but the batch has {self._sizes[0]} and {self._sizes[1]}")
+
+    def pad_tokens(self, q):
+        """(T, d) question rows -> (B * t_max, d), sample by sample."""
+        return _scatter(q, self._token_slots, self.n * self.t_max)
+
+    def split_tokens(self, a):
+        """(S, H, B * t_max, k) -> (S, H, B, t_max, k)."""
+        return a.reshape(a.shape[:-2] + (self.n, self.t_max, a.shape[-1]))
+
+    def unpad_tokens(self, a):
+        """(S, H, B, t_max, k) -> the rows (S, H, T, k) of the filled slots."""
+        return _gather(a, self._token_slots)
+
+    def pad_rows(self, a, s):
+        """(H, n_s, k) rows of source s -> (H, B, m_s, k)."""
+        m = self._width[s]
+        out = _scatter(a, self._row_slots[s], self.n * m)
+        return out.reshape(a.shape[:-2] + (self.n, m, a.shape[-1]))
+
+    def unpad_rows(self, a, s):
+        """(H, B, m_s, k) -> the rows (H, n_s, k) of source s."""
+        return _gather(a, self._row_slots[s])
+
+
+class _OneSample:
+    """One sample is a single block of its own: nothing is padded, every
+    step is the identity, and the products are the 2-d ones per head."""
+
+    mask = None
+
+    def pad_tokens(self, q):
+        return q
+
+    def split_tokens(self, a):
+        return a
+
+    def unpad_tokens(self, a):
+        return a
+
+    def pad_rows(self, a, s):
+        return a
+
+    def unpad_rows(self, a, s):
+        return a
+
+
+_ONE_SAMPLE = _OneSample()
+
+
+def _filled_slots(counts, width: int) -> np.ndarray:
+    """Flat indices of the filled slots when each count is padded to width."""
+    return np.flatnonzero(np.arange(width) < np.asarray(counts)[:, None])
+
+
+def _scatter(a, slots, size: int) -> np.ndarray:
+    """(..., n, k) rows into slots of a zeroed (..., size, k)."""
+    out = np.zeros(a.shape[:-2] + (size, a.shape[-1]), dtype=a.dtype)
+    out[..., slots, :] = a
+    return out
+
+
+def _gather(a, slots) -> np.ndarray:
+    """The slots of the flattened (..., B, m, k) blocks: (..., n, k)."""
+    return a.reshape(a.shape[:-3] + (a.shape[-3] * a.shape[-2], a.shape[-1]))[..., slots, :]
+
+
+def question_attention(blocks, xs, q: Tensor, pad: QattPadding | None = None) -> Tensor:
     """Multi-head cross attention, one block per source: each row of a
     source matrix x attends over the question rows q, and values come from
     q. Every head of every source runs in a single tape node. Returns the
     attended rows of all sources stacked in order, (sum of rows, d).
 
-    ``mask`` (sum of rows, question rows), when given, names the question
-    rows each source row may attend to; a batch's block mask keeps every
-    row on its own sample's question.
+    Without ``pad`` the sources and q are one sample's. With it they stack
+    a batch's samples, and each sample's rows of each source attend only
+    over its own question tokens, through the padded per-sample blocks of
+    ``pad``: the scores are (H, rows, t_max), linear in the batch.
 
     The heads run as stacked matmuls, whose slices compute exactly what
     per-head 2-d products compute, and the vjp adds up each input's
@@ -161,6 +259,10 @@ def question_attention(blocks, xs, q: Tensor, mask=None) -> Tensor:
             raise ShapeError(f"question attention needs (rows, {d}) inputs, got {t.data.shape}")
     if qd.shape[0] == 0:
         raise DegenerateRowError("question attention over an empty question")
+    if pad is None:
+        pad = _ONE_SAMPLE
+    else:
+        pad.check([x.data.shape[0] for x in xs], qd.shape[0])
     scale = np.asarray(1.0 / math.sqrt(dh), dtype=qd.dtype)
     heads = [h for block in blocks for h in block.heads]
     w_qkv = np.concatenate([t.data for h in heads for t in (h.w_q, h.w_k, h.w_v)])
@@ -170,31 +272,36 @@ def question_attention(blocks, xs, q: Tensor, mask=None) -> Tensor:
     rows = list(itertools.accumulate((x.data.shape[0] for x in xs), initial=0))
     spans = list(zip(rows, rows[1:]))
 
+    # a batch's tensors carry a block axis B after the head axis: the
+    # question (S, H, B, t_max, dh) and each source's rows (H, B, m_s, dh)
+    q_pad = pad.pad_tokens(qd)
+    qk = pad.split_tokens(q_pad @ w_k)
     # contiguous like the copy a transpose op makes, so the products match
-    qk_t = np.ascontiguousarray((qd @ w_k).transpose(0, 1, 3, 2))  # (S, H, dh, t)
-    qv = qd @ w_v  # (S, H, t, dh)
-    xq = [x.data @ w_q[s] for s, x in enumerate(xs)]  # (H, n_s, dh) each
-    # the softmax runs once over every source's score rows: (H, N, t)
-    scores = np.concatenate([a @ qk_t[s] for s, a in enumerate(xq)], axis=1)
-    alpha, softmax_vjp = masked_softmax(scores * scale, mask)
-    ctx = [alpha[:, lo:hi] @ qv[s] for s, (lo, hi) in enumerate(spans)]
+    qk_t = np.ascontiguousarray(qk.swapaxes(-1, -2))
+    qv = pad.split_tokens(q_pad @ w_v)
+    xq = [pad.pad_rows(x.data @ w_q[s], s) for s, x in enumerate(xs)]
+    # the softmax runs once over every source's score rows: (H, N, t_max)
+    scores = np.concatenate([pad.unpad_rows(a @ qk_t[s], s) for s, a in enumerate(xq)], axis=1)
+    alpha, softmax_vjp = masked_softmax(scores * scale, pad.mask)
+    alpha_pad = [pad.pad_rows(alpha[:, lo:hi], s) for s, (lo, hi) in enumerate(spans)]
+    ctx = [pad.unpad_rows(a @ qv[s], s) for s, a in enumerate(alpha_pad)]
     o = np.concatenate([c @ w_o[s] for s, c in enumerate(ctx)], axis=1)  # (H, N, dh)
     out = Tensor(o.transpose(1, 0, 2).reshape(rows[-1], n_heads * dh))
 
     def bwd(g):
         g_heads = g.reshape(-1, n_heads, dh).transpose(1, 0, 2)  # (H, N, dh)
         g_o = [g_heads[:, lo:hi] for lo, hi in spans]
-        g_ctx = [go @ w_o[s].transpose(0, 2, 1) for s, go in enumerate(g_o)]
+        g_ctx = [pad.pad_rows(go @ w_o[s].transpose(0, 2, 1), s) for s, go in enumerate(g_o)]
         g_alpha = np.concatenate(
-            [gc @ qv[s].transpose(0, 2, 1) for s, gc in enumerate(g_ctx)], axis=1
+            [pad.unpad_rows(gc @ qv[s].swapaxes(-1, -2), s) for s, gc in enumerate(g_ctx)], axis=1
         )
         g_scores = softmax_vjp(g_alpha) * scale
-        g_scores = [g_scores[:, lo:hi] for lo, hi in spans]
-        g_qv = np.stack([alpha[:, lo:hi].transpose(0, 2, 1) @ g_ctx[s]
-                         for s, (lo, hi) in enumerate(spans)])
-        g_qk = np.stack([a.transpose(0, 2, 1) @ gs for a, gs in zip(xq, g_scores)])
-        g_qk = g_qk.transpose(0, 1, 3, 2)
-        g_xq = [gs @ qk_t[s].transpose(0, 2, 1) for s, gs in enumerate(g_scores)]
+        g_scores = [pad.pad_rows(g_scores[:, lo:hi], s) for s, (lo, hi) in enumerate(spans)]
+        g_qv = pad.unpad_tokens(np.stack(
+            [a.swapaxes(-1, -2) @ gc for a, gc in zip(alpha_pad, g_ctx)]))
+        g_qk = pad.unpad_tokens(np.stack(
+            [a.swapaxes(-1, -2) @ gs for a, gs in zip(xq, g_scores)]).swapaxes(-1, -2))
+        g_xq = [pad.unpad_rows(gs @ qk_t[s].swapaxes(-1, -2), s) for s, gs in enumerate(g_scores)]
         q_val = g_qv @ w_v.transpose(0, 1, 3, 2)
         q_key = g_qk @ w_k.transpose(0, 1, 3, 2)
         g_q = None
@@ -244,11 +351,14 @@ class BundleLayout:
     ``counts`` (B, 4) holds each sample's rows per source and ``tokens``
     (B,) its question rows. Per stacked node row: ``sources`` (ids 1..4)
     and ``owner`` (its sample). ``graph`` holds one edgeless graph per
-    sample over its nodes, in source order. ``attend`` is the question
-    attention block mask (None for one sample), and ``co_attend`` the
-    co-attention mask: every other node of the same sample. ``pool`` and
+    sample over its nodes, in source order. ``qatt`` holds question
+    attention's padded per-sample blocks (None for one sample), and
+    ``co_attend`` the co-attention mask: every other node of the same
+    sample, (rows, rows) over the whole batch. ``pool`` and
     ``source_pool`` average the node rows per sample and per (sample,
-    source).
+    source). Layouts are kept and reused, so ``source_pool`` (only
+    ``RI_CONCAT`` reads it) and ``co_attend`` (only ``RI_AT``) are built
+    on first use.
     """
 
     def __init__(self, counts, tokens):
@@ -266,11 +376,11 @@ class BundleLayout:
                 [np.arange(lo, lo + n) for lo, n in zip(first[i], counts[i])])
         self.graph = GraphBatch(slots, np.zeros(slots.shape + slots.shape[1:], dtype=bool))
         self.pool = averaging_matrix(self.owner, b)
-        self.source_pool = averaging_matrix(4 * self.owner + self.sources - 1, 4 * b)
-        self.attend = None
-        if b > 1:
-            token_owner = np.repeat(np.arange(b), np.asarray(tokens, dtype=np.intp))
-            self.attend = self.owner[:, None] == token_owner[None, :]
+        self.qatt = QattPadding(counts, tokens) if b > 1 else None
+
+    @functools.cached_property
+    def source_pool(self) -> np.ndarray:
+        return averaging_matrix(4 * self.owner + self.sources - 1, 4 * self.n)
 
     @functools.cached_property
     def co_attend(self) -> np.ndarray:
@@ -290,7 +400,7 @@ def integrate(
     if single:
         layout = BundleLayout([m.data.shape[0] for m in bundle.matrices()], [q.data.shape[0]])
     blocks = [params.qatt[name] for name in SOURCE_NAMES]
-    nodes = question_attention(blocks, bundle.matrices(), q, layout.attend)
+    nodes = question_attention(blocks, bundle.matrices(), q, layout.qatt)
     variant = params.variant
     dtype = nodes.data.dtype
 

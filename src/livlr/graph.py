@@ -22,10 +22,8 @@ from .tensor import (
     Tensor,
     _record,
     add,
-    gather,
     masked_softmax,
     matmul,
-    mean_axis0,
     relu,
 )
 
@@ -345,13 +343,3 @@ def learn_adjacency(
     if layout is None:
         return Tensor(scores[0]), DenseGraph(n, adj[0])
     return Tensor(scores), layout.with_edges(adj)
-
-
-def mean_pool(nodes: Tensor, subset=None) -> Tensor:
-    """Mean of the selected node rows; subset=None pools every node."""
-    if subset is None:
-        return mean_axis0(nodes)
-    idx = np.asarray(subset, dtype=np.intp)
-    if idx.size == 0:
-        raise ContractError("mean_pool over an empty subset")
-    return mean_axis0(gather(nodes, idx))

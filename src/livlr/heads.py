@@ -111,7 +111,8 @@ def encode_candidates(head: MultiChoiceHead, candidates) -> Tensor:
     for c in sets:
         if c.ndim != 3:
             raise ContractError(f"candidates must be (N_k, n_tok, d_t), got {c.shape}")
-    rows = np.concatenate([c.reshape(-1, c.shape[2]) for c in sets])
+    rows = np.concatenate([c.reshape(-1, c.shape[2]) for c in sets],
+                          dtype=head.cand_encoder.dtype)
     lengths = [c.shape[1] for c in sets for _ in range(c.shape[0])]
     return encode_sequences(head.cand_encoder, rows, lengths, rectify=True)[1]
 

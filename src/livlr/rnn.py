@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .optim import ParamStore, make_param
-from .tensor import Tensor, _record, constant, linear, relu, stable_sigmoid
+from .tensor import Tensor, _record, constant, is_recording, linear, relu, stable_sigmoid
 
 
 @dataclass
@@ -116,29 +116,38 @@ def bilstm_embed(params: BiLstmParams, seq: Tensor, lengths) -> Tensor:
     rows_f = np.where(active, starts + step, 0)
     rows_b = np.where(active, starts + lengths - 1 - step, 0)
     w_x = np.concatenate([fwd.w_x.data, rev.w_x.data], axis=1)  # (d_in, 8h)
-    pre = x @ w_x + np.concatenate([fwd.bias.data, rev.bias.data])
-    z_in = np.stack([pre[rows_f, : 4 * hd], pre[rows_b, 4 * hd :]], axis=1)  # (T, 2, B, 4h)
+    pre = x @ w_x
+    pre += np.concatenate([fwd.bias.data, rev.bias.data])
+    dt = pre.dtype
+    # each step's inputs (T, 2, B, 4h) in one gather; pre is let go before
+    # the steps run, as at a batch's size the two are the node's largest
+    # arrays
+    z_in = pre.reshape(-1, 2, 4 * hd)[np.stack([rows_f, rows_b], axis=1), [[0], [1]]]
+    del pre
     w_h = np.stack([fwd.w_h.data, rev.w_h.data])  # (2, h, 4h)
 
-    dt = pre.dtype
     h = np.zeros((2, n_seq, hd), dtype=dt)
     c = np.zeros((2, n_seq, hd), dtype=dt)
-    h_prev = np.zeros((t_max, 2, n_seq, hd), dtype=dt)
-    c_prev = np.zeros((t_max, 2, n_seq, hd), dtype=dt)
-    tanh_c = np.zeros((t_max, 2, n_seq, hd), dtype=dt)
-    act = np.zeros((t_max, 2, n_seq, 4 * hd), dtype=dt)  # i, f, o, g after squashing
+    # backward reads every step's states; outside a recording scope only
+    # the current step's are kept
+    kept = t_max if is_recording() else 1
+    h_prev = np.zeros((kept, 2, n_seq, hd), dtype=dt)
+    c_prev = np.zeros((kept, 2, n_seq, hd), dtype=dt)
+    tanh_c = np.zeros((kept, 2, n_seq, hd), dtype=dt)
+    act = np.zeros((kept, 2, n_seq, 4 * hd), dtype=dt)  # i, f, o, g after squashing
     gates = lambda a: (a[..., :hd], a[..., hd : 2 * hd], a[..., 2 * hd : 3 * hd], a[..., 3 * hd :])
     for t in range(t_max):
-        h_prev[t] = h
-        c_prev[t] = c
+        k = t % kept
+        h_prev[k] = h
+        c_prev[k] = c
         z = z_in[t] + h @ w_h
-        act[t, ..., : 3 * hd] = stable_sigmoid(z[..., : 3 * hd])
-        act[t, ..., 3 * hd :] = np.tanh(z[..., 3 * hd :])
-        gi, gf, go, gg = gates(act[t])
+        act[k, ..., : 3 * hd] = stable_sigmoid(z[..., : 3 * hd])
+        act[k, ..., 3 * hd :] = np.tanh(z[..., 3 * hd :])
+        gi, gf, go, gg = gates(act[k])
         c_t = gf * c + gi * gg
-        tanh_c[t] = np.tanh(c_t)
+        tanh_c[k] = np.tanh(c_t)
         live = active[t][:, None]
-        h, c = np.where(live, go * tanh_c[t], h), np.where(live, c_t, c)
+        h, c = np.where(live, go * tanh_c[k], h), np.where(live, c_t, c)
 
     out = Tensor(np.concatenate([h[0], h[1]], axis=1))
 
@@ -165,7 +174,7 @@ def bilstm_embed(params: BiLstmParams, seq: Tensor, lengths) -> Tensor:
         # sum over steps and sequences at once: (2, h, T*B) @ (2, T*B, 4h)
         dwh = (h_prev.transpose(1, 3, 0, 2).reshape(2, hd, -1)
                @ dz.transpose(1, 0, 2, 3).reshape(2, -1, 4 * hd))
-        dpre = np.zeros_like(pre)
+        dpre = np.zeros((x.shape[0], 8 * hd), dtype=dt)
         dpre[rows_f[active], : 4 * hd] = dz[:, 0][active]
         dpre[rows_b[active], 4 * hd :] = dz[:, 1][active]
         g_wx = x.T @ dpre

@@ -249,17 +249,6 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
         return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
-def exp(a: Tensor) -> Tensor:
-    e = np.exp(a.data)
-    out = Tensor(e)
-    return _record(out, (a,), lambda g: (g * e,))
-
-
-def log(a: Tensor) -> Tensor:
-    out = Tensor(np.log(a.data))
-    return _record(out, (a,), lambda g: (g / a.data,))
-
-
 def masked_softmax(x: np.ndarray, mask=None):
     """Softmax over the last axis of a raw array, restricted to the entries
     where ``mask`` (a boolean array of x's shape, or None for all) is set.
@@ -318,19 +307,6 @@ def sum_all(a: Tensor) -> Tensor:
 
     def bwd(g):
         return (np.broadcast_to(g, shape).astype(g.dtype, copy=True),)
-
-    return _record(out, (a,), bwd)
-
-
-def mean_axis0(a: Tensor) -> Tensor:
-    """Column means of a 2-d tensor: (n, d) -> (d,)."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"mean_axis0 needs a 2-d tensor, got {a.data.shape}")
-    n = a.data.shape[0]
-    out = Tensor(a.data.mean(axis=0))
-
-    def bwd(g):
-        return (np.broadcast_to(g / n, a.data.shape).astype(g.dtype, copy=True),)
 
     return _record(out, (a,), bwd)
 

@@ -5,7 +5,8 @@ indexed by (config seed, epoch), so a (config, dataset) pair fully
 determines every metric and checkpoint byte. ``Model.batch_loss`` runs a
 minibatch through the model, each layer once over all its samples, and
 gives its mean loss, recorded in one tape scope. ``evaluate`` runs it
-outside a scope, one sample at a time.
+outside a scope over consecutive chunks of ``batch_size`` samples, in
+dataset order.
 """
 from __future__ import annotations
 
@@ -149,16 +150,18 @@ def _run_epoch(model: Model, samples, order, epoch) -> tuple[float, float]:
 
 
 def evaluate(model: Model, dataset: SyntheticDataset) -> dict:
-    """Mean loss and accuracy over a dataset (values only, outside a scope)."""
+    """Mean loss and accuracy over a dataset (values only, outside a scope).
+    The samples go through ``Model.batch_loss`` in dataset order, in
+    consecutive chunks of the config's batch size."""
     dataset.check_config(model.config)
     samples = dataset.samples()
+    size = model.config.batch_size
     loss_sum = 0.0
     hits = 0
-    # each sample is its own batch of one, so its scores are bit for bit
-    # those of Model.forward and Model.predict, whatever its batch-mates
-    for s in samples:
-        _, (loss,), hit = model.batch_loss([s])
-        loss_sum += loss  # sequential, as sum() would round differently
-        hits += hit
+    for start in range(0, len(samples), size):
+        _, losses, chunk_hits = model.batch_loss(samples[start : start + size])
+        for loss in losses:  # sequential, as sum() would round differently
+            loss_sum += loss
+        hits += chunk_hits
     n = len(samples)
     return {"n": n, "loss": loss_sum / n, "accuracy": hits / n}

@@ -266,12 +266,6 @@ def create_visual_params(
     )
 
 
-def encode_holistic(params: VisualEncoderParams, clip: ClipFeatures) -> Tensor:
-    """(N_f, d): one projected appearance row per frame."""
-    app = constant(np.stack([f.appearance for f in clip.frames]), params.dtype)
-    return linear(app, params.w_hol, params.b_hol)
-
-
 def encode_clip(params: VisualEncoderParams, clip) -> tuple[Tensor, Tensor]:
     """Holistic rows (N_f, d) and fine-grained rows (N_f, d) of a clip, or
     of a list of clips with their frames stacked clip after clip. A frame's
@@ -293,6 +287,7 @@ def encode_clip(params: VisualEncoderParams, clip) -> tuple[Tensor, Tensor]:
     # semantic branch: adjacency learned from class/attribute content
     cls = linear(stack("class_attr"), params.w_cls, params.b_cls)
     v_se = matmul(concat([obj, cls], axis=1), params.w_semantic_mix)
+    del obj, pos, cls  # at a batch's size, let them go before the semantic layers run
     _, g_se = learn_adjacency(params.learn_w1, params.learn_w2, v_se, params.n_keep, geo.spatial)
     v_se = attn_gcn_layer(params.semantic_gcn, v_se, g_se)
 

@@ -5,7 +5,7 @@ so the last batch of each epoch is partial, for one of the ``tiny`` and
 ``desk`` presets, both question settings and the four integration
 variants. Its digest holds each epoch's training loss and accuracy as
 ``float.hex``, the sha256 of the saved checkpoint, the ``evaluate`` loss
-and every ``Model.predict``. ``--audit`` adds criterion 1's per-tensor
+and accuracy and every ``Model.predict``. ``--audit`` adds criterion 1's per-tensor
 ``max_rel_err`` values (about a minute more).
 
     python tests/fingerprint.py --write            # regenerate fingerprints.json
@@ -42,19 +42,26 @@ CASES = [(preset, setting, variant) for preset in ("tiny", "desk")
          for setting in QUESTION_SETTINGS for variant in RI_VARIANTS]
 
 
-def case_digest(preset: str, setting: str, variant: str) -> dict:
+def case_data(preset: str, setting: str, variant: str):
+    """The case's config and dataset."""
     cfg = PRESETS[preset](question_setting=setting, ri_variant=variant, epochs=2, seed=SEED)
-    ds = gen_synthetic(TASK, cfg, seed=SEED)
+    return cfg, gen_synthetic(TASK, cfg, seed=SEED)
+
+
+def case_digest(preset: str, setting: str, variant: str) -> dict:
+    cfg, ds = case_data(preset, setting, variant)
     with tempfile.TemporaryDirectory() as out:
         result = train(cfg, ds, out_dir=out)
         with open(os.path.join(out, "checkpoint.lvlr"), "rb") as f:
             checkpoint = hashlib.sha256(f.read()).hexdigest()
     model = result.model
+    ev = evaluate(model, ds)
     return {
         "train_loss": [m.train_loss.hex() for m in result.metrics],
         "train_acc": [m.train_acc.hex() for m in result.metrics],
         "checkpoint_sha256": checkpoint,
-        "eval_loss": float(evaluate(model, ds)["loss"]).hex(),
+        "eval_loss": float(ev["loss"]).hex(),
+        "eval_accuracy": float(ev["accuracy"]).hex(),
         "predict": " ".join(str(model.predict(s)) for s in ds.samples()),
     }
 
@@ -82,7 +89,7 @@ def compute(audit: bool = False) -> dict:
 
 def _floats(digest: dict) -> list[float]:
     return [float.fromhex(v) for key in ("train_loss", "train_acc") for v in digest[key]] + [
-        float.fromhex(digest["eval_loss"])
+        float.fromhex(digest[key]) for key in ("eval_loss", "eval_accuracy") if key in digest
     ]
 
 

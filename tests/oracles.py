@@ -9,7 +9,9 @@ The tape oracles are the straight compositions of primitive tape ops
 (one node per matmul, transpose, softmax, ...) that the fused attention
 nodes replace, applied graph by graph to the same padded batch layout.
 They record the same arithmetic in the same order, so a fused node must
-match them bit for bit, gradients included.
+match them bit for bit, gradients included. The tape ops only they use
+(a softmax that may leave a row empty, row sums, a column add, exp, log,
+column means and mean pooling) live here too.
 
 The per-item oracles are the encoders as they ran before the batch
 axis: one frame, sentence, sequence or candidate at a time. With
@@ -269,7 +271,7 @@ def integrate_tape(params, bundle, q):
     question_attention_tape per source, per-source mean pools and the GCN's
     aggregation as a matmul by the normalized adjacency; (d,)."""
     from livlr.davl import SOURCE_NAMES, RiVariant, apply_index_embedding
-    from livlr.graph import learn_adjacency, mean_pool
+    from livlr.graph import learn_adjacency
     from livlr.tensor import add, concat, constant, linear, matmul, relu, row_softmax, transpose
 
     attended = [
@@ -350,6 +352,48 @@ def add_column(a, col):
         raise ShapeError(f"add_column needs (m, d) and (m, 1), got {a.data.shape} and {col.data.shape}")
     out = Tensor(a.data + col.data)
     return _record(out, (a, col), lambda g: (g, g.sum(axis=1, keepdims=True)))
+
+
+def exp(a):
+    from livlr.tensor import Tensor, _record
+
+    e = np.exp(a.data)
+    return _record(Tensor(e), (a,), lambda g: (g * e,))
+
+
+def log(a):
+    from livlr.tensor import Tensor, _record
+
+    return _record(Tensor(np.log(a.data)), (a,), lambda g: (g / a.data,))
+
+
+def mean_axis0(a):
+    """Column means of a 2-d tensor: (n, d) -> (d,)."""
+    from livlr.errors import ShapeError
+    from livlr.tensor import Tensor, _record
+
+    if a.data.ndim != 2:
+        raise ShapeError(f"mean_axis0 needs a 2-d tensor, got {a.data.shape}")
+    n = a.data.shape[0]
+    out = Tensor(a.data.mean(axis=0))
+
+    def bwd(g):
+        return (np.broadcast_to(g / n, a.data.shape).astype(g.dtype, copy=True),)
+
+    return _record(out, (a,), bwd)
+
+
+def mean_pool(nodes, subset=None):
+    """Mean of the selected node rows; subset=None pools every node."""
+    from livlr.errors import ContractError
+    from livlr.tensor import gather
+
+    if subset is None:
+        return mean_axis0(nodes)
+    idx = np.asarray(subset, dtype=np.intp)
+    if idx.size == 0:
+        raise ContractError("mean_pool over an empty subset")
+    return mean_axis0(gather(nodes, idx))
 
 
 def _batch(graph):
@@ -496,8 +540,7 @@ def encode_question(params, tokens):
 
 def encode_frame(params, frame):
     """One frame's fine-grained vector (d,)."""
-    from livlr.graph import DenseGraph, attn_gcn_layer, learn_adjacency, mean_pool
-    from livlr.graph import typed_edge_gcn_layer
+    from livlr.graph import DenseGraph, attn_gcn_layer, learn_adjacency, typed_edge_gcn_layer
     from livlr.tensor import add, concat, constant, linear, matmul
     from livlr.visual import classify_spatial_edges, position_features
 
@@ -515,9 +558,16 @@ def encode_frame(params, frame):
     return add(mean_pool(v_sp), mean_pool(v_se))
 
 
+def encode_holistic(params, clip):
+    """(N_f, d): one projected appearance row per frame."""
+    from livlr.tensor import constant, linear
+
+    app = constant(np.stack([f.appearance for f in clip.frames]), params.dtype)
+    return linear(app, params.w_hol, params.b_hol)
+
+
 def encode_clip(params, clip):
     from livlr.tensor import concat, reshape
-    from livlr.visual import encode_holistic
 
     rows = [reshape(encode_frame(params, f), (1, -1)) for f in clip.frames]
     return encode_holistic(params, clip), concat(rows, axis=0)
@@ -526,7 +576,7 @@ def encode_clip(params, clip):
 def encode_sentence(params, tokens, parse):
     """One sentence -> (event vector (d,), pooled local vector (d,))."""
     from livlr.errors import DataError
-    from livlr.graph import attn_gcn_layer, mean_pool
+    from livlr.graph import attn_gcn_layer
     from livlr.linguistic import build_role_graph
     from livlr.tensor import concat, constant, gather, matmul, mul, reshape
 
@@ -587,7 +637,7 @@ def open_ended(head, x_hat, q_hat):
 
 def cross_entropy(logits, label):
     """-log softmax(logits)[label] of one sample, op by op."""
-    from livlr.tensor import add, exp, gather, log, mul, sum_all
+    from livlr.tensor import add, gather, mul, sum_all
 
     shifted = add(logits, -float(logits.data.max()))
     picked = gather(shifted, [label])

@@ -2,7 +2,11 @@
 import numpy as np
 import pytest
 
+import livlr.davl
+from livlr.config import desk_config
+from livlr.data import SyntheticTaskSpec, gen_synthetic
 from livlr.davl import (
+    QattPadding,
     RepresentationBundle,
     RiVariant,
     SOURCE_NAMES,
@@ -12,6 +16,7 @@ from livlr.davl import (
     question_attention,
 )
 from livlr.errors import ConfigError, DegenerateRowError, ShapeError
+from livlr.model import Model
 from livlr.optim import ParamStore
 from livlr.tensor import Tensor, backward, concat, constant, no_grad, recording, sum_all, tape_size
 
@@ -172,6 +177,95 @@ class TestFusedQuestionAttention:
             assert tape_size() == before + 1
             assert out.data.shape == (9, 6)
             backward(sum_all(out))
+
+
+class TestPaddedQuestionAttention:
+    def test_a_ragged_batch_matches_each_sample_alone(self):
+        # sample b's rows of each source attend over its own question only;
+        # the zero padding of rows and tokens leaves no trace in the values
+        # or in any gradient
+        rng = np.random.default_rng(318)
+        d, n_heads = 6, 3
+        store, params = make_params(rng, d=d, n_heads=n_heads)
+        blocks = [params.qatt[s] for s in SOURCE_NAMES]
+        counts = np.array([[2, 2, 1, 3], [1, 1, 4, 1], [3, 3, 2, 2]])
+        tokens = np.array([4, 1, 3])
+        per_sample = [([rng.standard_normal((n, d)) for n in c], rng.standard_normal((t, d)))
+                      for c, t in zip(counts, tokens)]
+        stacked = [np.concatenate([xs[k] for xs, _ in per_sample]) for k in range(4)]
+
+        def run(xs, q, pad=None):
+            store.zero_grads()
+            xs = [Tensor(x, requires_grad=True) for x in xs]
+            q = Tensor(q, requires_grad=True)
+            with recording():
+                out = question_attention(blocks, xs, q, pad)
+                backward(sum_all(out))
+            return out.data, [x.grad for x in xs], q.grad, {n: p.grad.copy() for n, p in store.items()}
+
+        out, g_xs, g_q, g_w = run(stacked, np.concatenate([q for _, q in per_sample]),
+                                  QattPadding(counts, tokens))
+        want_w = dict.fromkeys(g_w, 0.0)
+        firsts = np.cumsum(counts, axis=0) - counts
+        starts = np.cumsum(counts.sum(axis=0)) - counts.sum(axis=0)
+        for b, (xs, q) in enumerate(per_sample):
+            one, one_xs, one_q, one_w = run(xs, q)
+            rows = np.concatenate([np.arange(lo, lo + n) for lo, n in
+                                   zip(starts + firsts[b], counts[b])])
+            assert max_rel_err(out[rows], one) <= 1e-12
+            for k in range(4):
+                lo = firsts[b, k]
+                assert max_rel_err(g_xs[k][lo : lo + counts[b, k]], one_xs[k]) <= 1e-12
+            t0 = tokens[:b].sum()
+            assert max_rel_err(g_q[t0 : t0 + tokens[b]], one_q) <= 1e-12
+            for name in want_w:
+                want_w[name] = want_w[name] + one_w[name]
+        for name, g in g_w.items():
+            assert max_rel_err(g, want_w[name]) <= 1e-12, name
+
+    def test_rows_that_do_not_fit_the_padding_raise(self):
+        rng = np.random.default_rng(319)
+        store, params = make_params(rng, d=6, n_heads=2)
+        pad = QattPadding([[1, 1, 1, 1], [2, 1, 1, 1]], [2, 3])
+        xs = [constant(rng.standard_normal((n, 6)), np.float64) for n in (3, 2, 2, 2)]
+        q = constant(rng.standard_normal((5, 6)), np.float64)
+        blocks = [params.qatt[s] for s in SOURCE_NAMES]
+        assert question_attention(blocks, xs, q, pad).data.shape == (9, 6)
+        with pytest.raises(ShapeError):
+            question_attention(blocks, xs, constant(np.ones((4, 6)), np.float64), pad)
+        with pytest.raises(ShapeError):
+            question_attention(blocks, xs[:3] + [xs[0]], q, pad)
+
+    @pytest.mark.parametrize("batch", [1, 4, 16])
+    def test_scores_grow_linearly_with_the_batch(self, monkeypatch, batch):
+        # the softmax sees (H, rows, t_max): each source row scores only its
+        # own sample's question slots, not every question token of the batch
+        cfg = desk_config(question_setting="MC")
+        spec = SyntheticTaskSpec(n_samples=batch, signal_source="question_dependent",
+                                 noise_scale=0.1, n_classes=4)
+        samples = gen_synthetic(spec, cfg, seed=11).samples()
+        model = Model(cfg)
+        shapes = []
+        softmax = livlr.davl.masked_softmax
+
+        def recorded(x, mask=None):
+            shapes.append(x.shape)
+            return softmax(x, mask)
+
+        monkeypatch.setattr(livlr.davl, "masked_softmax", recorded)
+        model.batch_loss(samples)
+        rows = sum(2 * len(s.clip.frames) + 2 * len(s.sentences) for s in samples)
+        t_max = max(len(s.question) for s in samples)
+        assert len(shapes) == 1
+        assert np.prod(shapes[0]) <= cfg.N_h * rows * t_max
+
+        # nor does the layout keep a (rows, batch tokens) array
+        layout = model.encode(samples).layout
+        batch_tokens = sum(len(s.question) for s in samples)
+        arrays = [v for obj in (layout, layout.qatt) if obj is not None
+                  for v in vars(obj).values() if isinstance(v, np.ndarray)]
+        arrays += [v for v in vars(layout.graph).values() if isinstance(v, np.ndarray)]
+        assert arrays and all(a.shape != (rows, batch_tokens) for a in arrays)
 
 
 class TestIndexEmbedding:

@@ -10,9 +10,25 @@ import pytest
 import fingerprint
 
 
-def test_fingerprint_matches_the_committed_file():
+@pytest.fixture(scope="module")
+def now():
+    return fingerprint.compute()
+
+
+def test_fingerprint_matches_the_committed_file(now):
     pinned = json.loads(fingerprint.PINNED.read_text(encoding="utf-8"))
     if pinned["numpy"] != np.__version__:
         pytest.skip(f"fingerprint made with numpy {pinned['numpy']}, running {np.__version__}")
-    now = fingerprint.compute()
     assert now["cases"] == pinned["cases"], "\n".join(fingerprint.diff(pinned, now))
+
+
+def test_evaluate_accuracy_is_the_share_of_right_predictions(now):
+    # evaluate scores the samples in chunks and predict one at a time; the
+    # two argmaxes must agree on every sample of every case
+    for case in fingerprint.CASES:
+        digest = now["cases"]["/".join(case)]
+        cfg, ds = fingerprint.case_data(*case)
+        targets = [s.label if cfg.question_setting == "OE" else s.correct for s in ds.samples()]
+        predicted = [int(p) for p in digest["predict"].split()]
+        right = sum(p == t for p, t in zip(predicted, targets))
+        assert float.fromhex(digest["eval_accuracy"]) == right / len(targets), case

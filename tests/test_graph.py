@@ -11,7 +11,6 @@ from livlr.graph import (
     attention_coefficients,
     attn_gcn_layer,
     learn_adjacency,
-    mean_pool,
     stack_graphs,
     typed_edge_gcn_layer,
     vanilla_gcn_layer,
@@ -25,6 +24,7 @@ from oracles import (
     central_diff,
     learned_edges_loop,
     max_rel_err,
+    mean_pool,
     typed_edge_gcn_layer_tape,
     typed_gcn_loop,
     vanilla_gcn_loop,

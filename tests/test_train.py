@@ -235,18 +235,31 @@ def test_evaluate_is_deterministic_and_bounded():
 @pytest.mark.parametrize("setting", ["OE", "MC"])
 @pytest.mark.parametrize("precision", ["single", "double"])
 def test_evaluate_is_the_per_sample_forwards(setting, precision):
-    # each sample is its own batch of one, so evaluate agrees with forward
-    # and predict bit for bit, whatever its neighbours in the dataset
+    # evaluate is batch_loss over consecutive batch_size chunks in dataset
+    # order: 19 samples at batch 8 give chunks of 8, 8 and 3. Its loss
+    # agrees with the per-sample forwards up to summation order, and its
+    # accuracy with predict exactly
     cfg = tiny_config(question_setting=setting, precision=precision)
-    ds = make_dataset(cfg, n=7, source="question_dependent")
+    ds = make_dataset(cfg, n=19, source="question_dependent")
     model = train(cfg.with_overrides(epochs=2), ds).model
     got = evaluate(model, ds)
-    loss_sum, hits = 0.0, 0
-    for s in ds.samples():
-        loss, _ = model.forward(s)
-        loss_sum += float(loss.data)
-        hits += model.predict(s) == (s.label if setting == "OE" else s.correct)
-    assert got == {"n": 7, "loss": loss_sum / 7, "accuracy": hits / 7}
+    samples = ds.samples()
+    loss_sum, hits, sizes = 0.0, 0, []
+    for start in range(0, 19, cfg.batch_size):
+        chunk = samples[start : start + cfg.batch_size]
+        _, losses, chunk_hits = model.batch_loss(chunk)
+        sizes.append(len(losses))
+        for loss in losses:
+            loss_sum += loss
+        hits += chunk_hits
+    assert sizes == [8, 8, 3]
+    assert got == {"n": 19, "loss": loss_sum / 19, "accuracy": hits / 19}
+
+    single = [float(model.forward(s)[0].data) for s in samples]
+    tol = 1e-12 if precision == "double" else 1e-5
+    assert abs(got["loss"] - sum(single) / 19) <= tol * abs(got["loss"])
+    right = [model.predict(s) == (s.label if setting == "OE" else s.correct) for s in samples]
+    assert got["accuracy"] == sum(right) / 19
 
 
 def test_evaluate_builds_each_frame_once(monkeypatch):

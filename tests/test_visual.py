@@ -12,10 +12,11 @@ from livlr.visual import (
     classify_spatial_edges,
     create_visual_params,
     encode_clip,
-    encode_holistic,
     position_features,
     spatial_relation,
 )
+
+from oracles import encode_holistic
 
 FRAME = (320.0, 240.0)
 
