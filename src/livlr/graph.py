@@ -334,12 +334,11 @@ def learn_adjacency(
     vals = np.where(scored, scores, -np.inf)
     vals[:, np.arange(n), np.arange(n)] = -np.inf
     # stable sort on the negated rows: descending value, then ascending
-    # column index among ties; rank r is kept while r < min(n_keep, n_b - 1)
+    # column index among ties; a column is kept while its rank in its row,
+    # the inverse permutation of the order, is below min(n_keep, n_b - 1)
     order = np.argsort(-vals, axis=2, kind="stable")
     keep = np.minimum(n_keep, valid.sum(axis=1) - 1)
-    kept = (np.arange(n) < keep[:, None, None]) & valid[:, :, None]
-    adj = np.zeros(scores.shape, dtype=bool)
-    np.put_along_axis(adj, order, np.broadcast_to(kept, adj.shape), axis=2)
+    adj = (order.argsort(axis=2) < keep[:, None, None]) & valid[:, :, None]
     if layout is None:
         return Tensor(scores[0]), DenseGraph(n, adj[0])
     return Tensor(scores), layout.with_edges(adj)

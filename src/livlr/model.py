@@ -139,7 +139,7 @@ class Model:
         hand back an earlier output of that stage (see gradcheck)."""
         batch = _batch(samples)
         mc = self.mc_head
-        if mc is not None and any(s.candidates is None or s.correct is None for s in batch):
+        if mc is not None and any(s.candidates is None for s in batch):
             raise DataError("multiple-choice sample is missing candidates")
         visual = run("visual", lambda: encode_clip(self.visual, [s.clip for s in batch]))
         linguistic = run("linguistic", lambda: encode_all(
@@ -152,29 +152,37 @@ class Model:
             (len(s.clip.frames), len(s.sentences), len(s.question)) for s in batch))
         return Encoded(visual, linguistic, question, candidates, layout)
 
-    def answer(self, samples, enc: Encoded) -> tuple[Tensor, Tensor]:
-        """The integration module, the answer head and its loss on top of
-        the encoder outputs, each one node over the batch: (losses,
-        scores). A batch gets one loss per sample (B,) and scores (B, A)
-        (OE) or every candidate's score in sample order (MC); one sample
-        gets a scalar loss and scores (A,) or (N_k,)."""
-        batch = _batch(samples)
+    def score(self, samples, enc: Encoded) -> Tensor:
+        """The integration module and the answer head on top of the encoder
+        outputs, each one node over the batch: answer-set logits (B, A)
+        (OE) or every candidate's score in sample order (MC). Needs no
+        answer."""
         q, q_hat = enc.question
         bundle = RepresentationBundle(*enc.visual, *enc.linguistic)
         x_hat = integrate(self.davl, bundle, q, enc.layout)
         if self.oe_head is not None:
-            labels = [s.label for s in batch]
-            if None in labels:
-                raise DataError("open-ended sample is missing its label")
-            scores = predict_open_ended(self.oe_head, x_hat, q_hat)
-            losses = cross_entropy(scores, labels)
+            return predict_open_ended(self.oe_head, x_hat, q_hat)
+        sizes = [len(s.candidates) for s in _batch(samples)]
+        return score_candidates(self.mc_head, x_hat, q_hat, enc.candidates, sizes)
+
+    def answer(self, samples, enc: Encoded) -> tuple[Tensor, Tensor]:
+        """score and its loss: (losses, scores). A batch gets one loss per
+        sample (B,) and scores as score gives them; one sample gets a
+        scalar loss and scores (A,) or (N_k,)."""
+        batch = _batch(samples)
+        oe = self.oe_head is not None
+        what = "label" if oe else "correct"
+        targets = [getattr(s, what) for s in batch]
+        if None in targets:
+            raise DataError(f"sample is missing its answer ({what} is None)")
+        scores = self.score(batch, enc)
+        if oe:
+            losses = cross_entropy(scores, targets)
         else:
-            sizes = [len(s.candidates) for s in batch]
-            scores = score_candidates(self.mc_head, x_hat, q_hat, enc.candidates, sizes)
-            losses = hinge_loss(scores, [s.correct for s in batch], sizes)
+            losses = hinge_loss(scores, targets, [len(s.candidates) for s in batch])
         if batch is samples:
             return losses, scores
-        return reshape(losses, ()), scores if self.mc_head is not None else reshape(scores, (-1,))
+        return reshape(losses, ()), reshape(scores, (-1,)) if oe else scores
 
     def forward(self, sample, run=_run_stage) -> tuple[Tensor, Tensor]:
         """(loss, scores) of one sample, a batch of one: scores are
@@ -182,10 +190,10 @@ class Model:
         return self.answer(sample, self.encode(sample, run))
 
     def predict(self, sample) -> int:
-        """Index of the best answer (OE) or candidate (MC); records nothing
+        """Index of the best answer (OE) or candidate (MC). Computes the
+        scores only, so the sample needs no answer; records nothing
         outside a recording() scope."""
-        _, scores = self.forward(sample)
-        return int(np.argmax(scores.data))
+        return int(np.argmax(self.score(sample, self.encode(sample)).data))
 
     def batch_loss(self, samples: list, run=_run_stage) -> tuple[Tensor, list[float], int]:
         """Forward a batch, each layer once over all its samples: (mean

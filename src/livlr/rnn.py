@@ -7,8 +7,15 @@ with hidden width d/2, and concatenates the two final hidden states. It
 takes a ragged batch of sequences and is a single fused tape node: the
 forward loop steps every sequence and both directions at once on raw
 arrays, and the backward replays it in reverse (backprop through time),
-so the tape cost is constant rather than per step or per sequence. The
-sequence encoder, shared by sentences, questions and multiple-choice
+so the tape cost is constant rather than per step or per sequence.
+
+A step costs numpy dispatch, not arithmetic, so it makes few calls: one
+tanh squashes all four gates, with the sigmoid gates taken as
+sigmoid(x) = tanh(x/2)/2 + 1/2, and a step where every sequence is live
+skips the hold. Outside a recording scope the loop keeps no step's
+states, so a prediction pays for none of the backward's bookkeeping.
+
+The sequence encoder, shared by sentences, questions and multiple-choice
 candidates, projects tokens to width d and summarises them with that
 embedder.
 """
@@ -20,7 +27,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .optim import ParamStore, make_param
-from .tensor import Tensor, _record, constant, is_recording, linear, relu, stable_sigmoid
+from .tensor import Tensor, _record, constant, is_recording, linear, relu
 
 
 @dataclass
@@ -125,33 +132,44 @@ def bilstm_embed(params: BiLstmParams, seq: Tensor, lengths) -> Tensor:
     z_in = pre.reshape(-1, 2, 4 * hd)[np.stack([rows_f, rows_b], axis=1), [[0], [1]]]
     del pre
     w_h = np.stack([fwd.w_h.data, rev.w_h.data])  # (2, h, 4h)
+    # sigmoid(x) = tanh(x/2)/2 + 1/2, so one tanh squashes all four gates:
+    # the sigmoid gates' pre-activations are halved (exactly, by scaling
+    # their columns) and their tanh is halved and shifted back
+    half = np.ones(4 * hd, dtype=dt)
+    half[: 3 * hd] = 0.5
+    shift = 1.0 - half
+    z_in *= half
+    w_h_half = w_h * half
+    # a step where every sequence is live needs no hold
+    full = active.all(axis=1).tolist()
 
     h = np.zeros((2, n_seq, hd), dtype=dt)
     c = np.zeros((2, n_seq, hd), dtype=dt)
-    # backward reads every step's states; outside a recording scope only
-    # the current step's are kept
-    kept = t_max if is_recording() else 1
-    h_prev = np.zeros((kept, 2, n_seq, hd), dtype=dt)
-    c_prev = np.zeros((kept, 2, n_seq, hd), dtype=dt)
-    tanh_c = np.zeros((kept, 2, n_seq, hd), dtype=dt)
-    act = np.zeros((kept, 2, n_seq, 4 * hd), dtype=dt)  # i, f, o, g after squashing
+    # backward reads every step's (h_prev, c_prev, act, tanh_c), act being
+    # the gates i, f, o, g after squashing; each step makes these arrays
+    # anew, so keeping them is free, and outside a recording scope none is
+    # kept
+    history = [] if is_recording() else None
     gates = lambda a: (a[..., :hd], a[..., hd : 2 * hd], a[..., 2 * hd : 3 * hd], a[..., 3 * hd :])
     for t in range(t_max):
-        k = t % kept
-        h_prev[k] = h
-        c_prev[k] = c
-        z = z_in[t] + h @ w_h
-        act[k, ..., : 3 * hd] = stable_sigmoid(z[..., : 3 * hd])
-        act[k, ..., 3 * hd :] = np.tanh(z[..., 3 * hd :])
-        gi, gf, go, gg = gates(act[k])
+        act = np.tanh(z_in[t] + h @ w_h_half)
+        act *= half
+        act += shift
+        gi, gf, go, gg = gates(act)
         c_t = gf * c + gi * gg
-        tanh_c[k] = np.tanh(c_t)
-        live = active[t][:, None]
-        h, c = np.where(live, go * tanh_c[k], h), np.where(live, c_t, c)
+        tanh_c = np.tanh(c_t)
+        if history is not None:
+            history.append((h, c, act, tanh_c))
+        if full[t]:
+            h, c = go * tanh_c, c_t
+        else:
+            live = active[t][:, None]
+            h, c = np.where(live, go * tanh_c, h), np.where(live, c_t, c)
 
     out = Tensor(np.concatenate([h[0], h[1]], axis=1))
 
     def bwd(g):
+        h_prev, c_prev, act, tanh_c = (np.stack(a) for a in zip(*history))
         gi, gf, go, gg = gates(act)
         # each step's pre-activation gradient is [dc, dc, dh, dc] times these
         coef = np.concatenate([
@@ -164,7 +182,7 @@ def bilstm_embed(params: BiLstmParams, seq: Tensor, lengths) -> Tensor:
         w_h_t = w_h.transpose(0, 2, 1)
         dh = np.stack([g[:, :hd], g[:, hd:]])
         dc = np.zeros_like(dh)
-        dz = np.zeros_like(z_in)
+        dz = np.zeros_like(act)
         for t in range(t_max - 1, -1, -1):
             dct = dc + dh * dc_dh[t]
             live = active[t][:, None]

@@ -241,14 +241,6 @@ def relu(a: Tensor) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function on a raw array. exp(-|x|) <= 1, so neither
-    branch can overflow."""
-    with np.errstate(over="ignore", under="ignore"):
-        z = np.exp(-np.abs(x))
-        return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-
-
 def masked_softmax(x: np.ndarray, mask=None):
     """Softmax over the last axis of a raw array, restricted to the entries
     where ``mask`` (a boolean array of x's shape, or None for all) is set.

@@ -11,7 +11,11 @@ nodes replace, applied graph by graph to the same padded batch layout.
 They record the same arithmetic in the same order, so a fused node must
 match them bit for bit, gradients included. The tape ops only they use
 (a softmax that may leave a row empty, row sums, a column add, exp, log,
-column means and mean pooling) live here too.
+column means and mean pooling) live here too, as does the two-branch
+sigmoid the per-item LSTM oracle squashes its gates with.
+
+``learned_edges_put_along`` is the graph learner's edge selection as it
+was written before the rank mask: a scatter by sort order.
 
 The per-item oracles are the encoders as they ran before the batch
 axis: one frame, sentence, sequence or candidate at a time. With
@@ -128,6 +132,21 @@ def learned_edges_loop(v, w1, w2, n_keep) -> tuple[np.ndarray, np.ndarray]:
     return scores, adj
 
 
+def learned_edges_put_along(scores, valid, n_keep) -> np.ndarray:
+    """graph.learn_adjacency's kept edges from its padded scores (B, n, n)
+    and slot mask (B, n), scattered by rank with put_along_axis."""
+    n = scores.shape[1]
+    scored = valid[:, :, None] & valid[:, None, :]
+    vals = np.where(scored, scores, -np.inf)
+    vals[:, np.arange(n), np.arange(n)] = -np.inf
+    order = np.argsort(-vals, axis=2, kind="stable")
+    keep = np.minimum(n_keep, valid.sum(axis=1) - 1)
+    kept = (np.arange(n) < keep[:, None, None]) & valid[:, :, None]
+    adj = np.zeros(scores.shape, dtype=bool)
+    np.put_along_axis(adj, order, np.broadcast_to(kept, adj.shape), axis=2)
+    return adj
+
+
 def vanilla_gcn_loop(x, w, adj, normalize=True) -> np.ndarray:
     x = np.asarray(x)
     n, d = x.shape
@@ -200,6 +219,15 @@ def davl_loop(mats, q, qatt_heads, index_matrix, w1, w2, w_gcn, n_keep, normaliz
     return mean_rows_loop(nodes)
 
 
+def _sigmoid(v: float) -> float:
+    """Scalar logistic function; exp of a non-positive number cannot
+    overflow, so any finite v is fine."""
+    if v >= 0:
+        return 1.0 / (1.0 + math.exp(-v))
+    e = math.exp(v)
+    return e / (1.0 + e)
+
+
 def lstm_final_loop(seq, w_x, w_h, bias) -> np.ndarray:
     """Final hidden state of the recurrence, gates packed [i | f | o | g]."""
     seq = np.asarray(seq)
@@ -213,9 +241,9 @@ def lstm_final_loop(seq, w_x, w_h, bias) -> np.ndarray:
             + sum(h[a] * float(w_h[a][g]) for a in range(hd))
             for g in range(4 * hd)
         ]
-        gi = [1.0 / (1.0 + math.exp(-z[g])) for g in range(hd)]
-        gf = [1.0 / (1.0 + math.exp(-z[hd + g])) for g in range(hd)]
-        go = [1.0 / (1.0 + math.exp(-z[2 * hd + g])) for g in range(hd)]
+        gi = [_sigmoid(z[g]) for g in range(hd)]
+        gf = [_sigmoid(z[hd + g]) for g in range(hd)]
+        go = [_sigmoid(z[2 * hd + g]) for g in range(hd)]
         gg = [math.tanh(z[3 * hd + g]) for g in range(hd)]
         c = [gf[g] * c[g] + gi[g] * gg[g] for g in range(hd)]
         h = [go[g] * math.tanh(c[g]) for g in range(hd)]
@@ -456,10 +484,18 @@ def typed_edge_gcn_layer_tape(params, nodes, graph):
 # per-item oracles: the encoders one frame, sentence, sequence and candidate
 # at a time, each graph through the single-graph layers
 
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function on a raw array by the two-branch formula.
+    exp(-|x|) <= 1, so neither branch can overflow."""
+    with np.errstate(over="ignore", under="ignore"):
+        z = np.exp(-np.abs(x))
+        return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
 def lstm_final_hidden(params, seq):
     """One direction over one sequence (T, d_in) from zero states, as one
     tape node; returns the final hidden state (1, h)."""
-    from livlr.tensor import Tensor, _record, add, matmul, stable_sigmoid
+    from livlr.tensor import Tensor, _record, add, matmul
 
     t_len = seq.data.shape[0]
     h_dim = params.hidden

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import fingerprint
+from livlr.model import Model
 
 
 @pytest.fixture(scope="module")
@@ -32,3 +33,12 @@ def test_evaluate_accuracy_is_the_share_of_right_predictions(now):
         predicted = [int(p) for p in digest["predict"].split()]
         right = sum(p == t for p, t in zip(predicted, targets))
         assert float.fromhex(digest["eval_accuracy"]) == right / len(targets), case
+
+
+def test_predict_is_the_argmax_of_forward():
+    # predict scores without the loss; it must pick what forward's scores do
+    for case in fingerprint.CASES:
+        cfg, ds = fingerprint.case_data(*case)
+        model = Model(cfg)
+        for s in ds.samples():
+            assert model.predict(s) == int(np.argmax(model.forward(s)[1].data)), case

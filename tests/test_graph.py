@@ -1,6 +1,8 @@
 """Graph layers against loop oracles, plus structural invariants."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from livlr.errors import ContractError, GraphIntegrityError, ShapeError
 from livlr.graph import (
@@ -23,6 +25,7 @@ from oracles import (
     attn_gcn_loop,
     central_diff,
     learned_edges_loop,
+    learned_edges_put_along,
     max_rel_err,
     mean_pool,
     typed_edge_gcn_layer_tape,
@@ -407,6 +410,24 @@ class TestGraphLearner:
             want_scores, want_adj = learned_edges_loop(v.data, w1.data, w2.data, keep)
             assert np.array_equal(scores.data, want_scores)
             assert np.array_equal(g.adjacency, want_adj)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 7), min_size=1, max_size=5),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_rank_mask_matches_the_put_along_axis_scatter(self, sizes, seed, data):
+        # padded batches of small integer rows and weights, so scores tie
+        # often, and every budget from one edge a row to every node
+        n_keep = data.draw(st.integers(1, max(sizes)))
+        rng = np.random.default_rng(seed)
+        d = 2
+        rows = np.split(rng.permutation(sum(sizes)), np.cumsum(sizes)[:-1])
+        layout = stack_graphs([DenseGraph(n, np.zeros((n, n), dtype=bool)) for n in sizes], rows)
+        w1 = Tensor(rng.integers(-1, 2, (d, d)).astype(float), requires_grad=True)
+        w2 = Tensor(rng.integers(-1, 2, (d, d)).astype(float), requires_grad=True)
+        v = constant(rng.integers(-1, 2, (sum(sizes), d)), np.float64)
+        scores, g = learn_adjacency(w1, w2, v, n_keep, layout)
+        want = learned_edges_put_along(scores.data, layout.valid, n_keep)
+        assert g.adjacency.dtype == want.dtype and g.adjacency.tobytes() == want.tobytes()
 
     def test_records_nothing_on_the_tape(self):
         rng = np.random.default_rng(135)

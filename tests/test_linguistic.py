@@ -86,6 +86,48 @@ class TestLstm:
         out = bilstm_embed(p, constant(rng.standard_normal((1, 3)), np.float64), [1]).data[0]
         assert np.allclose(out[:2], out[2:], atol=1e-12)
 
+    def test_recording_does_not_change_the_output(self):
+        # ragged lengths, so the steps where every sequence is live and the
+        # steps where some hold their state both run
+        for seed in range(20):
+            rng = np.random.default_rng([205, seed])
+            d_in, h = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+            lengths = rng.integers(1, 7, size=int(rng.integers(2, 5)))
+            lengths[0] = lengths.max() + 1
+            p = BiLstmParams(fwd=lstm_params(rng, d_in, h), bwd=lstm_params(rng, d_in, h))
+            rows = rng.standard_normal((int(lengths.sum()), d_in))
+            outside = bilstm_embed(p, constant(rows, np.float64), lengths).data
+            with recording():
+                inside = bilstm_embed(p, constant(rows, np.float64), lengths)
+                backward(sum_all(inside))
+            assert inside.data.tobytes() == outside.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_huge_pre_activations_saturate_without_overflow(self, dtype):
+        # token rows of +-1 against input weights of magnitude 1e3 to 1e4
+        # put every gate's pre-activation beyond +-900, up to about +-1e4
+        for seed in range(10):
+            rng = np.random.default_rng([206, seed])
+            h = 3
+            lengths = rng.integers(1, 6, size=3)
+            sign = lambda shape: rng.choice([-1.0, 1.0], size=shape)
+            big = lambda: sign((1, 4 * h)) * rng.uniform(1e3, 1e4, (1, 4 * h))
+            p = BiLstmParams(*(LstmParams(
+                w_x=Tensor(np.concatenate([big(), rng.uniform(-10, 10, (1, 4 * h))]).astype(dtype)),
+                w_h=Tensor((rng.standard_normal((h, 4 * h)) * 3.0).astype(dtype)),
+                bias=Tensor(rng.uniform(-10, 10, 4 * h).astype(dtype)),
+            ) for _ in range(2)))
+            seqs = [sign((t, 2)) for t in lengths]
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                got = bilstm_embed(p, constant(np.concatenate(seqs), dtype), lengths).data
+            assert got.dtype == dtype and np.isfinite(got).all()
+            for row, seq in zip(got, seqs):
+                want = np.concatenate([
+                    lstm_final_loop(seq, p.fwd.w_x.data, p.fwd.w_h.data, p.fwd.bias.data),
+                    lstm_final_loop(seq[::-1], p.bwd.w_x.data, p.bwd.w_h.data, p.bwd.bias.data),
+                ])
+                assert max_rel_err(row, want) <= 1e-6
+
     def test_odd_output_width_rejected(self):
         store = ParamStore()
         with pytest.raises(Exception):

@@ -9,6 +9,8 @@ reproduce the per-op tape compositions in ``oracles.py``, which run graph
 by graph over the same padded batch layout, bit for bit. Whether batching
 itself changes the numbers is tests/test_batching.py's question.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ import oracles
 from livlr.config import desk_config, tiny_config
 from livlr.data import SyntheticTaskSpec, gen_synthetic
 from livlr.davl import RepresentationBundle, integrate
-from livlr.errors import ContractError
+from livlr.errors import ContractError, DataError
 from livlr.heads import (
     cross_entropy,
     encode_candidates,
@@ -199,6 +201,32 @@ def test_predict_leaves_the_tape_alone(setting):
         for s in samples:
             model.predict(s)
             assert tape_size() == before
+
+
+@pytest.mark.parametrize("setting", ["OE", "MC"])
+def test_predict_needs_no_answer(setting):
+    cfg = tiny_config(question_setting=setting)
+    spec = SyntheticTaskSpec(
+        n_samples=4, signal_source="question_dependent", noise_scale=0.3, n_classes=4
+    )
+    model = Model(cfg)
+    for s in gen_synthetic(spec, cfg, seed=9).samples():
+        assert model.predict(dataclasses.replace(s, label=None, correct=None)) == model.predict(s)
+
+
+@pytest.mark.parametrize("setting", ["OE", "MC"])
+def test_the_loss_names_a_missing_answer(setting):
+    cfg = tiny_config(question_setting=setting)
+    spec = SyntheticTaskSpec(
+        n_samples=2, signal_source="question_dependent", noise_scale=0.3, n_classes=4
+    )
+    model = Model(cfg)
+    samples = gen_synthetic(spec, cfg, seed=9).samples()
+    unanswered = [samples[0], dataclasses.replace(samples[1], label=None, correct=None)]
+    with pytest.raises(DataError, match="missing its answer"):
+        model.batch_loss(unanswered)
+    with pytest.raises(DataError, match="missing its answer"):
+        model.forward(unanswered[1])
 
 
 def test_encoder_node_counts_do_not_grow_with_items():

@@ -201,9 +201,9 @@ class TestElementwise:
         assert max_rel_err(x.grad, num) < 1e-6
 
     def test_sigmoid_is_the_stable_two_branch_formula(self):
-        # the LSTM gates use this helper; pin its bytes to the
-        # overflow-free formula, extremes included
-        from livlr.tensor import stable_sigmoid
+        # the per-item LSTM oracle's gates use this helper; pin its bytes
+        # to the overflow-free formula, extremes included
+        from oracles import stable_sigmoid
 
         for dtype in (np.float32, np.float64):
             x = np.concatenate([
