@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ModelConfig
+from .config import ModelConfig, _number
 from .errors import ConfigError, DataError
 from .linguistic import SentenceLayout, SrlArgument, SrlParse, sentence_layout
 from .visual import ClipFeatures, FrameFeatures
@@ -56,12 +56,12 @@ class SyntheticTaskSpec:
             raise ConfigError(
                 f"signal_source must be one of {SIGNAL_SOURCES}, got {self.signal_source!r}"
             )
-        if self.n_samples < 1:
-            raise ConfigError(f"n_samples must be >= 1, got {self.n_samples}")
-        if self.noise_scale < 0:
-            raise ConfigError(f"noise_scale must be >= 0, got {self.noise_scale}")
-        if self.n_classes < 2:
-            raise ConfigError(f"n_classes must be >= 2, got {self.n_classes}")
+        for f, lo in (("n_samples", 1), ("n_classes", 2)):
+            v = getattr(self, f)
+            if isinstance(v, bool) or not isinstance(v, int) or v < lo:
+                raise ConfigError(f"{f} must be an integer >= {lo}, got {v!r}")
+        if not _number(self.noise_scale) or self.noise_scale < 0:
+            raise ConfigError(f"noise_scale must be a finite number >= 0, got {self.noise_scale!r}")
         return self
 
     def to_dict(self) -> dict:
@@ -76,14 +76,16 @@ class SyntheticTaskSpec:
     def from_dict(cls, d: dict) -> "SyntheticTaskSpec":
         try:
             spec = cls(
-                n_samples=int(d["n_samples"]),
+                n_samples=d["n_samples"],
                 signal_source=str(d["signal_source"]),
-                noise_scale=float(d["noise_scale"]),
-                n_classes=int(d["n_classes"]),
+                noise_scale=d["noise_scale"],
+                n_classes=d["n_classes"],
             )
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError) as e:
             raise ConfigError(f"malformed task spec: {e}") from e
-        return spec.validate()
+        spec.validate()
+        spec.noise_scale = float(spec.noise_scale)  # JSON may write a whole number as 0
+        return spec
 
     @classmethod
     def from_file(cls, path) -> "SyntheticTaskSpec":

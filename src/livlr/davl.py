@@ -73,11 +73,6 @@ class RepresentationBundle:
     def matrices(self):
         return (self.x_vg, self.x_vl, self.x_lg, self.x_ll)
 
-    def sources(self) -> np.ndarray:
-        """Per-row source id in {1..4} for the stacked node matrix."""
-        counts = [m.data.shape[0] for m in self.matrices()]
-        return np.repeat(np.arange(1, 5), counts)
-
 
 @dataclass
 class DavlParams:
@@ -89,8 +84,8 @@ class DavlParams:
     w_concat: Tensor | None  # (4d, d) for the concatenation baseline
     b_concat: Tensor | None
     n_keep: int
-    normalize: bool  # mean (True) vs sum aggregation in the GCN; models build True
     variant: RiVariant
+    normalize = True  # the GCN averages its messages; a constant, not a field
 
 
 def create_davl_params(
@@ -133,7 +128,6 @@ def create_davl_params(
         w_concat=w_concat,
         b_concat=b_concat,
         n_keep=n_keep,
-        normalize=True,
         variant=variant,
     )
 
@@ -414,7 +408,7 @@ def integrate(
         if variant in (RiVariant.DAVL, RiVariant.RI_GCN):
             _, graph = learn_adjacency(
                 params.learn_w1, params.learn_w2, nodes, params.n_keep, layout.graph)
-            nodes = vanilla_gcn_layer(params.w_gcn, nodes, graph, normalize=params.normalize)
+            nodes = vanilla_gcn_layer(params.w_gcn, nodes, graph)
         else:
             # co-attention baseline: every node attends over the other
             # nodes of its own sample

@@ -4,11 +4,10 @@ Graphs are small (tens of nodes), so adjacency is a dense boolean matrix
 and edge types a dense integer matrix. Node update layers follow the
 residual pattern out_i = ReLU(v_i + aggregate(neighbors)).
 
-The layers and the graph learner run a whole ``GraphBatch`` at once: the
-graphs' node rows are stacked in one matrix, and each op pads them into a
+The layers and the graph learner take only a ``GraphBatch``: the graphs'
+node rows are stacked in one matrix, and each op pads them into a
 (B, n_max) block, so one tape node serves every frame or sentence of a
-minibatch, or every sample's integration graph. A ``DenseGraph`` runs as
-a batch of one.
+minibatch, or every sample's integration graph.
 """
 from __future__ import annotations
 
@@ -69,9 +68,6 @@ class DenseGraph:
         if self.edge_types is not None:
             self.edge_types = np.asarray(self.edge_types)
         _check_edges(adj, self.edge_types)
-
-    def degree(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1)
 
     def batch(self) -> "GraphBatch":
         """This graph as a batch of one over its own node rows."""
@@ -197,7 +193,7 @@ def _neighbor_weights(params, p: np.ndarray, graph: GraphBatch):
     return q, k_t, alpha, softmax_vjp
 
 
-def _attention_layer(params, nodes: Tensor, graph, typed: bool) -> Tensor:
+def _attention_layer(params, nodes: Tensor, graph: GraphBatch, typed: bool) -> Tensor:
     """One attention aggregation layer over every graph of a batch, as a
     single tape node: out_i = ReLU(v_i + sum_j alpha_ij (W v_j + typed *
     b[type_ij])) over the neighbors j in node i's own graph.
@@ -207,8 +203,6 @@ def _attention_layer(params, nodes: Tensor, graph, typed: bool) -> Tensor:
     the order a per-op tape over the same block would, so gradients match
     that composition (tests/oracles.py) bit for bit.
     """
-    if isinstance(graph, DenseGraph):
-        graph = graph.batch()
     v, w, w_q, w_k = nodes.data, params.w.data, params.w_q.data, params.w_k.data
     if v.shape != (graph.n_rows, w.shape[0]):
         raise ShapeError(f"node matrix {v.shape} does not fit {graph.n_rows} nodes of width {w.shape[0]}")
@@ -257,13 +251,13 @@ def attention_coefficients(params, nodes: Tensor, graph: DenseGraph) -> Tensor:
     return Tensor(_neighbor_weights(params, nodes.data, graph.batch())[2][0])
 
 
-def attn_gcn_layer(params: AttnGcnParams, nodes: Tensor, graph) -> Tensor:
-    """out_i = ReLU(v_i + sum_j alpha_ij W v_j) over neighbors j; graph is
-    a DenseGraph or a GraphBatch over the rows of nodes."""
+def attn_gcn_layer(params: AttnGcnParams, nodes: Tensor, graph: GraphBatch) -> Tensor:
+    """out_i = ReLU(v_i + sum_j alpha_ij W v_j) over neighbors j within
+    each graph of the batch, whose rows are those of nodes."""
     return _attention_layer(params, nodes, graph, typed=False)
 
 
-def typed_edge_gcn_layer(params: TypedGcnParams, nodes: Tensor, graph) -> Tensor:
+def typed_edge_gcn_layer(params: TypedGcnParams, nodes: Tensor, graph: GraphBatch) -> Tensor:
     """Attention aggregation where each message also carries a scalar bias
     chosen by the edge's type label, broadcast over feature dims."""
     if graph.edge_types is None:
@@ -271,17 +265,13 @@ def typed_edge_gcn_layer(params: TypedGcnParams, nodes: Tensor, graph) -> Tensor
     return _attention_layer(params, nodes, graph, typed=True)
 
 
-def vanilla_gcn_layer(w: Tensor, nodes: Tensor, graph, normalize: bool = True) -> Tensor:
+def vanilla_gcn_layer(w: Tensor, nodes: Tensor, graph: GraphBatch) -> Tensor:
     """Unweighted aggregation: out_i = ReLU(v_i + mean_j W v_j) over the
-    neighbors j in node i's own graph, or a plain sum when normalize is
-    off; graph is a DenseGraph or a GraphBatch over the rows of nodes."""
-    if isinstance(graph, DenseGraph):
-        graph = graph.batch()
+    neighbors j in node i's own graph of the batch."""
     msgs = matmul(nodes, w)
     a = graph.adjacency.astype(nodes.data.dtype)
-    if normalize:
-        deg = a.sum(axis=2, keepdims=True)
-        a = a / np.where(deg == 0.0, 1.0, deg)
+    deg = a.sum(axis=2, keepdims=True)
+    a = a / np.where(deg == 0.0, 1.0, deg)
     return relu(add(nodes, _aggregate(a, msgs, graph)))
 
 
@@ -299,17 +289,13 @@ def _aggregate(weights: np.ndarray, x: Tensor, graph: GraphBatch) -> Tensor:
     return _record(Tensor(apply(weights, x.data)), (x,), lambda g: (apply(w_t, g),))
 
 
-def learn_adjacency(
-    w1: Tensor, w2: Tensor, nodes: Tensor, n_keep: int, layout: GraphBatch | None = None
-):
-    """Score every ordered node pair of a graph bilinearly and keep each
-    row's top n_keep off-diagonal entries as edges.
+def learn_adjacency(w1: Tensor, w2: Tensor, nodes: Tensor, n_keep: int, layout: GraphBatch):
+    """Score every ordered node pair within each graph of ``layout``
+    bilinearly and keep each row's top n_keep off-diagonal entries as
+    edges: (padded scores (B, n_max, n_max), ``layout.with_edges``).
 
     Ties keep the lower column index. Rows keep min(n_keep, n-1) edges, so
-    a single-node graph comes out edgeless. With ``layout`` every graph of
-    that batch is scored within itself at once, and the result is
-    (padded scores (B, n_max, n_max), ``layout.with_edges``); without, the
-    rows form one graph and the result is (scores (n, n), DenseGraph).
+    a single-node graph comes out edgeless.
     """
     if n_keep < 1:
         raise ContractError(f"n_keep must be >= 1, got {n_keep}")
@@ -317,12 +303,9 @@ def learn_adjacency(
     v = nodes.data
     if v.ndim != 2 or v.shape[1] != w1.data.shape[0]:
         raise ShapeError(f"node matrix {v.shape} does not match scorer {w1.data.shape}")
-    if layout is None:
-        p, valid = v[None], np.ones((1, v.shape[0]), dtype=bool)
-    else:
-        if v.shape[0] != layout.n_rows:
-            raise ShapeError(f"node matrix {v.shape} does not fit {layout.n_rows} nodes")
-        p, valid = layout.pad(v).reshape(layout.slots.shape + (-1,)), layout.valid
+    if v.shape[0] != layout.n_rows:
+        raise ShapeError(f"node matrix {v.shape} does not fit {layout.n_rows} nodes")
+    p, valid = layout.pad(v).reshape(layout.slots.shape + (-1,)), layout.valid
     scores = (p @ w1.data) @ np.ascontiguousarray((p @ w2.data).transpose(0, 2, 1))
     scored = valid[:, :, None] & valid[:, None, :]
     if not np.isfinite(scores[scored]).all():
@@ -339,6 +322,4 @@ def learn_adjacency(
     order = np.argsort(-vals, axis=2, kind="stable")
     keep = np.minimum(n_keep, valid.sum(axis=1) - 1)
     adj = (order.argsort(axis=2) < keep[:, None, None]) & valid[:, :, None]
-    if layout is None:
-        return Tensor(scores[0]), DenseGraph(n, adj[0])
     return Tensor(scores), layout.with_edges(adj)

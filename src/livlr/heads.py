@@ -6,9 +6,8 @@ linear regressor over [fused; question; candidate] and trains with a
 summed pairwise hinge: every wrong candidate must trail the right one by
 a margin of 1.
 
-Each function takes one sample or a minibatch with its samples' rows
-stacked in order, and each loss is one tape node that gives one loss per
-sample.
+Each function takes a minibatch with its samples' rows stacked in order,
+and each loss is one tape node that gives one loss per sample.
 """
 from __future__ import annotations
 
@@ -58,22 +57,18 @@ def create_multichoice_head(
     )
 
 
-def encode_question(params: SeqEncoderParams, tokens) -> tuple[Tensor, Tensor]:
-    """(Q, q_hat): token-level rows after a ReLU projection, and the BiLSTM
-    summary over them. ``tokens`` is one question (N_t, d_t), which gives
-    rows (N_t, d) and q_hat (d,), or a list of questions, which gives every
-    question's rows stacked and q_hat (B, d), through one BiLSTM node."""
-    one = isinstance(tokens, np.ndarray)
-    questions = [tokens] if one else tokens
-    rows, summary = encode_sequences(
+def encode_question(params: SeqEncoderParams, questions: list) -> tuple[Tensor, Tensor]:
+    """(Q, q_hat) of a list of questions, each (N_t, d_t): every question's
+    token rows after a ReLU projection, stacked, and one BiLSTM summary per
+    question (B, d), through one BiLSTM node."""
+    return encode_sequences(
         params, np.concatenate(questions), [len(t) for t in questions], rectify=True)
-    return rows, reshape(summary, (summary.data.shape[1],)) if one else summary
 
 
 def predict_open_ended(head: OpenEndedHead, x_hat: Tensor, q_hat: Tensor) -> Tensor:
-    """Answer-set logits from the fused and question vectors: (A,) from
-    one sample's (d,) vectors, (B, A) from a batch's (B, d) rows."""
-    joint = concat([x_hat, q_hat], axis=x_hat.data.ndim - 1)
+    """Answer-set logits (B, A) from a batch's fused and question rows,
+    each (B, d)."""
+    joint = concat([x_hat, q_hat], axis=1)
     hidden = relu(linear(joint, head.w1, head.b1))
     return linear(hidden, head.w2, head.b2)
 
@@ -103,11 +98,10 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     return _record(Tensor(loss.reshape(z.shape[:-1])), (logits,), bwd)
 
 
-def encode_candidates(head: MultiChoiceHead, candidates) -> Tensor:
-    """Candidate token matrices (N_k, n_tok, d_t), or a list of them, one
-    per sample -> one BiLSTM embedding per candidate, (total N_k, d),
-    through one ragged BiLSTM node."""
-    sets = [candidates] if isinstance(candidates, np.ndarray) else candidates
+def encode_candidates(head: MultiChoiceHead, sets: list) -> Tensor:
+    """A list of candidate token matrices (N_k, n_tok, d_t), one per
+    sample -> one BiLSTM embedding per candidate, (total N_k, d), through
+    one ragged BiLSTM node."""
     for c in sets:
         if c.ndim != 3:
             raise ContractError(f"candidates must be (N_k, n_tok, d_t), got {c.shape}")
@@ -118,32 +112,26 @@ def encode_candidates(head: MultiChoiceHead, candidates) -> Tensor:
 
 
 def score_candidates(
-    head: MultiChoiceHead, x_hat: Tensor, q_hat: Tensor, embeddings: Tensor, sizes=None
+    head: MultiChoiceHead, x_hat: Tensor, q_hat: Tensor, embeddings: Tensor, sizes
 ) -> Tensor:
     """Scores (total N_k,): one linear regression over the stacked rows
     [x_hat; q_hat; e_k] of every candidate embedding e_k. x_hat and q_hat
-    are one sample's (d,) vectors, or a batch's (B, d) rows with sizes[b]
-    candidates for sample b, stacked in sample order."""
+    are a batch's (B, d) rows, with sizes[b] candidates for sample b,
+    stacked in sample order."""
     n_k = embeddings.data.shape[0]
-    if x_hat.data.ndim == 1:
-        shared = concat([x_hat, q_hat], axis=0)
-        shared = reshape(shared, (1, shared.data.shape[0]))
-        owner = np.zeros(n_k, dtype=np.intp)
-    else:
-        shared = concat([x_hat, q_hat], axis=1)
-        owner = np.repeat(np.arange(len(sizes)), sizes)
+    shared = concat([x_hat, q_hat], axis=1)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
     joint = concat([gather(shared, owner), embeddings], axis=1)  # (N_k, 3d)
     return reshape(linear(joint, head.w_score, head.b_score), (n_k,))
 
 
-def hinge_loss(scores: Tensor, correct, sizes=None) -> Tensor:
+def hinge_loss(scores: Tensor, correct, sizes) -> Tensor:
     """Sum over wrong candidates of max(0, 1 - (s_correct - s_wrong)), as
-    one node. scores (N_k,) with an int correct gives a scalar; scores
-    stacking B samples' candidates, sizes[b] of them for sample b and
-    correct[b] the right one among those, give one loss per sample (B,)."""
+    one node. scores stack B samples' candidates, sizes[b] of them for
+    sample b and correct[b] the right one among those; the result is one
+    loss per sample (B,)."""
     s = scores.data
-    one = sizes is None
-    sizes = np.asarray([s.shape[0]] if one else sizes, dtype=np.intp)
+    sizes = np.asarray(sizes, dtype=np.intp)
     c = np.asarray(correct, dtype=np.intp).reshape(-1)
     if c.shape != sizes.shape or ((c < 0) | (c >= sizes)).any():
         raise ContractError(f"correct index {correct} out of range for {sizes.tolist()} candidates")
@@ -163,4 +151,4 @@ def hinge_loss(scores: Tensor, correct, sizes=None) -> Tensor:
         gk[right] = np.add.reduceat(gk, starts) * -1.0
         return (gk,)
 
-    return _record(Tensor(loss.reshape(()) if one else loss), (scores,), bwd)
+    return _record(Tensor(loss), (scores,), bwd)

@@ -228,10 +228,9 @@ def sentence_layout(sentences: list[tuple[np.ndarray, SrlParse]]) -> SentenceLay
     )
 
 
-def encode_all(params: LinguisticEncoderParams, sentences) -> tuple[Tensor, Tensor]:
-    """All sentences -> event rows (N_s, d) and pooled local rows (N_s, d).
-    ``sentences`` is a list of (tokens, parse) pairs or their
-    ``SentenceLayout``, which may stack several samples' sentences.
+def encode_all(params: LinguisticEncoderParams, text: SentenceLayout) -> tuple[Tensor, Tensor]:
+    """The sentences of a ``SentenceLayout``, which may stack several
+    samples' sentences -> event rows (N_s, d) and pooled local rows (N_s, d).
 
     Every sentence's tokens go through one ragged BiLSTM node. Local nodes
     start from projected span means of the raw tokens, get scaled
@@ -240,7 +239,6 @@ def encode_all(params: LinguisticEncoderParams, sentences) -> tuple[Tensor, Tens
     sentence's graph. A parse with no predicates and no arguments pools to
     the zero vector.
     """
-    text = sentences if isinstance(sentences, SentenceLayout) else sentence_layout(sentences)
     d_t = params.sentence.w_tok.data.shape[0]
     widths = {t.shape[1] for t in text.tokens}
     if widths != {d_t}:

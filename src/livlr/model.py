@@ -3,7 +3,8 @@ built into one named parameter store.
 
 The forward runs a batch of samples at once: each layer is one tape node
 over every frame, sentence, question and candidate of the batch, so the
-node count does not grow with the batch. One sample is a batch of one.
+node count does not grow with the batch. The layers take only that batch
+form; ``Model`` alone also takes one sample, as a batch of one.
 """
 from __future__ import annotations
 
@@ -184,10 +185,10 @@ class Model:
             return losses, scores
         return reshape(losses, ()), reshape(scores, (-1,)) if oe else scores
 
-    def forward(self, sample, run=_run_stage) -> tuple[Tensor, Tensor]:
+    def forward(self, sample) -> tuple[Tensor, Tensor]:
         """(loss, scores) of one sample, a batch of one: scores are
         answer-set logits (OE) or candidate scores (MC)."""
-        return self.answer(sample, self.encode(sample, run))
+        return self.answer(sample, self.encode(sample))
 
     def predict(self, sample) -> int:
         """Index of the best answer (OE) or candidate (MC). Computes the

@@ -334,15 +334,11 @@ def concat(tensors, axis: int = 0) -> Tensor:
     ts = list(tensors)
     if not ts:
         raise ContractError("concat of an empty sequence")
-    nd = ts[0].data.ndim
-    if any(t.data.ndim != nd for t in ts):
+    if any(t.data.ndim != 2 for t in ts) or axis not in (0, 1):
         raise ShapeError(
-            "concat rank mismatch: " + ", ".join(str(t.data.shape) for t in ts)
+            f"concat needs 2-d tensors on axis 0 or 1, got axis {axis} over "
+            + ", ".join(str(t.data.shape) for t in ts)
         )
-    if nd == 1 and axis != 0:
-        raise ShapeError("1-d concat only supports axis 0")
-    if nd not in (1, 2) or axis not in (0, 1):
-        raise ShapeError(f"concat supports 1-d/2-d tensors on axis 0/1, got rank {nd} axis {axis}")
     try:
         out = Tensor(np.concatenate([t.data for t in ts], axis=axis))
     except ValueError as e:
@@ -398,9 +394,5 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b. Accepts a vector (in,) or a matrix (m, in); the weight
-    is stored (in, out)."""
-    vec = x.data.ndim == 1
-    h = reshape(x, (1, x.data.shape[0])) if vec else x
-    y = add(matmul(h, w), b)
-    return reshape(y, (y.data.shape[1],)) if vec else y
+    """x @ w + b over rows x (m, in); the weight is stored (in, out)."""
+    return add(matmul(x, w), b)

@@ -266,12 +266,11 @@ def create_visual_params(
     )
 
 
-def encode_clip(params: VisualEncoderParams, clip) -> tuple[Tensor, Tensor]:
-    """Holistic rows (N_f, d) and fine-grained rows (N_f, d) of a clip, or
-    of a list of clips with their frames stacked clip after clip. A frame's
-    fine-grained row is its pooled spatial graph plus its pooled semantic
-    graph over the frame's objects."""
-    clips = [clip] if isinstance(clip, ClipFeatures) else clip
+def encode_clip(params: VisualEncoderParams, clips: list[ClipFeatures]) -> tuple[Tensor, Tensor]:
+    """Holistic rows (N_f, d) and fine-grained rows (N_f, d) of a list of
+    clips, their frames stacked clip after clip. A frame's fine-grained row
+    is its pooled spatial graph plus its pooled semantic graph over the
+    frame's objects."""
     dtype = params.dtype
     geo = ClipGeometry.join([c.geometry() for c in clips])
     frames = [f for c in clips for f in c.frames]

@@ -18,10 +18,11 @@ sigmoid the per-item LSTM oracle squashes its gates with.
 was written before the rank mask: a scatter by sort order.
 
 The per-item oracles are the encoders as they ran before the batch
-axis: one frame, sentence, sequence or candidate at a time. With
-``integrate_tape`` and the one-sample heads and losses they make up
-``sample_forward``, the model as it ran one sample at a time. The batched
-model must match it to rounding (tests/test_batching.py).
+axis: one frame, sentence, sequence or candidate at a time, each graph
+through the layers as a batch of one. With ``integrate_tape`` and the
+one-sample heads and losses they make up ``sample_forward``, the model as
+it ran one sample at a time. The batched model must match it to rounding
+(tests/test_batching.py).
 """
 from __future__ import annotations
 
@@ -145,6 +146,14 @@ def learned_edges_put_along(scores, valid, n_keep) -> np.ndarray:
     adj = np.zeros(scores.shape, dtype=bool)
     np.put_along_axis(adj, order, np.broadcast_to(kept, adj.shape), axis=2)
     return adj
+
+
+def edgeless(n):
+    """One graph over n node rows with no edges, as a batch: the layout a
+    graph learner scores one graph's rows in."""
+    from livlr.graph import DenseGraph
+
+    return DenseGraph(n, np.zeros((n, n), dtype=bool)).batch()
 
 
 def vanilla_gcn_loop(x, w, adj, normalize=True) -> np.ndarray:
@@ -294,13 +303,20 @@ def question_attention_tapes(blocks, xs, q, mask=None):
     return concat([question_attention_tape(b, x, q) for b, x in zip(blocks, xs)], axis=0)
 
 
+def _row(v):
+    """A vector (d,) as a batch of one row (1, d)."""
+    from livlr.tensor import reshape
+
+    return reshape(v, (1, v.data.shape[0]))
+
+
 def integrate_tape(params, bundle, q):
     """davl.integrate over one sample as it ran before the batch axis: one
     question_attention_tape per source, per-source mean pools and the GCN's
     aggregation as a matmul by the normalized adjacency; (d,)."""
-    from livlr.davl import SOURCE_NAMES, RiVariant, apply_index_embedding
+    from livlr.davl import SOURCE_NAMES, BundleLayout, RiVariant, apply_index_embedding
     from livlr.graph import learn_adjacency
-    from livlr.tensor import add, concat, constant, linear, matmul, relu, row_softmax, transpose
+    from livlr.tensor import add, concat, constant, linear, matmul, relu, reshape, row_softmax, transpose
 
     attended = [
         question_attention_tape(params.qatt[name], x, q)
@@ -308,21 +324,23 @@ def integrate_tape(params, bundle, q):
     ]
     variant = params.variant
     if variant == RiVariant.RI_CONCAT:
-        flat = concat([mean_pool(a) for a in attended], axis=0)
-        return linear(flat, params.w_concat, params.b_concat)
+        flat = concat([_row(mean_pool(a)) for a in attended], axis=1)
+        fused = linear(flat, params.w_concat, params.b_concat)
+        return reshape(fused, (fused.data.shape[1],))
     nodes = concat(attended, axis=0)
+    n = nodes.data.shape[0]
     if variant == RiVariant.DAVL:
-        nodes = apply_index_embedding(params.index_matrix, nodes, bundle.sources())
+        counts = [m.data.shape[0] for m in bundle.matrices()]
+        sources = BundleLayout(counts, [q.data.shape[0]]).sources
+        nodes = apply_index_embedding(params.index_matrix, nodes, sources)
     if variant in (RiVariant.DAVL, RiVariant.RI_GCN):
-        _, graph = learn_adjacency(params.learn_w1, params.learn_w2, nodes, params.n_keep)
-        a = graph.adjacency.astype(nodes.data.dtype)
-        if params.normalize:
-            deg = a.sum(axis=1, keepdims=True)
-            a = a / np.where(deg == 0.0, 1.0, deg)
+        _, graph = learn_adjacency(params.learn_w1, params.learn_w2, nodes, params.n_keep, edgeless(n))
+        a = graph.adjacency[0].astype(nodes.data.dtype)
+        deg = a.sum(axis=1, keepdims=True)
+        a = a / np.where(deg == 0.0, 1.0, deg)
         msgs = matmul(nodes, params.w_gcn)
         nodes = relu(add(nodes, matmul(constant(a, nodes.data.dtype), msgs)))
         return mean_pool(nodes)
-    n = nodes.data.shape[0]
     scores = matmul(matmul(nodes, params.learn_w1), transpose(matmul(nodes, params.learn_w2)))
     beta = row_softmax(scores, mask=~np.eye(n, dtype=bool))
     return mean_pool(add(nodes, matmul(beta, nodes)))
@@ -424,12 +442,6 @@ def mean_pool(nodes, subset=None):
     return mean_axis0(gather(nodes, idx))
 
 
-def _batch(graph):
-    from livlr.graph import DenseGraph
-
-    return graph.batch() if isinstance(graph, DenseGraph) else graph
-
-
 def _padded(nodes, graph):
     """The stacked node rows gathered into the layers' padded block
     (B * n_max, d); padding slots read an appended zero row."""
@@ -450,7 +462,6 @@ def _graph_rows(graph):
 def _attention_tape(params, nodes, graph, typed):
     from livlr.tensor import add, concat, gather, matmul, mul, relu, reshape, transpose
 
-    graph = _batch(graph)
     p = _padded(nodes, graph)
     q, k = matmul(p, params.w_q), matmul(p, params.w_k)
     alphas = [
@@ -482,7 +493,7 @@ def typed_edge_gcn_layer_tape(params, nodes, graph):
 
 # ---------------------------------------------------------------------------
 # per-item oracles: the encoders one frame, sentence, sequence and candidate
-# at a time, each graph through the single-graph layers
+# at a time, each graph through the layers as a batch of one
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function on a raw array by the two-branch formula.
@@ -586,10 +597,11 @@ def encode_frame(params, frame):
     pos = linear(constant(positions, dtype), params.w_pos, params.b_pos)
     v_sp = matmul(concat([obj, pos], axis=1), params.w_spatial_mix)
     adj, types = classify_spatial_edges(frame.boxes, frame.frame_size)
-    v_sp = typed_edge_gcn_layer(params.spatial_gcn, v_sp, DenseGraph(len(frame.boxes), adj, types))
+    g_sp = DenseGraph(len(frame.boxes), adj, types).batch()
+    v_sp = typed_edge_gcn_layer(params.spatial_gcn, v_sp, g_sp)
     cls = linear(constant(frame.class_attr, dtype), params.w_cls, params.b_cls)
     v_se = matmul(concat([obj, cls], axis=1), params.w_semantic_mix)
-    _, g_se = learn_adjacency(params.learn_w1, params.learn_w2, v_se, params.n_keep)
+    _, g_se = learn_adjacency(params.learn_w1, params.learn_w2, v_se, params.n_keep, g_sp)
     v_se = attn_gcn_layer(params.semantic_gcn, v_se, g_se)
     return add(mean_pool(v_sp), mean_pool(v_se))
 
@@ -630,7 +642,7 @@ def encode_sentence(params, tokens, parse):
         locals_ = matmul(constant(span_means, params.dtype), params.w_local)
         scale = gather(params.role_matrix, [r - 1 for r in roles])
         nodes = concat([nodes, mul(locals_, scale)], axis=0)
-    nodes = attn_gcn_layer(params.role_gcn, nodes, graph)
+    nodes = attn_gcn_layer(params.role_gcn, nodes, graph.batch())
     if roles:
         pooled = mean_pool(nodes, subset=list(range(1, 1 + len(roles))))
     else:
@@ -656,19 +668,20 @@ def encode_candidates(head, candidates):
 
 def score_candidates(head, x_hat, q_hat, embeddings):
     """One linear regression per candidate embedding, scores (N_k,)."""
-    from livlr.tensor import concat, linear
+    from livlr.tensor import concat, linear, reshape
 
-    scores = [linear(concat([x_hat, q_hat, e], axis=0), head.w_score, head.b_score)
+    scores = [linear(concat([_row(x_hat), _row(q_hat), _row(e)], axis=1), head.w_score, head.b_score)
               for e in embeddings]
-    return concat(scores, axis=0)
+    return reshape(concat(scores, axis=0), (len(embeddings),))
 
 
 def open_ended(head, x_hat, q_hat):
     """Answer-set logits (A,) of one sample from its (d,) vectors."""
-    from livlr.tensor import concat, linear, relu
+    from livlr.tensor import concat, linear, relu, reshape
 
-    hidden = relu(linear(concat([x_hat, q_hat], axis=0), head.w1, head.b1))
-    return linear(hidden, head.w2, head.b2)
+    hidden = relu(linear(concat([_row(x_hat), _row(q_hat)], axis=1), head.w1, head.b1))
+    logits = linear(hidden, head.w2, head.b2)
+    return reshape(logits, (logits.data.shape[1],))
 
 
 def cross_entropy(logits, label):

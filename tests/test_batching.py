@@ -18,7 +18,7 @@ from livlr.config import tiny_config
 from livlr.data import Sample
 from livlr.errors import DataError, NumericError
 from livlr.graph import GraphBatch, learn_adjacency
-from livlr.linguistic import SrlArgument, SrlParse, encode_all
+from livlr.linguistic import SrlArgument, SrlParse, encode_all, sentence_layout
 from livlr.model import Model
 from livlr.tensor import Tensor, backward, constant, recording
 from livlr.visual import ClipFeatures, FrameFeatures, encode_clip
@@ -217,14 +217,15 @@ def test_graph_learner_checks_only_the_entries_a_frame_scores():
     scores, _ = learn_adjacency(w1, w2, constant(v, np.float64), 1, layout)
     assert np.isfinite(scores.data).all()
     with pytest.raises(NumericError), np.errstate(over="ignore", invalid="ignore"):
-        learn_adjacency(w1, w2, constant(v, np.float64), 1)  # one graph over all rows
+        learn_adjacency(w1, w2, constant(v, np.float64), 1, oracles.edgeless(4))  # one graph over all rows
     # within a frame, one overflowing pair is enough
     v[1] = [1e200, 1e200]
     with pytest.raises(NumericError), np.errstate(over="ignore", invalid="ignore"):
         learn_adjacency(w1, w2, constant(v, np.float64), 1, layout)
 
 
-@pytest.mark.parametrize("encode", [encode_clip, oracles.encode_clip], ids=["batched", "per_frame"])
+@pytest.mark.parametrize("encode", [lambda params, clip: encode_clip(params, [clip]), oracles.encode_clip],
+                         ids=["batched", "per_frame"])
 def test_non_finite_affinity_is_a_numeric_error(encode):
     cfg = tiny_config()
     rng = np.random.default_rng(3)
@@ -235,7 +236,8 @@ def test_non_finite_affinity_is_a_numeric_error(encode):
         encode(model.visual, clip)
 
 
-@pytest.mark.parametrize("encode", [encode_all, oracles.encode_all], ids=["batched", "per_sentence"])
+@pytest.mark.parametrize("encode", [lambda params, s: encode_all(params, sentence_layout(s)), oracles.encode_all],
+                         ids=["batched", "per_sentence"])
 def test_role_beyond_the_vocabulary_is_a_data_error(encode):
     cfg = tiny_config()
     rng = np.random.default_rng(4)
@@ -255,7 +257,7 @@ def test_token_width_mismatch_is_a_data_error():
     wide = (rng.standard_normal((3, cfg.d_t + 1)), SrlParse(tokens=3))
     for sentences in ([wide], [ok, wide]):  # every sentence too wide, or one of them
         with pytest.raises(DataError, match="width"):
-            encode_all(model.linguistic, sentences)
+            encode_all(model.linguistic, sentence_layout(sentences))
 
 
 def test_box_and_object_mismatch_is_a_data_error():

@@ -167,6 +167,16 @@ def test_overfull_class_count_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("field,value", [("noise_scale", float("nan")), ("n_samples", 1e400)])
+def test_non_finite_spec_value_exits_2_and_writes_nothing(tmp_path, capsys, field, value):
+    cfg = write_config(tmp_path, **MICRO)
+    spec = write_spec(tmp_path, **{field: value})  # json writes NaN and Infinity
+    out = tmp_path / "d"
+    assert main(["gen-data", "--config", cfg, "--spec", spec, "--out", str(out)]) == 2
+    assert f"config error: {field} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_dataset_exits_3(tmp_path, capsys):
     cfg = write_config(tmp_path, **MICRO)
     code = main(["train", "--config", cfg, "--data", str(tmp_path / "absent"),

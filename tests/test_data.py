@@ -65,6 +65,19 @@ def test_spec_from_dict_rejects_missing_key():
         SyntheticTaskSpec.from_dict({"n_samples": 4, "noise_scale": 0.1, "n_classes": 2})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("n_samples", 1e400), ("n_samples", 4.7), ("n_samples", True), ("n_classes", 3.0),
+    ("noise_scale", float("nan")), ("noise_scale", float("inf")), ("noise_scale", "0.1"),
+])
+def test_spec_from_dict_rejects_wrong_typed_values(field, value):
+    # counts are integers that are not bools, the noise a finite number,
+    # as ModelConfig.validate has them; nothing is truncated or coerced
+    d = spec_for("holistic_visual").to_dict()
+    d[field] = value
+    with pytest.raises(ConfigError, match=field):
+        SyntheticTaskSpec.from_dict(d)
+
+
 def test_spec_from_file_rejects_bad_json(tmp_path):
     p = tmp_path / "task.json"
     p.write_text("{not json", encoding="utf-8")

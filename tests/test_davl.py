@@ -1,11 +1,14 @@
 """Question attention and the four representation-integration back-ends."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import livlr.davl
 from livlr.config import desk_config
 from livlr.data import SyntheticTaskSpec, gen_synthetic
 from livlr.davl import (
+    BundleLayout,
     QattPadding,
     RepresentationBundle,
     RiVariant,
@@ -18,7 +21,7 @@ from livlr.davl import (
 from livlr.errors import ConfigError, DegenerateRowError, ShapeError
 from livlr.model import Model
 from livlr.optim import ParamStore
-from livlr.tensor import Tensor, backward, concat, constant, no_grad, recording, sum_all, tape_size
+from livlr.tensor import Tensor, backward, concat, constant, mul, no_grad, recording, sum_all, tape_size
 
 from oracles import (
     davl_loop,
@@ -223,6 +226,47 @@ class TestPaddedQuestionAttention:
         for name, g in g_w.items():
             assert max_rel_err(g, want_w[name]) <= 1e-12, name
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n_heads", [1, 2, 4, 8])
+    @settings(max_examples=15, deadline=None)
+    @given(counts=st.lists(st.integers(1, 5), min_size=4, max_size=4),
+           tokens=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_one_sample_equals_its_padding_of_one(self, dtype, n_heads, counts, tokens, seed):
+        # a batch of one takes the unpadded path; it must give what a
+        # padding of that one sample gives: the output and the gradients of
+        # q and of every source as equal values, and the weight gradients
+        # too, except at one head width, d/N_h = 1, in float64: there the
+        # two paths hand numpy's matmul the same values in another memory
+        # layout, and it sums them in another order, a few ulps apart
+        rng = np.random.default_rng(seed)
+        d = 8
+        store = ParamStore()
+        params = create_davl_params(
+            store, rng, d=d, n_heads=n_heads, n_keep=2, variant=RiVariant.DAVL, dtype=dtype)
+        blocks = [params.qatt[s] for s in SOURCE_NAMES]
+        q = rng.standard_normal((tokens, d)).astype(dtype)
+        xs = [rng.standard_normal((n, d)).astype(dtype) for n in counts]
+        cotangent = constant(rng.standard_normal((sum(counts), d)), dtype)
+
+        def run(pad):
+            store.zero_grads()
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in (q, *xs)]
+            with recording():
+                out = question_attention(blocks, leaves[1:], leaves[0], pad)
+                backward(sum_all(mul(out, cotangent)))
+            return [out.data] + [t.grad for t in leaves], [p.grad.copy() for _, p in store.items()]
+
+        (alone, alone_w), (padded, padded_w) = run(None), run(QattPadding([counts], [tokens]))
+        assert alone[0].dtype == dtype
+        for a, b in zip(alone, padded):
+            assert np.array_equal(a, b)
+        exact = d // n_heads > 1 or dtype == np.float32
+        for a, b in zip(alone_w, padded_w):
+            if exact:
+                assert np.array_equal(a, b)
+            else:
+                assert np.abs(a - b).max() <= 4 * np.finfo(dtype).eps * np.abs(a).max()
+
     def test_rows_that_do_not_fit_the_padding_raise(self):
         rng = np.random.default_rng(319)
         store, params = make_params(rng, d=6, n_heads=2)
@@ -293,7 +337,8 @@ class TestBundle:
     def test_sources_follow_row_counts(self):
         rng = np.random.default_rng(304)
         b = random_bundle(rng, rows=(1, 2, 3, 1))
-        assert b.sources().tolist() == [1, 2, 2, 3, 3, 3, 4]
+        counts = [m.data.shape[0] for m in b.matrices()]
+        assert BundleLayout(counts, [1]).sources.tolist() == [1, 2, 2, 3, 3, 3, 4]
 
 
 class TestIntegrate:

@@ -24,6 +24,7 @@ from oracles import (
     attn_gcn_layer_tape,
     attn_gcn_loop,
     central_diff,
+    edgeless,
     learned_edges_loop,
     learned_edges_put_along,
     max_rel_err,
@@ -69,7 +70,7 @@ class TestDenseGraph:
     def test_degree(self):
         adj = np.array([[False, True, True], [False, False, False], [True, False, False]])
         g = DenseGraph(3, adj)
-        assert np.array_equal(g.degree(), [2, 0, 1])
+        assert np.array_equal(g.adjacency.sum(-1), [2, 0, 1])
 
 
 class TestGraphBatch:
@@ -104,7 +105,7 @@ class TestAttentionGcn:
             g = random_graph(rng, n)
             p = params_for(rng, d)
             x = constant(rng.standard_normal((n, d)), np.float64)
-            got = attn_gcn_layer(p, x, g).data
+            got = attn_gcn_layer(p, x, g.batch()).data
             want = attn_gcn_loop(x.data, p.w_q.data, p.w_k.data, p.w.data, g.adjacency)
             assert max_rel_err(got, want) <= 1e-6
 
@@ -130,9 +131,9 @@ class TestAttentionGcn:
         p = params_for(rng, d)
         x = rng.standard_normal((n, d))
         perm = rng.permutation(n)
-        out = attn_gcn_layer(p, constant(x, np.float64), g).data
+        out = attn_gcn_layer(p, constant(x, np.float64), g.batch()).data
         g_p = DenseGraph(n, g.adjacency[np.ix_(perm, perm)])
-        out_p = attn_gcn_layer(p, constant(x[perm], np.float64), g_p).data
+        out_p = attn_gcn_layer(p, constant(x[perm], np.float64), g_p.batch()).data
         assert np.allclose(out_p, out[perm], atol=1e-12)
 
     def test_isolated_node_is_pure_relu_residual(self):
@@ -143,7 +144,7 @@ class TestAttentionGcn:
         g = DenseGraph(3, adj)
         p = params_for(rng, d)
         x = rng.standard_normal((3, d))
-        out = attn_gcn_layer(p, constant(x, np.float64), g).data
+        out = attn_gcn_layer(p, constant(x, np.float64), g.batch()).data
         assert np.array_equal(out[2], np.maximum(x[2], 0.0))
 
 
@@ -159,7 +160,7 @@ class TestTypedGcn:
                 type_bias=Tensor(rng.standard_normal(11), requires_grad=True),
             )
             x = constant(rng.standard_normal((n, d)), np.float64)
-            got = typed_edge_gcn_layer(tp, x, g).data
+            got = typed_edge_gcn_layer(tp, x, g.batch()).data
             want = typed_gcn_loop(
                 x.data, tp.w_q.data, tp.w_k.data, tp.w.data,
                 tp.type_bias.data, g.adjacency, g.edge_types,
@@ -173,7 +174,7 @@ class TestTypedGcn:
         tp = TypedGcnParams(w=p.w, w_q=p.w_q, w_k=p.w_k,
                             type_bias=Tensor(np.zeros(11), requires_grad=True))
         with pytest.raises(GraphIntegrityError):
-            typed_edge_gcn_layer(tp, constant(np.zeros((3, 4)), np.float64), g)
+            typed_edge_gcn_layer(tp, constant(np.zeros((3, 4)), np.float64), g.batch())
 
     def test_zero_bias_reduces_to_plain_attention_layer(self):
         rng = np.random.default_rng(113)
@@ -183,8 +184,8 @@ class TestTypedGcn:
         tp = TypedGcnParams(w=p.w, w_q=p.w_q, w_k=p.w_k,
                             type_bias=Tensor(np.zeros(11), requires_grad=True))
         x = constant(rng.standard_normal((n, d)), np.float64)
-        plain = attn_gcn_layer(p, x, DenseGraph(n, g.adjacency)).data
-        typed = typed_edge_gcn_layer(tp, x, g).data
+        plain = attn_gcn_layer(p, x, DenseGraph(n, g.adjacency).batch()).data
+        typed = typed_edge_gcn_layer(tp, x, g.batch()).data
         assert np.allclose(typed, plain, atol=1e-12)
 
     def test_type_bias_gets_gradient(self):
@@ -196,7 +197,7 @@ class TestTypedGcn:
                             type_bias=Tensor(rng.standard_normal(11), requires_grad=True))
         x = constant(rng.standard_normal((n, d)), np.float64)
         with recording():
-            backward(sum_all(typed_edge_gcn_layer(tp, x, g)))
+            backward(sum_all(typed_edge_gcn_layer(tp, x, g.batch())))
         present = np.unique(g.edge_types[g.adjacency])
         assert np.abs(tp.type_bias.grad[present - 1]).sum() > 0.0
 
@@ -225,7 +226,7 @@ class TestFusedLayers:
         for seed in range(20):
             rng = np.random.default_rng([115, seed])
             n, d = int(rng.integers(1, 8)), int(rng.integers(2, 6))
-            g = random_graph(rng, n, with_types=True, p=float(rng.uniform(0.1, 0.9)))
+            g = random_graph(rng, n, with_types=True, p=float(rng.uniform(0.1, 0.9))).batch()
             tp = typed_params_for(rng, d, dtype)
             x = Tensor(rng.standard_normal((n, d)).astype(dtype), requires_grad=True)
             assert (layer_bytes(typed_edge_gcn_layer, tp, x, g)
@@ -255,7 +256,7 @@ class TestFusedLayers:
             # graph by graph, each slice matches the graph run on its own
             out = attn_gcn_layer(p, x, g).data
             for graph, r in zip(graphs, rows):
-                alone = attn_gcn_layer(p, constant(x.data[r], dtype), graph).data
+                alone = attn_gcn_layer(p, constant(x.data[r], dtype), graph.batch()).data
                 assert max_rel_err(out[r], alone) <= (1e-12 if dtype == np.float64 else 1e-5)
 
     @pytest.mark.parametrize("typed", [False, True])
@@ -264,7 +265,7 @@ class TestFusedLayers:
         n, d = 4, 3
         adj = np.zeros((n, n), dtype=bool)
         adj[0, 1] = adj[1, 0] = adj[2, 0] = True  # node 3 isolated
-        g = DenseGraph(n, adj, np.where(adj, 5, 0))
+        g = DenseGraph(n, adj, np.where(adj, 5, 0)).batch()
         tp = typed_params_for(rng, d)
         p = tp if typed else AttnGcnParams(w=tp.w, w_q=tp.w_q, w_k=tp.w_k)
         layer = typed_edge_gcn_layer if typed else attn_gcn_layer
@@ -279,7 +280,7 @@ class TestFusedLayers:
 
     def test_node_matrix_must_fit_the_graph(self):
         rng = np.random.default_rng(118)
-        g = random_graph(rng, 3, with_types=True)
+        g = random_graph(rng, 3, with_types=True).batch()
         tp = typed_params_for(rng, 4)
         for bad in ((4, 4), (3, 5)):
             x = constant(np.ones(bad), np.float64)
@@ -288,14 +289,14 @@ class TestFusedLayers:
             with pytest.raises(ShapeError):
                 typed_edge_gcn_layer(tp, x, g)
         with pytest.raises(ShapeError):
-            learn_adjacency(tp.w_q, tp.w_k, constant(np.ones((3, 5)), np.float64), 1)
+            learn_adjacency(tp.w_q, tp.w_k, constant(np.ones((3, 5)), np.float64), 1, edgeless(3))
 
     def test_non_finite_scores_propagate_as_nan_rows(self):
         rng = np.random.default_rng(117)
         n, d = 4, 3
         adj = np.zeros((n, n), dtype=bool)
         adj[0, 1] = adj[1, 2] = adj[2, 0] = True  # node 3 isolated
-        g = DenseGraph(n, adj, np.where(adj, 2, 0))
+        g = DenseGraph(n, adj, np.where(adj, 2, 0)).batch()
         tp = typed_params_for(rng, d)
         # positive scores of ~1e600 overflow to +inf; the messages stay finite
         tp.w_q.data[...] = 1e300
@@ -319,10 +320,9 @@ class TestVanillaGcn:
             g = random_graph(rng, n)
             w = Tensor(rng.standard_normal((d, d)) * 0.5, requires_grad=True)
             x = constant(rng.standard_normal((n, d)), np.float64)
-            for normalize in (True, False):
-                got = vanilla_gcn_layer(w, x, g, normalize=normalize).data
-                want = vanilla_gcn_loop(x.data, w.data, g.adjacency, normalize=normalize)
-                assert max_rel_err(got, want) <= 1e-6
+            got = vanilla_gcn_layer(w, x, g.batch()).data
+            want = vanilla_gcn_loop(x.data, w.data, g.adjacency)
+            assert max_rel_err(got, want) <= 1e-6
 
 
     def test_a_batch_aggregates_each_graph_within_itself(self):
@@ -338,11 +338,10 @@ class TestVanillaGcn:
             batch = stack_graphs(graphs, rows)
             w = Tensor(rng.standard_normal((d, d)) * 0.5, requires_grad=True)
             x = rng.standard_normal((sum(sizes), d))
-            for normalize in (True, False):
-                got = vanilla_gcn_layer(w, constant(x, np.float64), batch, normalize=normalize).data
-                for g, r in zip(graphs, rows):
-                    want = vanilla_gcn_loop(x[r], w.data, g.adjacency, normalize=normalize)
-                    assert max_rel_err(got[r], want) <= 1e-6
+            got = vanilla_gcn_layer(w, constant(x, np.float64), batch).data
+            for g, r in zip(graphs, rows):
+                want = vanilla_gcn_loop(x[r], w.data, g.adjacency)
+                assert max_rel_err(got[r], want) <= 1e-6
 
     def test_batch_gradients_match_central_differences(self):
         rng = np.random.default_rng(123)
@@ -366,10 +365,10 @@ class TestGraphLearner:
             w1 = Tensor(rng.standard_normal((d, d)), requires_grad=True)
             w2 = Tensor(rng.standard_normal((d, d)), requires_grad=True)
             v = constant(rng.standard_normal((n, d)), np.float64)
-            scores, g = learn_adjacency(w1, w2, v, keep)
+            scores, g = learn_adjacency(w1, w2, v, keep, edgeless(n))
             want_scores, want_adj = learned_edges_loop(v.data, w1.data, w2.data, keep)
-            assert max_rel_err(scores.data, want_scores) <= 1e-6
-            assert np.array_equal(g.adjacency, want_adj)
+            assert max_rel_err(scores.data[0], want_scores) <= 1e-6
+            assert np.array_equal(g.adjacency[0], want_adj)
 
     def test_row_budget_and_no_self_loops(self):
         for seed in range(100):
@@ -379,9 +378,9 @@ class TestGraphLearner:
             w1 = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
             w2 = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
             v = constant(rng.standard_normal((n, 3)), np.float64)
-            _, g = learn_adjacency(w1, w2, v, keep)
-            assert g.adjacency.trace() == 0
-            assert (g.adjacency.sum(axis=1) == min(keep, n - 1)).all()
+            _, g = learn_adjacency(w1, w2, v, keep, edgeless(n))
+            assert g.adjacency[0].trace() == 0
+            assert (g.adjacency[0].sum(axis=1) == min(keep, n - 1)).all()
 
     def test_tie_break_prefers_lower_column(self):
         # identity maps, rows e1, e1, e1: every off-diagonal score ties at 0
@@ -389,12 +388,12 @@ class TestGraphLearner:
         v = np.zeros((3, 3))
         v[:, 0] = 1.0
         v[0, 0] = 2.0  # make row 0 distinct so scores tie only pairwise
-        scores, g = learn_adjacency(eye, eye, constant(v, np.float64), 1)
+        scores, g = learn_adjacency(eye, eye, constant(v, np.float64), 1, edgeless(3))
         # rows 1 and 2 both score 2.0 against node 0 and 1.0 against each
         # other; node 0 scores 2.0 against both 1 and 2 and picks column 1
-        assert g.adjacency[0].tolist() == [False, True, False]
-        assert g.adjacency[1].tolist() == [True, False, False]
-        assert g.adjacency[2].tolist() == [True, False, False]
+        assert g.adjacency[0, 0].tolist() == [False, True, False]
+        assert g.adjacency[0, 1].tolist() == [True, False, False]
+        assert g.adjacency[0, 2].tolist() == [True, False, False]
 
     def test_heavy_ties_match_loop_oracle(self):
         # small integer scores tie often; every row must break ties by the
@@ -406,10 +405,10 @@ class TestGraphLearner:
             w1 = Tensor(rng.integers(-1, 2, (d, d)).astype(float), requires_grad=True)
             w2 = Tensor(rng.integers(-1, 2, (d, d)).astype(float), requires_grad=True)
             v = constant(rng.integers(-1, 2, (n, d)), np.float64)
-            scores, g = learn_adjacency(w1, w2, v, keep)
+            scores, g = learn_adjacency(w1, w2, v, keep, edgeless(n))
             want_scores, want_adj = learned_edges_loop(v.data, w1.data, w2.data, keep)
-            assert np.array_equal(scores.data, want_scores)
-            assert np.array_equal(g.adjacency, want_adj)
+            assert np.array_equal(scores.data[0], want_scores)
+            assert np.array_equal(g.adjacency[0], want_adj)
 
     @settings(max_examples=60, deadline=None)
     @given(sizes=st.lists(st.integers(1, 7), min_size=1, max_size=5),
@@ -435,18 +434,18 @@ class TestGraphLearner:
         v = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         with recording():
             before = tape_size()
-            learn_adjacency(w1, w1, v, 2)
+            learn_adjacency(w1, w1, v, 2, edgeless(4))
             assert tape_size() == before
 
     def test_single_node_graph_is_edgeless(self):
         w = Tensor(np.eye(2), requires_grad=True)
-        _, g = learn_adjacency(w, w, constant(np.ones((1, 2)), np.float64), 3)
+        _, g = learn_adjacency(w, w, constant(np.ones((1, 2)), np.float64), 3, edgeless(1))
         assert g.adjacency.sum() == 0
 
     def test_bad_keep_rejected(self):
         w = Tensor(np.eye(2), requires_grad=True)
         with pytest.raises(ContractError):
-            learn_adjacency(w, w, constant(np.ones((2, 2)), np.float64), 0)
+            learn_adjacency(w, w, constant(np.ones((2, 2)), np.float64), 0, edgeless(2))
 
     def test_selection_is_gradient_free_for_scorer(self):
         # scores only pick edges; no gradient path reaches the scorer.
@@ -458,7 +457,7 @@ class TestGraphLearner:
         w = Tensor(rng.standard_normal((3, 3)) * 0.05, requires_grad=True)
         v = Tensor(rng.uniform(0.5, 1.5, (4, 3)), requires_grad=True)
         with recording():
-            _, g = learn_adjacency(w1, w2, v, 2)
+            _, g = learn_adjacency(w1, w2, v, 2, edgeless(4))
             backward(sum_all(vanilla_gcn_layer(w, v, g)))
         assert np.abs(w1.grad).sum() == 0.0
         assert np.abs(w2.grad).sum() == 0.0

@@ -32,14 +32,14 @@ class TestQuestionEncoder:
     def test_shapes(self):
         rng = np.random.default_rng(400)
         store, params = question_setup(rng)
-        q_rows, q_hat = encode_question(params, rng.standard_normal((5, 4)))
+        q_rows, q_hat = encode_question(params, [rng.standard_normal((5, 4))])
         assert q_rows.data.shape == (5, 6)
-        assert q_hat.data.shape == (6,)
+        assert q_hat.data[0].shape == (6,)
 
     def test_projection_is_rectified(self):
         rng = np.random.default_rng(401)
         store, params = question_setup(rng)
-        q_rows, _ = encode_question(params, rng.standard_normal((5, 4)))
+        q_rows, _ = encode_question(params, [rng.standard_normal((5, 4))])
         assert (q_rows.data >= 0.0).all()
         assert (q_rows.data > 0.0).any()
 
@@ -87,17 +87,17 @@ class TestOpenEndedHead:
         rng = np.random.default_rng(404)
         store = ParamStore()
         head = create_open_ended_head(store, rng, d=5, d_h=7, n_answers=4, dtype=np.float64)
-        x_hat = Tensor(rng.standard_normal(5), requires_grad=True)
-        q_hat = Tensor(rng.standard_normal(5), requires_grad=True)
+        x_hat = Tensor(rng.standard_normal(5)[None], requires_grad=True)
+        q_hat = Tensor(rng.standard_normal(5)[None], requires_grad=True)
 
         def build():
-            return cross_entropy(predict_open_ended(head, x_hat, q_hat), 1)
+            return cross_entropy(predict_open_ended(head, x_hat, q_hat), [1])
 
         def loss_value():
-            return build().data
+            return build().data[0]
 
         logits = predict_open_ended(head, x_hat, q_hat)
-        assert logits.data.shape == (4,)
+        assert logits.data[0].shape == (4,)
         store.zero_grads()
         with recording():
             backward(build())
@@ -109,9 +109,9 @@ class TestOpenEndedHead:
 class TestHinge:
     def test_analytic_case(self):
         s = Tensor(np.array([2.0, 0.5, 1.5]), requires_grad=True)
-        loss = hinge_loss(s, 0)
+        loss = hinge_loss(s, [0], [3])
         # margins: relu(1 + 0.5 - 2) = 0, relu(1 + 1.5 - 2) = 0.5
-        assert abs(float(loss.data) - 0.5) < 1e-12
+        assert abs(float(loss.data[0]) - 0.5) < 1e-12
 
     def test_zero_iff_all_margins_at_least_one(self):
         rng = np.random.default_rng(405)
@@ -119,7 +119,7 @@ class TestHinge:
             n = int(rng.integers(2, 6))
             scores = rng.standard_normal(n) * rng.uniform(0.5, 3.0)
             correct = int(rng.integers(0, n))
-            loss = float(hinge_loss(Tensor(scores, requires_grad=True), correct).data)
+            loss = float(hinge_loss(Tensor(scores, requires_grad=True), [correct], [n]).data[0])
             margins_ok = all(
                 scores[correct] - scores[k] >= 1.0 for k in range(n) if k != correct
             )
@@ -128,33 +128,35 @@ class TestHinge:
 
     def test_exact_margin_is_zero_loss(self):
         s = Tensor(np.array([1.0, 0.0]), requires_grad=True)
-        assert float(hinge_loss(s, 0).data) == 0.0
+        assert float(hinge_loss(s, [0], [2]).data[0]) == 0.0
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(406)
         z = rng.standard_normal(4)
-        a = float(hinge_loss(Tensor(z, requires_grad=True), 2).data)
-        b = float(hinge_loss(Tensor(z + 55.0, requires_grad=True), 2).data)
+        a = float(hinge_loss(Tensor(z, requires_grad=True), [2], [4]).data[0])
+        b = float(hinge_loss(Tensor(z + 55.0, requires_grad=True), [2], [4]).data[0])
         assert abs(a - b) < 1e-12
 
     def test_gradient_counts_violations(self):
         s = Tensor(np.array([0.0, 0.0, 5.0]), requires_grad=True)
         with recording():
-            backward(hinge_loss(s, 0))
+            backward(hinge_loss(s, [0], [3]))
         # candidate 1 violates (margin 0 < 1), candidate 2 violates hugely
         assert np.array_equal(s.grad, [-2.0, 1.0, 1.0])
 
     def test_too_few_candidates_rejected(self):
         with pytest.raises(ContractError):
-            hinge_loss(Tensor(np.zeros(1), requires_grad=True), 0)
+            hinge_loss(Tensor(np.zeros(1), requires_grad=True), [0], [1])
 
     def test_bad_index_rejected(self):
         with pytest.raises(ContractError):
-            hinge_loss(Tensor(np.zeros(3), requires_grad=True), 5)
+            hinge_loss(Tensor(np.zeros(3), requires_grad=True), [5], [3])
 
 
 def mc_scores(head, x_hat, q_hat, candidates):
-    return score_candidates(head, x_hat, q_hat, encode_candidates(head, candidates))
+    """One sample's candidate scores, as a batch of one."""
+    return score_candidates(
+        head, x_hat, q_hat, encode_candidates(head, [candidates]), [len(candidates)])
 
 
 class TestMultiChoiceHead:
@@ -162,8 +164,8 @@ class TestMultiChoiceHead:
         rng = np.random.default_rng(407)
         store = ParamStore()
         head = create_multichoice_head(store, rng, d=6, d_t=4, dtype=np.float64)
-        x_hat = constant(rng.standard_normal(6), np.float64)
-        q_hat = constant(rng.standard_normal(6), np.float64)
+        x_hat = constant(rng.standard_normal(6)[None], np.float64)
+        q_hat = constant(rng.standard_normal(6)[None], np.float64)
         one = rng.standard_normal((3, 4))
         cands = np.stack([one, one, one])
         scores = mc_scores(head, x_hat, q_hat, cands)
@@ -174,8 +176,8 @@ class TestMultiChoiceHead:
         rng = np.random.default_rng(408)
         store = ParamStore()
         head = create_multichoice_head(store, rng, d=6, d_t=4, dtype=np.float64)
-        x_hat = constant(rng.standard_normal(6), np.float64)
-        q_hat = constant(rng.standard_normal(6), np.float64)
+        x_hat = constant(rng.standard_normal(6)[None], np.float64)
+        q_hat = constant(rng.standard_normal(6)[None], np.float64)
         cands = rng.standard_normal((3, 3, 4))
         scores = mc_scores(head, x_hat, q_hat, cands).data
         assert len(np.unique(np.round(scores, 9))) == 3
@@ -187,8 +189,8 @@ class TestMultiChoiceHead:
         with pytest.raises(ContractError):
             mc_scores(
                 head,
-                constant(np.zeros(6), np.float64),
-                constant(np.zeros(6), np.float64),
+                constant(np.zeros((1, 6)), np.float64),
+                constant(np.zeros((1, 6)), np.float64),
                 np.zeros((3, 4)),
             )
 
@@ -196,15 +198,15 @@ class TestMultiChoiceHead:
         rng = np.random.default_rng(410)
         store = ParamStore()
         head = create_multichoice_head(store, rng, d=6, d_t=4, dtype=np.float64)
-        x_hat = Tensor(rng.standard_normal(6), requires_grad=True)
-        q_hat = Tensor(rng.standard_normal(6), requires_grad=True)
+        x_hat = Tensor(rng.standard_normal(6)[None], requires_grad=True)
+        q_hat = Tensor(rng.standard_normal(6)[None], requires_grad=True)
         cands = rng.standard_normal((3, 3, 4))
 
         def build():
-            return hinge_loss(mc_scores(head, x_hat, q_hat, cands), 1)
+            return hinge_loss(mc_scores(head, x_hat, q_hat, cands), [1], [3])
 
         def loss_value():
-            return build().data
+            return build().data[0]
 
         store.zero_grads()
         with recording():

@@ -20,7 +20,7 @@ import livlr.visual
 import oracles
 from livlr.config import desk_config, tiny_config
 from livlr.data import SyntheticTaskSpec, gen_synthetic
-from livlr.davl import RepresentationBundle, integrate
+from livlr.davl import BundleLayout, RepresentationBundle, integrate
 from livlr.errors import ContractError, DataError
 from livlr.heads import (
     cross_entropy,
@@ -37,16 +37,20 @@ from livlr.visual import encode_clip
 
 
 def unsplit_forward(model, sample):
-    x_vg, x_vl = encode_clip(model.visual, sample.clip)
-    x_lg, x_ll = encode_all(model.linguistic, sample.sentences)
-    q, q_hat = encode_question(model.question, sample.question)
-    x_hat = integrate(model.davl, RepresentationBundle(x_vg, x_vl, x_lg, x_ll), q)
+    """One sample as a batch of one, layer by layer."""
+    x_vg, x_vl = encode_clip(model.visual, [sample.clip])
+    x_lg, x_ll = encode_all(model.linguistic, sample.sentence_layout())
+    q, q_hat = encode_question(model.question, [sample.question])
+    n_f, n_s = len(sample.clip.frames), len(sample.sentences)
+    layout = BundleLayout([[n_f, n_f, n_s, n_s]], [len(sample.question)])
+    x_hat = integrate(model.davl, RepresentationBundle(x_vg, x_vl, x_lg, x_ll), q, layout)
     if model.oe_head is not None:
         logits = predict_open_ended(model.oe_head, x_hat, q_hat)
-        return cross_entropy(logits, sample.label), logits
+        return cross_entropy(logits, [sample.label]), logits
     head = model.mc_head
-    scores = score_candidates(head, x_hat, q_hat, encode_candidates(head, sample.candidates))
-    return hinge_loss(scores, sample.correct), scores
+    n_k = [len(sample.candidates)]
+    scores = score_candidates(head, x_hat, q_hat, encode_candidates(head, [sample.candidates]), n_k)
+    return hinge_loss(scores, [sample.correct], n_k), scores
 
 
 def loss_and_grads(model, samples, forward):
@@ -241,9 +245,9 @@ def test_encoder_node_counts_do_not_grow_with_items():
         model = Model(cfg)
         nodes = []
         for encode, params, data in (
-            (encode_clip, model.visual, sample.clip),
-            (encode_all, model.linguistic, sample.sentences),
-            (encode_candidates, model.mc_head, sample.candidates),
+            (encode_clip, model.visual, [sample.clip]),
+            (encode_all, model.linguistic, sample.sentence_layout()),
+            (encode_candidates, model.mc_head, [sample.candidates]),
         ):
             with recording():
                 encode(params, data)

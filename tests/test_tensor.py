@@ -259,9 +259,9 @@ class TestStructuralOps:
         rng = np.random.default_rng(23)
         w = leaf(rng.standard_normal((3, 2)))
         b = leaf(rng.standard_normal(2))
-        x_vec = constant(rng.standard_normal(3), np.float64)
+        x_vec = constant(rng.standard_normal(3)[None], np.float64)  # a batch of one
         out = linear(x_vec, w, b)
-        assert out.data.shape == (2,)
+        assert out.data[0].shape == (2,)
         x_mat = constant(rng.standard_normal((4, 3)), np.float64)
         out2 = linear(x_mat, w, b)
         assert out2.data.shape == (4, 2)

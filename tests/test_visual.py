@@ -159,7 +159,7 @@ class TestFrameValidation:
 
 def encode_frame(params, frame):
     """One frame's fine-grained row (d,), through a one-frame clip."""
-    return encode_clip(params, ClipFeatures([frame]))[1].data[0]
+    return encode_clip(params, [ClipFeatures([frame])])[1].data[0]
 
 
 def build_encoder(rng, d=6, d_a=5, d_o=4, d_c=3, n_keep=2):
@@ -187,7 +187,7 @@ class TestEncoder:
         rng = np.random.default_rng(50)
         store, params = build_encoder(rng)
         clip = ClipFeatures([random_frame(rng, 3), random_frame(rng, 3)])
-        hol, fine = encode_clip(params, clip)
+        hol, fine = encode_clip(params, [clip])
         assert hol.data.shape == (2, 6)
         assert fine.data.shape == (2, 6)
 
@@ -229,7 +229,7 @@ class TestEncoder:
         clip = ClipFeatures([random_frame(rng, 3), random_frame(rng, 4)])
         store.zero_grads()
         with recording():
-            hol, fine = encode_clip(params, clip)
+            hol, fine = encode_clip(params, [clip])
             backward(add(sum_all(hol), sum_all(fine)))
         dead = [
             n for n, p in store.items()
