@@ -129,9 +129,9 @@ def bilstm_embed(params: BiLstmParams, seq: Tensor, lengths) -> Tensor:
     # each step's inputs (T, 2, B, 4h) in one gather; pre is let go before
     # the steps run, as at a batch's size the two are the node's largest
     # arrays
-    z_in = pre.reshape(-1, 2, 4 * hd)[np.stack([rows_f, rows_b], axis=1), [[0], [1]]]
+    z_in = pre.reshape(-1, 2, 4 * hd)[np.array([rows_f, rows_b]).swapaxes(0, 1), [[0], [1]]]
     del pre
-    w_h = np.stack([fwd.w_h.data, rev.w_h.data])  # (2, h, 4h)
+    w_h = np.array([fwd.w_h.data, rev.w_h.data])  # (2, h, 4h)
     # sigmoid(x) = tanh(x/2)/2 + 1/2, so one tanh squashes all four gates:
     # the sigmoid gates' pre-activations are halved (exactly, by scaling
     # their columns) and their tanh is halved and shifted back
