@@ -24,16 +24,11 @@ from .tensor import (
     Tensor,
     _record,
     add,
-    averaging_matrix,
-    constant,
     gather,
-    linear,
+    grouped_matmul,
     masked_softmax,
-    matmul,
     mul,
     reshape,
-    row_softmax,
-    transpose,
 )
 
 SOURCE_NAMES = ("visual_holistic", "visual_fine", "linguistic_holistic", "linguistic_fine")
@@ -139,6 +134,8 @@ class QattPadding:
     those of row b of a (B, m_s) block, m_s the source's largest count per
     sample; the other slots hold zeros. A source row then scores only its
     own sample's t_max slots, so the scores grow linearly with the batch.
+    The forward's products all run per block, so a sample's output rows
+    have the same bits in any batch whose samples share its counts.
     ``mask`` (rows, t_max) marks, per stacked source row, the slots its
     sample's question fills.
 
@@ -165,19 +162,19 @@ class QattPadding:
                 f"but the batch has {self._sizes[0]} and {self._sizes[1]}")
 
     def pad_tokens(self, q):
-        """(T, d) question rows -> (B * t_max, d), sample by sample."""
-        return _scatter(q, self._token_slots, self.n * self.t_max)
+        """(T, d) question rows -> (B, t_max, d), sample by sample."""
+        return _scatter(q, self._token_slots, self.n * self.t_max).reshape(self.n, self.t_max, -1)
 
-    def split_tokens(self, a):
-        """(S, H, B * t_max, k) -> (S, H, B, t_max, k)."""
-        return a.reshape(a.shape[:-2] + (self.n, self.t_max, a.shape[-1]))
+    def per_block(self, w):
+        """Weights (..., k, n) -> (..., 1, k, n), one copy per block."""
+        return w[..., None, :, :]
 
     def unpad_tokens(self, a):
         """(S, H, B, t_max, k) -> the rows (S, H, T, k) of the filled slots."""
         return _gather(a, self._token_slots)
 
     def pad_rows(self, a, s):
-        """(H, n_s, k) rows of source s -> (H, B, m_s, k)."""
+        """(..., n_s, k) rows of source s -> (..., B, m_s, k)."""
         m = self._width[s]
         out = _scatter(a, self._row_slots[s], self.n * m)
         return out.reshape(a.shape[:-2] + (self.n, m, a.shape[-1]))
@@ -196,8 +193,8 @@ class _OneSample:
     def pad_tokens(self, q):
         return q
 
-    def split_tokens(self, a):
-        return a
+    def per_block(self, w):
+        return w
 
     def unpad_tokens(self, a):
         return a
@@ -269,17 +266,19 @@ def question_attention(blocks, xs, q: Tensor, pad: QattPadding | None = None) ->
     # a batch's tensors carry a block axis B after the head axis: the
     # question (S, H, B, t_max, dh) and each source's rows (H, B, m_s, dh)
     q_pad = pad.pad_tokens(qd)
-    qk = pad.split_tokens(q_pad @ w_k)
+    qk = q_pad @ pad.per_block(w_k)
     # contiguous like the copy a transpose op makes, so the products match
     qk_t = np.ascontiguousarray(qk.swapaxes(-1, -2))
-    qv = pad.split_tokens(q_pad @ w_v)
-    xq = [pad.pad_rows(x.data @ w_q[s], s) for s, x in enumerate(xs)]
+    qv = q_pad @ pad.per_block(w_v)
+    xq = [pad.pad_rows(x.data, s) @ pad.per_block(w_q[s]) for s, x in enumerate(xs)]
     # the softmax runs once over every source's score rows: (H, N, t_max)
     scores = np.concatenate([pad.unpad_rows(a @ qk_t[s], s) for s, a in enumerate(xq)], axis=1)
     alpha, softmax_vjp = masked_softmax(scores * scale, pad.mask)
     alpha_pad = [pad.pad_rows(alpha[:, lo:hi], s) for s, (lo, hi) in enumerate(spans)]
-    ctx = [pad.unpad_rows(a @ qv[s], s) for s, a in enumerate(alpha_pad)]
-    o = np.concatenate([c @ w_o[s] for s, c in enumerate(ctx)], axis=1)  # (H, N, dh)
+    ctx_pad = [a @ qv[s] for s, a in enumerate(alpha_pad)]
+    ctx = [pad.unpad_rows(c, s) for s, c in enumerate(ctx_pad)]
+    o = np.concatenate([pad.unpad_rows(c @ pad.per_block(w_o[s]), s)
+                        for s, c in enumerate(ctx_pad)], axis=1)  # (H, N, dh)
     out = Tensor(o.transpose(1, 0, 2).reshape(rows[-1], n_heads * dh))
 
     def bwd(g):
@@ -343,16 +342,16 @@ class BundleLayout:
     bundle order, so sample b's nodes are scattered over four blocks.
 
     ``counts`` (B, 4) holds each sample's rows per source and ``tokens``
-    (B,) its question rows. Per stacked node row: ``sources`` (ids 1..4)
-    and ``owner`` (its sample). ``graph`` holds one edgeless graph per
-    sample over its nodes, in source order. ``qatt`` holds question
-    attention's padded per-sample blocks (None for one sample), and
-    ``co_attend`` the co-attention mask: every other node of the same
-    sample, (rows, rows) over the whole batch. ``pool`` and
-    ``source_pool`` average the node rows per sample and per (sample,
-    source). Layouts are kept and reused, so ``source_pool`` (only
-    ``RI_CONCAT`` reads it) and ``co_attend`` (only ``RI_AT``) are built
-    on first use.
+    (B,) its question rows. Per stacked node row, ``sources`` holds its
+    source id (1..4). ``graph`` holds one edgeless graph per sample over
+    its nodes, in source order, padded to m slots, the most nodes of a
+    sample; everything that mixes a sample's nodes runs on those slots, one
+    product per sample, so its cost is linear in B. ``mean`` (B, 1, m) and
+    ``source_mean`` (B, 4, m) weight the slots to average each sample's
+    nodes, all of them and per source. ``qatt`` holds question attention's
+    padded per-sample blocks (None for one sample). Layouts are kept and
+    reused, so ``source_mean`` (only ``RI_CONCAT`` reads it) is built on
+    first use.
     """
 
     def __init__(self, counts, tokens):
@@ -360,7 +359,6 @@ class BundleLayout:
         self.n = b = counts.shape[0]
         per_source = counts.sum(axis=0)
         self.sources = np.repeat(np.arange(1, 5), per_source)
-        self.owner = np.concatenate([np.repeat(np.arange(b), counts[:, k]) for k in range(4)])
         # stacked row where sample b's rows of source k begin
         first = (np.cumsum(per_source) - per_source) + (np.cumsum(counts, axis=0) - counts)
         sizes = counts.sum(axis=1)
@@ -369,18 +367,65 @@ class BundleLayout:
             slots[i, : sizes[i]] = np.concatenate(
                 [np.arange(lo, lo + n) for lo, n in zip(first[i], counts[i])])
         self.graph = GraphBatch(slots, np.zeros(slots.shape + slots.shape[1:], dtype=bool))
-        self.pool = averaging_matrix(self.owner, b)
+        self.mean = (self.graph.valid / sizes[:, None])[:, None, :]
         self.qatt = QattPadding(counts, tokens) if b > 1 else None
 
     @functools.cached_property
-    def source_pool(self) -> np.ndarray:
-        return averaging_matrix(4 * self.owner + self.sources - 1, 4 * self.n)
+    def source_mean(self) -> np.ndarray:
+        slot_source = np.where(self.graph.valid, self.sources[self.graph.slots], 0)
+        inside = slot_source[:, None, :] == np.arange(1, 5)[:, None]
+        return inside / np.maximum(inside.sum(axis=2, keepdims=True), 1)
 
-    @functools.cached_property
-    def co_attend(self) -> np.ndarray:
-        same = self.owner[:, None] == self.owner[None, :]
-        np.fill_diagonal(same, False)
-        return same
+
+def pool_samples(weights: np.ndarray, nodes: Tensor, graph: GraphBatch) -> Tensor:
+    """Weighted sums of each sample's own node rows, as one node: weights
+    (B, k, m) over the padded slots of ``graph`` give (B, k * d), one
+    stacked product per sample."""
+    b, m = graph.slots.shape
+    w = weights.astype(nodes.data.dtype)
+    out = w @ graph.pad(nodes.data).reshape(b, m, -1)
+    w_t = w.transpose(0, 2, 1)
+
+    def bwd(g):
+        return (graph.unpad((w_t @ g.reshape(out.shape)).reshape(b * m, -1)),)
+
+    return _record(Tensor(out.reshape(b, -1)), (nodes,), bwd)
+
+
+def co_attention(w1: Tensor, w2: Tensor, nodes: Tensor, graph: GraphBatch) -> Tensor:
+    """RI_AT's co-attention as one node: each node attends over the other
+    nodes of its own sample, out_i = v_i + sum_j beta_ij v_j with beta_i =
+    softmax_j(<v_i W1, v_j W2>), in per-sample (B, m, m) blocks over the
+    padded slots of ``graph``.
+
+    The vjp adds up the node gradients in the order a per-op tape of the
+    same products would (residual, mix, key path, query path), and hands
+    each product its operands in the memory order that tape does, since
+    BLAS may round a product differently by layout."""
+    v = nodes.data
+    b, m = graph.slots.shape
+    p = graph.pad(v)
+    p3 = p.reshape(b, m, -1)
+    q = (p @ w1.data).reshape(b, m, -1)
+    # contiguous like the copy a transpose op makes
+    k_t = np.ascontiguousarray((p @ w2.data).reshape(b, m, -1).transpose(0, 2, 1))
+    others = graph.valid[:, :, None] & graph.valid[:, None, :] & ~np.eye(m, dtype=bool)
+    beta, softmax_vjp = masked_softmax(q @ k_t, others)
+    out = Tensor(v + graph.unpad((beta @ p3).reshape(b * m, -1)))
+
+    def bwd(g):
+        g3 = graph.pad(g).reshape(b, m, -1)
+        g_scores = softmax_vjp(g3 @ p3.transpose(0, 2, 1))
+        g_q = (g_scores @ k_t.transpose(0, 2, 1)).reshape(b * m, -1)
+        g_k_t = q.transpose(0, 2, 1) @ g_scores  # (B, d, m)
+        # the (B * m, d) rows of g_k_t's transpose, column-major
+        g_k = g_k_t.transpose(1, 0, 2).reshape(g_k_t.shape[1], -1).T
+        g_v = g + graph.unpad((beta.transpose(0, 2, 1) @ g3).reshape(b * m, -1))
+        g_v = g_v + graph.unpad(g_k @ w2.data.T)
+        g_v = g_v + graph.unpad(g_q @ w1.data.T)
+        return g_v, p.T @ g_q, p.T @ g_k
+
+    return _record(out, (nodes, w1, w2), bwd)
 
 
 def integrate(
@@ -396,12 +441,11 @@ def integrate(
     blocks = [params.qatt[name] for name in SOURCE_NAMES]
     nodes = question_attention(blocks, bundle.matrices(), q, layout.qatt)
     variant = params.variant
-    dtype = nodes.data.dtype
 
     if variant == RiVariant.RI_CONCAT:
         # one mean per (sample, source), each sample's four side by side
-        pooled = matmul(constant(layout.source_pool, dtype), nodes)
-        fused = linear(reshape(pooled, (layout.n, -1)), params.w_concat, params.b_concat)
+        pooled = pool_samples(layout.source_mean, nodes, layout.graph)
+        fused = add(grouped_matmul(pooled, params.w_concat, [1] * layout.n), params.b_concat)
     else:
         if variant == RiVariant.DAVL:
             nodes = apply_index_embedding(params.index_matrix, nodes, layout.sources)
@@ -410,11 +454,6 @@ def integrate(
                 params.learn_w1, params.learn_w2, nodes, params.n_keep, layout.graph)
             nodes = vanilla_gcn_layer(params.w_gcn, nodes, graph)
         else:
-            # co-attention baseline: every node attends over the other
-            # nodes of its own sample
-            scores = matmul(matmul(nodes, params.learn_w1),
-                            transpose(matmul(nodes, params.learn_w2)))
-            beta = row_softmax(scores, mask=layout.co_attend)
-            nodes = add(nodes, matmul(beta, nodes))
-        fused = matmul(constant(layout.pool, dtype), nodes)
+            nodes = co_attention(params.learn_w1, params.learn_w2, nodes, layout.graph)
+        fused = pool_samples(layout.mean, nodes, layout.graph)
     return reshape(fused, (fused.data.shape[1],)) if single else fused

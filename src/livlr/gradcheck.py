@@ -11,14 +11,26 @@ only its own parameter group, so most stages see unchanged parameters in
 most forward passes. Outside a recording scope the audit keeps each
 stage's last output for the probe batch together with a byte snapshot of
 that stage's parameters, and hands the output back while the parameters
-are still bit-equal to the snapshot: only the perturbed stage, the
-integration module and the head are rerun. The analytic pass (recorded) reuses
-nothing. A reused output is exactly what a rerun would compute, and no
-later op writes into its inputs, so the numeric gradients are
-bit-identical to those from full forward passes.
+are still bit-equal to the snapshot: only the perturbed stage is rerun.
+The analytic pass (recorded) reuses nothing. A reused output is exactly
+what a rerun would compute, and no later op writes into its inputs.
+
+Most scalars belong to encoder stages, and their forwards differ only in
+the encoder outputs: the integration module and the head see the same
+weights each time. So the audit collects those outputs and scores up to
+``SCORE_CHUNK`` of them with one ``Model.answer`` over as many copies of
+the probe batch (operation batching: Neubig, Goldberg & Dyer, NeurIPS
+2017). The integration module and the heads multiply each sample's rows
+in products of their own, whose shapes depend only on that sample's row
+counts, so every copy gets the bits its own one-batch forward would (the
+batch-invariance argument of He et al., "Defeating Nondeterminism in LLM
+Inference", 2025). Integration and head scalars keep one forward each.
+Either way the numeric gradients are bit-identical to those from full
+forward passes.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,12 +38,15 @@ import numpy as np
 from .config import ModelConfig
 from .data import SyntheticTaskSpec, gen_synthetic
 from .errors import ConfigError
-from .model import Model
+from .model import Encoded, Model
 from .tensor import backward, is_recording, recording
 
 DEFAULT_H = 1e-5
 DEFAULT_TOLERANCE = 1e-4
 REL_FLOOR = 1e-3
+# encoder-stage perturbations scored by one forward; more would raise the
+# audit's peak memory without saving much more dispatch
+SCORE_CHUNK = 32
 
 
 @dataclass
@@ -56,6 +71,38 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = REL
     return float((np.abs(analytic - numeric) / denom).max())
 
 
+def _analytic(loss_fn, params: dict) -> dict:
+    for name in sorted(params):
+        params[name].zero_grad()
+    with recording():
+        backward(loss_fn())
+    return {name: params[name].grad.copy() for name in params}
+
+
+def _perturbations(p, h: float):
+    """Set each scalar of p to x + h and then to x - h, yielding after
+    each; the scalar is restored before the next one, and on any exit."""
+    flat = p.data.reshape(-1)
+    for j in range(flat.size):
+        orig = flat[j]
+        try:
+            flat[j] = orig + h
+            yield
+            flat[j] = orig - h
+            yield
+        finally:
+            flat[j] = orig
+
+
+def _report(name: str, analytic, losses: list, h: float, tolerance: float) -> TensorReport:
+    """Compare analytic with the central differences of losses, which
+    hold f(x + h), f(x - h) for each scalar in turn."""
+    up_down = np.array(losses).reshape(-1, 2)
+    numeric = ((up_down[:, 0] - up_down[:, 1]) / (2.0 * h)).astype(analytic.dtype)
+    err = relative_error(analytic, numeric.reshape(analytic.shape))
+    return TensorReport(name, err, err < tolerance)
+
+
 def check_gradients(
     loss_fn,
     params: dict,
@@ -67,28 +114,11 @@ def check_gradients(
     loss_fn() must rebuild the forward pass from the current parameter
     values and return the loss Tensor. params maps name -> Tensor.
     """
-    for name in sorted(params):
-        params[name].zero_grad()
-    with recording():
-        backward(loss_fn())
-    analytic = {name: params[name].grad.copy() for name in params}
-
+    analytic = _analytic(loss_fn, params)
     entries = []
     for name in sorted(params):
-        p = params[name]
-        numeric = np.zeros_like(p.data)
-        flat = p.data.reshape(-1)
-        num_flat = numeric.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + h
-            up = float(loss_fn().data)
-            flat[j] = orig - h
-            down = float(loss_fn().data)
-            flat[j] = orig
-            num_flat[j] = (up - down) / (2.0 * h)
-        err = relative_error(analytic[name], numeric)
-        entries.append(TensorReport(name, err, err < tolerance))
+        losses = [float(loss_fn().data) for _ in _perturbations(params[name], h)]
+        entries.append(_report(name, analytic[name], losses, h, tolerance))
     return GradCheckReport(entries, tolerance, all(e.passed for e in entries))
 
 
@@ -124,8 +154,11 @@ def probe_batch(config: ModelConfig, seed: int = 0, batch_size: int = 2):
     config.validate()
     if config.precision != "double":
         raise ConfigError("grad check needs precision=double")
+    if (isinstance(batch_size, bool) or not isinstance(batch_size, (int, np.integer))
+            or batch_size < 1):
+        raise ConfigError(f"batch_size must be an integer >= 1, got {batch_size!r}")
     spec = SyntheticTaskSpec(
-        n_samples=batch_size,
+        n_samples=int(batch_size),
         signal_source="question_dependent",
         noise_scale=0.3,
         n_classes=min(4, config.answer_set_size),
@@ -144,11 +177,36 @@ def grad_check(
     parameter tensor. The probe batch is kept small because the cost is
     2 * (number of parameter scalars) forward passes of the batch; encoder
     stages whose parameters are not being perturbed are reused rather
-    than rerun.
+    than rerun, and the forwards that perturb an encoder stage are scored
+    SCORE_CHUNK at a time, as copies of the probe batch.
     """
     model, samples = probe_batch(config, seed, batch_size)
     reuse = StageReuse(model)
     params = {name: model.store[name] for name in model.store.names()}
-    return check_gradients(
-        lambda: model.batch_loss(samples, reuse.run)[0], params, tolerance=tolerance
-    )
+    staged = {id(t) for ts in reuse.params.values() for t in ts}
+    loss_fn = lambda: model.batch_loss(samples, reuse.run)[0]
+    analytic = _analytic(loss_fn, params)
+    entries = []
+    for name in sorted(params):
+        p = params[name]
+        if id(p) in staged:
+            encs = (model.encode(samples, reuse.run) for _ in _perturbations(p, DEFAULT_H))
+            losses = _scored_losses(model, samples, encs)
+        else:
+            losses = [float(loss_fn().data) for _ in _perturbations(p, DEFAULT_H)]
+        entries.append(_report(name, analytic[name], losses, DEFAULT_H, tolerance))
+    return GradCheckReport(entries, tolerance, all(e.passed for e in entries))
+
+
+def _scored_losses(model: Model, samples: list, encs) -> list[float]:
+    """The mean loss of samples on each encoding in encs, as batch_loss
+    gives it, scored SCORE_CHUNK encodings at a time by one Model.answer
+    over that many copies of the batch. The layers above the encoders give
+    a sample the same bits in any batch of samples with its row counts, so
+    each mean is bit-equal to the one-batch forward's."""
+    n, encs, out = len(samples), iter(encs), []
+    while chunk := list(itertools.islice(encs, SCORE_CHUNK)):
+        losses, _ = model.answer(samples * len(chunk), Encoded.join(chunk))
+        # batch_loss's sum_all and 1/n, one copy at a time
+        out += [float(c.sum() * (1.0 / n)) for c in losses.data.reshape(len(chunk), n)]
+    return out

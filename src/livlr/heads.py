@@ -7,7 +7,9 @@ summed pairwise hinge: every wrong candidate must trail the right one by
 a margin of 1.
 
 Each function takes a minibatch with its samples' rows stacked in order,
-and each loss is one tape node that gives one loss per sample.
+and each loss is one tape node that gives one loss per sample. The heads'
+products run sample by sample (``grouped_matmul``), so a sample's scores
+have the same bits in any batch whose samples share its candidate count.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import numpy as np
 from .errors import ContractError
 from .optim import ParamStore, make_param
 from .rnn import SeqEncoderParams, create_seq_encoder, encode_sequences
-from .tensor import Tensor, _record, concat, gather, linear, relu, reshape
+from .tensor import Tensor, _record, add, concat, gather, grouped_matmul, relu, reshape
 
 
 @dataclass
@@ -67,10 +69,11 @@ def encode_question(params: SeqEncoderParams, questions: list) -> tuple[Tensor, 
 
 def predict_open_ended(head: OpenEndedHead, x_hat: Tensor, q_hat: Tensor) -> Tensor:
     """Answer-set logits (B, A) from a batch's fused and question rows,
-    each (B, d)."""
+    each (B, d); each sample's row is multiplied on its own."""
+    rows = [1] * x_hat.data.shape[0]
     joint = concat([x_hat, q_hat], axis=1)
-    hidden = relu(linear(joint, head.w1, head.b1))
-    return linear(hidden, head.w2, head.b2)
+    hidden = relu(add(grouped_matmul(joint, head.w1, rows), head.b1))
+    return add(grouped_matmul(hidden, head.w2, rows), head.b2)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -117,12 +120,13 @@ def score_candidates(
     """Scores (total N_k,): one linear regression over the stacked rows
     [x_hat; q_hat; e_k] of every candidate embedding e_k. x_hat and q_hat
     are a batch's (B, d) rows, with sizes[b] candidates for sample b,
-    stacked in sample order."""
+    stacked in sample order; each sample's rows are one product of their
+    own."""
     n_k = embeddings.data.shape[0]
     shared = concat([x_hat, q_hat], axis=1)
     owner = np.repeat(np.arange(len(sizes)), sizes)
     joint = concat([gather(shared, owner), embeddings], axis=1)  # (N_k, 3d)
-    return reshape(linear(joint, head.w_score, head.b_score), (n_k,))
+    return reshape(add(grouped_matmul(joint, head.w_score, sizes), head.b_score), (n_k,))
 
 
 def hinge_loss(scores: Tensor, correct, sizes) -> Tensor:

@@ -49,29 +49,46 @@ from .tensor import Tensor, mul, reshape, sum_all
 from .visual import VisualEncoderParams, create_visual_params, encode_clip
 
 
-@dataclass
-class Encoded:
-    """A batch's encoder outputs, each stacking the samples' rows in
-    order, and where each sample's rows sit; the rest of the forward reads
-    only these."""
-
-    visual: tuple[Tensor, Tensor]  # holistic rows, fine-grained rows (one per frame)
-    linguistic: tuple[Tensor, Tensor]  # event rows, local rows (one per sentence)
-    question: tuple[Tensor, Tensor]  # token rows, summaries q_hat (B, d)
-    candidates: Tensor | None  # MC candidate embeddings (total N_k, d)
-    layout: BundleLayout
-
-
-def _run_stage(name: str, fn):
-    return fn()
-
-
 @functools.lru_cache(maxsize=64)
 def _bundle_layout(counts: tuple) -> BundleLayout:
     """The layout of a batch whose samples have these (frames, sentences,
     question tokens); a pure function of the counts, so built once each."""
     c = np.array(counts, dtype=np.intp).reshape(-1, 3)
     return BundleLayout(c[:, [0, 0, 1, 1]], c[:, 2])
+
+
+@dataclass
+class Encoded:
+    """A batch's encoder outputs, each stacking the samples' rows in
+    order, and each sample's (frames, sentences, question tokens); the
+    rest of the forward reads only these."""
+
+    visual: tuple[Tensor, Tensor]  # holistic rows, fine-grained rows (one per frame)
+    linguistic: tuple[Tensor, Tensor]  # event rows, local rows (one per sentence)
+    question: tuple[Tensor, Tensor]  # token rows, summaries q_hat (B, d)
+    candidates: Tensor | None  # MC candidate embeddings (total N_k, d)
+    counts: tuple
+
+    @property
+    def layout(self) -> BundleLayout:
+        """Where each sample's rows sit in the integration module."""
+        return _bundle_layout(self.counts)
+
+    @classmethod
+    def join(cls, encs: list) -> "Encoded":
+        """Several batches' encoder outputs as one batch, their samples in
+        order. The joined tensors are new leaves, so this is for forwards
+        that record nothing."""
+        cat = lambda ts: Tensor(np.concatenate([t.data for t in ts]))
+        pair = lambda ps: tuple(cat(ts) for ts in zip(*ps))
+        candidates = None if encs[0].candidates is None else cat([e.candidates for e in encs])
+        return cls(pair([e.visual for e in encs]), pair([e.linguistic for e in encs]),
+                   pair([e.question for e in encs]), candidates,
+                   sum((e.counts for e in encs), ()))
+
+
+def _run_stage(name: str, fn):
+    return fn()
 
 
 def _batch(samples) -> list:
@@ -149,9 +166,8 @@ class Model:
         candidates = None
         if mc is not None:
             candidates = run("candidates", lambda: encode_candidates(mc, [s.candidates for s in batch]))
-        layout = _bundle_layout(tuple(
-            (len(s.clip.frames), len(s.sentences), len(s.question)) for s in batch))
-        return Encoded(visual, linguistic, question, candidates, layout)
+        counts = tuple((len(s.clip.frames), len(s.sentences), len(s.question)) for s in batch)
+        return Encoded(visual, linguistic, question, candidates, counts)
 
     def score(self, samples, enc: Encoded) -> Tensor:
         """The integration module and the answer head on top of the encoder

@@ -185,6 +185,34 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
+def grouped_matmul(a: Tensor, b: Tensor, sizes) -> Tensor:
+    """a @ b where the rows of a stack groups of sizes[i] rows and each
+    group is multiplied on its own, as one stacked product over the groups
+    padded to the largest size. BLAS may round a row differently in a
+    product of another height (a one-row product is a gemv, a taller one a
+    gemm), so this way a group's rows come out with the same bits in any
+    batch whose groups all have its size. One group is the plain product;
+    the vjp is matmul's."""
+    x, w = a.data, b.data
+    sizes = np.asarray(sizes, dtype=np.intp)
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"grouped_matmul needs (rows, k) @ (k, n), got {x.shape} @ {w.shape}")
+    if sizes.ndim != 1 or sizes.size == 0 or sizes.min() < 1 or sizes.sum() != x.shape[0]:
+        raise ShapeError(f"rows {x.shape[0]} do not split into groups {sizes.tolist()}")
+    m = int(sizes.max())
+    slots = np.flatnonzero(np.arange(m) < sizes[:, None])
+    padded = np.zeros((sizes.size * m, x.shape[1]), dtype=x.dtype)
+    padded[slots] = x
+    out = Tensor((padded.reshape(sizes.size, m, -1) @ w).reshape(-1, w.shape[1])[slots])
+
+    def bwd(g):
+        ga = g @ w.T if a.requires_grad else None
+        gb = x.T @ g if b.requires_grad else None
+        return ga, gb
+
+    return _record(out, (a, b), bwd)
+
+
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"transpose needs a 2-d tensor, got {a.data.shape}")

@@ -316,7 +316,7 @@ def integrate_tape(params, bundle, q):
     aggregation as a matmul by the normalized adjacency; (d,)."""
     from livlr.davl import SOURCE_NAMES, BundleLayout, RiVariant, apply_index_embedding
     from livlr.graph import learn_adjacency
-    from livlr.tensor import add, concat, constant, linear, matmul, relu, reshape, row_softmax, transpose
+    from livlr.tensor import add, concat, constant, linear, matmul, relu, reshape
 
     attended = [
         question_attention_tape(params.qatt[name], x, q)
@@ -341,9 +341,18 @@ def integrate_tape(params, bundle, q):
         msgs = matmul(nodes, params.w_gcn)
         nodes = relu(add(nodes, matmul(constant(a, nodes.data.dtype), msgs)))
         return mean_pool(nodes)
-    scores = matmul(matmul(nodes, params.learn_w1), transpose(matmul(nodes, params.learn_w2)))
+    return mean_pool(co_attention_tape(params.learn_w1, params.learn_w2, nodes, edgeless(n)))
+
+
+def co_attention_tape(w1, w2, nodes, graph):
+    """davl.co_attention over one sample as the per-op tape it replaces."""
+    from livlr.tensor import add, matmul, row_softmax, transpose
+
+    n = nodes.data.shape[0]
+    assert graph.slots.shape == (1, n)
+    scores = matmul(matmul(nodes, w1), transpose(matmul(nodes, w2)))
     beta = row_softmax(scores, mask=~np.eye(n, dtype=bool))
-    return mean_pool(add(nodes, matmul(beta, nodes)))
+    return add(nodes, matmul(beta, nodes))
 
 
 def row_softmax(x, mask=None, allow_empty=False):

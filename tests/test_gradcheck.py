@@ -157,3 +157,23 @@ def test_stage_reuse_reruns_only_the_perturbed_stage():
     for stage, tensors in reuse.params.items():
         own = sum(t.size for t in tensors)
         assert 2 * own + 2 <= runs[stage] <= 2 * own + 3, stage
+
+
+@pytest.mark.parametrize("batch_size", [1, 2])
+@pytest.mark.parametrize("variant", ["DAVL", "RI_GCN", "RI_AT", "RI_CONCAT"])
+@pytest.mark.parametrize("setting", ["OE", "MC"])
+def test_batched_scoring_errors_match_full_forwards_bit_for_bit(setting, variant, batch_size):
+    # grad_check scores the encoder-stage perturbations as copies of the
+    # probe batch in one forward; each copy must get the bits of its own
+    # full forward, so every error is the same float. micro_config has one
+    # frame and one sentence, so two source blocks hold one row a sample
+    cfg = micro_config(question_setting=setting, ri_variant=variant)
+    batched = grad_check(cfg, seed=0, batch_size=batch_size)
+
+    model, samples = probe_batch(cfg, seed=0, batch_size=batch_size)
+    params = {name: model.store[name] for name in model.store.names()}
+    plain = check_gradients(lambda: model.batch_loss(samples)[0], params)
+
+    assert [(e.name, e.max_rel_err.hex()) for e in batched.entries] == [
+        (e.name, e.max_rel_err.hex()) for e in plain.entries
+    ]

@@ -31,7 +31,7 @@ from livlr.heads import (
     score_candidates,
 )
 from livlr.linguistic import encode_all
-from livlr.model import Model
+from livlr.model import Encoded, Model
 from livlr.tensor import add, backward, recording, tape_size
 from livlr.visual import encode_clip
 
@@ -85,14 +85,38 @@ def test_split_forward_matches_unsplit_bit_for_bit(setting, variant, precision):
     assert any(np.frombuffer(g, dtype=cfg.dtype).any() for g in split[1].values())
 
 
+@pytest.mark.parametrize("copies", [2, 3, 16])
+@pytest.mark.parametrize("variant", ["DAVL", "RI_GCN", "RI_AT", "RI_CONCAT"])
+@pytest.mark.parametrize("setting", ["OE", "MC"])
+@pytest.mark.parametrize("precision", ["double", "single"])
+def test_copies_of_a_sample_score_as_the_sample_alone(setting, variant, precision, copies):
+    # above the encoders every sample gets the bits it gets alone, in any
+    # batch of samples with its row counts: the gradient audit scores its
+    # encoder perturbations as copies of the probe batch on this
+    cfg = tiny_config(question_setting=setting, ri_variant=variant, precision=precision)
+    spec = SyntheticTaskSpec(
+        n_samples=3, signal_source="question_dependent", noise_scale=0.3, n_classes=4
+    )
+    model = Model(cfg)
+    for s in gen_synthetic(spec, cfg, seed=8).samples():
+        enc = model.encode([s])
+        losses, scores = model.answer([s], enc)
+        many = Encoded.join([enc] * copies)
+        assert np.array_equal(model.score([s] * copies, many).data,
+                              np.concatenate([scores.data] * copies))
+        assert np.array_equal(model.answer([s] * copies, many)[0].data,
+                              np.concatenate([losses.data] * copies))
+
+
 def tape_oracle_forward(monkeypatch, model, sample):
-    """model.forward with every fused attention node swapped for the per-op
-    tape composition it replaces."""
+    """model.forward with every fused attention node (co-attention too)
+    swapped for the per-op tape composition it replaces."""
     with monkeypatch.context() as m:
         m.setattr(livlr.davl, "question_attention", oracles.question_attention_tapes)
         m.setattr(livlr.visual, "attn_gcn_layer", oracles.attn_gcn_layer_tape)
         m.setattr(livlr.visual, "typed_edge_gcn_layer", oracles.typed_edge_gcn_layer_tape)
         m.setattr(livlr.linguistic, "attn_gcn_layer", oracles.attn_gcn_layer_tape)
+        m.setattr(livlr.davl, "co_attention", oracles.co_attention_tape)
         return model.forward(sample)
 
 

@@ -15,6 +15,7 @@ from livlr.tensor import (
     backward,
     concat,
     constant,
+    grouped_matmul,
     gather,
     linear,
     matmul,
@@ -72,6 +73,49 @@ class TestMatmul:
         for t in (a, b):
             num = central_diff(loss_value, t.data, h=1e-5)
             assert max_rel_err(t.grad, num) < 1e-6
+
+
+class TestGroupedMatmul:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_each_group_is_its_own_product(self, dtype, n, size):
+        # in a batch of equal groups, a group's rows have the bits of the
+        # group multiplied alone, whatever the other groups hold
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((4 * size, 24)).astype(dtype)
+        w = constant(rng.standard_normal((24, n)), dtype)
+        out = grouped_matmul(constant(a, dtype), w, [size] * 4).data
+        for lo in range(0, 4 * size, size):
+            alone = a[lo : lo + size] @ w.data
+            assert np.array_equal(out[lo : lo + size], alone)
+            assert np.array_equal(grouped_matmul(constant(a[lo : lo + size], dtype), w, [size]).data, alone)
+
+    def test_ragged_groups_are_the_product(self):
+        rng = np.random.default_rng(14)
+        a, w = rng.standard_normal((10, 6)), rng.standard_normal((6, 3))
+        out = grouped_matmul(constant(a, np.float64), constant(w, np.float64), [1, 3, 2, 3, 1]).data
+        assert max_rel_err(out, mat_loop(a, w)) <= 1e-12
+
+    def test_gradients_are_matmuls(self):
+        rng = np.random.default_rng(13)
+        a, b = leaf(rng.standard_normal((5, 4))), leaf(rng.standard_normal((4, 3)))
+        with recording():
+            backward(sum_all(grouped_matmul(a, b, [2, 1, 2])))
+        grads = a.grad.copy(), b.grad.copy()
+        a.zero_grad()
+        b.zero_grad()
+        with recording():
+            backward(sum_all(matmul(a, b)))
+        assert np.array_equal(grads[0], a.grad) and np.array_equal(grads[1], b.grad)
+
+    def test_groups_must_cover_the_rows(self):
+        a, b = leaf(np.zeros((4, 2))), leaf(np.zeros((2, 2)))
+        for sizes in ([1, 2], [2, 0, 2], []):
+            with pytest.raises(ShapeError):
+                grouped_matmul(a, b, sizes)
+        with pytest.raises(ShapeError):
+            grouped_matmul(a, leaf(np.zeros((3, 2))), [4])
 
 
 class TestRowSoftmax:
