@@ -225,6 +225,13 @@ def _template_parse(n_tokens: int) -> tuple[SrlParse, tuple[int, int]]:
     return parse, span
 
 
+def _seed(value) -> int:
+    """A dataset seed: a non-negative integer, numpy's included, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {value!r}")
+    return int(value)
+
+
 def gen_synthetic(
     spec: SyntheticTaskSpec, config: ModelConfig, seed: int | None = None
 ) -> SyntheticDataset:
@@ -239,7 +246,7 @@ def gen_synthetic(
         raise ConfigError("the sentence template needs N_t >= 3")
     if config.N_r < 3:
         raise ConfigError("the sentence template needs N_r >= 3 role ids")
-    seed = config.seed if seed is None else int(seed)
+    seed = config.seed if seed is None else _seed(seed)
     rng = np.random.default_rng([seed, 211])
 
     n = spec.n_samples

@@ -177,6 +177,23 @@ def test_non_finite_spec_value_exits_2_and_writes_nothing(tmp_path, capsys, fiel
     assert not out.exists()
 
 
+def test_negative_seed_exits_2_and_writes_nothing(tmp_path, capsys):
+    cfg = write_config(tmp_path, **MICRO)
+    out = tmp_path / "d"
+    argv = ["gen-data", "--config", cfg, "--spec", write_spec(tmp_path), "--out", str(out)]
+    assert main(argv + ["--seed", "-1"]) == 2
+    assert "config error: seed must be" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["grad-check", "--config", cfg, "--seed", "-1"]) == 2
+    assert "config error: seed must be" in capsys.readouterr().err
+
+
+def test_grad_check_batch_size_error_names_batch_size(tmp_path, capsys):
+    cfg = write_config(tmp_path, **MICRO)
+    assert main(["grad-check", "--config", cfg, "--batch-size", "0"]) == 2
+    assert "config error: batch_size must be" in capsys.readouterr().err
+
+
 def test_missing_dataset_exits_3(tmp_path, capsys):
     cfg = write_config(tmp_path, **MICRO)
     code = main(["train", "--config", cfg, "--data", str(tmp_path / "absent"),

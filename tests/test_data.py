@@ -124,6 +124,18 @@ def test_different_seed_produces_different_data():
     assert not np.array_equal(a.appearance, b.appearance)
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, True, "3"])
+def test_seed_must_be_a_non_negative_integer(seed):
+    cfg = tiny_config()
+    spec = spec_for("holistic_visual", n=4, noise=0.1)
+    # a numpy integer is the same seed as the int
+    same = gen_synthetic(spec, cfg, seed=np.int64(7))
+    assert same.seed == 7 and type(same.seed) is int
+    assert np.array_equal(same.appearance, gen_synthetic(spec, cfg, seed=7).appearance)
+    with pytest.raises(ConfigError, match="seed"):
+        gen_synthetic(spec, cfg, seed=seed)
+
+
 def test_seed_defaults_to_config_seed():
     cfg = tiny_config(seed=9)
     spec = spec_for("holistic_visual", n=4, noise=0.1)
