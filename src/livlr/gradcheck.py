@@ -71,14 +71,6 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = REL
     return float((np.abs(analytic - numeric) / denom).max())
 
 
-def _analytic(loss_fn, params: dict) -> dict:
-    for name in sorted(params):
-        params[name].zero_grad()
-    with recording():
-        backward(loss_fn())
-    return {name: params[name].grad.copy() for name in params}
-
-
 def _perturbations(p, h: float):
     """Set each scalar of p to x + h and then to x - h, yielding after
     each; the scalar is restored before the next one, and on any exit."""
@@ -94,13 +86,22 @@ def _perturbations(p, h: float):
             flat[j] = orig
 
 
-def _report(name: str, analytic, losses: list, h: float, tolerance: float) -> TensorReport:
-    """Compare analytic with the central differences of losses, which
-    hold f(x + h), f(x - h) for each scalar in turn."""
-    up_down = np.array(losses).reshape(-1, 2)
-    numeric = ((up_down[:, 0] - up_down[:, 1]) / (2.0 * h)).astype(analytic.dtype)
-    err = relative_error(analytic, numeric.reshape(analytic.shape))
-    return TensorReport(name, err, err < tolerance)
+def _check(loss_fn, params: dict, h: float, tolerance: float, losses_of) -> GradCheckReport:
+    """Analytic grads from one recorded loss_fn() against central
+    differences: losses_of(p) gives f(x + h), f(x - h) for each scalar of
+    p in turn, as _perturbations sets them."""
+    for name in sorted(params):
+        params[name].zero_grad()
+    with recording():
+        backward(loss_fn())
+    entries = []
+    for name in sorted(params):
+        p = params[name]
+        up_down = np.array(losses_of(p)).reshape(-1, 2)
+        numeric = ((up_down[:, 0] - up_down[:, 1]) / (2.0 * h)).astype(p.data.dtype)
+        err = relative_error(p.grad, numeric.reshape(p.data.shape))
+        entries.append(TensorReport(name, err, err < tolerance))
+    return GradCheckReport(entries, tolerance, all(e.passed for e in entries))
 
 
 def check_gradients(
@@ -114,12 +115,8 @@ def check_gradients(
     loss_fn() must rebuild the forward pass from the current parameter
     values and return the loss Tensor. params maps name -> Tensor.
     """
-    analytic = _analytic(loss_fn, params)
-    entries = []
-    for name in sorted(params):
-        losses = [float(loss_fn().data) for _ in _perturbations(params[name], h)]
-        entries.append(_report(name, analytic[name], losses, h, tolerance))
-    return GradCheckReport(entries, tolerance, all(e.passed for e in entries))
+    return _check(loss_fn, params, h, tolerance,
+                  lambda p: [float(loss_fn().data) for _ in _perturbations(p, h)])
 
 
 class StageReuse:
@@ -185,17 +182,14 @@ def grad_check(
     params = {name: model.store[name] for name in model.store.names()}
     staged = {id(t) for ts in reuse.params.values() for t in ts}
     loss_fn = lambda: model.batch_loss(samples, reuse.run)[0]
-    analytic = _analytic(loss_fn, params)
-    entries = []
-    for name in sorted(params):
-        p = params[name]
+
+    def losses_of(p):
         if id(p) in staged:
             encs = (model.encode(samples, reuse.run) for _ in _perturbations(p, DEFAULT_H))
-            losses = _scored_losses(model, samples, encs)
-        else:
-            losses = [float(loss_fn().data) for _ in _perturbations(p, DEFAULT_H)]
-        entries.append(_report(name, analytic[name], losses, DEFAULT_H, tolerance))
-    return GradCheckReport(entries, tolerance, all(e.passed for e in entries))
+            return _scored_losses(model, samples, encs)
+        return [float(loss_fn().data) for _ in _perturbations(p, DEFAULT_H)]
+
+    return _check(loss_fn, params, DEFAULT_H, tolerance, losses_of)
 
 
 def _scored_losses(model: Model, samples: list, encs) -> list[float]:
