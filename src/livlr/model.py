@@ -49,14 +49,6 @@ from .tensor import Tensor, mul, reshape, sum_all
 from .visual import VisualEncoderParams, create_visual_params, encode_clip
 
 
-@functools.lru_cache(maxsize=64)
-def _bundle_layout(counts: tuple) -> BundleLayout:
-    """The layout of a batch whose samples have these (frames, sentences,
-    question tokens); a pure function of the counts, so built once each."""
-    c = np.array(counts, dtype=np.intp).reshape(-1, 3)
-    return BundleLayout(c[:, [0, 0, 1, 1]], c[:, 2])
-
-
 @dataclass
 class Encoded:
     """A batch's encoder outputs, each stacking the samples' rows in
@@ -89,6 +81,14 @@ class Encoded:
 
 def _run_stage(name: str, fn):
     return fn()
+
+
+@functools.lru_cache(maxsize=64)
+def _bundle_layout(counts: tuple) -> BundleLayout:
+    """The layout of a batch whose samples have these (frames, sentences,
+    question tokens); a pure function of the counts, so built once each."""
+    c = np.array(counts, dtype=np.intp).reshape(-1, 3)
+    return BundleLayout(c[:, [0, 0, 1, 1]], c[:, 2])
 
 
 def _batch(samples) -> list:
