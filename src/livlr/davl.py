@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, DegenerateRowError, ShapeError
-from .graph import GraphBatch, learn_adjacency, vanilla_gcn_layer
+from .graph import GraphBatch, learn_adjacency, mean_weights, pool, vanilla_gcn_layer
 from .optim import ParamStore, make_param
 from .tensor import (
     Tensor,
@@ -367,29 +367,13 @@ class BundleLayout:
             slots[i, : sizes[i]] = np.concatenate(
                 [np.arange(lo, lo + n) for lo, n in zip(first[i], counts[i])])
         self.graph = GraphBatch(slots, np.zeros(slots.shape + slots.shape[1:], dtype=bool))
-        self.mean = (self.graph.valid / sizes[:, None])[:, None, :]
+        self.mean = mean_weights(self.graph.valid)
         self.qatt = QattPadding(counts, tokens) if b > 1 else None
 
     @functools.cached_property
     def source_mean(self) -> np.ndarray:
         slot_source = np.where(self.graph.valid, self.sources[self.graph.slots], 0)
-        inside = slot_source[:, None, :] == np.arange(1, 5)[:, None]
-        return inside / np.maximum(inside.sum(axis=2, keepdims=True), 1)
-
-
-def pool_samples(weights: np.ndarray, nodes: Tensor, graph: GraphBatch) -> Tensor:
-    """Weighted sums of each sample's own node rows, as one node: weights
-    (B, k, m) over the padded slots of ``graph`` give (B, k * d), one
-    stacked product per sample."""
-    b, m = graph.slots.shape
-    w = weights.astype(nodes.data.dtype)
-    out = w @ graph.pad(nodes.data).reshape(b, m, -1)
-    w_t = w.transpose(0, 2, 1)
-
-    def bwd(g):
-        return (graph.unpad((w_t @ g.reshape(out.shape)).reshape(b * m, -1)),)
-
-    return _record(Tensor(out.reshape(b, -1)), (nodes,), bwd)
+        return np.concatenate([mean_weights(slot_source == s) for s in range(1, 5)], axis=1)
 
 
 def co_attention(w1: Tensor, w2: Tensor, nodes: Tensor, graph: GraphBatch) -> Tensor:
@@ -444,7 +428,7 @@ def integrate(
 
     if variant == RiVariant.RI_CONCAT:
         # one mean per (sample, source), each sample's four side by side
-        pooled = pool_samples(layout.source_mean, nodes, layout.graph)
+        pooled = pool(layout.source_mean, nodes, layout.graph)
         fused = add(grouped_matmul(pooled, params.w_concat, [1] * layout.n), params.b_concat)
     else:
         if variant == RiVariant.DAVL:
@@ -455,5 +439,5 @@ def integrate(
             nodes = vanilla_gcn_layer(params.w_gcn, nodes, graph)
         else:
             nodes = co_attention(params.learn_w1, params.learn_w2, nodes, layout.graph)
-        fused = pool_samples(layout.mean, nodes, layout.graph)
+        fused = pool(layout.mean, nodes, layout.graph)
     return reshape(fused, (fused.data.shape[1],)) if single else fused

@@ -4,10 +4,10 @@ Graphs are small (tens of nodes), so adjacency is a dense boolean matrix
 and edge types a dense integer matrix. Node update layers follow the
 residual pattern out_i = ReLU(v_i + aggregate(neighbors)).
 
-The layers and the graph learner take only a ``GraphBatch``: the graphs'
-node rows are stacked in one matrix, and each op pads them into a
-(B, n_max) block, so one tape node serves every frame or sentence of a
-minibatch, or every sample's integration graph.
+The layers, the graph learner and the pool take only a ``GraphBatch``:
+the graphs' node rows are stacked in one matrix, and each op pads them
+into a (B, n_max) block, so one tape node serves every frame or sentence
+of a minibatch, or every sample's integration graph.
 """
 from __future__ import annotations
 
@@ -287,6 +287,31 @@ def _aggregate(weights: np.ndarray, x: Tensor, graph: GraphBatch) -> Tensor:
 
     w_t = weights.transpose(0, 2, 1)
     return _record(Tensor(apply(weights, x.data)), (x,), lambda g: (apply(w_t, g),))
+
+
+def mean_weights(valid: np.ndarray) -> np.ndarray:
+    """(B, 1, n_max) pooling weights that average each row's set slots of
+    ``valid`` (B, n_max); a row with no set slot gets all zeros."""
+    return (valid / np.maximum(valid.sum(axis=1, keepdims=True), 1))[:, None, :]
+
+
+def pool(weights: np.ndarray, nodes: Tensor, graph: GraphBatch) -> Tensor:
+    """Weighted sums of each graph's own node rows, as one node: weights
+    (B, k, n_max) over the padded slots of ``graph`` give (B, k * d), one
+    stacked product per graph, so a graph's sums have the same bits in any
+    batch."""
+    b, n = graph.slots.shape
+    if weights.ndim != 3 or weights.shape[::2] != (b, n) or nodes.data.shape[0] != graph.n_rows:
+        raise ShapeError(f"weights {weights.shape} and node matrix {nodes.data.shape} "
+                         f"do not fit {b} graphs over {graph.n_rows} nodes")
+    w = weights.astype(nodes.data.dtype)
+    out = w @ graph.pad(nodes.data).reshape(b, n, -1)
+    w_t = w.transpose(0, 2, 1)
+
+    def bwd(g):
+        return (graph.unpad((w_t @ g.reshape(out.shape)).reshape(b * n, -1)),)
+
+    return _record(Tensor(out.reshape(b, -1)), (nodes,), bwd)
 
 
 def learn_adjacency(w1: Tensor, w2: Tensor, nodes: Tensor, n_keep: int, layout: GraphBatch):

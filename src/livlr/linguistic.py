@@ -6,7 +6,8 @@ message passing). The role graph has the sentence event as node 0,
 one node per predicate, and one node per argument entry; arguments hang
 off their predicate, predicates hang off the event node. All sentences of
 a minibatch are encoded at once: one ragged BiLSTM node, one role-graph
-layer over every sentence's graph and one segment mean. What the encoder
+layer over every sentence's graph and one pool over those graphs' local
+slots (``graph.pool``), one product per sentence. What the encoder
 needs of the sentences besides their tokens is a ``SentenceLayout``, a
 pure function of the data that ``Sample.sentence_layout()`` keeps.
 """
@@ -17,10 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, GraphIntegrityError
-from .graph import AttnGcnParams, DenseGraph, GraphBatch, attn_gcn_layer, join_batches, stack_graphs
+from .graph import (AttnGcnParams, DenseGraph, GraphBatch, attn_gcn_layer, join_batches,
+                    mean_weights, pool, stack_graphs)
 from .optim import ParamStore, make_param
 from .rnn import SeqEncoderParams, create_seq_encoder, encode_sequences
-from .tensor import Tensor, concat, constant, gather, matmul, mul, segment_mean
+from .tensor import Tensor, concat, constant, gather, matmul, mul
 
 PREDICATE_ROLE = 1  # role id reserved for predicate nodes themselves
 
@@ -155,16 +157,14 @@ class SentenceLayout:
     """Sentences as the encoder stacks them, from the data alone: their
     token matrices (the sentences' own arrays, not copies) and their role
     graphs as one batch over the node rows [every event; every local
-    node], sentence by sentence within each block. Per local node: its role
-    id and its token span (inclusive rows of the stacked tokens).
-    ``owner`` names each node row's sentence for pooling, -1 for the event
-    rows."""
+    node], sentence by sentence within each block, each graph's event
+    first. Per local node: its role id and its token span (inclusive rows
+    of the stacked tokens)."""
 
     tokens: list[np.ndarray]
     graphs: GraphBatch
     roles: np.ndarray
     spans: np.ndarray
-    owner: np.ndarray
 
     @property
     def n_sentences(self) -> int:
@@ -190,8 +190,6 @@ class SentenceLayout:
             join_batches([t.graphs for t in layouts], maps),
             cat("roles"),
             np.concatenate([t.spans + lo for t, lo in zip(layouts, t_lo)]),
-            np.concatenate([np.full(events, -1)]
-                           + [t.owner[n:] + lo for t, n, lo in zip(layouts, n_s, s_lo)]),
         )
 
 
@@ -224,7 +222,6 @@ def sentence_layout(sentences: list[tuple[np.ndarray, SrlParse]]) -> SentenceLay
         stack_graphs(graphs, rows),
         np.asarray(roles, dtype=np.intp),
         np.array(spans, dtype=np.intp).reshape(-1, 2),
-        np.repeat(np.arange(-1, n_s), [n_s] + n_local),
     )
 
 
@@ -261,4 +258,6 @@ def encode_all(params: LinguisticEncoderParams, text: SentenceLayout) -> tuple[T
     # rows: every sentence's event, then every sentence's local nodes
     nodes = concat([events, mul(locals_, scale)], axis=0)
     nodes = attn_gcn_layer(params.role_gcn, nodes, text.graphs)
-    return gather(nodes, np.arange(n_s)), segment_mean(nodes, text.owner, n_s)
+    local_slots = text.graphs.valid.copy()
+    local_slots[:, 0] = False  # slot 0 holds the sentence's event node
+    return gather(nodes, np.arange(n_s)), pool(mean_weights(local_slots), nodes, text.graphs)

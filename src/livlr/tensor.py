@@ -18,7 +18,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ContractError, DegenerateRowError, ShapeError
+from .errors import ContractError, ShapeError
 
 
 # The nodes of the innermost recording() scope; None outside one or under
@@ -213,13 +213,6 @@ def grouped_matmul(a: Tensor, b: Tensor, sizes) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-d tensor, got {a.data.shape}")
-    out = Tensor(a.data.T.copy())
-    return _record(out, (a,), lambda g: (g.T,))
-
-
 def _broadcast(op: str, a: Tensor, b):
     """The one broadcast rule of add and mul: the right operand has the
     left's shape, holds one element, or is one row (d,) of a 2-d left
@@ -296,31 +289,6 @@ def masked_softmax(x: np.ndarray, mask=None):
     return y, vjp
 
 
-def row_softmax(x: Tensor, mask=None) -> Tensor:
-    """Softmax along axis 1 of a 2-d tensor, restricted to unmasked entries.
-
-    ``mask`` is a boolean array of the same shape; masked entries get
-    probability 0 and receive no gradient. A fully masked row raises
-    ``DegenerateRowError``.
-    """
-    if x.data.ndim != 2:
-        raise ShapeError(f"row_softmax needs a 2-d tensor, got {x.data.shape}")
-    if mask is None:
-        m = np.ones(x.data.shape, dtype=bool)
-    else:
-        m = np.asarray(mask, dtype=bool)
-        if m.shape != x.data.shape:
-            raise ShapeError(
-                f"mask shape {m.shape} does not match input {x.data.shape}"
-            )
-    alive = m.any(axis=1)
-    if not alive.all():
-        row = int(np.flatnonzero(~alive)[0])
-        raise DegenerateRowError(f"softmax row {row} has every entry masked")
-    y, vjp = masked_softmax(x.data, None if mask is None else m)
-    return _record(Tensor(y), (x,), lambda g: (vjp(g),))
-
-
 def sum_all(a: Tensor) -> Tensor:
     out = Tensor(np.asarray(a.data.sum(), dtype=a.data.dtype))
     shape = a.data.shape
@@ -329,33 +297,6 @@ def sum_all(a: Tensor) -> Tensor:
         return (np.broadcast_to(g, shape).astype(g.dtype, copy=True),)
 
     return _record(out, (a,), bwd)
-
-
-def averaging_matrix(segments, n_segments: int) -> np.ndarray:
-    """The (n_segments, rows) float64 matrix whose product with a (rows, d)
-    matrix gives its row means by segment: row r joins segment
-    ``segments[r]``, or none when that is -1; an empty segment's row is
-    zero."""
-    seg = np.asarray(segments, dtype=np.intp)
-    rows = np.flatnonzero(seg >= 0)
-    counts = np.bincount(seg[rows], minlength=n_segments)
-    avg = np.zeros((n_segments, seg.size))
-    avg[seg[rows], rows] = 1.0 / counts[seg[rows]]
-    return avg
-
-
-def segment_mean(a: Tensor, segments, n_segments: int) -> Tensor:
-    """Row means of a 2-d tensor by segment (see ``averaging_matrix``):
-    (R, d) -> (n_segments, d). One averaging matmul each way."""
-    seg = np.asarray(segments, dtype=np.intp)
-    if a.data.ndim != 2 or seg.shape != a.data.shape[:1]:
-        raise ShapeError(
-            f"segment_mean needs (rows, d) data and one segment per row, got "
-            f"{a.data.shape} and {seg.shape}"
-        )
-    if seg.size and (seg.min() < -1 or seg.max() >= n_segments):
-        raise ContractError(f"segment ids must lie in -1..{n_segments - 1}")
-    return matmul(constant(averaging_matrix(seg, n_segments), a.data.dtype), a)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:

@@ -10,7 +10,8 @@ embeddings; each graph is mixed by one attention layer. Boxes are
 The clips of a minibatch are encoded at once: the object rows of all
 their frames are stacked, so each projection is one linear, each graph
 layer one tape node over every frame's graph, and each pooling one
-segment mean.
+product per frame over its graph's slots (``graph.pool``), so a frame's
+pooled row has the same bits in any batch.
 """
 from __future__ import annotations
 
@@ -28,11 +29,13 @@ from .graph import (
     attn_gcn_layer,
     join_batches,
     learn_adjacency,
+    mean_weights,
+    pool,
     stack_graphs,
     typed_edge_gcn_layer,
 )
 from .optim import ParamStore, make_param
-from .tensor import Tensor, add, concat, constant, linear, matmul, segment_mean
+from .tensor import Tensor, add, concat, constant, linear, matmul
 
 N_SPATIAL_TYPES = 11
 
@@ -81,27 +84,22 @@ class FrameFeatures:
 @dataclass
 class ClipGeometry:
     """A clip's frames over its stacked object rows: every frame's spatial
-    graph as one batch, the rows' box geometry (R, 6) and each row's frame."""
+    graph as one batch and the rows' box geometry (R, 6)."""
 
     spatial: GraphBatch
     positions: np.ndarray
-    frame_of_row: np.ndarray
-    n_frames: int
 
     @staticmethod
     def join(geos: list["ClipGeometry"]) -> "ClipGeometry":
         """Several clips as one, clip after clip; one clip is itself."""
         if len(geos) == 1:
             return geos[0]
-        rows = [len(g.frame_of_row) for g in geos]
-        frames = [g.n_frames for g in geos]
-        row_lo, frame_lo = np.cumsum(rows) - rows, np.cumsum(frames) - frames
+        rows = [len(g.positions) for g in geos]
+        row_lo = np.cumsum(rows) - rows
         return ClipGeometry(
             join_batches([g.spatial for g in geos],
                          [np.arange(lo, lo + n) for lo, n in zip(row_lo, rows)]),
             np.concatenate([g.positions for g in geos]),
-            np.concatenate([g.frame_of_row + lo for g, lo in zip(geos, frame_lo)]),
-            sum(frames),
         )
 
 
@@ -113,8 +111,6 @@ def clip_geometry(frames: list[FrameFeatures]) -> ClipGeometry:
     return ClipGeometry(
         stack_graphs(graphs, [np.arange(lo, lo + n) for lo, n in zip(starts, sizes)]),
         np.concatenate([position_features(f.boxes, f.frame_size) for f in frames]),
-        np.repeat(np.arange(len(frames)), sizes),
-        len(frames),
     )
 
 
@@ -290,6 +286,6 @@ def encode_clip(params: VisualEncoderParams, clips: list[ClipFeatures]) -> tuple
     _, g_se = learn_adjacency(params.learn_w1, params.learn_w2, v_se, params.n_keep, geo.spatial)
     v_se = attn_gcn_layer(params.semantic_gcn, v_se, g_se)
 
-    n_f = geo.n_frames
-    fine = add(segment_mean(v_sp, geo.frame_of_row, n_f), segment_mean(v_se, geo.frame_of_row, n_f))
+    mean = mean_weights(geo.spatial.valid)  # each frame's objects
+    fine = add(pool(mean, v_sp, geo.spatial), pool(mean, v_se, g_se))
     return hol, fine

@@ -101,7 +101,9 @@ def rel_change(old: float, new: float) -> float:
 
 def diff(old: dict, new: dict) -> list[str]:
     """One line per case: the largest relative change of its floats, how
-    many predictions changed and whether the checkpoint bytes did."""
+    many predictions changed and whether the checkpoint bytes did. Then one
+    line per audit combo, how many of its values changed, and one line per
+    changed value: its combo, its tensor and its old -> new value."""
     lines = []
     for name in sorted(set(old["cases"]) | set(new["cases"])):
         a, b = old["cases"].get(name), new["cases"].get(name)
@@ -116,9 +118,14 @@ def diff(old: dict, new: dict) -> list[str]:
                      f"predictions changed, checkpoint {'same' if same_ckpt else 'differs'}")
     for combo in sorted(set(old.get("audit", {})) & set(new.get("audit", {}))):
         a, b = old["audit"][combo], new["audit"][combo]
-        changed = sum(a[k] != b.get(k) for k in a)
-        lines.append(f"audit {combo}: {changed}/{len(a)} max_rel_err values changed")
+        changed = [k for k in a if a[k] != b.get(k)]
+        lines.append(f"audit {combo}: {len(changed)}/{len(a)} max_rel_err values changed")
+        lines += [f"  {combo} {k}: {_audit_value(a[k])} -> {_audit_value(b.get(k))}" for k in changed]
     return lines
+
+
+def _audit_value(v) -> str:
+    return "missing" if v is None else repr(float.fromhex(v))
 
 
 def main(argv=None) -> int:

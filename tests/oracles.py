@@ -10,9 +10,9 @@ The tape oracles are the straight compositions of primitive tape ops
 nodes replace, applied graph by graph to the same padded batch layout.
 They record the same arithmetic in the same order, so a fused node must
 match them bit for bit, gradients included. The tape ops only they use
-(a softmax that may leave a row empty, row sums, a column add, exp, log,
-column means and mean pooling) live here too, as does the two-branch
-sigmoid the per-item LSTM oracle squashes its gates with.
+(transpose, a row softmax that may leave a row empty, row sums, a column
+add, exp, log, column means and mean pooling) live here too, as does
+the two-branch sigmoid the per-item LSTM oracle squashes its gates with.
 
 ``learned_edges_put_along`` is the graph learner's edge selection as it
 was written before the rank mask: a scatter by sort order.
@@ -282,7 +282,7 @@ def central_diff(f, x, h=1e-6) -> np.ndarray:
 
 def question_attention_tape(block, x, q):
     """One source's multi-head question attention, head by head."""
-    from livlr.tensor import concat, matmul, mul, row_softmax, transpose
+    from livlr.tensor import concat, matmul, mul
 
     dh = block.heads[0].w_q.data.shape[1]
     scale = 1.0 / math.sqrt(dh)
@@ -346,7 +346,7 @@ def integrate_tape(params, bundle, q):
 
 def co_attention_tape(w1, w2, nodes, graph):
     """davl.co_attention over one sample as the per-op tape it replaces."""
-    from livlr.tensor import add, matmul, row_softmax, transpose
+    from livlr.tensor import add, matmul
 
     n = nodes.data.shape[0]
     assert graph.slots.shape == (1, n)
@@ -355,9 +355,21 @@ def co_attention_tape(w1, w2, nodes, graph):
     return add(nodes, matmul(beta, nodes))
 
 
+def transpose(a):
+    """The transpose of a 2-d tensor, as a copy."""
+    from livlr.errors import ShapeError
+    from livlr.tensor import Tensor, _record
+
+    if a.data.ndim != 2:
+        raise ShapeError(f"transpose needs a 2-d tensor, got {a.data.shape}")
+    return _record(Tensor(a.data.T.copy()), (a,), lambda g: (g.T,))
+
+
 def row_softmax(x, mask=None, allow_empty=False):
-    """tensor.row_softmax with the option to let a fully masked row come
-    out all zero instead of raising DegenerateRowError."""
+    """Softmax along axis 1 of a 2-d tensor, restricted to the entries a
+    boolean mask of its shape sets (all when None). Masked entries get
+    probability 0 and receive no gradient. A fully masked row raises
+    DegenerateRowError, or comes out all zero with allow_empty."""
     from livlr.errors import DegenerateRowError, ShapeError
     from livlr.tensor import Tensor, _record, as_tensor, masked_softmax
 
@@ -469,7 +481,7 @@ def _graph_rows(graph):
 
 
 def _attention_tape(params, nodes, graph, typed):
-    from livlr.tensor import add, concat, gather, matmul, mul, relu, reshape, transpose
+    from livlr.tensor import add, concat, gather, matmul, mul, relu, reshape
 
     p = _padded(nodes, graph)
     q, k = matmul(p, params.w_q), matmul(p, params.w_k)

@@ -40,7 +40,7 @@ from livlr.graph import (
 from livlr.heads import hinge_loss
 from livlr.model import Model
 from livlr.optim import ParamStore, load_param_data
-from livlr.tensor import Tensor, constant, no_grad, row_softmax
+from livlr.tensor import Tensor, constant, no_grad
 from livlr.train import train
 
 from oracles import (
@@ -50,6 +50,7 @@ from oracles import (
     learned_edges_loop,
     max_rel_err,
     question_attention_loop,
+    row_softmax,
     typed_gcn_loop,
 )
 

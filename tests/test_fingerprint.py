@@ -42,3 +42,12 @@ def test_predict_is_the_argmax_of_forward():
         model = Model(cfg)
         for s in ds.samples():
             assert model.predict(s) == int(np.argmax(model.forward(s)[1].data)), case
+
+
+def test_diff_names_each_changed_audit_value():
+    old = {"cases": {}, "audit": {"OE/DAVL": {"a.w": (0.5).hex(), "b.w": (1e-8).hex()}}}
+    new = {"cases": {}, "audit": {"OE/DAVL": {"a.w": (0.5).hex(), "b.w": (2e-8).hex()}}}
+    assert fingerprint.diff(old, new) == [
+        "audit OE/DAVL: 1/2 max_rel_err values changed",
+        "  OE/DAVL b.w: 1e-08 -> 2e-08",
+    ]

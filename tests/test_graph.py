@@ -13,11 +13,13 @@ from livlr.graph import (
     attention_coefficients,
     attn_gcn_layer,
     learn_adjacency,
+    mean_weights,
+    pool,
     stack_graphs,
     typed_edge_gcn_layer,
     vanilla_gcn_layer,
 )
-from livlr.tensor import Tensor, backward, constant, no_grad, recording, sum_all, tape_size
+from livlr.tensor import Tensor, backward, constant, mul, no_grad, recording, sum_all, tape_size
 
 from oracles import (
     attention_loop,
@@ -480,3 +482,51 @@ class TestMeanPool:
         with recording():
             backward(sum_all(mean_pool(x)))
         assert np.allclose(x.grad, 0.25)
+
+
+def edgeless_batch(slots):
+    slots = np.asarray(slots)
+    return GraphBatch(slots, np.zeros(slots.shape + slots.shape[1:], dtype=bool))
+
+
+class TestPool:
+    def test_values_skipped_slots_and_zero_weight_rows(self):
+        x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]]), requires_grad=True)
+        graph = edgeless_batch([[3, -1], [0, 2], [1, -1]])
+        # graph 2's one slot is skipped, so its row of weights is all zero
+        mean = mean_weights(graph.valid & [[True, True], [True, True], [False, True]])
+        assert np.array_equal(mean, [[[1.0, 0.0]], [[0.5, 0.5]], [[0.0, 0.0]]])
+        assert np.array_equal(pool(mean, x, graph).data, [[7.0, 8.0], [3.0, 4.0], [0.0, 0.0]])
+        # k weight rows per graph come out side by side; padding reads zero
+        slots = pool(np.broadcast_to(np.eye(2), (3, 2, 2)), x, graph).data
+        assert np.array_equal(slots, [[7.0, 8.0, 0.0, 0.0], [1.0, 2.0, 5.0, 6.0], [3.0, 4.0, 0.0, 0.0]])
+
+    def test_gradient_matches_fd(self):
+        rng = np.random.default_rng(24)
+        x = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+        graph = edgeless_batch([[2, 0, 4], [1, 3, -1]])
+        weights = rng.standard_normal((2, 2, 3)) * graph.valid[:, None, :]
+        weights[1, :, 1] = 0.0  # row 3's slot
+        w = constant(rng.standard_normal((2, 6)), np.float64)
+
+        def build():
+            return sum_all(mul(pool(weights, x, graph), w))
+
+        def loss_value():
+            return build().data
+
+        with recording():
+            backward(build())
+        num = central_diff(loss_value, x.data, h=1e-6)
+        assert max_rel_err(x.grad, num) < 1e-6
+        assert not x.grad[3].any() and x.grad[[0, 1, 2, 4]].all()
+
+    def test_bad_shapes_rejected(self):
+        x = Tensor(np.ones((3, 2)), requires_grad=True)
+        graph = edgeless_batch([[0, 1], [2, -1]])
+        with pytest.raises(ShapeError):
+            pool(np.ones((2, 1, 3)), x, graph)
+        with pytest.raises(ShapeError):
+            pool(np.ones((2, 2)), x, graph)
+        with pytest.raises(ShapeError):
+            pool(mean_weights(graph.valid), Tensor(np.ones((4, 2))), graph)

@@ -217,7 +217,7 @@ class TestMultiChoiceHead:
             live = slice(None)
             if name == "head.score.w":
                 # the x_hat and q_hat rows add the same amount to every
-                # score, which the pairwise hinge cancels (ROADMAP item 1):
+                # score, which the pairwise hinge cancels (ROADMAP item 2):
                 # their gradient is exactly zero, and central differences
                 # there see only the loss's rounding, about ulp(loss) / h
                 live = slice(12, None)

@@ -1,11 +1,11 @@
-"""The tape ops that only the oracles use: a softmax that lets a fully
-masked row come out zero, row sums kept as a column, and a column added
-along each row."""
+"""The tape ops that only the oracles use: a transpose, a softmax that
+lets a fully masked row come out zero, row sums kept as a column, and a
+column added along each row."""
 import numpy as np
 
-from livlr.tensor import Tensor, backward, constant, mul, recording, sum_all, transpose
+from livlr.tensor import Tensor, backward, constant, mul, recording, sum_all
 
-from oracles import add_column, central_diff, max_rel_err, row_softmax, sum_axis1
+from oracles import add_column, central_diff, max_rel_err, row_softmax, sum_axis1, transpose
 
 
 def leaf(data):

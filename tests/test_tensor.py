@@ -24,13 +24,11 @@ from livlr.tensor import (
     recording,
     relu,
     reshape,
-    row_softmax,
-    segment_mean,
     sum_all,
     tape_size,
 )
 
-from oracles import central_diff, exp, log, mat_loop, max_rel_err, mean_axis0
+from oracles import central_diff, exp, log, mat_loop, max_rel_err, mean_axis0, row_softmax
 
 
 def leaf(data):
@@ -310,38 +308,6 @@ class TestStructuralOps:
         out2 = linear(x_mat, w, b)
         assert out2.data.shape == (4, 2)
         assert np.allclose(out2.data, x_mat.data @ w.data + b.data)
-
-
-class TestSegmentMean:
-    def test_values_skipped_rows_and_empty_segments(self):
-        x = leaf([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
-        out = segment_mean(x, [1, -1, 1, 0], 3).data
-        assert np.allclose(out, [[7.0, 8.0], [3.0, 4.0], [0.0, 0.0]], atol=1e-15)
-
-    def test_gradient_matches_fd(self):
-        rng = np.random.default_rng(24)
-        x = leaf(rng.standard_normal((5, 3)))
-        w = constant(rng.standard_normal((3, 3)), np.float64)
-        seg = [2, 0, -1, 2, 2]
-
-        def build():
-            return sum_all(mul(segment_mean(x, seg, 3), w))
-
-        def loss_value():
-            return build().data
-
-        with recording():
-            backward(build())
-        num = central_diff(loss_value, x.data, h=1e-6)
-        assert max_rel_err(x.grad, num) < 1e-6
-        assert not x.grad[2].any()
-
-    def test_bad_segments_rejected(self):
-        x = leaf(np.ones((3, 2)))
-        with pytest.raises(ShapeError):
-            segment_mean(x, [0, 1], 2)
-        with pytest.raises(ContractError):
-            segment_mean(x, [0, 1, 2], 2)
 
 
 class TestBackwardSemantics:

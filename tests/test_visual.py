@@ -251,4 +251,3 @@ class TestEncoder:
             assert np.array_equal(geo.spatial.edge_types[b, :n, :n], types)
         want = np.concatenate([position_features(f.boxes, f.frame_size) for f in clip.frames])
         assert np.array_equal(geo.positions, want)
-        assert np.array_equal(geo.frame_of_row, [0, 0, 0, 1, 1])
