@@ -91,14 +91,18 @@ def _cmd_param_count(args) -> int:
 
 def _cmd_sweep_nh(args) -> int:
     base = _load_config(args)
-    values = [int(v) for v in args.values.split(",") if v.strip()]
+    try:
+        values = [int(v) for v in args.values.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigError(f"--values must be comma-separated integers, got {args.values!r}") from None
     if not values:
         raise ConfigError("--values must list at least one head count")
+    # every head count is validated before the first run writes anything
+    configs = [base.with_overrides(N_h=n_h) for n_h in values]
     dataset = load_dataset(args.data)
     out_root = Path(args.out_dir)
     results = []
-    for n_h in values:
-        config = base.with_overrides(N_h=n_h)
+    for n_h, config in zip(values, configs):
         run_dir = out_root / f"nh_{n_h}"
         result = train(config, dataset, out_dir=str(run_dir), stop_at_acc=args.stop_at_acc)
         results.append(

@@ -5,15 +5,16 @@ differences (f(x+h) - f(x-h)) / 2h taken one parameter scalar at a time.
 Relative error uses max(|analytic|, |numeric|, floor) as the denominator
 so near-zero entries compare absolutely against the floor.
 
-The full-model audit (``grad_check``) perturbs one scalar at a time, and
-each encoder stage (visual, linguistic, question, MC candidates) reads
-only its own parameter group, so most stages see unchanged parameters in
-most forward passes. Outside a recording scope the audit keeps each
-stage's last output for the probe batch together with a byte snapshot of
-that stage's parameters, and hands the output back while the parameters
-are still bit-equal to the snapshot: only the perturbed stage is rerun.
-The analytic pass (recorded) reuses nothing. A reused output is exactly
-what a rerun would compute, and no later op writes into its inputs.
+The full-model audit (``grad_check``) perturbs one scalar at a time and
+knows which encoder stage (visual, linguistic, question, MC candidates)
+owns it: each stage reads only its own parameter group
+(``Model.encoder_params``). So it encodes the probe batch once at the
+unperturbed weights, and a forward that perturbs a stage's scalar reruns
+only that stage and takes every other stage's output from that base
+encoding. A forward that perturbs an integration or head scalar runs no
+encoder at all. A reused output is exactly what a rerun would compute,
+and no later op writes into its inputs. The analytic pass (recorded)
+reuses nothing.
 
 Most scalars belong to encoder stages, and their forwards differ only in
 the encoder outputs: the integration module and the head see the same
@@ -39,7 +40,7 @@ from .config import ModelConfig
 from .data import SyntheticTaskSpec, gen_synthetic
 from .errors import ConfigError
 from .model import Encoded, Model
-from .tensor import backward, is_recording, recording
+from .tensor import backward, recording
 
 DEFAULT_H = 1e-5
 DEFAULT_TOLERANCE = 1e-4
@@ -119,32 +120,6 @@ def check_gradients(
                   lambda p: [float(loss_fn().data) for _ in _perturbations(p, h)])
 
 
-class StageReuse:
-    """A stage hook for ``Model.batch_loss`` that reuses encoder outputs of
-    the one batch it is used with.
-
-    Outside a recording scope ``run(name, fn)`` returns the output stored
-    for stage ``name`` when the stage's parameters are byte-for-byte the
-    ones it was computed from, and otherwise reruns the stage and stores
-    the new output. While recording it always reruns and stores nothing.
-    """
-
-    def __init__(self, model: Model):
-        self.params = model.encoder_params()
-        self._memo = {}
-
-    def run(self, name, fn):
-        if is_recording():
-            return fn()
-        snap = [p.data.tobytes() for p in self.params[name]]
-        hit = self._memo.get(name)
-        if hit is not None and hit[0] == snap:
-            return hit[1]
-        out = fn()
-        self._memo[name] = (snap, out)
-        return out
-
-
 def probe_batch(config: ModelConfig, seed: int = 0, batch_size: int = 2):
     """(model, samples) for the audit. The probe task plants signal in all
     four channels so every code path carries non-degenerate values."""
@@ -172,35 +147,43 @@ def grad_check(
 ) -> GradCheckReport:
     """Build a model and one random batch, then finite-difference every
     parameter tensor. The probe batch is kept small because the cost is
-    2 * (number of parameter scalars) forward passes of the batch; encoder
-    stages whose parameters are not being perturbed are reused rather
-    than rerun, and the forwards that perturb an encoder stage are scored
+    2 * (number of parameter scalars) forward passes of the batch. Each
+    forward reruns only the encoder stage that owns the perturbed scalar,
+    if any, and takes the others from one encoding at the unperturbed
+    weights; the forwards that perturb an encoder stage are scored
     SCORE_CHUNK at a time, as copies of the probe batch.
     """
     model, samples = probe_batch(config, seed, batch_size)
-    reuse = StageReuse(model)
     params = {name: model.store[name] for name in model.store.names()}
-    staged = {id(t) for ts in reuse.params.values() for t in ts}
-    loss_fn = lambda: model.batch_loss(samples, reuse.run)[0]
+    stage_of = {id(t): name for name, ts in model.encoder_params().items() for t in ts}
+    base = model.encode(samples)
 
     def losses_of(p):
-        if id(p) in staged:
-            encs = (model.encode(samples, reuse.run) for _ in _perturbations(p, DEFAULT_H))
-            return _scored_losses(model, samples, encs)
-        return [float(loss_fn().data) for _ in _perturbations(p, DEFAULT_H)]
+        stage = stage_of.get(id(p))
+        if stage is None:
+            return [_mean(model.answer(samples, base)[0].data)
+                    for _ in _perturbations(p, DEFAULT_H)]
+        run = lambda name, fn: fn() if name == stage else getattr(base, name)
+        encs = (model.encode(samples, run) for _ in _perturbations(p, DEFAULT_H))
+        return _scored_losses(model, samples, encs)
 
-    return _check(loss_fn, params, DEFAULT_H, tolerance, losses_of)
+    return _check(lambda: model.batch_loss(samples)[0], params, DEFAULT_H, tolerance, losses_of)
+
+
+def _mean(losses: np.ndarray) -> float:
+    """The mean of one batch's losses as batch_loss gives it: the sum
+    times 1/n."""
+    return float(losses.sum() * (1.0 / losses.size))
 
 
 def _scored_losses(model: Model, samples: list, encs) -> list[float]:
-    """The mean loss of samples on each encoding in encs, as batch_loss
-    gives it, scored SCORE_CHUNK encodings at a time by one Model.answer
-    over that many copies of the batch. The layers above the encoders give
-    a sample the same bits in any batch of samples with its row counts, so
-    each mean is bit-equal to the one-batch forward's."""
+    """The mean loss of samples on each encoding in encs, scored
+    SCORE_CHUNK encodings at a time by one Model.answer over that many
+    copies of the batch. The layers above the encoders give a sample the
+    same bits in any batch of samples with its row counts, so each mean is
+    bit-equal to the one-batch forward's."""
     n, encs, out = len(samples), iter(encs), []
     while chunk := list(itertools.islice(encs, SCORE_CHUNK)):
         losses, _ = model.answer(samples * len(chunk), Encoded.join(chunk))
-        # batch_loss's sum_all and 1/n, one copy at a time
-        out += [float(c.sum() * (1.0 / n)) for c in losses.data.reshape(len(chunk), n)]
+        out += [_mean(c) for c in losses.data.reshape(len(chunk), n)]
     return out

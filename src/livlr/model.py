@@ -53,7 +53,9 @@ from .visual import VisualEncoderParams, create_visual_params, encode_clip
 class Encoded:
     """A batch's encoder outputs, each stacking the samples' rows in
     order, and each sample's (frames, sentences, question tokens); the
-    rest of the forward reads only these."""
+    rest of the forward reads only these. The four output fields are named
+    after the encoder stages that compute them (``Model.encoder_params``),
+    so ``getattr(enc, stage)`` is that stage's output."""
 
     visual: tuple[Tensor, Tensor]  # holistic rows, fine-grained rows (one per frame)
     linguistic: tuple[Tensor, Tensor]  # event rows, local rows (one per sentence)
@@ -212,14 +214,14 @@ class Model:
         outside a recording() scope."""
         return int(np.argmax(self.score(sample, self.encode(sample)).data))
 
-    def batch_loss(self, samples: list, run=_run_stage) -> tuple[Tensor, list[float], int]:
+    def batch_loss(self, samples: list) -> tuple[Tensor, list[float], int]:
         """Forward a batch, each layer once over all its samples: (mean
         loss, each sample's loss as a float, how many samples the argmax
-        answers right). run is encode's stage hook. The mean is the loss
-        sum times 1/n, so a recording caller can backward it."""
+        answers right). The mean is the loss sum times 1/n, so a recording
+        caller can backward it."""
         if not samples:
             raise ContractError("batch_loss needs at least one sample")
-        losses, scores = self.answer(samples, self.encode(samples, run))
+        losses, scores = self.answer(samples, self.encode(samples))
         if self.oe_head is not None:
             right = scores.data.argmax(axis=1) == [s.label for s in samples]
         else:

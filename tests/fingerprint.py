@@ -9,7 +9,8 @@ and accuracy and every ``Model.predict``. ``--audit`` adds criterion 1's per-ten
 ``max_rel_err`` values (about a minute more).
 
     python tests/fingerprint.py --write            # regenerate fingerprints.json
-    python tests/fingerprint.py --diff OLD NEW     # how far two fingerprints differ
+    python tests/fingerprint.py --diff OLD NEW     # how far two fingerprints differ;
+                                                   # exits 1 if any bit did
 
 A change that moves the numbers on purpose regenerates the committed file
 with ``--write`` and quotes ``--diff`` old against new.
@@ -124,6 +125,13 @@ def diff(old: dict, new: dict) -> list[str]:
     return lines
 
 
+def differs(old: dict, new: dict) -> bool:
+    """Whether any case digest, or any audit value of a combo both hold,
+    differs."""
+    shared = set(old.get("audit", {})) & set(new.get("audit", {}))
+    return old["cases"] != new["cases"] or any(old["audit"][c] != new["audit"][c] for c in shared)
+
+
 def _audit_value(v) -> str:
     return "missing" if v is None else repr(float.fromhex(v))
 
@@ -139,7 +147,7 @@ def main(argv=None) -> int:
     if args.diff:
         old, new = (json.loads(Path(p).read_text(encoding="utf-8")) for p in args.diff)
         print("\n".join(diff(old, new)))
-        return 0
+        return int(differs(old, new))
     Path(args.write).write_text(json.dumps(compute(args.audit), indent=1, sort_keys=True) + "\n",
                                 encoding="utf-8")
     return 0

@@ -194,6 +194,28 @@ def test_grad_check_batch_size_error_names_batch_size(tmp_path, capsys):
     assert "config error: batch_size must be" in capsys.readouterr().err
 
 
+def test_sweep_nh_non_integer_value_exits_2(tmp_path, capsys):
+    cfg, data = gen_micro_dataset(tmp_path)
+    out_dir = tmp_path / "sweep"
+    argv = ["sweep-nh", "--config", cfg, "--data", data, "--out-dir", str(out_dir)]
+    assert main(argv + ["--values", "2,x"]) == 2
+    assert "config error: --values must be" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_sweep_nh_checks_every_head_count_before_training(tmp_path, capsys):
+    # tiny has d = 8: 2 heads divide it and 3 do not, so nothing may train
+    spec = write_spec(tmp_path)
+    data = str(tmp_path / "data")
+    assert main(["gen-data", "--preset", "tiny", "--spec", spec, "--out", data]) == 0
+    out_dir = tmp_path / "sweep"
+    code = main(["sweep-nh", "--preset", "tiny", "--data", data, "--out-dir", str(out_dir),
+                 "--values", "2,3", "--stop-at-acc", "0.0"])
+    assert code == 2
+    assert "config error: N_h=3 must divide d=8" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_missing_dataset_exits_3(tmp_path, capsys):
     cfg = write_config(tmp_path, **MICRO)
     code = main(["train", "--config", cfg, "--data", str(tmp_path / "absent"),

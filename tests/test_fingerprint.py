@@ -51,3 +51,19 @@ def test_diff_names_each_changed_audit_value():
         "audit OE/DAVL: 1/2 max_rel_err values changed",
         "  OE/DAVL b.w: 1e-08 -> 2e-08",
     ]
+
+
+def test_diff_exits_1_when_any_bit_differs(tmp_path):
+    digest = {"train_loss": [(0.5).hex()], "train_acc": [(1.0).hex()],
+              "checkpoint_sha256": "00", "predict": "1"}
+    base = {"cases": {"tiny/OE/DAVL": digest}, "audit": {"OE/DAVL": {"a.w": (1e-8).hex()}}}
+    case = {**base, "cases": {"tiny/OE/DAVL": {**digest, "checkpoint_sha256": "01"}}}
+    audit = {**base, "audit": {"OE/DAVL": {"a.w": (2e-8).hex()}}}
+    paths = {}
+    for name, fp in (("base", base), ("case", case), ("audit", audit)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(fp), encoding="utf-8")
+    run = lambda new: fingerprint.main(["--diff", str(paths["base"]), str(paths[new])])
+    assert run("base") == 0
+    assert run("case") == 1
+    assert run("audit") == 1
