@@ -97,6 +97,9 @@ def _cmd_sweep_nh(args) -> int:
         raise ConfigError(f"--values must be comma-separated integers, got {args.values!r}") from None
     if not values:
         raise ConfigError("--values must list at least one head count")
+    repeated = sorted({n_h for n_h in values if values.count(n_h) > 1})
+    if repeated:
+        raise ConfigError(f"--values repeats head counts {repeated}; each trains into nh_<N_h>")
     # every head count is validated before the first run writes anything
     configs = [base.with_overrides(N_h=n_h) for n_h in values]
     dataset = load_dataset(args.data)

@@ -6,6 +6,12 @@ question, stacked into one heterogeneous node set, scaled per-source by
 learnable index embeddings, and mixed through a GCN over a learned
 adjacency, then mean-pooled. Three simpler integration back-ends are kept
 as selectable ablation baselines.
+
+Every step runs over a batch's samples at once, one block per sample, and
+a batch of one takes the same code as any other. Question attention pads
+a source's rows, or the question tokens, into those blocks only where
+their counts differ between samples; where they agree, as in a batch of
+one, the blocks are reshapes of the stacked rows.
 """
 from __future__ import annotations
 
@@ -21,6 +27,7 @@ from .errors import ConfigError, DegenerateRowError, ShapeError
 from .graph import GraphBatch, learn_adjacency, mean_weights, pool, vanilla_gcn_layer
 from .optim import ParamStore, make_param
 from .tensor import (
+    RaggedGroups,
     Tensor,
     _record,
     add,
@@ -132,26 +139,29 @@ class QattPadding:
     ``GraphBatch`` pads graphs. Sample b's question rows fill the first
     slots of row b of a (B, t_max) token block, and its rows of source s
     those of row b of a (B, m_s) block, m_s the source's largest count per
-    sample; the other slots hold zeros. A source row then scores only its
-    own sample's t_max slots, so the scores grow linearly with the batch.
-    The forward's products all run per block, so a sample's output rows
-    have the same bits in any batch whose samples share its counts.
-    ``mask`` (rows, t_max) marks, per stacked source row, the slots its
-    sample's question fills.
+    sample (``tokens`` and ``rows[s]``, each a ``RaggedGroups``). A source
+    row then scores only its own sample's t_max slots, so the scores grow
+    linearly with the batch. The forward's products all run per block, so
+    a sample's output rows have the same bits in any batch whose samples
+    share its counts. ``mask`` (rows, t_max) marks, per stacked source
+    row, the slots its sample's question fills; it is None where every
+    question has t_max rows. A block whose counts are all equal, as in a
+    batch of one, pads nothing.
 
-    ``counts`` (B, 4) holds each sample's rows per source and ``tokens``
+    ``counts`` (B, S) holds each sample's rows per source and ``tokens``
     (B,) its question rows."""
 
     def __init__(self, counts, tokens):
-        counts = np.asarray(counts, dtype=np.intp).reshape(-1, 4)
         tokens = np.asarray(tokens, dtype=np.intp)
-        self.n, self.t_max = counts.shape[0], int(tokens.max())
+        counts = np.asarray(counts, dtype=np.intp).reshape(tokens.size, -1)
+        self.n = tokens.size
         self._sizes = (counts.sum(axis=0).tolist(), int(tokens.sum()))
-        self._width = counts.max(axis=0).tolist()
-        self._token_slots = _filled_slots(tokens, self.t_max)
-        self._row_slots = [_filled_slots(c, m) for c, m in zip(counts.T, self._width)]
-        owner_tokens = np.concatenate([np.repeat(tokens, c) for c in counts.T])
-        self.mask = np.arange(self.t_max) < owner_tokens[:, None]
+        self.tokens = RaggedGroups(tokens)
+        self.rows = [RaggedGroups(c) for c in counts.T]
+        self.mask = None
+        if self.tokens.slots is not None:
+            owner_tokens = np.concatenate([np.repeat(tokens, c) for c in counts.T])
+            self.mask = np.arange(self.tokens.width) < owner_tokens[:, None]
 
     def check(self, rows, tokens):
         """ShapeError unless the batch has these rows per source and
@@ -161,70 +171,6 @@ class QattPadding:
                 f"question attention over {rows} source rows and {tokens} question rows, "
                 f"but the batch has {self._sizes[0]} and {self._sizes[1]}")
 
-    def pad_tokens(self, q):
-        """(T, d) question rows -> (B, t_max, d), sample by sample."""
-        return _scatter(q, self._token_slots, self.n * self.t_max).reshape(self.n, self.t_max, -1)
-
-    def per_block(self, w):
-        """Weights (..., k, n) -> (..., 1, k, n), one copy per block."""
-        return w[..., None, :, :]
-
-    def unpad_tokens(self, a):
-        """(S, H, B, t_max, k) -> the rows (S, H, T, k) of the filled slots."""
-        return _gather(a, self._token_slots)
-
-    def pad_rows(self, a, s):
-        """(..., n_s, k) rows of source s -> (..., B, m_s, k)."""
-        m = self._width[s]
-        out = _scatter(a, self._row_slots[s], self.n * m)
-        return out.reshape(a.shape[:-2] + (self.n, m, a.shape[-1]))
-
-    def unpad_rows(self, a, s):
-        """(H, B, m_s, k) -> the rows (H, n_s, k) of source s."""
-        return _gather(a, self._row_slots[s])
-
-
-class _OneSample:
-    """One sample is a single block of its own: nothing is padded, every
-    step is the identity, and the products are the 2-d ones per head."""
-
-    mask = None
-
-    def pad_tokens(self, q):
-        return q
-
-    def per_block(self, w):
-        return w
-
-    def unpad_tokens(self, a):
-        return a
-
-    def pad_rows(self, a, s):
-        return a
-
-    def unpad_rows(self, a, s):
-        return a
-
-
-_ONE_SAMPLE = _OneSample()
-
-
-def _filled_slots(counts, width: int) -> np.ndarray:
-    """Flat indices of the filled slots when each count is padded to width."""
-    return np.flatnonzero(np.arange(width) < np.asarray(counts)[:, None])
-
-
-def _scatter(a, slots, size: int) -> np.ndarray:
-    """(..., n, k) rows into slots of a zeroed (..., size, k)."""
-    out = np.zeros(a.shape[:-2] + (size, a.shape[-1]), dtype=a.dtype)
-    out[..., slots, :] = a
-    return out
-
-
-def _gather(a, slots) -> np.ndarray:
-    """The slots of the flattened (..., B, m, k) blocks: (..., n, k)."""
-    return a.reshape(a.shape[:-3] + (a.shape[-3] * a.shape[-2], a.shape[-1]))[..., slots, :]
-
 
 def question_attention(blocks, xs, q: Tensor, pad: QattPadding | None = None) -> Tensor:
     """Multi-head cross attention, one block per source: each row of a
@@ -232,10 +178,11 @@ def question_attention(blocks, xs, q: Tensor, pad: QattPadding | None = None) ->
     q. Every head of every source runs in a single tape node. Returns the
     attended rows of all sources stacked in order, (sum of rows, d).
 
-    Without ``pad`` the sources and q are one sample's. With it they stack
-    a batch's samples, and each sample's rows of each source attend only
-    over its own question tokens, through the padded per-sample blocks of
-    ``pad``: the scores are (H, rows, t_max), linear in the batch.
+    The sources and q stack a batch's samples as ``pad`` says; without it
+    they are one sample's, a padding of one. Each sample's rows of each
+    source attend only over its own question tokens, through the padded
+    per-sample blocks of ``pad``: the scores are (H, rows, t_max), linear
+    in the batch.
 
     The heads run as stacked matmuls, whose slices compute exactly what
     per-head 2-d products compute, and the vjp adds up each input's
@@ -250,51 +197,52 @@ def question_attention(blocks, xs, q: Tensor, pad: QattPadding | None = None) ->
             raise ShapeError(f"question attention needs (rows, {d}) inputs, got {t.data.shape}")
     if qd.shape[0] == 0:
         raise DegenerateRowError("question attention over an empty question")
+    counts = [x.data.shape[0] for x in xs]
     if pad is None:
-        pad = _ONE_SAMPLE
-    else:
-        pad.check([x.data.shape[0] for x in xs], qd.shape[0])
+        pad = QattPadding([counts], [qd.shape[0]])
+    pad.check(counts, qd.shape[0])
     scale = np.asarray(1.0 / math.sqrt(dh), dtype=qd.dtype)
     heads = [h for block in blocks for h in block.heads]
     w_qkv = np.concatenate([t.data for h in heads for t in (h.w_q, h.w_k, h.w_v)])
     w_qkv = w_qkv.reshape(n_src, n_heads, 3, d, dh)
     w_q, w_k, w_v = w_qkv[:, :, 0], w_qkv[:, :, 1], w_qkv[:, :, 2]
     w_o = np.concatenate([h.w_o.data for h in heads]).reshape(n_src, n_heads, dh, dh)
-    rows = list(itertools.accumulate((x.data.shape[0] for x in xs), initial=0))
+    rows = list(itertools.accumulate(counts, initial=0))
     spans = list(zip(rows, rows[1:]))
 
-    # a batch's tensors carry a block axis B after the head axis: the
-    # question (S, H, B, t_max, dh) and each source's rows (H, B, m_s, dh)
-    q_pad = pad.pad_tokens(qd)
-    qk = q_pad @ pad.per_block(w_k)
+    # the tensors carry a block axis B after the head axis: the question
+    # (S, H, B, t_max, dh) and each source's rows (H, B, m_s, dh)
+    by_token, by_src = pad.tokens, pad.rows
+    q_pad = by_token.to_blocks(qd)
+    qk = q_pad @ w_k[:, :, None]
     # contiguous like the copy a transpose op makes, so the products match
     qk_t = np.ascontiguousarray(qk.swapaxes(-1, -2))
-    qv = q_pad @ pad.per_block(w_v)
-    xq = [pad.pad_rows(x.data, s) @ pad.per_block(w_q[s]) for s, x in enumerate(xs)]
+    qv = q_pad @ w_v[:, :, None]
+    xq = [by_src[s].to_blocks(x.data) @ w_q[s][:, None] for s, x in enumerate(xs)]
     # the softmax runs once over every source's score rows: (H, N, t_max)
-    scores = np.concatenate([pad.unpad_rows(a @ qk_t[s], s) for s, a in enumerate(xq)], axis=1)
+    scores = np.concatenate([by_src[s].from_blocks(a @ qk_t[s]) for s, a in enumerate(xq)], axis=1)
     alpha, softmax_vjp = masked_softmax(scores * scale, pad.mask)
-    alpha_pad = [pad.pad_rows(alpha[:, lo:hi], s) for s, (lo, hi) in enumerate(spans)]
+    alpha_pad = [by_src[s].to_blocks(alpha[:, lo:hi]) for s, (lo, hi) in enumerate(spans)]
     ctx_pad = [a @ qv[s] for s, a in enumerate(alpha_pad)]
-    ctx = [pad.unpad_rows(c, s) for s, c in enumerate(ctx_pad)]
-    o = np.concatenate([pad.unpad_rows(c @ pad.per_block(w_o[s]), s)
+    ctx = [by_src[s].from_blocks(c) for s, c in enumerate(ctx_pad)]
+    o = np.concatenate([by_src[s].from_blocks(c @ w_o[s][:, None])
                         for s, c in enumerate(ctx_pad)], axis=1)  # (H, N, dh)
     out = Tensor(o.transpose(1, 0, 2).reshape(rows[-1], n_heads * dh))
 
     def bwd(g):
         g_heads = g.reshape(-1, n_heads, dh).transpose(1, 0, 2)  # (H, N, dh)
         g_o = [g_heads[:, lo:hi] for lo, hi in spans]
-        g_ctx = [pad.pad_rows(go @ w_o[s].transpose(0, 2, 1), s) for s, go in enumerate(g_o)]
+        g_ctx = [by_src[s].to_blocks(go @ w_o[s].transpose(0, 2, 1)) for s, go in enumerate(g_o)]
         g_alpha = np.concatenate(
-            [pad.unpad_rows(gc @ qv[s].swapaxes(-1, -2), s) for s, gc in enumerate(g_ctx)], axis=1
+            [by_src[s].from_blocks(gc @ qv[s].swapaxes(-1, -2)) for s, gc in enumerate(g_ctx)], axis=1
         )
         g_scores = softmax_vjp(g_alpha) * scale
-        g_scores = [pad.pad_rows(g_scores[:, lo:hi], s) for s, (lo, hi) in enumerate(spans)]
-        g_qv = pad.unpad_tokens(np.stack(
+        g_scores = [by_src[s].to_blocks(g_scores[:, lo:hi]) for s, (lo, hi) in enumerate(spans)]
+        g_qv = by_token.from_blocks(np.stack(
             [a.swapaxes(-1, -2) @ gc for a, gc in zip(alpha_pad, g_ctx)]))
-        g_qk = pad.unpad_tokens(np.stack(
+        g_qk = by_token.from_blocks(np.stack(
             [a.swapaxes(-1, -2) @ gs for a, gs in zip(xq, g_scores)]).swapaxes(-1, -2))
-        g_xq = [pad.unpad_rows(gs @ qk_t[s].swapaxes(-1, -2), s) for s, gs in enumerate(g_scores)]
+        g_xq = [by_src[s].from_blocks(gs @ qk_t[s].swapaxes(-1, -2)) for s, gs in enumerate(g_scores)]
         q_val = g_qv @ w_v.transpose(0, 1, 3, 2)
         q_key = g_qk @ w_k.transpose(0, 1, 3, 2)
         g_q = None
@@ -349,9 +297,8 @@ class BundleLayout:
     product per sample, so its cost is linear in B. ``mean`` (B, 1, m) and
     ``source_mean`` (B, 4, m) weight the slots to average each sample's
     nodes, all of them and per source. ``qatt`` holds question attention's
-    padded per-sample blocks (None for one sample). Layouts are kept and
-    reused, so ``source_mean`` (only ``RI_CONCAT`` reads it) is built on
-    first use.
+    padded per-sample blocks, at every B. Layouts are kept and reused, so
+    ``source_mean`` (only ``RI_CONCAT`` reads it) is built on first use.
     """
 
     def __init__(self, counts, tokens):
@@ -368,7 +315,7 @@ class BundleLayout:
                 [np.arange(lo, lo + n) for lo, n in zip(first[i], counts[i])])
         self.graph = GraphBatch(slots, np.zeros(slots.shape + slots.shape[1:], dtype=bool))
         self.mean = mean_weights(self.graph.valid)
-        self.qatt = QattPadding(counts, tokens) if b > 1 else None
+        self.qatt = QattPadding(counts, tokens)
 
     @functools.cached_property
     def source_mean(self) -> np.ndarray:

@@ -185,25 +185,50 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
+class RaggedGroups:
+    """Groups of rows stacked in order, group i holding counts[i] rows,
+    laid out as n blocks of ``width`` slots, the largest count: a group
+    fills the first slots of its block and zeros fill the rest. Where
+    every count is the width nothing is padded: ``slots`` is None and both
+    directions are reshapes."""
+
+    def __init__(self, counts):
+        counts = np.asarray(counts, dtype=np.intp)
+        self.n, self.width = counts.size, int(counts.max())
+        filled = np.arange(self.width) < counts[:, None]
+        self.slots = None if filled.all() else np.flatnonzero(filled)
+
+    def to_blocks(self, a: np.ndarray) -> np.ndarray:
+        """Stacked rows (..., rows, k) -> blocks (..., n, width, k)."""
+        shape = a.shape[:-2] + (self.n, self.width, a.shape[-1])
+        if self.slots is None:
+            return a.reshape(shape)
+        out = np.zeros(a.shape[:-2] + (self.n * self.width, a.shape[-1]), dtype=a.dtype)
+        out[..., self.slots, :] = a
+        return out.reshape(shape)
+
+    def from_blocks(self, a: np.ndarray) -> np.ndarray:
+        """Blocks (..., n, width, k) -> the stacked rows (..., rows, k)."""
+        flat = a.reshape(a.shape[:-3] + (self.n * self.width, a.shape[-1]))
+        return flat if self.slots is None else flat[..., self.slots, :]
+
+
 def grouped_matmul(a: Tensor, b: Tensor, sizes) -> Tensor:
     """a @ b where the rows of a stack groups of sizes[i] rows and each
     group is multiplied on its own, as one stacked product over the groups
-    padded to the largest size. BLAS may round a row differently in a
-    product of another height (a one-row product is a gemv, a taller one a
-    gemm), so this way a group's rows come out with the same bits in any
-    batch whose groups all have its size. One group is the plain product;
-    the vjp is matmul's."""
+    padded to the largest size (``RaggedGroups``). BLAS may round a row
+    differently in a product of another height (a one-row product is a
+    gemv, a taller one a gemm), so this way a group's rows come out with
+    the same bits in any batch whose groups all have its size. Groups of
+    one size, one group among them, pad nothing. The vjp is matmul's."""
     x, w = a.data, b.data
     sizes = np.asarray(sizes, dtype=np.intp)
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeError(f"grouped_matmul needs (rows, k) @ (k, n), got {x.shape} @ {w.shape}")
     if sizes.ndim != 1 or sizes.size == 0 or sizes.min() < 1 or sizes.sum() != x.shape[0]:
         raise ShapeError(f"rows {x.shape[0]} do not split into groups {sizes.tolist()}")
-    m = int(sizes.max())
-    slots = np.flatnonzero(np.arange(m) < sizes[:, None])
-    padded = np.zeros((sizes.size * m, x.shape[1]), dtype=x.dtype)
-    padded[slots] = x
-    out = Tensor((padded.reshape(sizes.size, m, -1) @ w).reshape(-1, w.shape[1])[slots])
+    groups = RaggedGroups(sizes)
+    out = Tensor(groups.from_blocks(groups.to_blocks(x) @ w))
 
     def bwd(g):
         ga = g @ w.T if a.requires_grad else None

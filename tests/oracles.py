@@ -294,12 +294,12 @@ def question_attention_tape(block, x, q):
     return concat(outs, axis=1)
 
 
-def question_attention_tapes(blocks, xs, q, mask=None):
+def question_attention_tapes(blocks, xs, q, pad=None):
     """davl.question_attention as one question_attention_tape per source,
-    for one sample's question (no block mask)."""
+    for one sample's question (a padding of one)."""
     from livlr.tensor import concat
 
-    assert mask is None
+    assert pad is None or pad.n == 1
     return concat([question_attention_tape(b, x, q) for b, x in zip(blocks, xs)], axis=0)
 
 

@@ -203,6 +203,16 @@ def test_sweep_nh_non_integer_value_exits_2(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_sweep_nh_repeated_value_exits_2(tmp_path, capsys):
+    # a repeated head count would train twice into one nh_<N_h> directory
+    cfg, data = gen_micro_dataset(tmp_path)
+    out_dir = tmp_path / "sweep"
+    argv = ["sweep-nh", "--config", cfg, "--data", data, "--out-dir", str(out_dir)]
+    assert main(argv + ["--values", "1,2,1", "--stop-at-acc", "0.0"]) == 2
+    assert "config error: --values repeats head counts [1]" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_sweep_nh_checks_every_head_count_before_training(tmp_path, capsys):
     # tiny has d = 8: 2 heads divide it and 3 do not, so nothing may train
     spec = write_spec(tmp_path)

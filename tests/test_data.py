@@ -10,6 +10,7 @@ signal mode.
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -482,7 +483,7 @@ def _dataset_files():
     with tempfile.TemporaryDirectory() as d:
         cfg = tiny_config(question_setting="MC")
         save_dataset(gen_synthetic(spec_for("question_dependent", n=3, noise=0.2), cfg, seed=0), d)
-        return {name: open(os.path.join(d, name), "rb").read() for name in os.listdir(d)}
+        return {path.name: path.read_bytes() for path in Path(d).iterdir()}
 
 
 _FILES = _dataset_files()
