@@ -15,7 +15,6 @@ from .data import (
     SyntheticTaskSpec,
     gen_synthetic,
     load_dataset,
-    probe_accuracy,
     save_dataset,
 )
 from .checkpoint import apply_checkpoint, load_checkpoint, load_model_from, save_checkpoint
@@ -74,7 +73,6 @@ __all__ = [
     "load_dataset",
     "load_model_from",
     "no_grad",
-    "probe_accuracy",
     "recording",
     "save_checkpoint",
     "save_dataset",

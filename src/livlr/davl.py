@@ -27,7 +27,7 @@ from .errors import ConfigError, DegenerateRowError, ShapeError
 from .graph import GraphBatch, learn_adjacency, mean_weights, pool, vanilla_gcn_layer
 from .optim import ParamStore, make_param
 from .tensor import (
-    RaggedGroups,
+    Slots,
     Tensor,
     _record,
     add,
@@ -139,14 +139,15 @@ class QattPadding:
     ``GraphBatch`` pads graphs. Sample b's question rows fill the first
     slots of row b of a (B, t_max) token block, and its rows of source s
     those of row b of a (B, m_s) block, m_s the source's largest count per
-    sample (``tokens`` and ``rows[s]``, each a ``RaggedGroups``). A source
-    row then scores only its own sample's t_max slots, so the scores grow
-    linearly with the batch. The forward's products all run per block, so
-    a sample's output rows have the same bits in any batch whose samples
-    share its counts. ``mask`` (rows, t_max) marks, per stacked source
-    row, the slots its sample's question fills; it is None where every
-    question has t_max rows. A block whose counts are all equal, as in a
-    batch of one, pads nothing.
+    sample (``tokens`` and ``rows[s]``, each a ``Slots.of_counts``). A
+    source row then scores only its own sample's t_max slots, so the
+    scores grow linearly with the batch. The forward's products all run
+    per block, so a sample's output rows have the same bits in any batch
+    whose samples share its counts. ``owner`` holds each stacked source
+    row's sample, and ``mask`` (rows, t_max) marks the slots its question
+    fills; it is None where every question has t_max rows. A block whose
+    counts are all equal, as in a batch of one, pads nothing
+    (``Slots.in_order``).
 
     ``counts`` (B, S) holds each sample's rows per source and ``tokens``
     (B,) its question rows."""
@@ -156,12 +157,10 @@ class QattPadding:
         counts = np.asarray(counts, dtype=np.intp).reshape(tokens.size, -1)
         self.n = tokens.size
         self._sizes = (counts.sum(axis=0).tolist(), int(tokens.sum()))
-        self.tokens = RaggedGroups(tokens)
-        self.rows = [RaggedGroups(c) for c in counts.T]
-        self.mask = None
-        if self.tokens.slots is not None:
-            owner_tokens = np.concatenate([np.repeat(tokens, c) for c in counts.T])
-            self.mask = np.arange(self.tokens.width) < owner_tokens[:, None]
+        self.tokens = Slots.of_counts(tokens)
+        self.rows = [Slots.of_counts(c) for c in counts.T]
+        self.owner = np.repeat(np.tile(np.arange(self.n), counts.shape[1]), counts.T.ravel())
+        self.mask = None if self.tokens.in_order else self.tokens.valid[self.owner]
 
     def check(self, rows, tokens):
         """ShapeError unless the batch has these rows per source and
@@ -213,36 +212,36 @@ def question_attention(blocks, xs, q: Tensor, pad: QattPadding | None = None) ->
     # the tensors carry a block axis B after the head axis: the question
     # (S, H, B, t_max, dh) and each source's rows (H, B, m_s, dh)
     by_token, by_src = pad.tokens, pad.rows
-    q_pad = by_token.to_blocks(qd)
+    q_pad = by_token.pad(qd)
     qk = q_pad @ w_k[:, :, None]
     # contiguous like the copy a transpose op makes, so the products match
     qk_t = np.ascontiguousarray(qk.swapaxes(-1, -2))
     qv = q_pad @ w_v[:, :, None]
-    xq = [by_src[s].to_blocks(x.data) @ w_q[s][:, None] for s, x in enumerate(xs)]
+    xq = [by_src[s].pad(x.data) @ w_q[s][:, None] for s, x in enumerate(xs)]
     # the softmax runs once over every source's score rows: (H, N, t_max)
-    scores = np.concatenate([by_src[s].from_blocks(a @ qk_t[s]) for s, a in enumerate(xq)], axis=1)
+    scores = np.concatenate([by_src[s].unpad(a @ qk_t[s]) for s, a in enumerate(xq)], axis=1)
     alpha, softmax_vjp = masked_softmax(scores * scale, pad.mask)
-    alpha_pad = [by_src[s].to_blocks(alpha[:, lo:hi]) for s, (lo, hi) in enumerate(spans)]
+    alpha_pad = [by_src[s].pad(alpha[:, lo:hi]) for s, (lo, hi) in enumerate(spans)]
     ctx_pad = [a @ qv[s] for s, a in enumerate(alpha_pad)]
-    ctx = [by_src[s].from_blocks(c) for s, c in enumerate(ctx_pad)]
-    o = np.concatenate([by_src[s].from_blocks(c @ w_o[s][:, None])
+    ctx = [by_src[s].unpad(c) for s, c in enumerate(ctx_pad)]
+    o = np.concatenate([by_src[s].unpad(c @ w_o[s][:, None])
                         for s, c in enumerate(ctx_pad)], axis=1)  # (H, N, dh)
     out = Tensor(o.transpose(1, 0, 2).reshape(rows[-1], n_heads * dh))
 
     def bwd(g):
         g_heads = g.reshape(-1, n_heads, dh).transpose(1, 0, 2)  # (H, N, dh)
         g_o = [g_heads[:, lo:hi] for lo, hi in spans]
-        g_ctx = [by_src[s].to_blocks(go @ w_o[s].transpose(0, 2, 1)) for s, go in enumerate(g_o)]
+        g_ctx = [by_src[s].pad(go @ w_o[s].transpose(0, 2, 1)) for s, go in enumerate(g_o)]
         g_alpha = np.concatenate(
-            [by_src[s].from_blocks(gc @ qv[s].swapaxes(-1, -2)) for s, gc in enumerate(g_ctx)], axis=1
+            [by_src[s].unpad(gc @ qv[s].swapaxes(-1, -2)) for s, gc in enumerate(g_ctx)], axis=1
         )
         g_scores = softmax_vjp(g_alpha) * scale
-        g_scores = [by_src[s].to_blocks(g_scores[:, lo:hi]) for s, (lo, hi) in enumerate(spans)]
-        g_qv = by_token.from_blocks(np.stack(
+        g_scores = [by_src[s].pad(g_scores[:, lo:hi]) for s, (lo, hi) in enumerate(spans)]
+        g_qv = by_token.unpad(np.stack(
             [a.swapaxes(-1, -2) @ gc for a, gc in zip(alpha_pad, g_ctx)]))
-        g_qk = by_token.from_blocks(np.stack(
+        g_qk = by_token.unpad(np.stack(
             [a.swapaxes(-1, -2) @ gs for a, gs in zip(xq, g_scores)]).swapaxes(-1, -2))
-        g_xq = [by_src[s].from_blocks(gs @ qk_t[s].swapaxes(-1, -2)) for s, gs in enumerate(g_scores)]
+        g_xq = [by_src[s].unpad(gs @ qk_t[s].swapaxes(-1, -2)) for s, gs in enumerate(g_scores)]
         q_val = g_qv @ w_v.transpose(0, 1, 3, 2)
         q_key = g_qk @ w_k.transpose(0, 1, 3, 2)
         g_q = None
@@ -292,9 +291,11 @@ class BundleLayout:
     ``counts`` (B, 4) holds each sample's rows per source and ``tokens``
     (B,) its question rows. Per stacked node row, ``sources`` holds its
     source id (1..4). ``graph`` holds one edgeless graph per sample over
-    its nodes, in source order, padded to m slots, the most nodes of a
-    sample; everything that mixes a sample's nodes runs on those slots, one
-    product per sample, so its cost is linear in B. ``mean`` (B, 1, m) and
+    its nodes, in stacked order, padded to m slots, the most nodes of a
+    sample: the slots of ``Slots.of_counts`` over each sample's node
+    count, filled with the rows sorted stably by sample. Everything that
+    mixes a sample's nodes runs on those slots, one product per sample, so
+    its cost is linear in B. ``mean`` (B, 1, m) and
     ``source_mean`` (B, 4, m) weight the slots to average each sample's
     nodes, all of them and per source. ``qatt`` holds question attention's
     padded per-sample blocks, at every B. Layouts are kept and reused, so
@@ -303,19 +304,15 @@ class BundleLayout:
 
     def __init__(self, counts, tokens):
         counts = np.asarray(counts, dtype=np.intp).reshape(-1, 4)
-        self.n = b = counts.shape[0]
-        per_source = counts.sum(axis=0)
-        self.sources = np.repeat(np.arange(1, 5), per_source)
-        # stacked row where sample b's rows of source k begin
-        first = (np.cumsum(per_source) - per_source) + (np.cumsum(counts, axis=0) - counts)
-        sizes = counts.sum(axis=1)
-        slots = np.full((b, int(sizes.max())), -1, dtype=np.intp)
-        for i in range(b):
-            slots[i, : sizes[i]] = np.concatenate(
-                [np.arange(lo, lo + n) for lo, n in zip(first[i], counts[i])])
+        self.n = counts.shape[0]
+        self.sources = np.repeat(np.arange(1, 5), counts.sum(axis=0))
+        self.qatt = QattPadding(counts, tokens)
+        # sample b's slots hold its rows in stacked order: the rows sorted
+        # stably by sample
+        slots = Slots.of_counts(counts.sum(axis=1)).slots
+        slots[slots >= 0] = np.argsort(self.qatt.owner, kind="stable")
         self.graph = GraphBatch(slots, np.zeros(slots.shape + slots.shape[1:], dtype=bool))
         self.mean = mean_weights(self.graph.valid)
-        self.qatt = QattPadding(counts, tokens)
 
     @functools.cached_property
     def source_mean(self) -> np.ndarray:
@@ -335,23 +332,23 @@ def co_attention(w1: Tensor, w2: Tensor, nodes: Tensor, graph: GraphBatch) -> Te
     BLAS may round a product differently by layout."""
     v = nodes.data
     b, m = graph.slots.shape
-    p = graph.pad(v)
-    p3 = p.reshape(b, m, -1)
+    p3 = graph.pad(v)
+    p = p3.reshape(b * m, -1)
     q = (p @ w1.data).reshape(b, m, -1)
     # contiguous like the copy a transpose op makes
     k_t = np.ascontiguousarray((p @ w2.data).reshape(b, m, -1).transpose(0, 2, 1))
     others = graph.valid[:, :, None] & graph.valid[:, None, :] & ~np.eye(m, dtype=bool)
     beta, softmax_vjp = masked_softmax(q @ k_t, others)
-    out = Tensor(v + graph.unpad((beta @ p3).reshape(b * m, -1)))
+    out = Tensor(v + graph.unpad(beta @ p3))
 
     def bwd(g):
-        g3 = graph.pad(g).reshape(b, m, -1)
+        g3 = graph.pad(g)
         g_scores = softmax_vjp(g3 @ p3.transpose(0, 2, 1))
         g_q = (g_scores @ k_t.transpose(0, 2, 1)).reshape(b * m, -1)
         g_k_t = q.transpose(0, 2, 1) @ g_scores  # (B, d, m)
         # the (B * m, d) rows of g_k_t's transpose, column-major
         g_k = g_k_t.transpose(1, 0, 2).reshape(g_k_t.shape[1], -1).T
-        g_v = g + graph.unpad((beta.transpose(0, 2, 1) @ g3).reshape(b * m, -1))
+        g_v = g + graph.unpad(beta.transpose(0, 2, 1) @ g3)
         g_v = g_v + graph.unpad(g_k @ w2.data.T)
         g_v = g_v + graph.unpad(g_q @ w1.data.T)
         return g_v, p.T @ g_q, p.T @ g_k

@@ -6,8 +6,9 @@ residual pattern out_i = ReLU(v_i + aggregate(neighbors)).
 
 The layers, the graph learner and the pool take only a ``GraphBatch``:
 the graphs' node rows are stacked in one matrix, and each op pads them
-into a (B, n_max) block, so one tape node serves every frame or sentence
-of a minibatch, or every sample's integration graph.
+into (B, n_max, d) blocks (``tensor.Slots``), so one tape node serves
+every frame or sentence of a minibatch, or every sample's integration
+graph.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import numpy as np
 
 from .errors import ContractError, GraphIntegrityError, NumericError, ShapeError
 from .tensor import (
+    Slots,
     Tensor,
     _record,
     add,
@@ -71,41 +73,32 @@ class DenseGraph:
 
     def batch(self) -> "GraphBatch":
         """This graph as a batch of one over its own node rows."""
-        return stack_graphs([self], [np.arange(self.n_nodes)])
+        types = None if self.edge_types is None else self.edge_types[None]
+        return GraphBatch(Slots.of_counts([self.n_nodes]), self.adjacency[None], types)
 
 
-class GraphBatch:
-    """B graphs over the rows of one stacked node matrix.
-
-    ``slots[b, i]`` is the row holding node i of graph b, or -1 past that
-    graph's last node; every row fills exactly one slot. ``adjacency`` and
-    ``edge_types`` (B, n_max, n_max) hold each graph's DenseGraph matrices,
-    padded with no edges. The layers pad the rows into a (B * n_max, d)
-    block with ``pad`` and return them in stacked order with ``unpad``.
-    """
+class GraphBatch(Slots):
+    """B graphs over the rows of one stacked node matrix: a ``Slots``
+    layout, block b holding graph b's nodes, plus ``adjacency`` and
+    ``edge_types`` (B, n_max, n_max), each graph's DenseGraph matrices
+    padded with no edges. ``slots`` is a matrix, checked to name every row
+    once, or a ``Slots`` taken as it is."""
 
     def __init__(self, slots, adjacency, edge_types=None):
-        slots = np.asarray(slots, dtype=np.intp)
+        if isinstance(slots, Slots):
+            vars(self).update(vars(slots))
+        else:
+            super().__init__(slots)
         adj = np.asarray(adjacency, dtype=bool)
-        if slots.ndim != 2 or adj.shape != slots.shape + slots.shape[1:]:
-            raise ShapeError(f"slots {slots.shape} and adjacency {adj.shape} do not fit")
-        valid = slots >= 0
-        pos = np.flatnonzero(valid)  # the padded position of each node
-        rows = slots.ravel()[pos]
-        if not np.array_equal(np.sort(rows), np.arange(rows.size)):
-            raise GraphIntegrityError("slots must name every node row exactly once")
+        valid = self.valid
+        if adj.shape != valid.shape + valid.shape[1:]:
+            raise ShapeError(f"slots {valid.shape} and adjacency {adj.shape} do not fit")
         if (adj & ~(valid[:, :, None] & valid[:, None, :])).any():
             raise GraphIntegrityError("edge at a padding slot")
         if edge_types is not None:
             edge_types = np.asarray(edge_types)
         _check_edges(adj, edge_types)
-        self.slots = slots
-        self.valid = valid  # (B, n_max): the slot holds a node
-        self.n_rows = rows.size
-        self.row_pos = np.empty(rows.size, dtype=np.intp)
-        self.row_pos[rows] = pos  # the padded position of each stacked row
-        self.adjacency = adj
-        self.edge_types = edge_types
+        self.adjacency, self.edge_types = adj, edge_types
 
     def with_edges(self, adjacency: np.ndarray) -> "GraphBatch":
         """The same node layout with new untyped edges, which the caller
@@ -114,20 +107,14 @@ class GraphBatch:
         out.adjacency, out.edge_types = adjacency, None
         return out
 
-    def pad(self, x: np.ndarray) -> np.ndarray:
-        """Stacked rows (R, d) -> (B * n_max, d), zero at the padding."""
-        out = np.zeros((self.slots.size,) + x.shape[1:], dtype=x.dtype)
-        out[self.row_pos] = x
-        return out
 
-    def unpad(self, y: np.ndarray) -> np.ndarray:
-        """(B * n_max, d) -> the node rows (R, d) in stacked order."""
-        return y[self.row_pos]
-
-
-def join_batches(batches: list[GraphBatch], row_maps) -> GraphBatch:
+def join_batches(batches: list[GraphBatch], row_maps=None) -> GraphBatch:
     """The graphs of several batches as one batch, in order; row_maps[i][r]
-    is the joined row of batch i's row r."""
+    is the joined row of batch i's row r, by default the batches' rows
+    stacked in order. Edge types are kept when the batches have them."""
+    if row_maps is None:
+        ends = np.cumsum([b.n_rows for b in batches])
+        row_maps = [np.arange(hi - b.n_rows, hi) for b, hi in zip(batches, ends)]
     n_max = max(b.slots.shape[1] for b in batches)
     n_graphs = sum(b.slots.shape[0] for b in batches)
     slots = np.full((n_graphs, n_max), -1, dtype=np.intp)
@@ -141,22 +128,6 @@ def join_batches(batches: list[GraphBatch], row_maps) -> GraphBatch:
         if types is not None:
             types[lo : lo + g, :n, :n] = b.edge_types
         lo += g
-    return GraphBatch(slots, adj, types)
-
-
-def stack_graphs(graphs: list[DenseGraph], rows) -> GraphBatch:
-    """The graphs as one batch; rows[b] lists the stacked row of each node
-    of graph b. Edge types are kept when the graphs have them."""
-    n_max = max(g.n_nodes for g in graphs)
-    slots = np.full((len(graphs), n_max), -1, dtype=np.intp)
-    adj = np.zeros((len(graphs), n_max, n_max), dtype=bool)
-    types = None if graphs[0].edge_types is None else np.zeros(adj.shape, dtype=np.int64)
-    for b, (g, r) in enumerate(zip(graphs, rows)):
-        n = g.n_nodes
-        slots[b, :n] = r
-        adj[b, :n, :n] = g.adjacency
-        if types is not None:
-            types[b, :n, :n] = g.edge_types
     return GraphBatch(slots, adj, types)
 
 
@@ -207,27 +178,28 @@ def _attention_layer(params, nodes: Tensor, graph: GraphBatch, typed: bool) -> T
     if v.shape != (graph.n_rows, w.shape[0]):
         raise ShapeError(f"node matrix {v.shape} does not fit {graph.n_rows} nodes of width {w.shape[0]}")
     b, n = graph.slots.shape
-    p = graph.pad(v)
+    p3 = graph.pad(v)
+    p = p3.reshape(b * n, -1)  # the blocks' rows, for the row-wise products
     q, k_t, alpha, softmax_vjp = _neighbor_weights(params, p, graph)
     msgs = (p @ w).reshape(b, n, -1)
-    pre = p + (alpha @ msgs).reshape(b * n, -1)
+    pre = p3 + alpha @ msgs
     inputs = (nodes, params.w, params.w_q, params.w_k)
     if typed:
         # per-edge scalars: 0 off-edge entries are masked by alpha being 0 there
         idx = np.where(graph.adjacency, graph.edge_types - 1, 0).ravel()
         bias_mat = params.type_bias.data[idx].reshape(graph.adjacency.shape)
-        pre = pre + (alpha * bias_mat).sum(axis=2).reshape(b * n, 1)
+        pre = pre + (alpha * bias_mat).sum(axis=2, keepdims=True)
         inputs += (params.type_bias,)
     live = pre > 0
     out = Tensor(graph.unpad(np.maximum(pre, 0.0)))
 
     def bwd(g):
-        g = graph.pad(g) * live
-        g3 = g.reshape(b, n, -1)
+        g3 = graph.pad(g) * live
+        g = g3.reshape(b * n, -1)
         grads = ()
         g_alpha = g3 @ msgs.transpose(0, 2, 1)
         if typed:
-            g_shift = np.repeat(g.sum(axis=1, keepdims=True).reshape(b, n, 1), n, axis=2)
+            g_shift = np.repeat(g3.sum(axis=2, keepdims=True), n, axis=2)
             g_bias = np.zeros_like(params.type_bias.data)
             np.add.at(g_bias, idx, (g_shift * alpha).reshape(-1))
             grads = (g_bias,)
@@ -278,12 +250,11 @@ def vanilla_gcn_layer(w: Tensor, nodes: Tensor, graph: GraphBatch) -> Tensor:
 def _aggregate(weights: np.ndarray, x: Tensor, graph: GraphBatch) -> Tensor:
     """Row i of each graph gets sum_j weights[b, i, j] x_j over its own
     graph's rows, as one node: (R, d) -> (R, d)."""
-    b, n = graph.slots.shape
     if x.data.shape[0] != graph.n_rows:
         raise ShapeError(f"node matrix {x.data.shape} does not fit {graph.n_rows} nodes")
 
     def apply(w, v):
-        return graph.unpad((w @ graph.pad(v).reshape(b, n, -1)).reshape(b * n, -1))
+        return graph.unpad(w @ graph.pad(v))
 
     w_t = weights.transpose(0, 2, 1)
     return _record(Tensor(apply(weights, x.data)), (x,), lambda g: (apply(w_t, g),))
@@ -305,11 +276,11 @@ def pool(weights: np.ndarray, nodes: Tensor, graph: GraphBatch) -> Tensor:
         raise ShapeError(f"weights {weights.shape} and node matrix {nodes.data.shape} "
                          f"do not fit {b} graphs over {graph.n_rows} nodes")
     w = weights.astype(nodes.data.dtype)
-    out = w @ graph.pad(nodes.data).reshape(b, n, -1)
+    out = w @ graph.pad(nodes.data)
     w_t = w.transpose(0, 2, 1)
 
     def bwd(g):
-        return (graph.unpad((w_t @ g.reshape(out.shape)).reshape(b * n, -1)),)
+        return (graph.unpad(w_t @ g.reshape(out.shape)),)
 
     return _record(Tensor(out.reshape(b, -1)), (nodes,), bwd)
 
@@ -330,7 +301,7 @@ def learn_adjacency(w1: Tensor, w2: Tensor, nodes: Tensor, n_keep: int, layout: 
         raise ShapeError(f"node matrix {v.shape} does not match scorer {w1.data.shape}")
     if v.shape[0] != layout.n_rows:
         raise ShapeError(f"node matrix {v.shape} does not fit {layout.n_rows} nodes")
-    p, valid = layout.pad(v).reshape(layout.slots.shape + (-1,)), layout.valid
+    p, valid = layout.pad(v), layout.valid
     scores = (p @ w1.data) @ np.ascontiguousarray((p @ w2.data).transpose(0, 2, 1))
     scored = valid[:, :, None] & valid[:, None, :]
     if not np.isfinite(scores[scored]).all():

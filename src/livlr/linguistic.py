@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DataError, GraphIntegrityError
 from .graph import (AttnGcnParams, DenseGraph, GraphBatch, attn_gcn_layer, join_batches,
-                    mean_weights, pool, stack_graphs)
+                    mean_weights, pool)
 from .optim import ParamStore, make_param
 from .rnn import SeqEncoderParams, create_seq_encoder, encode_sequences
 from .tensor import Tensor, concat, constant, gather, matmul, mul
@@ -219,7 +219,7 @@ def sentence_layout(sentences: list[tuple[np.ndarray, SrlParse]]) -> SentenceLay
     rows = [np.r_[b, lo : lo + n] for b, (lo, n) in enumerate(zip(first, n_local))]
     return SentenceLayout(
         tokens,
-        stack_graphs(graphs, rows),
+        join_batches([g.batch() for g in graphs], rows),
         np.asarray(roles, dtype=np.intp),
         np.array(spans, dtype=np.intp).reshape(-1, 2),
     )

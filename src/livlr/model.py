@@ -97,6 +97,12 @@ def _batch(samples) -> list:
     return [samples] if isinstance(samples, Sample) else samples
 
 
+def _one(sample) -> Sample:
+    if not isinstance(sample, Sample):
+        raise ContractError(f"expected one Sample, got {type(sample).__name__}")
+    return sample
+
+
 def _leaves(obj):
     """Tensors reachable through a parameter dataclass's fields."""
     if isinstance(obj, Tensor):
@@ -158,6 +164,8 @@ class Model:
         through run(name, fn), which must return fn(); a caller may instead
         hand back an earlier output of that stage (see gradcheck)."""
         batch = _batch(samples)
+        if not batch:
+            raise ContractError("a batch needs at least one sample")
         mc = self.mc_head
         if mc is not None and any(s.candidates is None for s in batch):
             raise DataError("multiple-choice sample is missing candidates")
@@ -204,23 +212,22 @@ class Model:
         return reshape(losses, ()), reshape(scores, (-1,)) if oe else scores
 
     def forward(self, sample) -> tuple[Tensor, Tensor]:
-        """(loss, scores) of one sample, a batch of one: scores are
-        answer-set logits (OE) or candidate scores (MC)."""
-        return self.answer(sample, self.encode(sample))
+        """(loss, scores) of one ``Sample``, a batch of one: scores are
+        answer-set logits (OE) or candidate scores (MC). A list is a
+        batch, for ``encode`` and ``answer``: ContractError."""
+        return self.answer(_one(sample), self.encode(sample))
 
     def predict(self, sample) -> int:
         """Index of the best answer (OE) or candidate (MC). Computes the
         scores only, so the sample needs no answer; records nothing
         outside a recording() scope."""
-        return int(np.argmax(self.score(sample, self.encode(sample)).data))
+        return int(np.argmax(self.score(_one(sample), self.encode(sample)).data))
 
     def batch_loss(self, samples: list) -> tuple[Tensor, list[float], int]:
         """Forward a batch, each layer once over all its samples: (mean
         loss, each sample's loss as a float, how many samples the argmax
         answers right). The mean is the loss sum times 1/n, so a recording
         caller can backward it."""
-        if not samples:
-            raise ContractError("batch_loss needs at least one sample")
         losses, scores = self.answer(samples, self.encode(samples))
         if self.oe_head is not None:
             right = scores.data.argmax(axis=1) == [s.label for s in samples]

@@ -12,13 +12,14 @@ operations the model needs; every op validates shapes up front and raises
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ContractError, GraphIntegrityError, ShapeError
 
 
 # The nodes of the innermost recording() scope; None outside one or under
@@ -185,50 +186,79 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-class RaggedGroups:
-    """Groups of rows stacked in order, group i holding counts[i] rows,
-    laid out as n blocks of ``width`` slots, the largest count: a group
-    fills the first slots of its block and zeros fill the rest. Where
-    every count is the width nothing is padded: ``slots`` is None and both
-    directions are reshapes."""
+class Slots:
+    """Groups of a stacked matrix's rows laid out as n blocks of ``width``
+    slots. ``slots[b, i]`` is the row in slot i of block b, or -1 at
+    padding; ``valid`` marks the filled slots, and ``row_pos[r]`` is row
+    r's flat slot b * width + i. ``pad`` moves the rows into zero-padded
+    blocks and ``unpad`` back; where every row sits at its own slot
+    position (``in_order``), both are reshapes and copy nothing. A slots
+    matrix is checked to name every row once. ``of_counts`` lays out
+    groups stacked in order, valid by construction, so it checks nothing
+    and builds ``slots`` only on use."""
 
-    def __init__(self, counts):
+    def __init__(self, slots):
+        slots = np.asarray(slots, dtype=np.intp)
+        if slots.ndim != 2:
+            raise ShapeError(f"slots must be a (blocks, width) matrix, got {slots.shape}")
+        valid = slots >= 0
+        pos = np.flatnonzero(valid)
+        rows = slots.ravel()[pos]
+        if not np.array_equal(np.sort(rows), np.arange(rows.size)):
+            raise GraphIntegrityError("slots must name every row exactly once")
+        self.slots, self.valid, self.n_rows = slots, valid, rows.size
+        self.row_pos = np.empty_like(pos)
+        self.row_pos[rows] = pos
+        self.in_order = np.array_equal(self.row_pos, np.arange(slots.size))
+
+    @classmethod
+    def of_counts(cls, counts) -> "Slots":
+        """Groups of counts[i] rows, stacked in order."""
         counts = np.asarray(counts, dtype=np.intp)
-        self.n, self.width = counts.size, int(counts.max())
-        filled = np.arange(self.width) < counts[:, None]
-        self.slots = None if filled.all() else np.flatnonzero(filled)
+        out = cls.__new__(cls)
+        out.valid = np.arange(counts.max()) < counts[:, None]
+        out.row_pos = out.valid.ravel().nonzero()[0]  # np.flatnonzero, without its overhead
+        out.n_rows = out.row_pos.size
+        out.in_order = out.n_rows == out.valid.size
+        return out
 
-    def to_blocks(self, a: np.ndarray) -> np.ndarray:
-        """Stacked rows (..., rows, k) -> blocks (..., n, width, k)."""
-        shape = a.shape[:-2] + (self.n, self.width, a.shape[-1])
-        if self.slots is None:
-            return a.reshape(shape)
-        out = np.zeros(a.shape[:-2] + (self.n * self.width, a.shape[-1]), dtype=a.dtype)
-        out[..., self.slots, :] = a
+    @functools.cached_property
+    def slots(self) -> np.ndarray:
+        return np.where(self.valid, np.cumsum(self.valid).reshape(self.valid.shape) - 1, -1)
+
+    def pad(self, x: np.ndarray) -> np.ndarray:
+        """Stacked rows (..., R, k) -> zero-padded blocks (..., n, width, k)."""
+        shape = x.shape[:-2] + self.valid.shape + x.shape[-1:]
+        if self.in_order:
+            return x.reshape(shape)
+        out = np.zeros(x.shape[:-2] + (self.valid.size, x.shape[-1]), dtype=x.dtype)
+        out[..., self.row_pos, :] = x
         return out.reshape(shape)
 
-    def from_blocks(self, a: np.ndarray) -> np.ndarray:
-        """Blocks (..., n, width, k) -> the stacked rows (..., rows, k)."""
-        flat = a.reshape(a.shape[:-3] + (self.n * self.width, a.shape[-1]))
-        return flat if self.slots is None else flat[..., self.slots, :]
+    def unpad(self, y: np.ndarray) -> np.ndarray:
+        """Blocks (..., n, width, k), or their rows (n * width, k), -> the
+        stacked rows (..., R, k)."""
+        flat = y.reshape(y.shape[:-3] + (self.valid.size, y.shape[-1]))
+        return flat if self.in_order else flat[..., self.row_pos, :]
 
 
 def grouped_matmul(a: Tensor, b: Tensor, sizes) -> Tensor:
     """a @ b where the rows of a stack groups of sizes[i] rows and each
     group is multiplied on its own, as one stacked product over the groups
-    padded to the largest size (``RaggedGroups``). BLAS may round a row
-    differently in a product of another height (a one-row product is a
-    gemv, a taller one a gemm), so this way a group's rows come out with
-    the same bits in any batch whose groups all have its size. Groups of
-    one size, one group among them, pad nothing. The vjp is matmul's."""
+    padded to the largest size (the blocks of ``Slots.of_counts``). BLAS
+    may round a row differently in a product of another height (a one-row
+    product is a gemv, a taller one a gemm), so this way a group's rows
+    come out with the same bits in any batch whose groups all have its
+    size. Groups of one size, one group among them, pad nothing: the
+    blocks are a reshape of a. The vjp is matmul's."""
     x, w = a.data, b.data
     sizes = np.asarray(sizes, dtype=np.intp)
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeError(f"grouped_matmul needs (rows, k) @ (k, n), got {x.shape} @ {w.shape}")
     if sizes.ndim != 1 or sizes.size == 0 or sizes.min() < 1 or sizes.sum() != x.shape[0]:
         raise ShapeError(f"rows {x.shape[0]} do not split into groups {sizes.tolist()}")
-    groups = RaggedGroups(sizes)
-    out = Tensor(groups.from_blocks(groups.to_blocks(x) @ w))
+    groups = Slots.of_counts(sizes)
+    out = Tensor(groups.unpad(groups.pad(x) @ w))
 
     def bwd(g):
         ga = g @ w.T if a.requires_grad else None

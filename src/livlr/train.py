@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import save_checkpoint
-from .config import ModelConfig
+from .config import ModelConfig, _number
 from .data import SyntheticDataset
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 from .model import Model
 from .optim import adamw_step
 from .tensor import backward, recording
@@ -74,9 +74,11 @@ def train(
     When out_dir is given, writes config.json (canonical, every field
     explicit), metrics.csv (one row per epoch run) and checkpoint.lvlr.
     stop_at_acc, when set, ends training after the first epoch whose train
-    accuracy reaches the threshold.
+    accuracy reaches the threshold, a finite number in [0, 1].
     """
     config.validate()
+    if stop_at_acc is not None and not (_number(stop_at_acc) and 0.0 <= stop_at_acc <= 1.0):
+        raise ConfigError(f"stop_at_acc must be a number in [0, 1], got {stop_at_acc!r}")
     dataset.check_config(config)
     model = Model(config)
     samples = dataset.samples()

@@ -31,7 +31,6 @@ from .graph import (
     learn_adjacency,
     mean_weights,
     pool,
-    stack_graphs,
     typed_edge_gcn_layer,
 )
 from .optim import ParamStore, make_param
@@ -94,22 +93,15 @@ class ClipGeometry:
         """Several clips as one, clip after clip; one clip is itself."""
         if len(geos) == 1:
             return geos[0]
-        rows = [len(g.positions) for g in geos]
-        row_lo = np.cumsum(rows) - rows
-        return ClipGeometry(
-            join_batches([g.spatial for g in geos],
-                         [np.arange(lo, lo + n) for lo, n in zip(row_lo, rows)]),
-            np.concatenate([g.positions for g in geos]),
-        )
+        return ClipGeometry(join_batches([g.spatial for g in geos]),
+                            np.concatenate([g.positions for g in geos]))
 
 
 def clip_geometry(frames: list[FrameFeatures]) -> ClipGeometry:
-    sizes = [len(f.boxes) for f in frames]
-    starts = np.cumsum(sizes) - sizes
-    graphs = [DenseGraph(n, *classify_spatial_edges(f.boxes, f.frame_size))
-              for f, n in zip(frames, sizes)]
+    graphs = [DenseGraph(len(f.boxes), *classify_spatial_edges(f.boxes, f.frame_size))
+              for f in frames]
     return ClipGeometry(
-        stack_graphs(graphs, [np.arange(lo, lo + n) for lo, n in zip(starts, sizes)]),
+        join_batches([g.batch() for g in graphs]),
         np.concatenate([position_features(f.boxes, f.frame_size) for f in frames]),
     )
 

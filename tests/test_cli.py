@@ -203,6 +203,19 @@ def test_sweep_nh_non_integer_value_exits_2(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "2", "inf"])
+def test_stop_at_acc_outside_0_1_exits_2_and_writes_nothing(tmp_path, capsys, value):
+    cfg, data = gen_micro_dataset(tmp_path)
+    run, sweep = tmp_path / "run", tmp_path / "sweep"
+    assert main(["train", "--config", cfg, "--data", data, "--out-dir", str(run),
+                 "--stop-at-acc", value]) == 2
+    assert "config error: stop_at_acc must be" in capsys.readouterr().err
+    assert main(["sweep-nh", "--config", cfg, "--data", data, "--out-dir", str(sweep),
+                 "--values", "1", "--stop-at-acc", value]) == 2
+    assert "config error: stop_at_acc must be" in capsys.readouterr().err
+    assert not run.exists() and not sweep.exists()
+
+
 def test_sweep_nh_repeated_value_exits_2(tmp_path, capsys):
     # a repeated head count would train twice into one nh_<N_h> directory
     cfg, data = gen_micro_dataset(tmp_path)

@@ -24,9 +24,7 @@ from livlr.data import (
     SyntheticTaskSpec,
     gen_synthetic,
     load_dataset,
-    probe_accuracy,
     save_dataset,
-    signal_features,
 )
 from livlr.errors import ConfigError, DataError
 
@@ -148,6 +146,55 @@ def test_seed_defaults_to_config_seed():
 
 # ---------------------------------------------------------------------------
 # signal placement and isolation
+
+
+# the dataset's learnability check: a nearest-centroid probe on the raw
+# feature of the planted channel
+def _channel_readers(ds: SyntheticDataset) -> dict:
+    lo, hi = ds.signal_span
+    return {
+        "holistic_visual": lambda: ds.appearance.mean(axis=1),
+        "finegrained_visual": lambda: ds.class_attr.mean(axis=(1, 2)),
+        "holistic_linguistic": lambda: ds.sent_tokens[:, 0, 0, :],
+        "finegrained_linguistic": lambda: ds.sent_tokens[:, 0, lo : hi + 1, :].mean(axis=1),
+    }
+
+
+def signal_features(ds: SyntheticDataset) -> np.ndarray:
+    """Per-sample raw feature read from the planted channel (the view a
+    probe classifier gets). Single-source modes only."""
+    src = ds.spec.signal_source
+    if src == "question_dependent":
+        raise DataError("question_dependent datasets have per-sample channels")
+    return _channel_readers(ds)[src]()
+
+
+def _nearest_centroid_acc(feats: np.ndarray, labels: np.ndarray) -> tuple[int, int]:
+    classes = np.unique(labels)
+    centroids = np.stack([feats[labels == c].mean(axis=0) for c in classes])
+    d2 = ((feats[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    pred = classes[np.argmin(d2, axis=1)]
+    return int((pred == labels).sum()), labels.size
+
+
+def probe_accuracy(ds: SyntheticDataset) -> float:
+    """Nearest-centroid accuracy on the planted channel's raw features:
+    an independent ceiling check, 1.0 at noise 0 by construction. In
+    question_dependent mode each source group is probed in its own
+    channel space."""
+    if ds.spec.signal_source != "question_dependent":
+        hit, total = _nearest_centroid_acc(signal_features(ds), ds.labels)
+        return hit / total
+    readers = _channel_readers(ds)
+    hit = total = 0
+    for ch_idx, ch in enumerate(SIGNAL_SOURCES[:4]):
+        in_group = ds.sources == ch_idx
+        if not in_group.any():
+            continue
+        h, t = _nearest_centroid_acc(readers[ch]()[in_group], ds.labels[in_group])
+        hit, total = hit + h, total + t
+    return hit / total
+
 
 
 def test_probe_is_perfect_at_zero_noise_in_every_mode():

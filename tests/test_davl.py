@@ -239,7 +239,7 @@ class TestPaddedQuestionAttention:
         # one source with equal counts among ragged ones: that block is a reshape
         shared = [[2, 2, 1, 3], [1, 2, 4, 1], [3, 2, 2, 2]]
         pad = QattPadding(shared, [4, 1, 3])
-        assert [r.slots is None for r in pad.rows] == [False, True, False, False]
+        assert [r.in_order for r in pad.rows] == [False, True, False, False]
         self._check_ragged_batch(shared, [4, 1, 3])
 
     def test_rows_that_do_not_fit_the_padding_raise(self):

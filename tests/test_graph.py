@@ -12,10 +12,10 @@ from livlr.graph import (
     TypedGcnParams,
     attention_coefficients,
     attn_gcn_layer,
+    join_batches,
     learn_adjacency,
     mean_weights,
     pool,
-    stack_graphs,
     typed_edge_gcn_layer,
     vanilla_gcn_layer,
 )
@@ -80,8 +80,20 @@ class TestGraphBatch:
         # graph 0 holds rows 2 and 0, graph 1 holds row 1
         g = GraphBatch([[2, 0], [1, -1]], np.zeros((2, 2, 2), dtype=bool))
         x = np.array([[1.0], [2.0], [3.0]])
-        assert np.array_equal(g.pad(x), [[3.0], [1.0], [2.0], [0.0]])
+        assert np.array_equal(g.pad(x), [[[3.0], [1.0]], [[2.0], [0.0]]])
         assert np.array_equal(g.unpad(g.pad(x)), x)
+
+    def test_rows_in_slot_order_pad_and_unpad_without_a_copy(self):
+        # every slot filled, graph b's rows at b * n_max + i: both
+        # directions are views of their input
+        g = GraphBatch([[0, 1], [2, 3]], np.zeros((2, 2, 2), dtype=bool))
+        x = np.arange(12.0).reshape(4, 3)
+        blocks = g.pad(x)
+        assert blocks.shape == (2, 2, 3) and np.shares_memory(blocks, x)
+        back = g.unpad(blocks)
+        assert np.array_equal(back, x) and np.shares_memory(back, x)
+        # so is a DenseGraph as a batch of one
+        assert np.shares_memory(edgeless(4).pad(x), x)
 
     def test_every_row_fills_one_slot(self):
         for slots in ([[0, 0], [1, -1]], [[0, 2], [-1, -1]]):
@@ -247,7 +259,7 @@ class TestFusedLayers:
             graphs = [random_graph(rng, int(n), with_types=True, p=float(rng.uniform(0.1, 0.9)))
                       for n in sizes]
             rows = np.split(rng.permutation(sizes.sum()), np.cumsum(sizes)[:-1])
-            g = stack_graphs(graphs, rows)
+            g = join_batches([graph.batch() for graph in graphs], rows)
             tp = typed_params_for(rng, d, dtype)
             x = Tensor(rng.standard_normal((sizes.sum(), d)).astype(dtype), requires_grad=True)
             assert (layer_bytes(typed_edge_gcn_layer, tp, x, g)
@@ -337,7 +349,7 @@ class TestVanillaGcn:
             order = rng.permutation(sum(sizes))
             starts = np.cumsum(sizes) - sizes
             rows = [order[lo : lo + n] for lo, n in zip(starts, sizes)]
-            batch = stack_graphs(graphs, rows)
+            batch = join_batches([graph.batch() for graph in graphs], rows)
             w = Tensor(rng.standard_normal((d, d)) * 0.5, requires_grad=True)
             x = rng.standard_normal((sum(sizes), d))
             got = vanilla_gcn_layer(w, constant(x, np.float64), batch).data
@@ -348,7 +360,8 @@ class TestVanillaGcn:
     def test_batch_gradients_match_central_differences(self):
         rng = np.random.default_rng(123)
         graphs = [random_graph(rng, n) for n in (3, 1, 4)]
-        batch = stack_graphs(graphs, [np.arange(0, 3), [3], np.arange(4, 8)])
+        batch = join_batches([graph.batch() for graph in graphs],
+                             [np.arange(0, 3), [3], np.arange(4, 8)])
         w = Tensor(rng.standard_normal((2, 2)) * 0.5, requires_grad=True)
         x = Tensor(rng.standard_normal((8, 2)), requires_grad=True)
         with recording():
@@ -422,7 +435,7 @@ class TestGraphLearner:
         rng = np.random.default_rng(seed)
         d = 2
         rows = np.split(rng.permutation(sum(sizes)), np.cumsum(sizes)[:-1])
-        layout = stack_graphs([DenseGraph(n, np.zeros((n, n), dtype=bool)) for n in sizes], rows)
+        layout = join_batches([edgeless(n) for n in sizes], rows)
         w1 = Tensor(rng.integers(-1, 2, (d, d)).astype(float), requires_grad=True)
         w2 = Tensor(rng.integers(-1, 2, (d, d)).astype(float), requires_grad=True)
         v = constant(rng.integers(-1, 2, (sum(sizes), d)), np.float64)

@@ -14,6 +14,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import livlr.data
 import livlr.davl
 import livlr.linguistic
 import livlr.visual
@@ -286,6 +287,31 @@ def test_predict_needs_no_answer(setting):
 
 
 @pytest.mark.parametrize("setting", ["OE", "MC"])
+def test_an_empty_batch_is_a_contract_error(setting):
+    # encode([]) and predict([]) once failed inside max() with a ValueError
+    model = Model(tiny_config(question_setting=setting))
+    for call in (model.encode, model.predict, model.forward, model.batch_loss):
+        with pytest.raises(ContractError):
+            call([])
+
+
+@pytest.mark.parametrize("setting", ["OE", "MC"])
+def test_forward_and_predict_take_one_sample_only(setting):
+    # a list is a batch: predict once gave the argmax of the flattened
+    # (2, 4) OE scores, 5, outside the 4-answer set
+    cfg = tiny_config(question_setting=setting)
+    spec = SyntheticTaskSpec(
+        n_samples=8, signal_source="question_dependent", noise_scale=0.3, n_classes=4
+    )
+    samples = gen_synthetic(spec, cfg, seed=1).samples()
+    model = Model(cfg)
+    for call in (model.predict, model.forward):
+        for arg in (samples[0:2], samples[0:1], tuple(samples[0:2])):
+            with pytest.raises(ContractError, match="expected one Sample"):
+                call(arg)
+
+
+@pytest.mark.parametrize("setting", ["OE", "MC"])
 def test_the_loss_names_a_missing_answer(setting):
     cfg = tiny_config(question_setting=setting)
     spec = SyntheticTaskSpec(
@@ -340,10 +366,11 @@ def test_forward_outside_a_scope_records_nothing(setting):
 
 
 def test_each_sentence_layout_is_built_once(monkeypatch):
-    # a sample's role graphs, their batch and its span means are built on
-    # its first forward and kept with it, also when batches join them
-    built = {"role graphs": 0, "graph batches": 0}
-    build_role_graph, stack_graphs = livlr.linguistic.build_role_graph, livlr.linguistic.stack_graphs
+    # a sample's role graphs and its sentence layout (their batch and its
+    # span means) are built on its first forward and kept with it, also
+    # when batches join them
+    built = {"role graphs": 0, "sentence layouts": 0}
+    build_role_graph, sentence_layout = livlr.linguistic.build_role_graph, livlr.data.sentence_layout
 
     def count(key, fn):
         def counted(*args):
@@ -352,7 +379,7 @@ def test_each_sentence_layout_is_built_once(monkeypatch):
         return counted
 
     monkeypatch.setattr(livlr.linguistic, "build_role_graph", count("role graphs", build_role_graph))
-    monkeypatch.setattr(livlr.linguistic, "stack_graphs", count("graph batches", stack_graphs))
+    monkeypatch.setattr(livlr.data, "sentence_layout", count("sentence layouts", sentence_layout))
     cfg = tiny_config()
     spec = SyntheticTaskSpec(
         n_samples=3, signal_source="question_dependent", noise_scale=0.3, n_classes=4
@@ -360,7 +387,7 @@ def test_each_sentence_layout_is_built_once(monkeypatch):
     samples = gen_synthetic(spec, cfg, seed=6).samples()
     model = Model(cfg)
     first = loss_and_grads(model, [samples], lambda batch: model.batch_loss(batch)[:2])
-    assert built == {"role graphs": 3 * cfg.N_s, "graph batches": 3}
+    assert built == {"role graphs": 3 * cfg.N_s, "sentence layouts": 3}
     again = loss_and_grads(model, [samples], lambda batch: model.batch_loss(batch)[:2])
-    assert built == {"role graphs": 3 * cfg.N_s, "graph batches": 3}
+    assert built == {"role graphs": 3 * cfg.N_s, "sentence layouts": 3}
     assert again == first

@@ -14,7 +14,7 @@ import pytest
 from livlr.checkpoint import load_model_from
 from livlr.config import ModelConfig, tiny_config
 from livlr.data import SyntheticTaskSpec, gen_synthetic
-from livlr.errors import DataError, NumericError
+from livlr.errors import ConfigError, DataError, NumericError
 from livlr.model import Model
 from livlr.tensor import recording, tape_size
 from livlr.train import METRIC_COLUMNS, _numeric_error, evaluate, train
@@ -142,6 +142,16 @@ def test_without_stop_at_acc_all_epochs_run():
     ds = make_dataset(cfg, n=4)
     result = train(cfg, ds)
     assert len(result.metrics) == 4
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 2.0, -0.1, True, "0.5"])
+def test_stop_at_acc_outside_0_1_is_a_config_error(tmp_path, value):
+    # nan and 2 once trained every epoch, since no accuracy reaches them
+    cfg = tiny_config(epochs=50)
+    ds = make_dataset(cfg, n=4)
+    with pytest.raises(ConfigError, match="stop_at_acc"):
+        train(cfg, ds, out_dir=str(tmp_path / "run"), stop_at_acc=value)
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
