@@ -28,7 +28,7 @@ import struct
 import numpy as np
 
 from .config import ModelConfig
-from .errors import CheckpointError
+from .errors import CheckpointError, ShapeError
 from .optim import ParamStore, load_param_data
 
 MAGIC = b"LVLR"
@@ -162,6 +162,8 @@ def apply_checkpoint(store: ParamStore, tensors: dict[str, np.ndarray]):
 
 def load_model_from(path: str):
     """Rebuild a Model from a checkpoint's embedded config and weights.
+    A tensor whose shape does not fit that config raises CheckpointError
+    naming it.
 
     Returns (model, config)."""
     from .model import Model
@@ -169,5 +171,8 @@ def load_model_from(path: str):
     cfg_json, tensors = load_checkpoint(path)
     config = ModelConfig.from_json(cfg_json)
     model = Model(config)
-    apply_checkpoint(model.store, tensors)
+    try:
+        apply_checkpoint(model.store, tensors)
+    except ShapeError as e:
+        raise CheckpointError(f"checkpoint does not fit its own config: {e}") from e
     return model, config

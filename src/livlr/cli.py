@@ -71,7 +71,9 @@ def _cmd_grad_check(args) -> int:
     report = grad_check(config, seed=args.seed, batch_size=args.batch_size)
     for entry in report.entries:
         flag = "ok" if entry.passed else "FAIL"
-        print(f"{entry.name:40s} max_rel_err={entry.max_rel_err:.3e} {flag}")
+        dead = " dead" if entry.dead else ""
+        print(f"{entry.name:40s} max_rel_err={entry.max_rel_err:.3e} "
+              f"zero_grad={entry.zero_share:6.1%}{dead} {flag}")
     if not report.passed:
         print(f"{len(report.failures())} tensors exceeded tolerance {report.tolerance}")
         return 4

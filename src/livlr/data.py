@@ -122,7 +122,6 @@ class Sample:
 @dataclass
 class SyntheticDataset:
     spec: SyntheticTaskSpec
-    extents: dict  # the config extents the features were drawn for
     seed: int
     appearance: np.ndarray  # (n, N_f, d_a)
     objects: np.ndarray  # (n, N_f, N_o, d_o)
@@ -172,9 +171,10 @@ class SyntheticDataset:
             self._samples = [self.sample(i) for i in range(len(self))]
         return self._samples
 
-    def check_config(self, cfg: ModelConfig):
-        """Raise DataError when the feature extents disagree with cfg."""
-        checks = {
+    def array_extents(self) -> dict:
+        """The extents the arrays hold, keyed as the config fields they were
+        drawn for; N_k is None without candidates. meta.json records them."""
+        return {
             "d_a": self.appearance.shape[2],
             "d_o": self.objects.shape[3],
             "d_c": self.class_attr.shape[3],
@@ -183,7 +183,13 @@ class SyntheticDataset:
             "N_o": self.objects.shape[2],
             "N_s": self.sent_tokens.shape[1],
             "N_t": self.sent_tokens.shape[2],
+            "N_k": None if self.candidates is None else self.candidates.shape[1],
         }
+
+    def check_config(self, cfg: ModelConfig):
+        """Raise DataError when the feature extents disagree with cfg."""
+        checks = self.array_extents()
+        del checks["N_k"]  # checked below, with the question setting
         for key, have in checks.items():
             want = getattr(cfg, key)
             if have != want:
@@ -328,14 +334,8 @@ def gen_synthetic(
                         c += 1  # skip the true class, stay in range
                 candidates[i, k, 0] += answer_protos[c]
 
-    extents = {
-        "d_a": d_a, "d_o": d_o, "d_c": d_c, "d_t": d_t,
-        "N_f": n_f, "N_o": n_o, "N_s": n_s, "N_t": n_t,
-        "N_k": config.N_k if config.question_setting == "MC" else None,
-    }
     return SyntheticDataset(
         spec=spec,
-        extents=extents,
         seed=seed,
         appearance=appearance,
         objects=objects,
@@ -382,7 +382,7 @@ def save_dataset(ds: SyntheticDataset, out_dir: str):
     meta = {
         "format": DATASET_FORMAT,
         "spec": ds.spec.to_dict(),
-        "extents": ds.extents,
+        "extents": ds.array_extents(),
         "seed": ds.seed,
         "frame_size": list(FRAME_SIZE),
         "signal_span": list(ds.signal_span),
@@ -451,11 +451,13 @@ def load_dataset(data_dir: str) -> SyntheticDataset:
         raise DataError(f"unsupported dataset format {meta.get('format')!r}")
     try:
         spec = SyntheticTaskSpec.from_dict(meta["spec"])
-        seed = int(meta["seed"])
+        seed = _seed(meta["seed"])
         lo, hi = (int(v) for v in meta["signal_span"])
-        extents = dict(meta["extents"])
+        frame_size = meta["frame_size"]
     except (ConfigError, KeyError, TypeError, ValueError, OverflowError) as e:
         raise DataError(f"malformed dataset meta: {e!r}") from e
+    if frame_size != list(FRAME_SIZE):
+        raise DataError(f"dataset frame_size {frame_size!r} is not {list(FRAME_SIZE)}")
 
     def load_arr(name):
         path = os.path.join(data_dir, f"{name}.npy")
@@ -498,10 +500,12 @@ def load_dataset(data_dir: str) -> SyntheticDataset:
             f"parses.jsonl has {len(parses_flat)} records, expected {n * n_s}"
         )
     parses = [parses_flat[i * n_s : (i + 1) * n_s] for i in range(n)]
+    n_t = arrays["sent_tokens"].shape[2]
+    if not 0 <= lo <= hi < n_t:
+        raise DataError(f"signal_span [{lo}, {hi}] out of range for {n_t} tokens")
 
-    return SyntheticDataset(
+    ds = SyntheticDataset(
         spec=spec,
-        extents=extents,
         seed=seed,
         appearance=arrays["appearance"],
         objects=arrays["objects"],
@@ -516,3 +520,7 @@ def load_dataset(data_dir: str) -> SyntheticDataset:
         candidates=arrays.get("candidates"),
         correct=arrays.get("correct"),
     )
+    if meta.get("extents") != ds.array_extents():
+        raise DataError(f"meta.json's extents {meta.get('extents')} do not match "
+                        f"the arrays' {ds.array_extents()}")
+    return ds

@@ -52,9 +52,20 @@ SCORE_CHUNK = 32
 
 @dataclass
 class TensorReport:
+    """One tensor's audit: its worst relative error, whether that is under
+    the tolerance, and the share of its analytic gradient's entries that
+    are exactly 0 on the probe batch. A tensor whose every entry is 0 is
+    ``dead``: no gradient reaches it, and the audit passes it only because
+    its numeric gradient is 0 too."""
+
     name: str
     max_rel_err: float
     passed: bool
+    zero_share: float
+
+    @property
+    def dead(self) -> bool:
+        return self.zero_share == 1.0
 
 
 @dataclass
@@ -101,7 +112,7 @@ def _check(loss_fn, params: dict, h: float, tolerance: float, losses_of) -> Grad
         up_down = np.array(losses_of(p)).reshape(-1, 2)
         numeric = ((up_down[:, 0] - up_down[:, 1]) / (2.0 * h)).astype(p.data.dtype)
         err = relative_error(p.grad, numeric.reshape(p.data.shape))
-        entries.append(TensorReport(name, err, err < tolerance))
+        entries.append(TensorReport(name, err, err < tolerance, float(np.mean(p.grad == 0.0))))
     return GradCheckReport(entries, tolerance, all(e.passed for e in entries))
 
 

@@ -1,14 +1,17 @@
 """Dense graphs and the graph network layers shared by both encoders.
 
-Graphs are small (tens of nodes), so adjacency is a dense boolean matrix
-and edge types a dense integer matrix. Node update layers follow the
+Graphs are small (tens of nodes), so a set of them is kept as padded
+blocks: adjacency (G, n_max, n_max) boolean, edge types the same shape in
+integers, and each graph's node count. ``GraphBatch`` lays those blocks
+over the rows of one stacked node matrix and is the only graph type; a
+frame's or a sentence's graph is a batch of one. Joining the graph sets of
+several frames, sentences or samples concatenates their blocks
+(``pad_blocks``) and their node counts. Node update layers follow the
 residual pattern out_i = ReLU(v_i + aggregate(neighbors)).
 
-The layers, the graph learner and the pool take only a ``GraphBatch``:
-the graphs' node rows are stacked in one matrix, and each op pads them
-into (B, n_max, d) blocks (``tensor.Slots``), so one tape node serves
-every frame or sentence of a minibatch, or every sample's integration
-graph.
+Each op pads the stacked rows into (B, n_max, d) blocks
+(``tensor.Slots``), so one tape node serves every frame or sentence of a
+minibatch, or every sample's integration graph.
 """
 from __future__ import annotations
 
@@ -29,60 +32,32 @@ from .tensor import (
 )
 
 
-def _check_edges(adj: np.ndarray, edge_types):
-    """Self loops and edges whose type label disagrees raise
-    GraphIntegrityError; adj is (..., n, n)."""
-    n = adj.shape[-1]
-    if adj[..., np.arange(n), np.arange(n)].any():
-        raise GraphIntegrityError("self loop on the adjacency diagonal")
-    if edge_types is not None:
-        if edge_types.shape != adj.shape:
-            raise ShapeError(
-                f"edge_types shape {edge_types.shape} does not match adjacency {adj.shape}"
-            )
-        bad = (edge_types > 0) != adj
-        if bad.any():
-            where = tuple(int(i) for i in np.argwhere(bad)[0])
-            raise GraphIntegrityError(f"edge {where} disagrees with its type label")
-
-
-@dataclass
-class DenseGraph:
-    """Directed graph over n nodes.
-
-    adjacency[i, j] is True when j is a neighbor of (sends a message to) i.
-    edge_types, when present, labels exactly the adjacent pairs with values
-    in [1, n_types]; 0 marks the absence of an edge. Self loops are
-    rejected.
-    """
-
-    n_nodes: int
-    adjacency: np.ndarray
-    edge_types: np.ndarray | None = None
-
-    def __post_init__(self):
-        adj = np.asarray(self.adjacency, dtype=bool)
-        if adj.shape != (self.n_nodes, self.n_nodes):
-            raise ShapeError(
-                f"adjacency shape {adj.shape} does not match n_nodes={self.n_nodes}"
-            )
-        self.adjacency = adj
-        if self.edge_types is not None:
-            self.edge_types = np.asarray(self.edge_types)
-        _check_edges(adj, self.edge_types)
-
-    def batch(self) -> "GraphBatch":
-        """This graph as a batch of one over its own node rows."""
-        types = None if self.edge_types is None else self.edge_types[None]
-        return GraphBatch(Slots.of_counts([self.n_nodes]), self.adjacency[None], types)
+def pad_blocks(blocks: list[np.ndarray]) -> np.ndarray:
+    """Square blocks (g_i, n_i, n_i), an (n_i, n_i) matrix counting as one,
+    stacked block after block into one (G, n_max, n_max) array, each padded
+    with zeros: no edge."""
+    blocks = [b.reshape(-1, *b.shape[-2:]) for b in blocks]
+    n = max(b.shape[-1] for b in blocks)
+    out = np.zeros((sum(len(b) for b in blocks), n, n), dtype=blocks[0].dtype)
+    lo = 0
+    for b in blocks:
+        k = b.shape[-1]
+        out[lo : lo + len(b), :k, :k] = b
+        lo += len(b)
+    return out
 
 
 class GraphBatch(Slots):
-    """B graphs over the rows of one stacked node matrix: a ``Slots``
-    layout, block b holding graph b's nodes, plus ``adjacency`` and
-    ``edge_types`` (B, n_max, n_max), each graph's DenseGraph matrices
-    padded with no edges. ``slots`` is a matrix, checked to name every row
-    once, or a ``Slots`` taken as it is."""
+    """B directed graphs over the rows of one stacked node matrix: a
+    ``Slots`` layout, block b holding graph b's nodes, plus ``adjacency``
+    and ``edge_types`` (B, n_max, n_max), each graph's matrices padded with
+    no edges (``pad_blocks``). adjacency[b, i, j] is True when slot j sends
+    a message to slot i; edge_types, when present, labels exactly the
+    adjacent pairs with values in [1, n_types], 0 marking no edge.
+    ``slots`` is a matrix, checked to name every row once, or a ``Slots``
+    taken as it is, such as ``Slots.of_counts`` over each graph's node
+    count. The constructor rejects self loops, edges at padding slots and
+    type labels that disagree with the adjacency."""
 
     def __init__(self, slots, adjacency, edge_types=None):
         if isinstance(slots, Slots):
@@ -95,9 +70,19 @@ class GraphBatch(Slots):
             raise ShapeError(f"slots {valid.shape} and adjacency {adj.shape} do not fit")
         if (adj & ~(valid[:, :, None] & valid[:, None, :])).any():
             raise GraphIntegrityError("edge at a padding slot")
+        n = adj.shape[-1]
+        if adj[:, np.arange(n), np.arange(n)].any():
+            raise GraphIntegrityError("self loop on the adjacency diagonal")
         if edge_types is not None:
             edge_types = np.asarray(edge_types)
-        _check_edges(adj, edge_types)
+            if edge_types.shape != adj.shape:
+                raise ShapeError(
+                    f"edge_types shape {edge_types.shape} does not match adjacency {adj.shape}"
+                )
+            bad = (edge_types > 0) != adj
+            if bad.any():
+                where = tuple(int(i) for i in np.argwhere(bad)[0])
+                raise GraphIntegrityError(f"edge {where} disagrees with its type label")
         self.adjacency, self.edge_types = adj, edge_types
 
     def with_edges(self, adjacency: np.ndarray) -> "GraphBatch":
@@ -106,29 +91,6 @@ class GraphBatch(Slots):
         out = copy.copy(self)
         out.adjacency, out.edge_types = adjacency, None
         return out
-
-
-def join_batches(batches: list[GraphBatch], row_maps=None) -> GraphBatch:
-    """The graphs of several batches as one batch, in order; row_maps[i][r]
-    is the joined row of batch i's row r, by default the batches' rows
-    stacked in order. Edge types are kept when the batches have them."""
-    if row_maps is None:
-        ends = np.cumsum([b.n_rows for b in batches])
-        row_maps = [np.arange(hi - b.n_rows, hi) for b, hi in zip(batches, ends)]
-    n_max = max(b.slots.shape[1] for b in batches)
-    n_graphs = sum(b.slots.shape[0] for b in batches)
-    slots = np.full((n_graphs, n_max), -1, dtype=np.intp)
-    adj = np.zeros((n_graphs, n_max, n_max), dtype=bool)
-    types = None if batches[0].edge_types is None else np.zeros(adj.shape, dtype=np.int64)
-    lo = 0
-    for b, rows in zip(batches, row_maps):
-        g, n = b.slots.shape
-        slots[lo : lo + g, :n] = np.where(b.valid, np.asarray(rows)[b.slots], -1)
-        adj[lo : lo + g, :n, :n] = b.adjacency
-        if types is not None:
-            types[lo : lo + g, :n, :n] = b.edge_types
-        lo += g
-    return GraphBatch(slots, adj, types)
 
 
 @dataclass
@@ -217,10 +179,14 @@ def _attention_layer(params, nodes: Tensor, graph: GraphBatch, typed: bool) -> T
     return _record(out, inputs, bwd)
 
 
-def attention_coefficients(params, nodes: Tensor, graph: DenseGraph) -> Tensor:
-    """The row-stochastic neighbor weights the attention layers use, as a
-    no-grad tensor for inspection. Rows with no neighbors are all zero."""
-    return Tensor(_neighbor_weights(params, nodes.data, graph.batch())[2][0])
+def attention_coefficients(params, nodes: Tensor, graph: GraphBatch) -> Tensor:
+    """The row-stochastic neighbor weights the attention layers use over
+    the one graph of ``graph``, (n_max, n_max) as a no-grad tensor for
+    inspection. Rows with no neighbors are all zero."""
+    if graph.valid.shape[0] != 1:
+        raise ShapeError(f"attention_coefficients takes one graph, got {graph.valid.shape[0]}")
+    p = graph.pad(nodes.data).reshape(-1, nodes.data.shape[1])
+    return Tensor(_neighbor_weights(params, p, graph)[2][0])
 
 
 def attn_gcn_layer(params: AttnGcnParams, nodes: Tensor, graph: GraphBatch) -> Tensor:

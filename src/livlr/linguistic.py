@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, GraphIntegrityError
-from .graph import (AttnGcnParams, DenseGraph, GraphBatch, attn_gcn_layer, join_batches,
-                    mean_weights, pool)
+from .graph import AttnGcnParams, GraphBatch, attn_gcn_layer, mean_weights, pad_blocks, pool
 from .optim import ParamStore, make_param
 from .rnn import SeqEncoderParams, create_seq_encoder, encode_sequences
 from .tensor import Tensor, concat, constant, gather, matmul, mul
@@ -77,14 +76,14 @@ class SrlParse:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SrlParse":
+        def span(pair):
+            lo, hi = pair
+            return int(lo), int(hi)
+
         try:
-            preds = [(int(lo), int(hi)) for lo, hi in d["predicates"]]
+            preds = [span(p) for p in d["predicates"]]
             args = [
-                SrlArgument(
-                    span=(int(a["span"][0]), int(a["span"][1])),
-                    role=int(a["role"]),
-                    pred=int(a["pred"]),
-                )
+                SrlArgument(span=span(a["span"]), role=int(a["role"]), pred=int(a["pred"]))
                 for a in d["arguments"]
             ]
             return cls(tokens=int(d["tokens"]), predicates=preds, arguments=args)
@@ -94,8 +93,9 @@ class SrlParse:
             raise DataError(f"malformed parse record: {e!r}") from e
 
 
-def build_role_graph(parse: SrlParse) -> tuple[DenseGraph, list[int], list[tuple[int, int]]]:
-    """Role graph plus, for each local node, its role id and token span.
+def build_role_graph(parse: SrlParse) -> tuple[np.ndarray, list[int], list[tuple[int, int]]]:
+    """The role graph's adjacency matrix (n, n) plus, for each local node,
+    its role id and token span.
 
     Node 0 is the event node; predicates follow in order, then argument
     entries in order. Every argument entry becomes its own node even when
@@ -117,7 +117,7 @@ def build_role_graph(parse: SrlParse) -> tuple[DenseGraph, list[int], list[tuple
         adj[node, parent] = adj[parent, node] = True
         roles.append(arg.role)
         spans.append(arg.span)
-    return DenseGraph(n, adj), roles, spans
+    return adj, roles, spans
 
 
 @dataclass
@@ -158,8 +158,8 @@ class SentenceLayout:
     token matrices (the sentences' own arrays, not copies) and their role
     graphs as one batch over the node rows [every event; every local
     node], sentence by sentence within each block, each graph's event
-    first. Per local node: its role id and its token span (inclusive rows
-    of the stacked tokens)."""
+    first (``_role_graphs``). Per local node: its role id and its token span
+    (inclusive rows of the stacked tokens)."""
 
     tokens: list[np.ndarray]
     graphs: GraphBatch
@@ -172,32 +172,39 @@ class SentenceLayout:
 
     @staticmethod
     def join(layouts: list["SentenceLayout"]) -> "SentenceLayout":
-        """Several layouts as one, in order; one layout is itself."""
+        """Several layouts as one, in order: their tokens, role graphs'
+        blocks, local-node counts, roles and spans concatenated. One layout
+        is itself."""
         if len(layouts) == 1:
             return layouts[0]
-        n_s = np.array([t.n_sentences for t in layouts])
-        n_loc = np.array([len(t.roles) for t in layouts])
-        n_tok = np.array([sum(len(x) for x in t.tokens) for t in layouts])
-        s_lo, l_lo, t_lo = (np.cumsum(n) - n for n in (n_s, n_loc, n_tok))
-        events = int(n_s.sum())
-        # a layout's event row r moves to s_lo + r, its local row r to the
-        # local block, after every layout's events
-        maps = [np.r_[lo : lo + n, events + ll : events + ll + k]
-                for lo, n, ll, k in zip(s_lo, n_s, l_lo, n_loc)]
-        cat = lambda name: np.concatenate([getattr(t, name) for t in layouts])
+        n_tok = [sum(len(x) for x in t.tokens) for t in layouts]
         return SentenceLayout(
             [t for text in layouts for t in text.tokens],
-            join_batches([t.graphs for t in layouts], maps),
-            cat("roles"),
-            np.concatenate([t.spans + lo for t, lo in zip(layouts, t_lo)]),
+            _role_graphs(np.concatenate([t.graphs.counts for t in layouts]) - 1,
+                        pad_blocks([t.graphs.adjacency for t in layouts])),
+            np.concatenate([t.roles for t in layouts]),
+            np.concatenate([t.spans + lo for t, lo in zip(layouts, np.cumsum(n_tok) - n_tok)]),
         )
+
+
+def _role_graphs(n_local, adjacency: np.ndarray) -> GraphBatch:
+    """Role graphs over the node rows [every event; every local node], from
+    each sentence's local-node count and the graphs' padded adjacency
+    blocks: graph b's slot 0 holds event row b, and its slots 1..n_local[b]
+    its local nodes, which follow those of the graphs before it."""
+    n_local = np.asarray(n_local, dtype=np.intp)
+    n_s = n_local.size
+    slot = np.arange(1 + n_local.max())
+    first = n_s + np.cumsum(n_local) - n_local - 1  # the row of slot i is first + i
+    slots = np.where(slot <= n_local[:, None], first[:, None] + slot, -1)
+    slots[:, 0] = np.arange(n_s)
+    return GraphBatch(slots, adjacency)
 
 
 def sentence_layout(sentences: list[tuple[np.ndarray, SrlParse]]) -> SentenceLayout:
     if not sentences:
         raise DataError("need at least one sentence")
-    n_s = len(sentences)
-    tokens, graphs, roles, spans = [], [], [], []
+    tokens, adjacency, roles, spans = [], [], [], []
     start = 0
     for toks, parse in sentences:
         toks = np.asarray(toks, dtype=np.float64)
@@ -205,21 +212,17 @@ def sentence_layout(sentences: list[tuple[np.ndarray, SrlParse]]) -> SentenceLay
             raise DataError(
                 f"token matrix {toks.shape} does not match parse over {parse.tokens} tokens"
             )
-        graph, r, sp = build_role_graph(parse)
+        adj, r, sp = build_role_graph(parse)
         tokens.append(toks)
-        graphs.append(graph)
+        adjacency.append(adj)
         roles += r
         spans += [(start + lo, start + hi) for lo, hi in sp]
         start += parse.tokens
     if len({t.shape[1] for t in tokens}) > 1:
         raise DataError(f"a sample's sentences differ in token width: {[t.shape for t in tokens]}")
-    # sentence b's graph: its event row b, then its local rows in order
-    n_local = [g.n_nodes - 1 for g in graphs]
-    first = n_s + np.cumsum(n_local) - n_local
-    rows = [np.r_[b, lo : lo + n] for b, (lo, n) in enumerate(zip(first, n_local))]
     return SentenceLayout(
         tokens,
-        join_batches([g.batch() for g in graphs], rows),
+        _role_graphs([len(a) - 1 for a in adjacency], pad_blocks(adjacency)),
         np.asarray(roles, dtype=np.intp),
         np.array(spans, dtype=np.intp).reshape(-1, 2),
     )

@@ -195,7 +195,8 @@ class Slots:
     position (``in_order``), both are reshapes and copy nothing. A slots
     matrix is checked to name every row once. ``of_counts`` lays out
     groups stacked in order, valid by construction, so it checks nothing
-    and builds ``slots`` only on use."""
+    and builds ``slots`` only on use. ``counts`` holds each block's number
+    of filled slots."""
 
     def __init__(self, slots):
         slots = np.asarray(slots, dtype=np.intp)
@@ -216,11 +217,16 @@ class Slots:
         """Groups of counts[i] rows, stacked in order."""
         counts = np.asarray(counts, dtype=np.intp)
         out = cls.__new__(cls)
+        out.counts = counts
         out.valid = np.arange(counts.max()) < counts[:, None]
         out.row_pos = out.valid.ravel().nonzero()[0]  # np.flatnonzero, without its overhead
         out.n_rows = out.row_pos.size
         out.in_order = out.n_rows == out.valid.size
         return out
+
+    @functools.cached_property
+    def counts(self) -> np.ndarray:
+        return self.valid.sum(axis=1)
 
     @functools.cached_property
     def slots(self) -> np.ndarray:

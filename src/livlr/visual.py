@@ -23,18 +23,17 @@ import numpy as np
 from .errors import ContractError, DataError
 from .graph import (
     AttnGcnParams,
-    DenseGraph,
     GraphBatch,
     TypedGcnParams,
     attn_gcn_layer,
-    join_batches,
     learn_adjacency,
     mean_weights,
+    pad_blocks,
     pool,
     typed_edge_gcn_layer,
 )
 from .optim import ParamStore, make_param
-from .tensor import Tensor, add, concat, constant, linear, matmul
+from .tensor import Slots, Tensor, add, concat, constant, linear, matmul
 
 N_SPATIAL_TYPES = 11
 
@@ -83,25 +82,32 @@ class FrameFeatures:
 @dataclass
 class ClipGeometry:
     """A clip's frames over its stacked object rows: every frame's spatial
-    graph as one batch and the rows' box geometry (R, 6)."""
+    graph in one batch, laid out by each frame's object count, and the
+    rows' box geometry (R, 6)."""
 
     spatial: GraphBatch
     positions: np.ndarray
 
     @staticmethod
     def join(geos: list["ClipGeometry"]) -> "ClipGeometry":
-        """Several clips as one, clip after clip; one clip is itself."""
+        """Several clips as one, clip after clip: their graphs' blocks,
+        node counts and rows concatenated. One clip is itself."""
         if len(geos) == 1:
             return geos[0]
-        return ClipGeometry(join_batches([g.spatial for g in geos]),
-                            np.concatenate([g.positions for g in geos]))
+        spatial = GraphBatch(
+            Slots.of_counts(np.concatenate([g.spatial.counts for g in geos])),
+            pad_blocks([g.spatial.adjacency for g in geos]),
+            pad_blocks([g.spatial.edge_types for g in geos]),
+        )
+        return ClipGeometry(spatial, np.concatenate([g.positions for g in geos]))
 
 
 def clip_geometry(frames: list[FrameFeatures]) -> ClipGeometry:
-    graphs = [DenseGraph(len(f.boxes), *classify_spatial_edges(f.boxes, f.frame_size))
-              for f in frames]
+    """Each frame's classified spatial edges and box geometry, as one clip."""
+    adjacency, types = zip(*(classify_spatial_edges(f.boxes, f.frame_size) for f in frames))
     return ClipGeometry(
-        join_batches([g.batch() for g in graphs]),
+        GraphBatch(Slots.of_counts([len(f.boxes) for f in frames]),
+                   pad_blocks(adjacency), pad_blocks(types)),
         np.concatenate([position_features(f.boxes, f.frame_size) for f in frames]),
     )
 

@@ -148,12 +148,21 @@ def learned_edges_put_along(scores, valid, n_keep) -> np.ndarray:
     return adj
 
 
+def one_graph(adjacency, edge_types=None):
+    """One graph over its own node rows, from its (n, n) adjacency and
+    optional edge types, as a batch of one."""
+    from livlr.graph import GraphBatch
+    from livlr.tensor import Slots
+
+    adjacency = np.asarray(adjacency, dtype=bool)
+    types = None if edge_types is None else np.asarray(edge_types)[None]
+    return GraphBatch(Slots.of_counts([len(adjacency)]), adjacency[None], types)
+
+
 def edgeless(n):
     """One graph over n node rows with no edges, as a batch: the layout a
     graph learner scores one graph's rows in."""
-    from livlr.graph import DenseGraph
-
-    return DenseGraph(n, np.zeros((n, n), dtype=bool)).batch()
+    return one_graph(np.zeros((n, n), dtype=bool))
 
 
 def vanilla_gcn_loop(x, w, adj, normalize=True) -> np.ndarray:
@@ -608,7 +617,7 @@ def encode_question(params, tokens):
 
 def encode_frame(params, frame):
     """One frame's fine-grained vector (d,)."""
-    from livlr.graph import DenseGraph, attn_gcn_layer, learn_adjacency, typed_edge_gcn_layer
+    from livlr.graph import attn_gcn_layer, learn_adjacency, typed_edge_gcn_layer
     from livlr.tensor import add, concat, constant, linear, matmul
     from livlr.visual import classify_spatial_edges, position_features
 
@@ -617,8 +626,7 @@ def encode_frame(params, frame):
     positions = position_features(frame.boxes, frame.frame_size)
     pos = linear(constant(positions, dtype), params.w_pos, params.b_pos)
     v_sp = matmul(concat([obj, pos], axis=1), params.w_spatial_mix)
-    adj, types = classify_spatial_edges(frame.boxes, frame.frame_size)
-    g_sp = DenseGraph(len(frame.boxes), adj, types).batch()
+    g_sp = one_graph(*classify_spatial_edges(frame.boxes, frame.frame_size))
     v_sp = typed_edge_gcn_layer(params.spatial_gcn, v_sp, g_sp)
     cls = linear(constant(frame.class_attr, dtype), params.w_cls, params.b_cls)
     v_se = matmul(concat([obj, cls], axis=1), params.w_semantic_mix)
@@ -654,7 +662,7 @@ def encode_sentence(params, tokens, parse):
         raise DataError(f"token matrix {tokens.shape} does not match {parse.tokens} tokens")
     d = params.sentence.w_tok.data.shape[1]
     _, event = encode_sequence(params.sentence, tokens, rectify=False)
-    graph, roles, spans = build_role_graph(parse)
+    adj, roles, spans = build_role_graph(parse)
     if any(r > params.n_roles for r in roles):
         raise DataError(f"role id {max(roles)} exceeds the role vocabulary ({params.n_roles})")
     nodes = reshape(event, (1, d))
@@ -663,7 +671,7 @@ def encode_sentence(params, tokens, parse):
         locals_ = matmul(constant(span_means, params.dtype), params.w_local)
         scale = gather(params.role_matrix, [r - 1 for r in roles])
         nodes = concat([nodes, mul(locals_, scale)], axis=0)
-    nodes = attn_gcn_layer(params.role_gcn, nodes, graph.batch())
+    nodes = attn_gcn_layer(params.role_gcn, nodes, one_graph(adj))
     if roles:
         pooled = mean_pool(nodes, subset=list(range(1, 1 + len(roles))))
     else:

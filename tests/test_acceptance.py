@@ -30,7 +30,6 @@ from livlr.errors import ShapeError
 from livlr.gradcheck import grad_check
 from livlr.graph import (
     AttnGcnParams,
-    DenseGraph,
     TypedGcnParams,
     attention_coefficients,
     attn_gcn_layer,
@@ -49,6 +48,7 @@ from oracles import (
     edgeless,
     learned_edges_loop,
     max_rel_err,
+    one_graph,
     question_attention_loop,
     row_softmax,
     typed_gcn_loop,
@@ -86,7 +86,7 @@ def test_criterion_02_oracle_equivalence():
         adj = rng.random((n, n)) < 0.6
         np.fill_diagonal(adj, False)
         types = np.where(adj, rng.integers(1, 12, size=(n, n)), 0) if with_types else None
-        return DenseGraph(n, adj, types)
+        return one_graph(adj, types)
 
     for seed in range(20):
         rng = np.random.default_rng([901, seed])
@@ -96,16 +96,16 @@ def test_criterion_02_oracle_equivalence():
         g = rand_graph(rng, n)
         p = AttnGcnParams(w=t((d, d)), w_q=t((d, d)), w_k=t((d, d)))
         x = constant(rng.standard_normal((n, d)), np.float64)
-        got = attn_gcn_layer(p, x, g.batch()).data
-        want = attn_gcn_loop(x.data, p.w_q.data, p.w_k.data, p.w.data, g.adjacency)
+        got = attn_gcn_layer(p, x, g).data
+        want = attn_gcn_loop(x.data, p.w_q.data, p.w_k.data, p.w.data, g.adjacency[0])
         assert max_rel_err(got, want) <= 1e-6
 
         gt = rand_graph(rng, n, with_types=True)
         tp = TypedGcnParams(w=t((d, d)), w_q=t((d, d)), w_k=t((d, d)), type_bias=t((11,)))
-        got = typed_edge_gcn_layer(tp, x, gt.batch()).data
+        got = typed_edge_gcn_layer(tp, x, gt).data
         want = typed_gcn_loop(
             x.data, tp.w_q.data, tp.w_k.data, tp.w.data, tp.type_bias.data,
-            gt.adjacency, gt.edge_types,
+            gt.adjacency[0], gt.edge_types[0],
         )
         assert max_rel_err(got, want) <= 1e-6
 
@@ -159,7 +159,7 @@ def test_criterion_03_normalization_and_sparsity_invariants():
         for i in range(n):
             if not adj[i].any():
                 adj[i, (i + 1) % n] = True
-        g = DenseGraph(n, adj)
+        g = one_graph(adj)
         t = lambda shape: Tensor(rng.standard_normal(shape), requires_grad=True)
         p = AttnGcnParams(w=t((d, d)), w_q=t((d, d)), w_k=t((d, d)))
         x = constant(rng.standard_normal((n, d)), np.float64)

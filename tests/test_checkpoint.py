@@ -285,6 +285,17 @@ def test_cross_config_load_names_the_bad_tensor(tmp_path):
         apply_checkpoint(other.store, tensors)
 
 
+def test_checkpoint_that_does_not_fit_its_own_config_names_the_tensor(tmp_path):
+    # tensors of a 4-answer tiny model under an embedded config that says 5
+    # answers: the load is a CheckpointError naming the tensor, chained from
+    # the ShapeError of the restore
+    path = tmp_path / "mismatch.lvlr"
+    save_checkpoint(path, tiny_config(answer_set_size=5), Model(tiny_config()).store)
+    with pytest.raises(CheckpointError, match=r"tensor 'head\.") as info:
+        load_model_from(path)
+    assert isinstance(info.value.__cause__, ShapeError)
+
+
 def test_applied_values_round_to_float32():
     val = np.array([0.1, 0.2, 0.3])  # not representable in float32
     _, tensors = deserialize_params(serialize_params("{}", store_with({"v": val})))

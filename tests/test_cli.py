@@ -95,7 +95,10 @@ def test_grad_check_reports_every_tensor(tmp_path, capsys):
     assert code == 0
     lines = [l for l in out.splitlines() if "max_rel_err=" in l]
     assert len(lines) >= 10
-    assert all(l.endswith("ok") for l in lines)
+    assert all(l.endswith("ok") and "zero_grad=" in l for l in lines)
+    # no gradient reaches the graph learners: reported, not failed
+    learners = [l for l in lines if ".learner." in l]
+    assert learners and all(l.endswith("zero_grad=100.0% dead ok") for l in learners)
     assert "within" in out.splitlines()[-1]
 
 
@@ -298,6 +301,16 @@ def test_corrupt_checkpoint_exits_3(tmp_path, capsys):
     code = main(["eval", "--checkpoint", str(fake), "--data", data])
     assert code == 3
     assert "data error" in capsys.readouterr().err
+
+
+def test_checkpoint_that_does_not_fit_its_own_config_exits_3(tmp_path, capsys):
+    _, data = gen_micro_dataset(tmp_path)
+    ckpt = tmp_path / "mismatch.lvlr"
+    save_checkpoint(ckpt, tiny_config(answer_set_size=5), Model(tiny_config()).store)
+    code = main(["eval", "--checkpoint", str(ckpt), "--data", data])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "tensor 'head." in err
 
 
 def test_numeric_failure_exits_4(tmp_path, capsys):

@@ -476,6 +476,15 @@ def test_load_rejects_short_argument_span(tmp_path):
         load_dataset(d)
 
 
+def test_load_rejects_long_argument_span(tmp_path):
+    # a three-entry span is malformed, as a three-entry predicate span is
+    d = _saved(tmp_path)
+    text = (d / "parses.jsonl").read_text(encoding="utf-8")
+    (d / "parses.jsonl").write_text(text.replace('"span":[0,0]', '"span":[0,0,3]', 1), encoding="utf-8")
+    with pytest.raises(DataError, match="parse"):
+        load_dataset(d)
+
+
 def test_load_rejects_dangling_predicate_index(tmp_path):
     d = _saved(tmp_path)
     text = (d / "parses.jsonl").read_text(encoding="utf-8")
@@ -499,6 +508,32 @@ def test_load_rejects_extents_that_disagree(tmp_path):
     np.save(d / "question.npy", np.load(d / "question.npy")[:, :, :2])
     with pytest.raises(DataError, match="d_t"):
         load_dataset(d)
+
+
+@pytest.mark.parametrize("key,value,match", [
+    ("extents", {"N_f": 99}, "extents"),
+    ("frame_size", [1, 1], "frame_size"),
+    ("signal_span", [5, 1], "signal_span"),
+    ("signal_span", [0, 99], "signal_span"),
+    ("seed", -3, "seed"),
+], ids=["N_f", "frame_size", "reversed_span", "span_past_the_tokens", "seed"])
+def test_load_rejects_meta_fields_the_arrays_do_not_bear_out(tmp_path, key, value, match):
+    d = _saved(tmp_path)
+
+    def edit(meta):
+        meta[key] = {**meta[key], **value} if isinstance(value, dict) else value
+        return meta
+
+    _edit_meta(d, edit)
+    with pytest.raises(DataError, match=match):
+        load_dataset(d)
+
+
+@pytest.mark.parametrize("setting", ["OE", "MC"])
+def test_saved_dataset_loads_and_saves_back_byte_identical(tmp_path, setting):
+    d = _saved(tmp_path, setting)
+    save_dataset(load_dataset(d), tmp_path / "again")
+    assert _dir_bytes(tmp_path / "again") == _dir_bytes(d)
 
 
 @pytest.mark.parametrize("setting", ["OE", "MC"])

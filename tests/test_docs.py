@@ -1,6 +1,7 @@
 """The README's configuration table must list exactly the config fields,
 its tape node counts must be the ones the model records, and every code
-name it gives in backticks must exist."""
+name it gives in backticks must exist: a dotted name whose first part it
+can place, and every CamelCase name, bare or as that first part."""
 import builtins
 import dataclasses
 import importlib
@@ -45,14 +46,17 @@ def test_readme_node_counts_match_a_recorded_desk_forward():
     assert desk_batch_nodes("MC") == [mc, mc]
 
 
-# a backticked dotted name, with an optional call "(...)" or ".*" after it
-_DOTTED = re.compile(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\(.*\)|\.\*)?")
+# a backticked name, bare or dotted, with an optional call "(...)" or ".*"
+# after it
+_NAME = re.compile(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\(.*\)|\.\*)?")
+# a class name, such as GraphBatch, or a builtin, such as None or KeyError
+_CAMEL = re.compile(r"[A-Z][a-z]\w*")
 _MODULES = {m.name for m in pkgutil.iter_modules(livlr.__path__)}
 
 
 def _readme_names() -> set[str]:
     tokens = re.findall(r"`([^`\n]+)`", README.read_text(encoding="utf-8"))
-    return {m.group(1) for m in map(_DOTTED.fullmatch, tokens) if m}
+    return {m.group(1) for m in map(_NAME.fullmatch, tokens) if m}
 
 
 def _param_names() -> set[str]:
@@ -93,6 +97,8 @@ def test_readme_code_names_exist():
         first, *rest = name.split(".")
         obj = _owner(first)
         if obj is None:
+            if _CAMEL.fullmatch(first) and not hasattr(builtins, first):
+                missing.append(name)  # a class that no longer exists, say
             continue
         checked += 1
         if inspect.ismodule(obj) and any(p == name or p.startswith(name + ".") for p in params):

@@ -104,6 +104,18 @@ def test_full_model_audit_passes_on_a_micro_config():
     assert worst < 1e-4
 
 
+def test_report_flags_the_tensors_no_gradient_reaches():
+    # the graph learners only select edges, so no gradient reaches them
+    # (ROADMAP item 3); every head tensor gets one
+    report = grad_check(tiny_config(question_setting="OE", ri_variant="DAVL"), seed=0, batch_size=1)
+    learners = [e for e in report.entries if ".learner." in e.name]
+    heads = [e for e in report.entries if e.name.startswith("head.")]
+    assert {e.name.split(".")[0] for e in learners} == {"visual", "davl"} and heads
+    assert all(e.dead and e.zero_share == 1.0 for e in learners)
+    assert not any(e.dead for e in heads)
+    assert all(0.0 <= e.zero_share < 1.0 for e in report.entries if not e.dead)
+
+
 @pytest.mark.parametrize("setting", ["OE", "MC"])
 def test_reused_stages_are_exactly_their_param_groups(setting):
     model = Model(micro_config(question_setting=setting))

@@ -7,20 +7,22 @@ from hypothesis import strategies as st
 from livlr.errors import ContractError, GraphIntegrityError, ShapeError
 from livlr.graph import (
     AttnGcnParams,
-    DenseGraph,
     GraphBatch,
     TypedGcnParams,
     attention_coefficients,
     attn_gcn_layer,
-    join_batches,
     learn_adjacency,
     mean_weights,
     pool,
     typed_edge_gcn_layer,
     vanilla_gcn_layer,
 )
-from livlr.tensor import Tensor, backward, constant, mul, no_grad, recording, sum_all, tape_size
+from livlr.linguistic import SentenceLayout, SrlArgument, SrlParse, sentence_layout
+from livlr.tensor import (Slots, Tensor, backward, constant, mul, no_grad, recording, sum_all,
+                          tape_size)
+from livlr.visual import ClipGeometry, clip_geometry
 
+from test_visual import random_frame
 from oracles import (
     attention_loop,
     attn_gcn_layer_tape,
@@ -31,6 +33,7 @@ from oracles import (
     learned_edges_put_along,
     max_rel_err,
     mean_pool,
+    one_graph,
     typed_edge_gcn_layer_tape,
     typed_gcn_loop,
     vanilla_gcn_loop,
@@ -43,7 +46,44 @@ def random_graph(rng, n, with_types=False, p=0.6):
     types = None
     if with_types:
         types = np.where(adj, rng.integers(1, 12, size=(n, n)), 0)
-    return DenseGraph(n, adj, types)
+    return one_graph(adj, types)
+
+
+def random_parse(rng, n_nodes, n_tokens=6):
+    """A parse whose role graph has n_nodes nodes: random predicates, then
+    arguments hung off random predicates."""
+    n_pred = int(rng.integers(min(n_nodes - 1, 1), n_nodes))
+    span = lambda: tuple(sorted(int(t) for t in rng.integers(0, n_tokens, 2)))
+    args = [SrlArgument(span=span(), role=2, pred=int(rng.integers(n_pred)))
+            for _ in range(n_nodes - 1 - n_pred)]
+    return SrlParse(n_tokens, [span() for _ in range(n_pred)], args)
+
+
+def role_layouts(rng, sizes):
+    """One sentence layout per group of role-graph sizes, each sentence
+    over random tokens of width 2, and their join."""
+    layouts = [sentence_layout([(rng.standard_normal((6, 2)), random_parse(rng, int(n)))
+                                for n in group]) for group in sizes]
+    return layouts, SentenceLayout.join(layouts)
+
+
+def role_rows(layouts):
+    """Per layout, the rows its own node rows take in the layouts' join:
+    its events among every layout's events, then its local nodes after
+    every event."""
+    n_s = np.array([t.n_sentences for t in layouts])
+    n_loc = np.array([len(t.roles) for t in layouts])
+    s_lo, l_lo = np.cumsum(n_s) - n_s, np.cumsum(n_loc) - n_loc + n_s.sum()
+    return [np.r_[s : s + n, l : l + k] for s, n, l, k in zip(s_lo, n_s, l_lo, n_loc)]
+
+
+def random_clips(rng, n_clips):
+    """Geometries of clips of 1-3 frames of 1-6 random boxes each, and
+    their join."""
+    frames = lambda: [random_frame(rng, int(rng.integers(1, 7)))
+                      for _ in range(int(rng.integers(1, 4)))]
+    geos = [clip_geometry(frames()) for _ in range(n_clips)]
+    return geos, ClipGeometry.join(geos)
 
 
 def params_for(rng, d):
@@ -51,31 +91,35 @@ def params_for(rng, d):
     return AttnGcnParams(w=t((d, d)), w_q=t((d, d)), w_k=t((d, d)))
 
 
-class TestDenseGraph:
+class TestGraphBatch:
     def test_self_loop_rejected(self):
         adj = np.zeros((2, 2), dtype=bool)
         adj[0, 0] = True
         with pytest.raises(GraphIntegrityError):
-            DenseGraph(2, adj)
+            one_graph(adj)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            DenseGraph(3, np.zeros((2, 2), dtype=bool))
+            GraphBatch(Slots.of_counts([3]), np.zeros((1, 2, 2), dtype=bool))
+        with pytest.raises(ShapeError):
+            one_graph(np.zeros((2, 2), dtype=bool), np.zeros((3, 3), dtype=np.int64))
 
     def test_type_edge_disagreement_rejected(self):
         adj = np.zeros((2, 2), dtype=bool)
         adj[0, 1] = True
         types = np.zeros((2, 2), dtype=np.int64)  # missing the (0,1) label
         with pytest.raises(GraphIntegrityError):
-            DenseGraph(2, adj, types)
+            one_graph(adj, types)
+        types[1, 0] = 3  # a label on no edge
+        types[0, 1] = 1
+        with pytest.raises(GraphIntegrityError):
+            one_graph(adj, types)
 
     def test_degree(self):
         adj = np.array([[False, True, True], [False, False, False], [True, False, False]])
-        g = DenseGraph(3, adj)
-        assert np.array_equal(g.adjacency.sum(-1), [2, 0, 1])
+        g = one_graph(adj)
+        assert np.array_equal(g.adjacency.sum(-1), [[2, 0, 1]])
 
-
-class TestGraphBatch:
     def test_pad_and_unpad_follow_the_slots(self):
         # graph 0 holds rows 2 and 0, graph 1 holds row 1
         g = GraphBatch([[2, 0], [1, -1]], np.zeros((2, 2, 2), dtype=bool))
@@ -92,7 +136,7 @@ class TestGraphBatch:
         assert blocks.shape == (2, 2, 3) and np.shares_memory(blocks, x)
         back = g.unpad(blocks)
         assert np.array_equal(back, x) and np.shares_memory(back, x)
-        # so is a DenseGraph as a batch of one
+        # so is one graph as a batch of one
         assert np.shares_memory(edgeless(4).pad(x), x)
 
     def test_every_row_fills_one_slot(self):
@@ -111,6 +155,38 @@ class TestGraphBatch:
             GraphBatch([[0, 1]], loop)
 
 
+class TestJoins:
+    def test_ragged_joins_concatenate_the_per_sample_layouts(self):
+        rng = np.random.default_rng(125)
+        geos, geo = random_clips(rng, 3)
+        assert np.array_equal(geo.spatial.counts, np.concatenate([g.spatial.counts for g in geos]))
+        assert np.array_equal(geo.positions, np.concatenate([g.positions for g in geos]))
+        lo = 0
+        for g in geos:
+            blocks, n = g.spatial.adjacency.shape[:2]
+            for name in ("adjacency", "edge_types"):
+                joined = getattr(geo.spatial, name)[lo : lo + blocks]
+                assert np.array_equal(joined[:, :n, :n], getattr(g.spatial, name))
+                assert not joined[:, n:].any() and not joined[:, :, n:].any()
+            lo += blocks
+        assert lo == len(geo.spatial.counts)  # and the rows are stacked frame after frame:
+        assert np.array_equal(geo.spatial.slots[geo.spatial.valid], np.arange(geo.spatial.n_rows))
+
+        layouts, text = role_layouts(rng, [[1, 4], [6], [2, 2, 3]])
+        assert [id(t) for t in text.tokens] == [id(t) for lay in layouts for t in lay.tokens]
+        assert np.array_equal(text.roles, np.concatenate([t.roles for t in layouts]))
+        lo = t_lo = 0
+        for t, rows in zip(layouts, role_rows(layouts)):
+            blocks, n = t.graphs.slots.shape
+            joined = text.graphs.slots[lo : lo + blocks]
+            assert np.array_equal(joined[:, :n], np.where(t.graphs.valid, rows[t.graphs.slots], -1))
+            assert (joined[:, n:] == -1).all()
+            assert np.array_equal(text.graphs.adjacency[lo : lo + blocks, :n, :n], t.graphs.adjacency)
+            assert np.array_equal(text.spans[rows[t.n_sentences:] - text.n_sentences], t.spans + t_lo)
+            lo += blocks
+            t_lo += sum(len(x) for x in t.tokens)
+
+
 class TestAttentionGcn:
     def test_matches_loop_oracle(self):
         for seed in range(20):
@@ -119,8 +195,8 @@ class TestAttentionGcn:
             g = random_graph(rng, n)
             p = params_for(rng, d)
             x = constant(rng.standard_normal((n, d)), np.float64)
-            got = attn_gcn_layer(p, x, g.batch()).data
-            want = attn_gcn_loop(x.data, p.w_q.data, p.w_k.data, p.w.data, g.adjacency)
+            got = attn_gcn_layer(p, x, g).data
+            want = attn_gcn_loop(x.data, p.w_q.data, p.w_k.data, p.w.data, g.adjacency[0])
             assert max_rel_err(got, want) <= 1e-6
 
     def test_rows_stochastic_or_zero(self):
@@ -131,12 +207,13 @@ class TestAttentionGcn:
             p = params_for(rng, d)
             x = constant(rng.standard_normal((n, d)), np.float64)
             alpha = attention_coefficients(p, x, g).data
+            adj = g.adjacency[0]
             sums = alpha.sum(axis=1)
-            alive = g.adjacency.any(axis=1)
+            alive = adj.any(axis=1)
             assert np.abs(sums[alive] - 1.0).max() <= 1e-6 if alive.any() else True
             assert (sums[~alive] == 0.0).all()
             assert (alpha >= 0.0).all()
-            assert (alpha[~g.adjacency] == 0.0).all()
+            assert (alpha[~adj] == 0.0).all()
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(103)
@@ -145,9 +222,9 @@ class TestAttentionGcn:
         p = params_for(rng, d)
         x = rng.standard_normal((n, d))
         perm = rng.permutation(n)
-        out = attn_gcn_layer(p, constant(x, np.float64), g.batch()).data
-        g_p = DenseGraph(n, g.adjacency[np.ix_(perm, perm)])
-        out_p = attn_gcn_layer(p, constant(x[perm], np.float64), g_p.batch()).data
+        out = attn_gcn_layer(p, constant(x, np.float64), g).data
+        g_p = one_graph(g.adjacency[0][np.ix_(perm, perm)])
+        out_p = attn_gcn_layer(p, constant(x[perm], np.float64), g_p).data
         assert np.allclose(out_p, out[perm], atol=1e-12)
 
     def test_isolated_node_is_pure_relu_residual(self):
@@ -155,10 +232,10 @@ class TestAttentionGcn:
         d = 4
         adj = np.zeros((3, 3), dtype=bool)
         adj[0, 1] = adj[1, 0] = True  # node 2 isolated
-        g = DenseGraph(3, adj)
+        g = one_graph(adj)
         p = params_for(rng, d)
         x = rng.standard_normal((3, d))
-        out = attn_gcn_layer(p, constant(x, np.float64), g.batch()).data
+        out = attn_gcn_layer(p, constant(x, np.float64), g).data
         assert np.array_equal(out[2], np.maximum(x[2], 0.0))
 
 
@@ -174,10 +251,10 @@ class TestTypedGcn:
                 type_bias=Tensor(rng.standard_normal(11), requires_grad=True),
             )
             x = constant(rng.standard_normal((n, d)), np.float64)
-            got = typed_edge_gcn_layer(tp, x, g.batch()).data
+            got = typed_edge_gcn_layer(tp, x, g).data
             want = typed_gcn_loop(
                 x.data, tp.w_q.data, tp.w_k.data, tp.w.data,
-                tp.type_bias.data, g.adjacency, g.edge_types,
+                tp.type_bias.data, g.adjacency[0], g.edge_types[0],
             )
             assert max_rel_err(got, want) <= 1e-6
 
@@ -188,7 +265,7 @@ class TestTypedGcn:
         tp = TypedGcnParams(w=p.w, w_q=p.w_q, w_k=p.w_k,
                             type_bias=Tensor(np.zeros(11), requires_grad=True))
         with pytest.raises(GraphIntegrityError):
-            typed_edge_gcn_layer(tp, constant(np.zeros((3, 4)), np.float64), g.batch())
+            typed_edge_gcn_layer(tp, constant(np.zeros((3, 4)), np.float64), g)
 
     def test_zero_bias_reduces_to_plain_attention_layer(self):
         rng = np.random.default_rng(113)
@@ -198,8 +275,8 @@ class TestTypedGcn:
         tp = TypedGcnParams(w=p.w, w_q=p.w_q, w_k=p.w_k,
                             type_bias=Tensor(np.zeros(11), requires_grad=True))
         x = constant(rng.standard_normal((n, d)), np.float64)
-        plain = attn_gcn_layer(p, x, DenseGraph(n, g.adjacency).batch()).data
-        typed = typed_edge_gcn_layer(tp, x, g.batch()).data
+        plain = attn_gcn_layer(p, x, one_graph(g.adjacency[0])).data
+        typed = typed_edge_gcn_layer(tp, x, g).data
         assert np.allclose(typed, plain, atol=1e-12)
 
     def test_type_bias_gets_gradient(self):
@@ -211,7 +288,7 @@ class TestTypedGcn:
                             type_bias=Tensor(rng.standard_normal(11), requires_grad=True))
         x = constant(rng.standard_normal((n, d)), np.float64)
         with recording():
-            backward(sum_all(typed_edge_gcn_layer(tp, x, g.batch())))
+            backward(sum_all(typed_edge_gcn_layer(tp, x, g)))
         present = np.unique(g.edge_types[g.adjacency])
         assert np.abs(tp.type_bias.grad[present - 1]).sum() > 0.0
 
@@ -240,7 +317,7 @@ class TestFusedLayers:
         for seed in range(20):
             rng = np.random.default_rng([115, seed])
             n, d = int(rng.integers(1, 8)), int(rng.integers(2, 6))
-            g = random_graph(rng, n, with_types=True, p=float(rng.uniform(0.1, 0.9))).batch()
+            g = random_graph(rng, n, with_types=True, p=float(rng.uniform(0.1, 0.9)))
             tp = typed_params_for(rng, d, dtype)
             x = Tensor(rng.standard_normal((n, d)).astype(dtype), requires_grad=True)
             assert (layer_bytes(typed_edge_gcn_layer, tp, x, g)
@@ -251,27 +328,37 @@ class TestFusedLayers:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_ragged_batch_matches_tape_oracles_bit_for_bit(self, dtype):
-        # graphs of 1-6 nodes whose rows sit in shuffled order in the stack
+        # joined ragged layouts: clips of frames of 1-6 objects, whose rows
+        # are stacked in order, and sentences of role graphs of 1-6 nodes,
+        # whose rows are not (every event, then every local node)
+        tol = 1e-12 if dtype == np.float64 else 1e-5
         for seed in range(20):
             rng = np.random.default_rng([119, seed])
-            sizes = rng.integers(1, 7, size=int(rng.integers(1, 5)))
             d = int(rng.integers(2, 6))
-            graphs = [random_graph(rng, int(n), with_types=True, p=float(rng.uniform(0.1, 0.9)))
-                      for n in sizes]
-            rows = np.split(rng.permutation(sizes.sum()), np.cumsum(sizes)[:-1])
-            g = join_batches([graph.batch() for graph in graphs], rows)
             tp = typed_params_for(rng, d, dtype)
-            x = Tensor(rng.standard_normal((sizes.sum(), d)).astype(dtype), requires_grad=True)
-            assert (layer_bytes(typed_edge_gcn_layer, tp, x, g)
-                    == layer_bytes(typed_edge_gcn_layer_tape, tp, x, g))
             p = AttnGcnParams(w=tp.w, w_q=tp.w_q, w_k=tp.w_k)
-            assert (layer_bytes(attn_gcn_layer, p, x, g)
-                    == layer_bytes(attn_gcn_layer_tape, p, x, g))
-            # graph by graph, each slice matches the graph run on its own
-            out = attn_gcn_layer(p, x, g).data
-            for graph, r in zip(graphs, rows):
-                alone = attn_gcn_layer(p, constant(x.data[r], dtype), graph.batch()).data
-                assert max_rel_err(out[r], alone) <= (1e-12 if dtype == np.float64 else 1e-5)
+            geos, geo = random_clips(rng, int(rng.integers(1, 4)))
+            x = Tensor(rng.standard_normal((geo.spatial.n_rows, d)).astype(dtype), requires_grad=True)
+            for layer, oracle, params in ((typed_edge_gcn_layer, typed_edge_gcn_layer_tape, tp),
+                                          (attn_gcn_layer, attn_gcn_layer_tape, p)):
+                assert (layer_bytes(layer, params, x, geo.spatial)
+                        == layer_bytes(oracle, params, x, geo.spatial))
+                # clip by clip, each slice matches the clip run on its own
+                out = layer(params, x, geo.spatial).data
+                ends = np.cumsum([g.spatial.n_rows for g in geos])
+                for g, hi in zip(geos, ends):
+                    r = np.arange(hi - g.spatial.n_rows, hi)
+                    alone = layer(params, constant(x.data[r], dtype), g.spatial).data
+                    assert max_rel_err(out[r], alone) <= tol
+            sizes = [rng.integers(1, 7, size=int(rng.integers(1, 4))) for _ in range(int(rng.integers(1, 4)))]
+            layouts, text = role_layouts(rng, sizes)
+            x = Tensor(rng.standard_normal((text.graphs.n_rows, d)).astype(dtype), requires_grad=True)
+            assert (layer_bytes(attn_gcn_layer, p, x, text.graphs)
+                    == layer_bytes(attn_gcn_layer_tape, p, x, text.graphs))
+            out = attn_gcn_layer(p, x, text.graphs).data
+            for t, r in zip(layouts, role_rows(layouts)):
+                alone = attn_gcn_layer(p, constant(x.data[r], dtype), t.graphs).data
+                assert max_rel_err(out[r], alone) <= tol
 
     @pytest.mark.parametrize("typed", [False, True])
     def test_isolated_node_is_pure_relu_residual(self, typed):
@@ -279,7 +366,7 @@ class TestFusedLayers:
         n, d = 4, 3
         adj = np.zeros((n, n), dtype=bool)
         adj[0, 1] = adj[1, 0] = adj[2, 0] = True  # node 3 isolated
-        g = DenseGraph(n, adj, np.where(adj, 5, 0)).batch()
+        g = one_graph(adj, np.where(adj, 5, 0))
         tp = typed_params_for(rng, d)
         p = tp if typed else AttnGcnParams(w=tp.w, w_q=tp.w_q, w_k=tp.w_k)
         layer = typed_edge_gcn_layer if typed else attn_gcn_layer
@@ -294,7 +381,7 @@ class TestFusedLayers:
 
     def test_node_matrix_must_fit_the_graph(self):
         rng = np.random.default_rng(118)
-        g = random_graph(rng, 3, with_types=True).batch()
+        g = random_graph(rng, 3, with_types=True)
         tp = typed_params_for(rng, 4)
         for bad in ((4, 4), (3, 5)):
             x = constant(np.ones(bad), np.float64)
@@ -310,7 +397,7 @@ class TestFusedLayers:
         n, d = 4, 3
         adj = np.zeros((n, n), dtype=bool)
         adj[0, 1] = adj[1, 2] = adj[2, 0] = True  # node 3 isolated
-        g = DenseGraph(n, adj, np.where(adj, 2, 0)).batch()
+        g = one_graph(adj, np.where(adj, 2, 0))
         tp = typed_params_for(rng, d)
         # positive scores of ~1e600 overflow to +inf; the messages stay finite
         tp.w_q.data[...] = 1e300
@@ -334,34 +421,36 @@ class TestVanillaGcn:
             g = random_graph(rng, n)
             w = Tensor(rng.standard_normal((d, d)) * 0.5, requires_grad=True)
             x = constant(rng.standard_normal((n, d)), np.float64)
-            got = vanilla_gcn_layer(w, x, g.batch()).data
-            want = vanilla_gcn_loop(x.data, w.data, g.adjacency)
+            got = vanilla_gcn_layer(w, x, g).data
+            want = vanilla_gcn_loop(x.data, w.data, g.adjacency[0])
             assert max_rel_err(got, want) <= 1e-6
 
 
     def test_a_batch_aggregates_each_graph_within_itself(self):
-        # interleaved rows: graph b's nodes are every len(sizes)-th row
+        # joined role graphs: sentence j's nodes are event row j and its
+        # local rows, which follow every event
         for seed in range(10):
             rng = np.random.default_rng([122, seed])
-            sizes = [int(n) for n in rng.integers(1, 6, size=3)]
-            d = 3
-            graphs = [random_graph(rng, n) for n in sizes]
-            order = rng.permutation(sum(sizes))
-            starts = np.cumsum(sizes) - sizes
-            rows = [order[lo : lo + n] for lo, n in zip(starts, sizes)]
-            batch = join_batches([graph.batch() for graph in graphs], rows)
+            sizes = [rng.integers(1, 6, size=int(rng.integers(1, 4))) for _ in range(3)]
+            layouts, text = role_layouts(rng, sizes)
+            d, n_s = 3, text.n_sentences
             w = Tensor(rng.standard_normal((d, d)) * 0.5, requires_grad=True)
-            x = rng.standard_normal((sum(sizes), d))
-            got = vanilla_gcn_layer(w, constant(x, np.float64), batch).data
-            for g, r in zip(graphs, rows):
-                want = vanilla_gcn_loop(x[r], w.data, g.adjacency)
+            x = rng.standard_normal((text.graphs.n_rows, d))
+            got = vanilla_gcn_layer(w, constant(x, np.float64), text.graphs).data
+            # each sentence's graph as its own sample's layout holds it
+            own = [t.graphs.adjacency[k, :n, :n] for t, group in zip(layouts, sizes)
+                   for k, n in enumerate(group)]
+            lo = n_s
+            for j, adj in enumerate(own):
+                r = np.r_[j, lo : lo + len(adj) - 1]
+                lo += len(adj) - 1
+                want = vanilla_gcn_loop(x[r], w.data, adj)
                 assert max_rel_err(got[r], want) <= 1e-6
 
     def test_batch_gradients_match_central_differences(self):
         rng = np.random.default_rng(123)
-        graphs = [random_graph(rng, n) for n in (3, 1, 4)]
-        batch = join_batches([graph.batch() for graph in graphs],
-                             [np.arange(0, 3), [3], np.arange(4, 8)])
+        _, text = role_layouts(rng, [[3, 1], [4]])
+        batch = text.graphs
         w = Tensor(rng.standard_normal((2, 2)) * 0.5, requires_grad=True)
         x = Tensor(rng.standard_normal((8, 2)), requires_grad=True)
         with recording():
@@ -434,8 +523,8 @@ class TestGraphLearner:
         n_keep = data.draw(st.integers(1, max(sizes)))
         rng = np.random.default_rng(seed)
         d = 2
-        rows = np.split(rng.permutation(sum(sizes)), np.cumsum(sizes)[:-1])
-        layout = join_batches([edgeless(n) for n in sizes], rows)
+        # joined role graphs, whose rows are not in slot order
+        layout = role_layouts(rng, [[n] for n in sizes])[1].graphs
         w1 = Tensor(rng.integers(-1, 2, (d, d)).astype(float), requires_grad=True)
         w2 = Tensor(rng.integers(-1, 2, (d, d)).astype(float), requires_grad=True)
         v = constant(rng.integers(-1, 2, (sum(sizes), d)), np.float64)

@@ -179,19 +179,18 @@ class TestRoleGraph:
             arguments=[SrlArgument(span=(0, 0), role=2, pred=0),
                        SrlArgument(span=(4, 5), role=3, pred=1)],
         )
-        g, roles, spans = build_role_graph(p)
-        assert g.n_nodes == 5
+        adj, roles, spans = build_role_graph(p)
+        assert adj.shape == (5, 5) and adj.dtype == bool
         assert roles == [1, 1, 2, 3]
         assert spans == [(1, 1), (3, 3), (0, 0), (4, 5)]
-        adj = g.adjacency
         assert adj[0, 1] and adj[1, 0] and adj[0, 2] and adj[2, 0]
         assert adj[1, 3] and adj[3, 1] and adj[2, 4] and adj[4, 2]
         assert not adj[0, 3] and not adj[3, 4]
         assert np.array_equal(adj, adj.T)
 
     def test_empty_parse_is_single_node(self):
-        g, roles, spans = build_role_graph(SrlParse(tokens=2))
-        assert g.n_nodes == 1 and roles == [] and spans == []
+        adj, roles, spans = build_role_graph(SrlParse(tokens=2))
+        assert adj.shape == (1, 1) and not adj.any() and roles == [] and spans == []
 
 
 def encode_sentence(params, tokens, parse):

@@ -16,6 +16,7 @@ import pytest
 
 import livlr.data
 import livlr.davl
+import livlr.graph
 import livlr.linguistic
 import livlr.visual
 import oracles
@@ -363,6 +364,37 @@ def test_forward_outside_a_scope_records_nothing(setting):
             assert t.tape_id is None and not t.requires_grad
         assert model.predict(s) == int(np.argmax(scores.data))
         assert tape_size() == 0
+
+
+def test_layouts_check_their_edges_once(monkeypatch):
+    # a sample's clip geometry and its sentence layout are each one graph
+    # batch, whose constructor is the only place edges are checked; a
+    # batch's join of them checks the joined edges at most once more
+    checks = []
+    init = livlr.graph.GraphBatch.__init__
+
+    def counting(self, *args, **kwargs):
+        checks.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(livlr.graph.GraphBatch, "__init__", counting)
+    cfg = desk_config()
+    spec = SyntheticTaskSpec(
+        n_samples=3, signal_source="question_dependent", noise_scale=0.3, n_classes=4
+    )
+    samples = gen_synthetic(spec, cfg, seed=6).samples()
+    for s in samples:
+        checks.clear()
+        s.clip.geometry()
+        assert len(checks) == 1
+        s.sentence_layout()
+        assert len(checks) == 2
+    checks.clear()
+    livlr.visual.ClipGeometry.join([s.clip.geometry() for s in samples])
+    assert len(checks) <= 1
+    checks.clear()
+    livlr.linguistic.SentenceLayout.join([s.sentence_layout() for s in samples])
+    assert len(checks) <= 1
 
 
 def test_each_sentence_layout_is_built_once(monkeypatch):
