@@ -7,6 +7,10 @@ learnable index embeddings, and mixed through a GCN over a learned
 adjacency, then mean-pooled. Three simpler integration back-ends are kept
 as selectable ablation baselines.
 
+``integrate`` runs in two stages, question attention (``attend``) and
+the fusion after it (``fuse``), each through a stage hook, so that the
+gradient audit can rerun one stage on its own.
+
 Every step runs over a batch's samples at once, one block per sample, and
 a batch of one takes the same code as any other. Question attention pads
 a source's rows, or the question tokens, into those blocks only where
@@ -299,7 +303,9 @@ class BundleLayout:
     ``source_mean`` (B, 4, m) weight the slots to average each sample's
     nodes, all of them and per source. ``qatt`` holds question attention's
     padded per-sample blocks, at every B. Layouts are kept and reused, so
-    ``source_mean`` (only ``RI_CONCAT`` reads it) is built on first use.
+    ``source_mean`` (only ``RI_CONCAT`` reads it), and ``spans`` and
+    ``source_qatt`` (only ``attend``'s one-source rerun reads them), are
+    built on first use.
     """
 
     def __init__(self, counts, tokens):
@@ -313,6 +319,18 @@ class BundleLayout:
         slots[slots >= 0] = np.argsort(self.qatt.owner, kind="stable")
         self.graph = GraphBatch(slots, np.zeros(slots.shape + slots.shape[1:], dtype=bool))
         self.mean = mean_weights(self.graph.valid)
+        self._counts, self._tokens = counts, tokens
+
+    @functools.cached_property
+    def spans(self) -> list[tuple[int, int]]:
+        """Each source's range of stacked node rows."""
+        return list(itertools.pairwise(itertools.accumulate(self._counts.sum(axis=0).tolist(),
+                                                            initial=0)))
+
+    @functools.cached_property
+    def source_qatt(self) -> list[QattPadding]:
+        """Question attention's padding for each source alone."""
+        return [QattPadding(self._counts[:, [s]], self._tokens) for s in range(4)]
 
     @functools.cached_property
     def source_mean(self) -> np.ndarray:
@@ -356,32 +374,70 @@ def co_attention(w1: Tensor, w2: Tensor, nodes: Tensor, graph: GraphBatch) -> Te
     return _record(out, (nodes, w1, w2), bwd)
 
 
+def attend(
+    params: DavlParams, bundle: RepresentationBundle, q: Tensor, layout: BundleLayout,
+    source: int | None = None, nodes: Tensor | None = None,
+) -> Tensor:
+    """Question attention, the first stage of ``integrate``: every source's
+    rows attended against the question in one node, stacked in bundle
+    order. Given a source's index and those rows ``nodes``, it reruns that
+    source's block alone, over the source's own padding
+    (``BundleLayout.source_qatt``), and returns ``nodes`` with that
+    source's rows replaced, as a new leaf. Each source's products run on
+    their own, so the rows come out with the bits the four-source node
+    gives them."""
+    if source is None:
+        blocks = [params.qatt[name] for name in SOURCE_NAMES]
+        return question_attention(blocks, bundle.matrices(), q, layout.qatt)
+    rows = question_attention([params.qatt[SOURCE_NAMES[source]]], [bundle.matrices()[source]],
+                              q, layout.source_qatt[source])
+    lo, hi = layout.spans[source]
+    out = nodes.data.copy()
+    out[lo:hi] = rows.data
+    return Tensor(out)
+
+
+def fuse(params: DavlParams, nodes: Tensor, layout: BundleLayout) -> Tensor:
+    """The stage of ``integrate`` after question attention: the attended
+    rows ``nodes`` of a batch laid out as ``layout`` says -> one fused
+    vector per sample (B, d), through the variant's back-end."""
+    variant = params.variant
+    if variant == RiVariant.RI_CONCAT:
+        # one mean per (sample, source), each sample's four side by side
+        pooled = pool(layout.source_mean, nodes, layout.graph)
+        return add(grouped_matmul(pooled, params.w_concat, [1] * layout.n), params.b_concat)
+    if variant == RiVariant.DAVL:
+        nodes = apply_index_embedding(params.index_matrix, nodes, layout.sources)
+    if variant in (RiVariant.DAVL, RiVariant.RI_GCN):
+        _, graph = learn_adjacency(
+            params.learn_w1, params.learn_w2, nodes, params.n_keep, layout.graph)
+        nodes = vanilla_gcn_layer(params.w_gcn, nodes, graph)
+    else:
+        nodes = co_attention(params.learn_w1, params.learn_w2, nodes, layout.graph)
+    return pool(layout.mean, nodes, layout.graph)
+
+
+def _run_stage(name: str, fn):
+    return fn()
+
+
 def integrate(
-    params: DavlParams, bundle: RepresentationBundle, q: Tensor, layout: BundleLayout | None = None
+    params: DavlParams, bundle: RepresentationBundle, q: Tensor, layout: BundleLayout | None = None,
+    run=_run_stage,
 ) -> Tensor:
     """Fuse the four representation matrices into one vector (d,) per
     sample. Without ``layout`` the bundle and the question rows q are one
     sample's, and the result is (d,); with it they stack a batch's samples
-    as the layout says, and the result is (B, d)."""
+    as the layout says, and the result is (B, d).
+
+    Its two stages, "qatt" (``attend``) and "fusion" (``fuse``), each go
+    through run(name, fn), which must return fn(); a caller may instead
+    hand back an earlier output of that stage, or call the "qatt" stage's
+    fn with a source and earlier rows to rerun one source's block (see
+    gradcheck)."""
     single = layout is None
     if single:
         layout = BundleLayout([m.data.shape[0] for m in bundle.matrices()], [q.data.shape[0]])
-    blocks = [params.qatt[name] for name in SOURCE_NAMES]
-    nodes = question_attention(blocks, bundle.matrices(), q, layout.qatt)
-    variant = params.variant
-
-    if variant == RiVariant.RI_CONCAT:
-        # one mean per (sample, source), each sample's four side by side
-        pooled = pool(layout.source_mean, nodes, layout.graph)
-        fused = add(grouped_matmul(pooled, params.w_concat, [1] * layout.n), params.b_concat)
-    else:
-        if variant == RiVariant.DAVL:
-            nodes = apply_index_embedding(params.index_matrix, nodes, layout.sources)
-        if variant in (RiVariant.DAVL, RiVariant.RI_GCN):
-            _, graph = learn_adjacency(
-                params.learn_w1, params.learn_w2, nodes, params.n_keep, layout.graph)
-            nodes = vanilla_gcn_layer(params.w_gcn, nodes, graph)
-        else:
-            nodes = co_attention(params.learn_w1, params.learn_w2, nodes, layout.graph)
-        fused = pool(layout.mean, nodes, layout.graph)
+    nodes = run("qatt", functools.partial(attend, params, bundle, q, layout))
+    fused = run("fusion", lambda: fuse(params, nodes, layout))
     return reshape(fused, (fused.data.shape[1],)) if single else fused

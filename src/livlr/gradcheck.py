@@ -6,47 +6,52 @@ Relative error uses max(|analytic|, |numeric|, floor) as the denominator
 so near-zero entries compare absolutely against the floor.
 
 The full-model audit (``grad_check``) perturbs one scalar at a time and
-knows which encoder stage (visual, linguistic, question, MC candidates)
-owns it: each stage reads only its own parameter group
-(``Model.encoder_params``). So it encodes the probe batch once at the
-unperturbed weights, and a forward that perturbs a stage's scalar reruns
-only that stage and takes every other stage's output from that base
-encoding. A forward that perturbs an integration or head scalar runs no
-encoder at all. A reused output is exactly what a rerun would compute,
-and no later op writes into its inputs. The analytic pass (recorded)
-reuses nothing.
+knows which stage of the forward owns it: the encoder stages (visual,
+linguistic, question, MC candidates), then question attention, the
+fusion after it and the head (``Model.stage_params``). Each stage reads
+only its own parameter group, and the forward runs every stage through a
+hook (``Model.encode``, ``Model.score``). So the audit runs the probe
+batch once at the unperturbed weights and keeps every stage's output. A
+forward that perturbs a scalar reruns only the stage that owns it, on
+inputs taken from that base pass; a question-attention scalar reruns
+only its own source's block (``davl.attend``). A reused output is exactly what a rerun would
+compute, and no later op writes into its inputs. The analytic pass
+(recorded) reuses nothing.
 
-Most scalars belong to encoder stages, and their forwards differ only in
-the encoder outputs: the integration module and the head see the same
-weights each time. So the audit collects those outputs and scores up to
-``SCORE_CHUNK`` of them with one ``Model.answer`` over as many copies of
-the probe batch (operation batching: Neubig, Goldberg & Dyer, NeurIPS
-2017). The integration module and the heads multiply each sample's rows
-in products of their own, whose shapes depend only on that sample's row
-counts, so every copy gets the bits its own one-batch forward would (the
+The forwards that perturb one scalar differ only in that stage's output:
+every later stage sees the same weights each time. So the audit collects
+those outputs and runs the later stages and the loss on up to
+``SCORE_CHUNK`` of them at once, over as many copies of the probe batch
+(operation batching: Neubig, Goldberg & Dyer, NeurIPS 2017). The
+integration module and the heads multiply each sample's rows in products
+of their own, whose shapes depend only on that sample's row counts, so
+every copy gets the bits its own one-batch forward would (the
 batch-invariance argument of He et al., "Defeating Nondeterminism in LLM
-Inference", 2025). Integration and head scalars keep one forward each.
-Either way the numeric gradients are bit-identical to those from full
-forward passes.
+Inference", 2025). So the numeric gradients are bit-identical to those
+from full forward passes.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ModelConfig
 from .data import SyntheticTaskSpec, gen_synthetic
+from .davl import SOURCE_NAMES
 from .errors import ConfigError
-from .model import Encoded, Model
-from .tensor import backward, recording
+from .model import SCORE_STAGES, Model
+from .tensor import Tensor, backward, recording
 
 DEFAULT_H = 1e-5
 DEFAULT_TOLERANCE = 1e-4
 REL_FLOOR = 1e-3
-# encoder-stage perturbations scored by one forward; more would raise the
-# audit's peak memory without saving much more dispatch
+# perturbations whose later stages one forward scores; more would raise
+# the audit's peak memory without saving much more dispatch
 SCORE_CHUNK = 32
 
 
@@ -81,6 +86,14 @@ class GradCheckReport:
 def relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = REL_FLOOR) -> float:
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float((np.abs(analytic - numeric) / denom).max())
+
+
+def _check_positive(name: str, value) -> None:
+    """ConfigError unless value is a finite real number > 0; a bool is
+    not one."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value <= 0):
+        raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 def _perturbations(p, h: float):
@@ -125,8 +138,11 @@ def check_gradients(
     """Compare analytic grads against central differences.
 
     loss_fn() must rebuild the forward pass from the current parameter
-    values and return the loss Tensor. params maps name -> Tensor.
+    values and return the loss Tensor. params maps name -> Tensor. h and
+    tolerance must be finite numbers > 0 (ConfigError).
     """
+    _check_positive("h", h)
+    _check_positive("tolerance", tolerance)
     return _check(loss_fn, params, h, tolerance,
                   lambda p: [float(loss_fn().data) for _ in _perturbations(p, h)])
 
@@ -158,25 +174,61 @@ def grad_check(
 ) -> GradCheckReport:
     """Build a model and one random batch, then finite-difference every
     parameter tensor. The probe batch is kept small because the cost is
-    2 * (number of parameter scalars) forward passes of the batch. Each
-    forward reruns only the encoder stage that owns the perturbed scalar,
-    if any, and takes the others from one encoding at the unperturbed
-    weights; the forwards that perturb an encoder stage are scored
-    SCORE_CHUNK at a time, as copies of the probe batch.
+    2 * (number of parameter scalars) forwards of the batch. Each forward
+    reruns only the stage that owns the perturbed scalar (for a
+    question-attention scalar, only its source's block) and takes every
+    other stage's output from one pass at the unperturbed weights; the
+    stages after it then run SCORE_CHUNK perturbations at a time, over as
+    many copies of the probe batch.
     """
+    _check_positive("tolerance", tolerance)
     model, samples = probe_batch(config, seed, batch_size)
     params = {name: model.store[name] for name in model.store.names()}
-    stage_of = {id(t): name for name, ts in model.encoder_params().items() for t in ts}
-    base = model.encode(samples)
+    stage_of = {id(t): name for name, ts in model.stage_params().items() for t in ts}
+    source_of = {id(t): s for s, name in enumerate(SOURCE_NAMES)
+                 for h in model.davl.qatt[name].heads for t in vars(h).values()}
+    base = {}
+
+    def keep(name, fn):
+        base[name] = fn()
+        return base[name]
+
+    enc = model.encode(samples, keep)
+    model.score(samples, enc, keep)
+    spans = enc.layout.spans
+    join = lambda name, outs: _join(outs, spans if name == "qatt" else None)
+    tiled = functools.cache(lambda name, copies: join(name, [base[name]] * copies))
 
     def losses_of(p):
-        stage = stage_of.get(id(p))
-        if stage is None:
-            return [_mean(model.answer(samples, base)[0].data)
-                    for _ in _perturbations(p, DEFAULT_H)]
-        run = lambda name, fn: fn() if name == stage else getattr(base, name)
-        encs = (model.encode(samples, run) for _ in _perturbations(p, DEFAULT_H))
-        return _scored_losses(model, samples, encs)
+        stage, source = stage_of[id(p)], source_of.get(id(p))
+        # the stages that read the perturbed one's output
+        first = SCORE_STAGES.index(stage) + 1 if stage in SCORE_STAGES else 0
+        later = SCORE_STAGES[first:]
+        fresh = []
+
+        def rerun(name, fn):
+            if name != stage:
+                return base[name]
+            fresh.append(fn() if source is None else fn(source, base[name]))
+            return fresh[-1]
+
+        def outputs():
+            for _ in _perturbations(p, DEFAULT_H):
+                model.score(samples, model.encode(samples, rerun), rerun)
+                yield fresh.pop()
+
+        n, outs, losses = len(samples), outputs(), []
+        while chunk := list(itertools.islice(outs, SCORE_CHUNK)):
+            copies = samples * len(chunk)
+
+            def run(name, fn):
+                if name in later:
+                    return fn()
+                return join(name, chunk) if name == stage else tiled(name, len(chunk))
+
+            scored, _ = model.answer(copies, model.encode(copies, run), run)
+            losses += [_mean(c) for c in scored.data.reshape(len(chunk), n)]
+        return losses
 
     return _check(lambda: model.batch_loss(samples)[0], params, DEFAULT_H, tolerance, losses_of)
 
@@ -187,14 +239,15 @@ def _mean(losses: np.ndarray) -> float:
     return float(losses.sum() * (1.0 / losses.size))
 
 
-def _scored_losses(model: Model, samples: list, encs) -> list[float]:
-    """The mean loss of samples on each encoding in encs, scored
-    SCORE_CHUNK encodings at a time by one Model.answer over that many
-    copies of the batch. The layers above the encoders give a sample the
-    same bits in any batch of samples with its row counts, so each mean is
-    bit-equal to the one-batch forward's."""
-    n, encs, out = len(samples), iter(encs), []
-    while chunk := list(itertools.islice(encs, SCORE_CHUNK)):
-        losses, _ = model.answer(samples * len(chunk), Encoded.join(chunk))
-        out += [_mean(c) for c in losses.data.reshape(len(chunk), n)]
-    return out
+def _join(outs: list, spans=None):
+    """One stage's outputs on several copies of a batch -> its output on
+    the batch of all the copies, their samples in order. Question
+    attention stacks its rows source by source (``spans``), so there each
+    source's rows of every copy go together. The joined tensors are new
+    leaves, so this is for forwards that record nothing."""
+    if isinstance(outs[0], tuple):
+        return tuple(_join(list(o), spans) for o in zip(*outs))
+    x = np.stack([o.data for o in outs])
+    if spans is None:
+        return Tensor(x.reshape(-1, *x.shape[2:]))
+    return Tensor(np.concatenate([x[:, lo:hi].reshape(-1, x.shape[-1]) for lo, hi in spans]))

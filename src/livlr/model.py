@@ -17,10 +17,12 @@ import numpy as np
 from .config import ModelConfig
 from .data import Sample
 from .davl import (
+    SOURCE_NAMES,
     BundleLayout,
     DavlParams,
     RepresentationBundle,
     RiVariant,
+    _run_stage,
     create_davl_params,
     integrate,
 )
@@ -48,13 +50,17 @@ from .rnn import SeqEncoderParams, create_seq_encoder
 from .tensor import Tensor, mul, reshape, sum_all
 from .visual import VisualEncoderParams, create_visual_params, encode_clip
 
+# the stages Model.score runs through its stage hook, in order, after the
+# encoder stages
+SCORE_STAGES = ("qatt", "fusion", "head")
+
 
 @dataclass
 class Encoded:
     """A batch's encoder outputs, each stacking the samples' rows in
     order, and each sample's (frames, sentences, question tokens); the
     rest of the forward reads only these. The four output fields are named
-    after the encoder stages that compute them (``Model.encoder_params``),
+    after the encoder stages that compute them (``Model.stage_params``),
     so ``getattr(enc, stage)`` is that stage's output."""
 
     visual: tuple[Tensor, Tensor]  # holistic rows, fine-grained rows (one per frame)
@@ -67,22 +73,6 @@ class Encoded:
     def layout(self) -> BundleLayout:
         """Where each sample's rows sit in the integration module."""
         return _bundle_layout(self.counts)
-
-    @classmethod
-    def join(cls, encs: list) -> "Encoded":
-        """Several batches' encoder outputs as one batch, their samples in
-        order. The joined tensors are new leaves, so this is for forwards
-        that record nothing."""
-        cat = lambda ts: Tensor(np.concatenate([t.data for t in ts]))
-        pair = lambda ps: tuple(cat(ts) for ts in zip(*ps))
-        candidates = None if encs[0].candidates is None else cat([e.candidates for e in encs])
-        return cls(pair([e.visual for e in encs]), pair([e.linguistic for e in encs]),
-                   pair([e.question for e in encs]), candidates,
-                   sum((e.counts for e in encs), ()))
-
-
-def _run_stage(name: str, fn):
-    return fn()
 
 
 @functools.lru_cache(maxsize=64)
@@ -149,13 +139,20 @@ class Model:
                 self.store, rng, config.d, config.d_t, dtype,
             )
 
-    def encoder_params(self) -> dict[str, list[Tensor]]:
-        """Encoder stage name -> every parameter tensor that stage reads.
-        Each encoder is handed only its own parameter dataclass, so these
-        leaves are all it can depend on besides the sample."""
+    def stage_params(self) -> dict[str, list[Tensor]]:
+        """Stage name -> every parameter tensor that stage reads, in
+        forward order: the encoder stages ``encode`` runs, then
+        ``SCORE_STAGES``. Each stage is handed only these parameters, so
+        they are all its output can depend on besides its inputs, and
+        every parameter belongs to exactly one stage."""
+        davl, mc = self.davl, self.mc_head
         stages = {"visual": self.visual, "linguistic": self.linguistic, "question": self.question}
-        if self.mc_head is not None:
-            stages["candidates"] = self.mc_head.cand_encoder
+        if mc is not None:
+            stages["candidates"] = mc.cand_encoder
+        stages["qatt"] = [davl.qatt[name] for name in SOURCE_NAMES]
+        stages["fusion"] = [davl.index_matrix, davl.learn_w1, davl.learn_w2, davl.w_gcn,
+                            davl.w_concat, davl.b_concat]
+        stages["head"] = self.oe_head if mc is None else [mc.w_score, mc.b_score]
         return {name: list(_leaves(params)) for name, params in stages.items()}
 
     def encode(self, samples, run=_run_stage) -> Encoded:
@@ -179,30 +176,32 @@ class Model:
         counts = tuple((len(s.clip.frames), len(s.sentences), len(s.question)) for s in batch)
         return Encoded(visual, linguistic, question, candidates, counts)
 
-    def score(self, samples, enc: Encoded) -> Tensor:
+    def score(self, samples, enc: Encoded, run=_run_stage) -> Tensor:
         """The integration module and the answer head on top of the encoder
         outputs, each one node over the batch: answer-set logits (B, A)
         (OE) or every candidate's score in sample order (MC). Needs no
-        answer."""
+        answer. Its stages, ``SCORE_STAGES``, go through run as
+        ``encode``'s do (see ``davl.integrate``)."""
         q, q_hat = enc.question
         bundle = RepresentationBundle(*enc.visual, *enc.linguistic)
-        x_hat = integrate(self.davl, bundle, q, enc.layout)
+        x_hat = integrate(self.davl, bundle, q, enc.layout, run)
         if self.oe_head is not None:
-            return predict_open_ended(self.oe_head, x_hat, q_hat)
+            return run("head", lambda: predict_open_ended(self.oe_head, x_hat, q_hat))
         sizes = [len(s.candidates) for s in _batch(samples)]
-        return score_candidates(self.mc_head, x_hat, q_hat, enc.candidates, sizes)
+        return run("head", lambda: score_candidates(
+            self.mc_head, x_hat, q_hat, enc.candidates, sizes))
 
-    def answer(self, samples, enc: Encoded) -> tuple[Tensor, Tensor]:
+    def answer(self, samples, enc: Encoded, run=_run_stage) -> tuple[Tensor, Tensor]:
         """score and its loss: (losses, scores). A batch gets one loss per
         sample (B,) and scores as score gives them; one sample gets a
-        scalar loss and scores (A,) or (N_k,)."""
+        scalar loss and scores (A,) or (N_k,). run goes to score."""
         batch = _batch(samples)
         oe = self.oe_head is not None
         what = "label" if oe else "correct"
         targets = [getattr(s, what) for s in batch]
         if None in targets:
             raise DataError(f"sample is missing its answer ({what} is None)")
-        scores = self.score(batch, enc)
+        scores = self.score(batch, enc, run)
         if oe:
             losses = cross_entropy(scores, targets)
         else:

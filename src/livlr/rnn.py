@@ -13,7 +13,9 @@ A step costs numpy dispatch, not arithmetic, so it makes few calls: one
 tanh squashes all four gates, with the sigmoid gates taken as
 sigmoid(x) = tanh(x/2)/2 + 1/2, and a step where every sequence is live
 skips the hold. Outside a recording scope the loop keeps no step's
-states, so a prediction pays for none of the backward's bookkeeping.
+states, so a prediction pays for none of the backward's bookkeeping. The
+step indices depend only on the lengths, so they are built once per tuple
+of lengths.
 
 The sequence encoder, shared by sentences, questions and multiple-choice
 candidates, projects tokens to width d and summarises them with that
@@ -21,6 +23,7 @@ embedder.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +102,26 @@ def create_seq_encoder(
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _steps(lengths: tuple):
+    """(rows in all, active, rows, full): what bilstm_embed's steps read
+    that depends only on the sequence lengths, built once per tuple of
+    them. ``active`` (T, B) marks the sequences step t advances, ``rows``
+    (T, 2, B) holds the row each direction reads at step t, forward then
+    reversed (a held step reads row 0), and ``full[t]`` says whether every
+    sequence is live at step t, so that it needs no hold. None unless
+    there is a length and each is >= 1."""
+    if not lengths or min(lengths) < 1:
+        return None
+    n = np.array(lengths, dtype=np.intp)
+    starts = np.cumsum(n) - n
+    step = np.arange(n.max())[:, None]
+    active = step < n  # (T, B)
+    rows = np.array([np.where(active, starts + step, 0),
+                     np.where(active, starts + n - 1 - step, 0)])
+    return int(n.sum()), active, rows.swapaxes(0, 1), active.all(axis=1).tolist()
+
+
 def bilstm_embed(params: BiLstmParams, seq: Tensor, lengths) -> Tensor:
     """Ragged batch of sequences -> one fixed vector per sequence, (B, d_out).
 
@@ -110,18 +133,13 @@ def bilstm_embed(params: BiLstmParams, seq: Tensor, lengths) -> Tensor:
     """
     lengths = np.asarray(lengths, dtype=np.intp)
     x = seq.data
-    if (x.ndim != 2 or lengths.ndim != 1 or lengths.size == 0
-            or lengths.min() < 1 or lengths.sum() != x.shape[0]):
+    steps = _steps(tuple(lengths.tolist())) if lengths.ndim == 1 else None
+    if x.ndim != 2 or steps is None or steps[0] != x.shape[0]:
         raise ShapeError(f"sequence rows {x.shape} do not split into lengths {lengths.tolist()}")
+    _, active, rows, full = steps
     fwd, rev = params.fwd, params.bwd
     hd = fwd.hidden
-    n_seq, t_max = lengths.size, int(lengths.max())
-    # the row each direction reads at step t; held steps read row 0
-    starts = np.cumsum(lengths) - lengths
-    step = np.arange(t_max)[:, None]
-    active = step < lengths  # (T, B)
-    rows_f = np.where(active, starts + step, 0)
-    rows_b = np.where(active, starts + lengths - 1 - step, 0)
+    t_max, n_seq = active.shape
     w_x = np.concatenate([fwd.w_x.data, rev.w_x.data], axis=1)  # (d_in, 8h)
     pre = x @ w_x
     pre += np.concatenate([fwd.bias.data, rev.bias.data])
@@ -129,7 +147,7 @@ def bilstm_embed(params: BiLstmParams, seq: Tensor, lengths) -> Tensor:
     # each step's inputs (T, 2, B, 4h) in one gather; pre is let go before
     # the steps run, as at a batch's size the two are the node's largest
     # arrays
-    z_in = pre.reshape(-1, 2, 4 * hd)[np.array([rows_f, rows_b]).swapaxes(0, 1), [[0], [1]]]
+    z_in = pre.reshape(-1, 2, 4 * hd)[rows, [[0], [1]]]
     del pre
     w_h = np.array([fwd.w_h.data, rev.w_h.data])  # (2, h, 4h)
     # sigmoid(x) = tanh(x/2)/2 + 1/2, so one tanh squashes all four gates:
@@ -140,8 +158,6 @@ def bilstm_embed(params: BiLstmParams, seq: Tensor, lengths) -> Tensor:
     shift = 1.0 - half
     z_in *= half
     w_h_half = w_h * half
-    # a step where every sequence is live needs no hold
-    full = active.all(axis=1).tolist()
 
     h = np.zeros((2, n_seq, hd), dtype=dt)
     c = np.zeros((2, n_seq, hd), dtype=dt)
@@ -193,8 +209,8 @@ def bilstm_embed(params: BiLstmParams, seq: Tensor, lengths) -> Tensor:
         dwh = (h_prev.transpose(1, 3, 0, 2).reshape(2, hd, -1)
                @ dz.transpose(1, 0, 2, 3).reshape(2, -1, 4 * hd))
         dpre = np.zeros((x.shape[0], 8 * hd), dtype=dt)
-        dpre[rows_f[active], : 4 * hd] = dz[:, 0][active]
-        dpre[rows_b[active], 4 * hd :] = dz[:, 1][active]
+        dpre[rows[:, 0][active], : 4 * hd] = dz[:, 0][active]
+        dpre[rows[:, 1][active], 4 * hd :] = dz[:, 1][active]
         g_wx = x.T @ dpre
         g_b = dpre.sum(axis=0)
         return (dpre @ w_x.T,

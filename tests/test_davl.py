@@ -12,6 +12,7 @@ from livlr.davl import (
     RiVariant,
     SOURCE_NAMES,
     apply_index_embedding,
+    attend,
     create_davl_params,
     integrate,
     question_attention,
@@ -241,6 +242,34 @@ class TestPaddedQuestionAttention:
         pad = QattPadding(shared, [4, 1, 3])
         assert [r.in_order for r in pad.rows] == [False, True, False, False]
         self._check_ragged_batch(shared, [4, 1, 3])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("counts, tokens", [
+        ([[1, 1, 2, 3]], [4]),
+        ([[2, 2, 1, 3], [2, 2, 1, 3]], [3, 3]),
+        ([[2, 2, 1, 3], [1, 1, 4, 1], [3, 3, 2, 2]], [4, 1, 3]),
+    ], ids=["batch1", "batch2", "ragged"])
+    def test_one_source_alone_gives_its_rows_of_the_four_source_node(self, counts, tokens, dtype):
+        # the gradient audit reruns a question-attention scalar's own
+        # source block alone, over its own padding, and splices the rows
+        # into the four-source node's: they must be the same bits
+        counts, tokens = np.array(counts), np.array(tokens)
+        for d, n_heads in [(6, 3), (4, 1)]:
+            rng = np.random.default_rng([321, d])
+            params = create_davl_params(ParamStore(), rng, d=d, n_heads=n_heads, n_keep=2,
+                                        variant=RiVariant.DAVL, dtype=dtype)
+            xs = [Tensor(rng.standard_normal((n, d)).astype(dtype)) for n in counts.sum(axis=0)]
+            q = Tensor(rng.standard_normal((tokens.sum(), d)).astype(dtype))
+            layout = BundleLayout(counts, tokens)
+            with no_grad():
+                nodes = question_attention([params.qatt[s] for s in SOURCE_NAMES], xs, q,
+                                           QattPadding(counts, tokens))
+                for k, (lo, hi) in enumerate(layout.spans):
+                    alone = question_attention([params.qatt[SOURCE_NAMES[k]]], [xs[k]], q,
+                                               QattPadding(counts[:, [k]], tokens))
+                    assert np.array_equal(alone.data, nodes.data[lo:hi]), (d, k)
+                    spliced = attend(params, RepresentationBundle(*xs), q, layout, k, nodes)
+                    assert np.array_equal(spliced.data, nodes.data), (d, k)
 
     def test_rows_that_do_not_fit_the_padding_raise(self):
         rng = np.random.default_rng(319)

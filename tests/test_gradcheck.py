@@ -9,11 +9,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+import livlr.davl
 import livlr.model
 from livlr.config import tiny_config
 from livlr.errors import ConfigError, NumericError
-from livlr.gradcheck import check_gradients, grad_check, probe_batch, relative_error
-from livlr.model import Encoded, Model
+from livlr.gradcheck import SCORE_CHUNK, check_gradients, grad_check, probe_batch, relative_error
+from livlr.model import SCORE_STAGES, Encoded, Model
 from livlr.tensor import Tensor, _record, add, matmul, relu, sum_all, tape_size
 
 
@@ -74,6 +75,37 @@ def test_grad_check_requires_double_precision():
         grad_check(tiny_config(precision="single"))
 
 
+BAD_STEPS = [True, float("nan"), float("inf"), -1.0, 0, "1e-4"]
+
+
+@pytest.mark.parametrize("value", BAD_STEPS, ids=repr)
+def test_check_gradients_rejects_a_bad_step_or_tolerance_before_any_forward(value):
+    # a bool, a non-finite or non-positive number and a string would each
+    # pass or fail every tensor, or raise a bare TypeError, only after
+    # all the forwards
+    w = Tensor(np.ones(3), requires_grad=True)
+    forwards = []
+
+    def loss_fn():
+        forwards.append(1)
+        return sum_all(relu(w))
+
+    for name in ("h", "tolerance"):
+        with pytest.raises(ConfigError, match=name):
+            check_gradients(loss_fn, {"w": w}, **{name: value})
+    assert not forwards
+
+
+@pytest.mark.parametrize("value", BAD_STEPS, ids=repr)
+def test_grad_check_rejects_a_bad_tolerance_before_any_forward(value, monkeypatch):
+    encodes = []
+    encode = Model.encode
+    monkeypatch.setattr(Model, "encode", lambda *args: encodes.append(1) or encode(*args))
+    with pytest.raises(ConfigError, match="tolerance"):
+        grad_check(micro_config(), seed=0, batch_size=1, tolerance=value)
+    assert not encodes
+
+
 def micro_config(**overrides):
     return tiny_config(
         d=4, d_a=3, d_o=3, d_c=3, d_t=3,
@@ -82,18 +114,27 @@ def micro_config(**overrides):
     )
 
 
+VARIANTS = ["DAVL", "RI_GCN", "RI_AT", "RI_CONCAT"]
+# the first prefix a parameter's name starts with gives its stage
 STAGE_PREFIXES = {
+    "candidates": "head.cand.",
+    "head": "head.",
+    "qatt": "davl.qatt.",
+    "fusion": "davl.",
     "visual": "visual.",
     "linguistic": "linguistic.",
     "question": "question.",
-    "candidates": "head.cand.",
 }
-STAGE_FUNCTIONS = {
+ENCODER_FUNCTIONS = {
     "visual": "encode_clip",
     "linguistic": "encode_all",
     "question": "encode_question",
     "candidates": "encode_candidates",
 }
+
+
+def stage_named(name):
+    return next(stage for stage, prefix in STAGE_PREFIXES.items() if name.startswith(prefix))
 
 
 def test_full_model_audit_passes_on_a_micro_config():
@@ -118,34 +159,69 @@ def test_report_flags_the_tensors_no_gradient_reaches():
 
 @pytest.mark.parametrize("setting", ["OE", "MC"])
 def test_reused_stages_are_exactly_their_param_groups(setting):
-    model = Model(micro_config(question_setting=setting))
-    name_of = {id(t): name for name, t in model.store.items()}
-    stages = model.encoder_params()
-    expected = set(STAGE_PREFIXES) - ({"candidates"} if setting == "OE" else set())
-    assert set(stages) == expected
-    # grad_check hands a stage back as the base encoding's field of its name
-    assert set(stages) <= {f.name for f in dataclasses.fields(Encoded)}
-    for stage, tensors in stages.items():
-        got = sorted(name_of[id(t)] for t in tensors)
-        want = [n for n in model.store.names() if n.startswith(STAGE_PREFIXES[stage])]
-        assert got == want, stage
+    encoders = ["visual", "linguistic", "question"] + (["candidates"] if setting == "MC" else [])
+    # an encoder stage's output is the field of its name
+    assert set(encoders) <= {f.name for f in dataclasses.fields(Encoded)}
+    for variant in VARIANTS:
+        model = Model(micro_config(question_setting=setting, ri_variant=variant))
+        name_of = {id(t): name for name, t in model.store.items()}
+        stages = model.stage_params()
+        assert list(stages) == encoders + list(SCORE_STAGES)
+        # every store tensor is in exactly one stage, the one its name says
+        owned = [name_of[id(t)] for tensors in stages.values() for t in tensors]
+        assert sorted(owned) == sorted(model.store.names()), variant
+        for stage, tensors in stages.items():
+            got = sorted(name_of[id(t)] for t in tensors)
+            assert got and all(stage_named(n) == stage for n in got), (variant, stage)
 
 
 def test_stage_reuse_reruns_only_the_perturbed_stage(monkeypatch):
-    # each stage runs once for the base encoding, once for the analytic pass
-    # and twice per scalar it owns; integration and head scalars run none
+    # every stage runs once on the probe batch for the base pass, once for
+    # the analytic pass and twice per scalar it owns (a question-attention
+    # scalar: its own source's block alone); no other forward runs it on
+    # the probe batch. The stages after a perturbed one score its
+    # perturbations SCORE_CHUNK at a time, over copies of the batch, and
+    # the stages before it run no more at all
     cfg = micro_config(question_setting="MC")
-    runs = {}
-    for stage, attr in STAGE_FUNCTIONS.items():
-        def counted(*args, stage=stage, fn=getattr(livlr.model, attr)):
-            runs[stage] = runs.get(stage, 0) + 1
+    calls = {}
+
+    def count(module, attr, stage, batch_of):
+        fn = getattr(module, attr)
+
+        def counted(*args):
+            key = (stage, batch_of(*args))
+            calls[key] = calls.get(key, 0) + 1
             return fn(*args)
 
-        monkeypatch.setattr(livlr.model, attr, counted)
+        monkeypatch.setattr(module, attr, counted)
+
+    # the encoders run only on the probe batch
+    for stage, attr in ENCODER_FUNCTIONS.items():
+        count(livlr.model, attr, stage, lambda *args: 1)
+    count(livlr.davl, "question_attention", "qatt", lambda blocks, xs, q, pad: (pad.n, len(blocks)))
+    count(livlr.davl, "fuse", "fusion", lambda params, nodes, layout: layout.n)
+    count(livlr.model, "score_candidates", "head", lambda head, x_hat, *rest: x_hat.data.shape[0])
     assert grad_check(cfg, seed=0, batch_size=1).passed
-    for stage, tensors in Model(cfg).encoder_params().items():
-        own = sum(t.size for t in tensors)
-        assert runs[stage] == 2 * own + 2, stage
+
+    stages = Model(cfg).stage_params()
+    own = {stage: sum(t.size for t in tensors) for stage, tensors in stages.items()}
+    for stage in ENCODER_FUNCTIONS:
+        assert calls.pop((stage, 1)) == 2 * own[stage] + 2, stage
+    # the base and the analytic pass run all four sources in one node
+    assert calls.pop(("qatt", (1, 4))) == 2
+    assert calls.pop(("qatt", (1, 1))) == 2 * own["qatt"]
+    for stage in ("fusion", "head"):
+        assert calls.pop((stage, 1)) == 2 * own[stage] + 2, stage
+    # each tensor's perturbations are scored in chunks of copies
+    chunks = {stage: sum(-(-2 * t.size // SCORE_CHUNK) for t in tensors)
+              for stage, tensors in stages.items()}
+    earlier = list(ENCODER_FUNCTIONS)
+    for stage in SCORE_STAGES:
+        runs = {b: calls.pop((s, b)) for s, b in list(calls) if s == stage}
+        assert sum(runs.values()) == sum(chunks[e] for e in earlier), stage
+        assert all(np.min(b) >= 2 for b in runs), stage  # copies, not the probe batch
+        earlier.append(stage)
+    assert not calls
 
 
 @pytest.mark.parametrize("batch_size", [1, 2])

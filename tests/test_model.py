@@ -33,8 +33,8 @@ from livlr.heads import (
     score_candidates,
 )
 from livlr.linguistic import encode_all
-from livlr.model import Encoded, Model
-from livlr.tensor import add, backward, recording, tape_size
+from livlr.model import Model
+from livlr.tensor import Tensor, add, backward, recording, tape_size
 from livlr.visual import encode_clip
 
 
@@ -87,6 +87,13 @@ def test_split_forward_matches_unsplit_bit_for_bit(setting, variant, precision):
     assert any(np.frombuffer(g, dtype=cfg.dtype).any() for g in split[1].values())
 
 
+def tile(out, copies):
+    """An encoder output (a tensor or a pair) for copies of its batch."""
+    if isinstance(out, tuple):
+        return tuple(tile(t, copies) for t in out)
+    return Tensor(np.concatenate([out.data] * copies))
+
+
 @pytest.mark.parametrize("copies", [2, 3, 16])
 @pytest.mark.parametrize("variant", ["DAVL", "RI_GCN", "RI_AT", "RI_CONCAT"])
 @pytest.mark.parametrize("setting", ["OE", "MC"])
@@ -103,7 +110,8 @@ def test_copies_of_a_sample_score_as_the_sample_alone(setting, variant, precisio
     for s in gen_synthetic(spec, cfg, seed=8).samples():
         enc = model.encode([s])
         losses, scores = model.answer([s], enc)
-        many = Encoded.join([enc] * copies)
+        # the encoder stages hand back copies of the sample's outputs
+        many = model.encode([s] * copies, lambda name, fn: tile(getattr(enc, name), copies))
         assert np.array_equal(model.score([s] * copies, many).data,
                               np.concatenate([scores.data] * copies))
         assert np.array_equal(model.answer([s] * copies, many)[0].data,
