@@ -9,7 +9,8 @@ Subcommands:
   sweep-nh     train once per attention-head count and report accuracies
 
 Exit codes: 0 success, 2 configuration error, 3 data error,
-4 numeric failure during training.
+4 numeric failure: a non-finite loss during training, or a tensor over
+the tolerance in grad-check.
 """
 from __future__ import annotations
 

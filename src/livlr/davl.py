@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, DegenerateRowError, ShapeError
-from .graph import GraphBatch, learn_adjacency, mean_weights, pool, vanilla_gcn_layer
+from .graph import GraphBatch, learn_adjacency, mean_weights, pool, run_stage, vanilla_gcn_layer
 from .optim import ParamStore, make_param
 from .tensor import (
     Slots,
@@ -417,13 +417,9 @@ def fuse(params: DavlParams, nodes: Tensor, layout: BundleLayout) -> Tensor:
     return pool(layout.mean, nodes, layout.graph)
 
 
-def _run_stage(name: str, fn):
-    return fn()
-
-
 def integrate(
     params: DavlParams, bundle: RepresentationBundle, q: Tensor, layout: BundleLayout | None = None,
-    run=_run_stage,
+    run=run_stage,
 ) -> Tensor:
     """Fuse the four representation matrices into one vector (d,) per
     sample. Without ``layout`` the bundle and the question rows q are one

@@ -6,26 +6,34 @@ Relative error uses max(|analytic|, |numeric|, floor) as the denominator
 so near-zero entries compare absolutely against the floor.
 
 The full-model audit (``grad_check``) perturbs one scalar at a time and
-knows which stage of the forward owns it: the encoder stages (visual,
-linguistic, question, MC candidates), then question attention, the
-fusion after it and the head (``Model.stage_params``). Each stage reads
-only its own parameter group, and the forward runs every stage through a
-hook (``Model.encode``, ``Model.score``). So the audit runs the probe
-batch once at the unperturbed weights and keeps every stage's output. A
-forward that perturbs a scalar reruns only the stage that owns it, on
-inputs taken from that base pass; a question-attention scalar reruns
-only its own source's block (``davl.attend``). A reused output is exactly what a rerun would
-compute, and no later op writes into its inputs. The analytic pass
-(recorded) reuses nothing.
+knows which stage of the forward owns it (``Model.stage_params``): the
+encoder stages (``ENCODER_STAGES``: the clip encoder's projections and
+its spatial and semantic graphs, the sentence encoder's BiLSTM and its
+role graph, the question and the MC candidates), then question
+attention, the fusion after it and the head. Each stage reads only its
+own parameter group, and the forward runs every stage through a hook
+``run(name, fn)``. So the audit runs the probe batch once at the
+unperturbed weights and keeps every stage's output and its fn. For a
+perturbed scalar it calls the owning stage's kept fn again, which holds
+the inputs the base pass gave it; for a question-attention scalar, with
+its source, so that only that source's block reruns (``davl.attend``).
+The encoders build what depends only on the samples once per call, so
+such a call reruns only the stage's products with weights. A kept fn
+gives exactly what a rerun in a full forward would, since no later op
+writes into its inputs. The analytic pass (recorded) reuses nothing.
 
 The forwards that perturb one scalar differ only in that stage's output:
 every later stage sees the same weights each time. So the audit collects
-those outputs and runs the later stages and the loss on up to
-``SCORE_CHUNK`` of them at once, over as many copies of the probe batch
-(operation batching: Neubig, Goldberg & Dyer, NeurIPS 2017). The
-integration module and the heads multiply each sample's rows in products
-of their own, whose shapes depend only on that sample's row counts, so
-every copy gets the bits its own one-batch forward would (the
+those outputs and runs the stages that read them, and the loss, on up
+to ``SCORE_CHUNK`` of them at once, over as many copies of the probe
+batch (operation batching: Neubig, Goldberg & Dyer, NeurIPS 2017). Those
+are the later stages of the perturbed stage's own encoder, if it is the
+encoder's first, and the ``SCORE_STAGES`` after it; every other stage
+hands back copies of its base output. The question and candidate
+BiLSTMs never run over copies. The graph stages, the integration module
+and the heads multiply each frame's, sentence's and sample's rows in
+products of their own, whose shapes depend only on that item's row
+counts, so every copy gets the bits its own one-batch forward would (the
 batch-invariance argument of He et al., "Defeating Nondeterminism in LLM
 Inference", 2025). So the numeric gradients are bit-identical to those
 from full forward passes.
@@ -44,7 +52,7 @@ from .config import ModelConfig
 from .data import SyntheticTaskSpec, gen_synthetic
 from .davl import SOURCE_NAMES
 from .errors import ConfigError
-from .model import SCORE_STAGES, Model
+from .model import ENCODER_STAGES, SCORE_STAGES, Model
 from .tensor import Tensor, backward, recording
 
 DEFAULT_H = 1e-5
@@ -175,11 +183,12 @@ def grad_check(
     """Build a model and one random batch, then finite-difference every
     parameter tensor. The probe batch is kept small because the cost is
     2 * (number of parameter scalars) forwards of the batch. Each forward
-    reruns only the stage that owns the perturbed scalar (for a
-    question-attention scalar, only its source's block) and takes every
-    other stage's output from one pass at the unperturbed weights; the
-    stages after it then run SCORE_CHUNK perturbations at a time, over as
-    many copies of the probe batch.
+    calls only the fn of the stage that owns the perturbed scalar, as one
+    pass at the unperturbed weights kept it with its inputs (for a
+    question-attention scalar, only its source's block), and takes every
+    other stage's output from that pass; the stages that read the
+    perturbed one's output then run SCORE_CHUNK perturbations at a time,
+    over as many copies of the probe batch.
     """
     _check_positive("tolerance", tolerance)
     model, samples = probe_batch(config, seed, batch_size)
@@ -187,10 +196,10 @@ def grad_check(
     stage_of = {id(t): name for name, ts in model.stage_params().items() for t in ts}
     source_of = {id(t): s for s, name in enumerate(SOURCE_NAMES)
                  for h in model.davl.qatt[name].heads for t in vars(h).values()}
-    base = {}
+    base, fns = {}, {}
 
     def keep(name, fn):
-        base[name] = fn()
+        fns[name], base[name] = fn, fn()
         return base[name]
 
     enc = model.encode(samples, keep)
@@ -201,23 +210,10 @@ def grad_check(
 
     def losses_of(p):
         stage, source = stage_of[id(p)], source_of.get(id(p))
-        # the stages that read the perturbed one's output
-        first = SCORE_STAGES.index(stage) + 1 if stage in SCORE_STAGES else 0
-        later = SCORE_STAGES[first:]
-        fresh = []
-
-        def rerun(name, fn):
-            if name != stage:
-                return base[name]
-            fresh.append(fn() if source is None else fn(source, base[name]))
-            return fresh[-1]
-
-        def outputs():
-            for _ in _perturbations(p, DEFAULT_H):
-                model.score(samples, model.encode(samples, rerun), rerun)
-                yield fresh.pop()
-
-        n, outs, losses = len(samples), outputs(), []
+        later = _later_stages(stage)
+        fn, args = fns[stage], () if source is None else (source, base[stage])
+        outs = (fn(*args) for _ in _perturbations(p, DEFAULT_H))
+        n, losses = len(samples), []
         while chunk := list(itertools.islice(outs, SCORE_CHUNK)):
             copies = samples * len(chunk)
 
@@ -231,6 +227,16 @@ def grad_check(
         return losses
 
     return _check(lambda: model.batch_loss(samples)[0], params, DEFAULT_H, tolerance, losses_of)
+
+
+def _later_stages(stage: str) -> tuple:
+    """The stages that read stage's output, directly or not: the later
+    stages of its own encoder if it is the encoder's first, and the
+    ``SCORE_STAGES`` after it."""
+    if stage in SCORE_STAGES:
+        return SCORE_STAGES[SCORE_STAGES.index(stage) + 1:]
+    first, *rest = next(chain for chain in ENCODER_STAGES if stage in chain)
+    return (tuple(rest) if stage == first else ()) + SCORE_STAGES
 
 
 def _mean(losses: np.ndarray) -> float:

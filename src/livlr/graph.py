@@ -12,6 +12,11 @@ residual pattern out_i = ReLU(v_i + aggregate(neighbors)).
 Each op pads the stacked rows into (B, n_max, d) blocks
 (``tensor.Slots``), so one tape node serves every frame or sentence of a
 minibatch, or every sample's integration graph.
+
+The encoders and the integration module run in stages, each through a
+stage hook ``run(name, fn)`` that must return fn(); ``run_stage`` is the
+plain one. A caller may instead hand back an earlier output of a stage,
+or keep fn and call it again (see gradcheck).
 """
 from __future__ import annotations
 
@@ -30,6 +35,10 @@ from .tensor import (
     matmul,
     relu,
 )
+
+
+def run_stage(name: str, fn):
+    return fn()
 
 
 def pad_blocks(blocks: list[np.ndarray]) -> np.ndarray:

@@ -13,12 +13,21 @@ pure function of the data that ``Sample.sentence_layout()`` keeps.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError, GraphIntegrityError
-from .graph import AttnGcnParams, GraphBatch, attn_gcn_layer, mean_weights, pad_blocks, pool
+from .graph import (
+    AttnGcnParams,
+    GraphBatch,
+    attn_gcn_layer,
+    mean_weights,
+    pad_blocks,
+    pool,
+    run_stage,
+)
 from .optim import ParamStore, make_param
 from .rnn import SeqEncoderParams, create_seq_encoder, encode_sequences
 from .tensor import Tensor, concat, constant, gather, matmul, mul
@@ -228,39 +237,60 @@ def sentence_layout(sentences: list[tuple[np.ndarray, SrlParse]]) -> SentenceLay
     )
 
 
-def encode_all(params: LinguisticEncoderParams, text: SentenceLayout) -> tuple[Tensor, Tensor]:
-    """The sentences of a ``SentenceLayout``, which may stack several
-    samples' sentences -> event rows (N_s, d) and pooled local rows (N_s, d).
+def encode_all(
+    params: LinguisticEncoderParams, texts: list[SentenceLayout], run=run_stage
+) -> tuple[Tensor, Tensor]:
+    """The sentences of a list of ``SentenceLayout``s, joined in order ->
+    event rows (N_s, d) and pooled local rows (N_s, d).
 
-    Every sentence's tokens go through one ragged BiLSTM node. Local nodes
-    start from projected span means of the raw tokens, get scaled
-    per-feature by their role's row of the role matrix, then mix with their
-    sentence's event node through one role-graph layer over every
-    sentence's graph. A parse with no predicates and no arguments pools to
-    the zero vector.
+    Two stages go through the stage hook run(name, fn). In
+    "linguistic.sentence" every sentence's tokens go through one ragged
+    BiLSTM node, which gives the event nodes. In "linguistic.role_graph"
+    local nodes start from projected span means of the raw tokens, get
+    scaled per-feature by their role's row of the role matrix, then mix
+    with their sentence's event node through one role-graph layer over
+    every sentence's graph. A parse with no predicates and no arguments
+    pools to the zero vector. What depends only on the sentences (the
+    joined layout, the stacked tokens, the span means, the pooling
+    weights) is built once per call, when a stage first reads it, so
+    calling a stage's fn again reruns only its products with weights.
     """
-    d_t = params.sentence.w_tok.data.shape[0]
-    widths = {t.shape[1] for t in text.tokens}
-    if widths != {d_t}:
-        raise DataError(f"token widths {sorted(widths)} do not match d_t={d_t}")
-    if text.roles.size and text.roles.max() > params.n_roles:
-        raise DataError(f"role id {text.roles.max()} exceeds the role vocabulary ({params.n_roles})")
 
-    n_s = text.n_sentences
-    tokens = np.concatenate(text.tokens)
-    _, events = encode_sequences(
-        params.sentence, tokens, [len(t) for t in text.tokens], rectify=False)
-    # each local node's mean of its span of raw tokens: every span's sum is
-    # one reduceat over [lo, hi + 1) row pairs, after a zero row
-    lo, hi = text.spans.T
-    ends = np.stack([lo, hi + 1], axis=1).ravel()
-    sums = np.add.reduceat(np.vstack([tokens, np.zeros_like(tokens[:1])]), ends, axis=0)[::2]
-    means = sums / (hi - lo + 1)[:, None]
-    locals_ = matmul(constant(means, params.dtype), params.w_local)
-    scale = gather(params.role_matrix, text.roles - 1)
-    # rows: every sentence's event, then every sentence's local nodes
-    nodes = concat([events, mul(locals_, scale)], axis=0)
-    nodes = attn_gcn_layer(params.role_gcn, nodes, text.graphs)
-    local_slots = text.graphs.valid.copy()
-    local_slots[:, 0] = False  # slot 0 holds the sentence's event node
-    return gather(nodes, np.arange(n_s)), pool(mean_weights(local_slots), nodes, text.graphs)
+    @functools.cache
+    def data():
+        text = SentenceLayout.join(texts)
+        d_t = params.sentence.w_tok.data.shape[0]
+        widths = {t.shape[1] for t in text.tokens}
+        if widths != {d_t}:
+            raise DataError(f"token widths {sorted(widths)} do not match d_t={d_t}")
+        if text.roles.size and text.roles.max() > params.n_roles:
+            raise DataError(
+                f"role id {text.roles.max()} exceeds the role vocabulary ({params.n_roles})")
+        tokens = np.concatenate(text.tokens)
+        # each local node's mean of its span of raw tokens: every span's sum
+        # is one reduceat over [lo, hi + 1) row pairs, after a zero row
+        lo, hi = text.spans.T
+        ends = np.stack([lo, hi + 1], axis=1).ravel()
+        sums = np.add.reduceat(np.vstack([tokens, np.zeros_like(tokens[:1])]), ends, axis=0)[::2]
+        local_slots = text.graphs.valid.copy()
+        local_slots[:, 0] = False  # slot 0 holds the sentence's event node
+        return (text, tokens, constant(sums / (hi - lo + 1)[:, None], params.dtype),
+                mean_weights(local_slots))
+
+    def sentence():
+        text, tokens, _, _ = data()
+        return encode_sequences(
+            params.sentence, tokens, [len(t) for t in text.tokens], rectify=False)[1]
+
+    events = run("linguistic.sentence", sentence)
+
+    def role_graph():
+        text, _, means, local_mean = data()
+        locals_ = matmul(means, params.w_local)
+        scale = gather(params.role_matrix, text.roles - 1)
+        # rows: every sentence's event, then every sentence's local nodes
+        nodes = concat([events, mul(locals_, scale)], axis=0)
+        nodes = attn_gcn_layer(params.role_gcn, nodes, text.graphs)
+        return gather(nodes, np.arange(text.n_sentences)), pool(local_mean, nodes, text.graphs)
+
+    return run("linguistic.role_graph", role_graph)

@@ -22,11 +22,11 @@ from .davl import (
     DavlParams,
     RepresentationBundle,
     RiVariant,
-    _run_stage,
     create_davl_params,
     integrate,
 )
 from .errors import ContractError, DataError
+from .graph import run_stage
 from .heads import (
     MultiChoiceHead,
     OpenEndedHead,
@@ -39,19 +39,23 @@ from .heads import (
     predict_open_ended,
     score_candidates,
 )
-from .linguistic import (
-    LinguisticEncoderParams,
-    SentenceLayout,
-    create_linguistic_params,
-    encode_all,
-)
+from .linguistic import LinguisticEncoderParams, create_linguistic_params, encode_all
 from .optim import ParamStore
 from .rnn import SeqEncoderParams, create_seq_encoder
 from .tensor import Tensor, mul, reshape, sum_all
 from .visual import VisualEncoderParams, create_visual_params, encode_clip
 
+# each encoder's stages, in the order Model.encode runs them through its
+# stage hook; an encoder's later stages read only its first stage's output
+# and the samples
+ENCODER_STAGES = (
+    ("visual.proj", "visual.spatial", "visual.semantic"),
+    ("linguistic.sentence", "linguistic.role_graph"),
+    ("question",),
+    ("candidates",),
+)
 # the stages Model.score runs through its stage hook, in order, after the
-# encoder stages
+# encoder stages; each reads the one before it
 SCORE_STAGES = ("qatt", "fusion", "head")
 
 
@@ -59,9 +63,11 @@ SCORE_STAGES = ("qatt", "fusion", "head")
 class Encoded:
     """A batch's encoder outputs, each stacking the samples' rows in
     order, and each sample's (frames, sentences, question tokens); the
-    rest of the forward reads only these. The four output fields are named
-    after the encoder stages that compute them (``Model.stage_params``),
-    so ``getattr(enc, stage)`` is that stage's output."""
+    rest of the forward reads only these. ``question`` and ``candidates``
+    are the outputs of the stages of those names; ``visual`` adds the two
+    graph stages' pooled rows to the holistic rows of "visual.proj", and
+    ``linguistic`` is the output of "linguistic.role_graph"
+    (``ENCODER_STAGES``)."""
 
     visual: tuple[Tensor, Tensor]  # holistic rows, fine-grained rows (one per frame)
     linguistic: tuple[Tensor, Tensor]  # event rows, local rows (one per sentence)
@@ -141,12 +147,21 @@ class Model:
 
     def stage_params(self) -> dict[str, list[Tensor]]:
         """Stage name -> every parameter tensor that stage reads, in
-        forward order: the encoder stages ``encode`` runs, then
-        ``SCORE_STAGES``. Each stage is handed only these parameters, so
-        they are all its output can depend on besides its inputs, and
-        every parameter belongs to exactly one stage."""
-        davl, mc = self.davl, self.mc_head
-        stages = {"visual": self.visual, "linguistic": self.linguistic, "question": self.question}
+        forward order: the encoder stages ``encode`` runs
+        (``ENCODER_STAGES``), then ``SCORE_STAGES``. Each stage is handed
+        only these parameters, so they are all its output can depend on
+        besides its inputs, and every parameter belongs to exactly one
+        stage."""
+        davl, mc, v, text = self.davl, self.mc_head, self.visual, self.linguistic
+        stages = {
+            "visual.proj": [v.w_hol, v.b_hol, v.w_obj, v.b_obj, v.w_pos, v.b_pos,
+                            v.w_spatial_mix, v.w_cls, v.b_cls, v.w_semantic_mix],
+            "visual.spatial": v.spatial_gcn,
+            "visual.semantic": [v.learn_w1, v.learn_w2, v.semantic_gcn],
+            "linguistic.sentence": text.sentence,
+            "linguistic.role_graph": [text.w_local, text.role_matrix, text.role_gcn],
+            "question": self.question,
+        }
         if mc is not None:
             stages["candidates"] = mc.cand_encoder
         stages["qatt"] = [davl.qatt[name] for name in SOURCE_NAMES]
@@ -155,20 +170,21 @@ class Model:
         stages["head"] = self.oe_head if mc is None else [mc.w_score, mc.b_score]
         return {name: list(_leaves(params)) for name, params in stages.items()}
 
-    def encode(self, samples, run=_run_stage) -> Encoded:
+    def encode(self, samples, run=run_stage) -> Encoded:
         """Run the encoder stages over one sample or a list of samples (a
         batch), each stage once over the whole batch. Each stage goes
         through run(name, fn), which must return fn(); a caller may instead
-        hand back an earlier output of that stage (see gradcheck)."""
+        hand back an earlier output of that stage, or keep fn to call it
+        again (see gradcheck). The clip and sentence encoders run their
+        stages through run themselves (``ENCODER_STAGES``)."""
         batch = _batch(samples)
         if not batch:
             raise ContractError("a batch needs at least one sample")
         mc = self.mc_head
         if mc is not None and any(s.candidates is None for s in batch):
             raise DataError("multiple-choice sample is missing candidates")
-        visual = run("visual", lambda: encode_clip(self.visual, [s.clip for s in batch]))
-        linguistic = run("linguistic", lambda: encode_all(
-            self.linguistic, SentenceLayout.join([s.sentence_layout() for s in batch])))
+        visual = encode_clip(self.visual, [s.clip for s in batch], run)
+        linguistic = encode_all(self.linguistic, [s.sentence_layout() for s in batch], run)
         question = run("question", lambda: encode_question(self.question, [s.question for s in batch]))
         candidates = None
         if mc is not None:
@@ -176,7 +192,7 @@ class Model:
         counts = tuple((len(s.clip.frames), len(s.sentences), len(s.question)) for s in batch)
         return Encoded(visual, linguistic, question, candidates, counts)
 
-    def score(self, samples, enc: Encoded, run=_run_stage) -> Tensor:
+    def score(self, samples, enc: Encoded, run=run_stage) -> Tensor:
         """The integration module and the answer head on top of the encoder
         outputs, each one node over the batch: answer-set logits (B, A)
         (OE) or every candidate's score in sample order (MC). Needs no
@@ -191,7 +207,7 @@ class Model:
         return run("head", lambda: score_candidates(
             self.mc_head, x_hat, q_hat, enc.candidates, sizes))
 
-    def answer(self, samples, enc: Encoded, run=_run_stage) -> tuple[Tensor, Tensor]:
+    def answer(self, samples, enc: Encoded, run=run_stage) -> tuple[Tensor, Tensor]:
         """score and its loss: (losses, scores). A batch gets one loss per
         sample (B,) and scores as score gives them; one sample gets a
         scalar loss and scores (A,) or (N_k,). run goes to score."""

@@ -15,6 +15,7 @@ pooled row has the same bits in any batch.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +31,7 @@ from .graph import (
     mean_weights,
     pad_blocks,
     pool,
+    run_stage,
     typed_edge_gcn_layer,
 )
 from .optim import ParamStore, make_param
@@ -260,30 +262,51 @@ def create_visual_params(
     )
 
 
-def encode_clip(params: VisualEncoderParams, clips: list[ClipFeatures]) -> tuple[Tensor, Tensor]:
+def encode_clip(
+    params: VisualEncoderParams, clips: list[ClipFeatures], run=run_stage
+) -> tuple[Tensor, Tensor]:
     """Holistic rows (N_f, d) and fine-grained rows (N_f, d) of a list of
     clips, their frames stacked clip after clip. A frame's fine-grained row
     is its pooled spatial graph plus its pooled semantic graph over the
-    frame's objects."""
+    frame's objects.
+
+    Three stages go through the stage hook run(name, fn): "visual.proj"
+    projects the features into the holistic rows and each graph's input
+    rows, then "visual.spatial" and "visual.semantic" each run their
+    graph's layer on its input rows and pool it. What depends only on the
+    clips (the joined geometry, the stacked features, the pooling weights)
+    is built once per call, when a stage first reads it, so calling a
+    stage's fn again reruns only its products with weights."""
     dtype = params.dtype
-    geo = ClipGeometry.join([c.geometry() for c in clips])
-    frames = [f for c in clips for f in c.frames]
-    stack = lambda name: constant(np.concatenate([getattr(f, name) for f in frames]), dtype)
-    hol = linear(constant(np.stack([f.appearance for f in frames]), dtype), params.w_hol, params.b_hol)
-    obj = linear(stack("objects"), params.w_obj, params.b_obj)
+    geo = functools.cache(lambda: ClipGeometry.join([c.geometry() for c in clips]))
+    mean = functools.cache(lambda: mean_weights(geo().spatial.valid))  # each frame's objects
 
-    # spatial branch: geometry-typed edges over box relations
-    pos = linear(constant(geo.positions, dtype), params.w_pos, params.b_pos)
-    v_sp = matmul(concat([obj, pos], axis=1), params.w_spatial_mix)
-    v_sp = typed_edge_gcn_layer(params.spatial_gcn, v_sp, geo.spatial)
+    @functools.cache
+    def features():
+        frames = [f for c in clips for f in c.frames]
+        stack = lambda name: constant(np.concatenate([getattr(f, name) for f in frames]), dtype)
+        return (constant(np.stack([f.appearance for f in frames]), dtype), stack("objects"),
+                constant(geo().positions, dtype), stack("class_attr"))
 
-    # semantic branch: adjacency learned from class/attribute content
-    cls = linear(stack("class_attr"), params.w_cls, params.b_cls)
-    v_se = matmul(concat([obj, cls], axis=1), params.w_semantic_mix)
-    del obj, pos, cls  # at a batch's size, let them go before the semantic layers run
-    _, g_se = learn_adjacency(params.learn_w1, params.learn_w2, v_se, params.n_keep, geo.spatial)
-    v_se = attn_gcn_layer(params.semantic_gcn, v_se, g_se)
+    def project():
+        appearance, objects, positions, class_attr = features()
+        hol = linear(appearance, params.w_hol, params.b_hol)
+        obj = linear(objects, params.w_obj, params.b_obj)
+        # spatial branch: geometry-typed edges over box relations
+        pos = linear(positions, params.w_pos, params.b_pos)
+        v_sp = matmul(concat([obj, pos], axis=1), params.w_spatial_mix)
+        # semantic branch: adjacency learned from class/attribute content
+        cls = linear(class_attr, params.w_cls, params.b_cls)
+        return hol, v_sp, matmul(concat([obj, cls], axis=1), params.w_semantic_mix)
 
-    mean = mean_weights(geo.spatial.valid)  # each frame's objects
-    fine = add(pool(mean, v_sp, geo.spatial), pool(mean, v_se, g_se))
-    return hol, fine
+    hol, v_sp, v_se = run("visual.proj", project)
+
+    def spatial():
+        graph = geo().spatial
+        return pool(mean(), typed_edge_gcn_layer(params.spatial_gcn, v_sp, graph), graph)
+
+    def semantic():
+        _, graph = learn_adjacency(params.learn_w1, params.learn_w2, v_se, params.n_keep, geo().spatial)
+        return pool(mean(), attn_gcn_layer(params.semantic_gcn, v_se, graph), graph)
+
+    return hol, add(run("visual.spatial", spatial), run("visual.semantic", semantic))

@@ -236,7 +236,7 @@ def test_non_finite_affinity_is_a_numeric_error(encode):
         encode(model.visual, clip)
 
 
-@pytest.mark.parametrize("encode", [lambda params, s: encode_all(params, sentence_layout(s)), oracles.encode_all],
+@pytest.mark.parametrize("encode", [lambda params, s: encode_all(params, [sentence_layout(s)]), oracles.encode_all],
                          ids=["batched", "per_sentence"])
 def test_role_beyond_the_vocabulary_is_a_data_error(encode):
     cfg = tiny_config()
@@ -257,7 +257,7 @@ def test_token_width_mismatch_is_a_data_error():
     wide = (rng.standard_normal((3, cfg.d_t + 1)), SrlParse(tokens=3))
     for sentences in ([wide], [ok, wide]):  # every sentence too wide, or one of them
         with pytest.raises(DataError, match="width"):
-            encode_all(model.linguistic, sentence_layout(sentences))
+            encode_all(model.linguistic, [sentence_layout(sentences)])
 
 
 def test_box_and_object_mismatch_is_a_data_error():

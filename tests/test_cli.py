@@ -2,18 +2,21 @@
 
 Each subcommand runs in-process through main(argv) against temp
 directories. Exit codes are part of the contract: 0 success, 2 config
-error, 3 data error (including unreadable checkpoints), 4 numeric failure.
+error, 3 data error (including unreadable checkpoints), 4 numeric failure
+(a non-finite training loss, or a failed gradient audit).
 """
 import json
 
 import numpy as np
 import pytest
 
+import livlr.heads
 from livlr.checkpoint import save_checkpoint
 from livlr.cli import main
 from livlr.config import tiny_config
 from livlr.data import load_dataset
 from livlr.model import Model
+from livlr.tensor import Tensor, _record, grouped_matmul
 
 MICRO = dict(
     d=4, d_a=3, d_o=3, d_c=3, d_t=3,
@@ -100,6 +103,23 @@ def test_grad_check_reports_every_tensor(tmp_path, capsys):
     learners = [l for l in lines if ".learner." in l]
     assert learners and all(l.endswith("zero_grad=100.0% dead ok") for l in learners)
     assert "within" in out.splitlines()[-1]
+
+
+def test_a_failed_gradient_audit_exits_4(tmp_path, capsys, monkeypatch):
+    # the head's products with a backward rule that doubles the gradient
+    # reaching them: the forwards, and so the central differences, are
+    # unchanged, and only the last bias stays right
+    def doubled(x, w, rows):
+        out = grouped_matmul(x, w, rows)
+        return _record(Tensor(out.data), (out,), lambda g: (2.0 * g,))
+
+    monkeypatch.setattr(livlr.heads, "grouped_matmul", doubled)
+    cfg = write_config(tmp_path, **MICRO)
+    assert main(["grad-check", "--config", cfg, "--batch-size", "1"]) == 4
+    out = capsys.readouterr().out
+    flags = {l.split()[0]: l.split()[-1] for l in out.splitlines() if "max_rel_err=" in l}
+    assert flags["head.fc2.w"] == "FAIL" and flags["head.fc2.b"] == "ok"
+    assert "exceeded tolerance" in out.splitlines()[-1]
 
 
 def test_param_count_totals_match(tmp_path, capsys):

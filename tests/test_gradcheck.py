@@ -4,17 +4,15 @@ A checker is only trustworthy if it can catch a wrong gradient, so one
 test wires a custom op with a deliberately broken backward rule and
 requires the report to flag exactly that tensor.
 """
-import dataclasses
-
 import numpy as np
 import pytest
 
-import livlr.davl
-import livlr.model
 from livlr.config import tiny_config
+from livlr.davl import SOURCE_NAMES
 from livlr.errors import ConfigError, NumericError
 from livlr.gradcheck import SCORE_CHUNK, check_gradients, grad_check, probe_batch, relative_error
-from livlr.model import SCORE_STAGES, Encoded, Model
+from livlr.graph import run_stage
+from livlr.model import ENCODER_STAGES, SCORE_STAGES, Model
 from livlr.tensor import Tensor, _record, add, matmul, relu, sum_all, tape_size
 
 
@@ -115,26 +113,25 @@ def micro_config(**overrides):
 
 
 VARIANTS = ["DAVL", "RI_GCN", "RI_AT", "RI_CONCAT"]
-# the first prefix a parameter's name starts with gives its stage
+# every stage in forward order, with the name prefixes of its parameters;
+# the longest prefix a parameter's name starts with gives its stage
 STAGE_PREFIXES = {
-    "candidates": "head.cand.",
-    "head": "head.",
-    "qatt": "davl.qatt.",
-    "fusion": "davl.",
-    "visual": "visual.",
-    "linguistic": "linguistic.",
-    "question": "question.",
-}
-ENCODER_FUNCTIONS = {
-    "visual": "encode_clip",
-    "linguistic": "encode_all",
-    "question": "encode_question",
-    "candidates": "encode_candidates",
+    "visual.proj": ("visual.",),
+    "visual.spatial": ("visual.spatial_gcn.",),
+    "visual.semantic": ("visual.learner.", "visual.semantic_gcn."),
+    "linguistic.sentence": ("linguistic.",),
+    "linguistic.role_graph": ("linguistic.local_proj.", "linguistic.roles", "linguistic.role_gcn."),
+    "question": ("question.",),
+    "candidates": ("head.cand.",),
+    "qatt": ("davl.qatt.",),
+    "fusion": ("davl.",),
+    "head": ("head.",),
 }
 
 
 def stage_named(name):
-    return next(stage for stage, prefix in STAGE_PREFIXES.items() if name.startswith(prefix))
+    return max(((len(p), stage) for stage, prefixes in STAGE_PREFIXES.items()
+                for p in prefixes if name.startswith(p)))[1]
 
 
 def test_full_model_audit_passes_on_a_micro_config():
@@ -159,14 +156,13 @@ def test_report_flags_the_tensors_no_gradient_reaches():
 
 @pytest.mark.parametrize("setting", ["OE", "MC"])
 def test_reused_stages_are_exactly_their_param_groups(setting):
-    encoders = ["visual", "linguistic", "question"] + (["candidates"] if setting == "MC" else [])
-    # an encoder stage's output is the field of its name
-    assert set(encoders) <= {f.name for f in dataclasses.fields(Encoded)}
+    names = [s for s in STAGE_PREFIXES if setting == "MC" or s != "candidates"]
+    assert [s for chain in ENCODER_STAGES for s in chain] + list(SCORE_STAGES) == list(STAGE_PREFIXES)
     for variant in VARIANTS:
         model = Model(micro_config(question_setting=setting, ri_variant=variant))
         name_of = {id(t): name for name, t in model.store.items()}
         stages = model.stage_params()
-        assert list(stages) == encoders + list(SCORE_STAGES)
+        assert list(stages) == names
         # every store tensor is in exactly one stage, the one its name says
         owned = [name_of[id(t)] for tensors in stages.values() for t in tensors]
         assert sorted(owned) == sorted(model.store.names()), variant
@@ -175,53 +171,86 @@ def test_reused_stages_are_exactly_their_param_groups(setting):
             assert got and all(stage_named(n) == stage for n in got), (variant, stage)
 
 
-def test_stage_reuse_reruns_only_the_perturbed_stage(monkeypatch):
-    # every stage runs once on the probe batch for the base pass, once for
-    # the analytic pass and twice per scalar it owns (a question-attention
-    # scalar: its own source's block alone); no other forward runs it on
-    # the probe batch. The stages after a perturbed one score its
-    # perturbations SCORE_CHUNK at a time, over copies of the batch, and
-    # the stages before it run no more at all
-    cfg = micro_config(question_setting="MC")
+def counting_stages(monkeypatch):
+    """Wrap every stage's fn as Model.encode and Model.score hand it to
+    their stage hook, so that a caller that keeps fn and calls it again is
+    counted too: (stage, samples in the batch, whether fn got arguments)
+    -> calls."""
     calls = {}
 
-    def count(module, attr, stage, batch_of):
-        fn = getattr(module, attr)
+    def counting(samples, run):
+        def counted_run(name, fn):
+            def counted(*args):
+                key = (name, len(samples), bool(args))
+                calls[key] = calls.get(key, 0) + 1
+                return fn(*args)
+            return run(name, counted)
+        return counted_run
 
-        def counted(*args):
-            key = (stage, batch_of(*args))
-            calls[key] = calls.get(key, 0) + 1
-            return fn(*args)
+    encode, score = Model.encode, Model.score
+    monkeypatch.setattr(Model, "encode", lambda self, samples, run=run_stage:
+                        encode(self, samples, counting(samples, run)))
+    monkeypatch.setattr(Model, "score", lambda self, samples, enc, run=run_stage:
+                        score(self, samples, enc, counting(samples, run)))
+    return calls
 
-        monkeypatch.setattr(module, attr, counted)
 
-    # the encoders run only on the probe batch
-    for stage, attr in ENCODER_FUNCTIONS.items():
-        count(livlr.model, attr, stage, lambda *args: 1)
-    count(livlr.davl, "question_attention", "qatt", lambda blocks, xs, q, pad: (pad.n, len(blocks)))
-    count(livlr.davl, "fuse", "fusion", lambda params, nodes, layout: layout.n)
-    count(livlr.model, "score_candidates", "head", lambda head, x_hat, *rest: x_hat.data.shape[0])
+def test_stage_reuse_reruns_only_the_perturbed_stage(monkeypatch):
+    # every stage's own fn runs once on the probe batch for the base pass,
+    # once for the analytic pass and twice per scalar it owns, called
+    # again from the base pass (a question-attention scalar: its own
+    # source's block alone). A stage that reads the perturbed stage's
+    # output, directly or not, scores its perturbations SCORE_CHUNK at a
+    # time, over copies of the batch: an encoder's later stages read its
+    # first stage, and a score stage every encoder stage and the score
+    # stages before it. No other stage runs for them at all
+    cfg = micro_config(question_setting="MC")
+    calls = counting_stages(monkeypatch)
     assert grad_check(cfg, seed=0, batch_size=1).passed
 
     stages = Model(cfg).stage_params()
     own = {stage: sum(t.size for t in tensors) for stage, tensors in stages.items()}
-    for stage in ENCODER_FUNCTIONS:
-        assert calls.pop((stage, 1)) == 2 * own[stage] + 2, stage
-    # the base and the analytic pass run all four sources in one node
-    assert calls.pop(("qatt", (1, 4))) == 2
-    assert calls.pop(("qatt", (1, 1))) == 2 * own["qatt"]
-    for stage in ("fusion", "head"):
-        assert calls.pop((stage, 1)) == 2 * own[stage] + 2, stage
+    for stage in stages:
+        with_args = calls.pop((stage, 1, True), 0)
+        assert calls.pop((stage, 1, False)) + with_args == 2 * own[stage] + 2, stage
+        assert with_args == (2 * own[stage] if stage == "qatt" else 0), stage
     # each tensor's perturbations are scored in chunks of copies
     chunks = {stage: sum(-(-2 * t.size // SCORE_CHUNK) for t in tensors)
               for stage, tensors in stages.items()}
-    earlier = list(ENCODER_FUNCTIONS)
-    for stage in SCORE_STAGES:
-        runs = {b: calls.pop((s, b)) for s, b in list(calls) if s == stage}
-        assert sum(runs.values()) == sum(chunks[e] for e in earlier), stage
-        assert all(np.min(b) >= 2 for b in runs), stage  # copies, not the probe batch
-        earlier.append(stage)
+    encoders = [s for chain in ENCODER_STAGES for s in chain if s in stages]
+    reads = {chain[i]: [chain[0]] for chain in ENCODER_STAGES for i in range(1, len(chain))}
+    for i, stage in enumerate(SCORE_STAGES):
+        reads[stage] = encoders + list(SCORE_STAGES[:i])
+    for stage in stages:
+        runs = {key: calls.pop(key) for key in list(calls) if key[0] == stage}
+        assert sum(runs.values()) == sum(chunks[s] for s in reads.get(stage, [])), stage
+        # copies, not the probe batch, and whole stages
+        assert all(b >= 2 and not args for _, b, args in runs), stage
     assert not calls
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("setting", ["OE", "MC"])
+def test_a_kept_stage_fn_reproduces_its_output_bit_for_bit(setting, variant):
+    # grad_check calls each stage's fn again from the base pass, on the
+    # inputs that pass gave it: at the unperturbed weights it must give the
+    # kept output again, so no op writes into a stage's inputs and nothing
+    # a stage reads changes after it ran
+    model, samples = probe_batch(micro_config(question_setting=setting, ri_variant=variant))
+    base, fns = {}, {}
+
+    def keep(name, fn):
+        fns[name], base[name] = fn, fn()
+        return base[name]
+
+    model.score(samples, model.encode(samples, keep), keep)
+    assert list(base) == list(model.stage_params())
+    flat = lambda out: [t.data for t in (out if isinstance(out, tuple) else (out,))]
+    for name, fn in fns.items():
+        again = [fn()] + [fn(s, base[name]) for s in range(len(SOURCE_NAMES)) if name == "qatt"]
+        for out in again:
+            for a, b in zip(flat(out), flat(base[name]), strict=True):
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 @pytest.mark.parametrize("batch_size", [1, 2])

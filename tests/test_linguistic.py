@@ -195,7 +195,7 @@ class TestRoleGraph:
 
 def encode_sentence(params, tokens, parse):
     """One sentence through encode_all: (event row (d,), local row (d,))."""
-    ev, loc = encode_all(params, sentence_layout([(tokens, parse)]))
+    ev, loc = encode_all(params, [sentence_layout([(tokens, parse)])])
     return ev.data[0], loc.data[0]
 
 
@@ -290,7 +290,7 @@ class TestSentenceEncoder:
                                         SrlArgument(span=(0, 0), role=3, pred=0)])
             sents.append((toks, parse))
         with recording():
-            ev, loc = encode_all(params, sentence_layout(sents))
+            ev, loc = encode_all(params, [sentence_layout(sents)])
             assert ev.data.shape == (3, 6) and loc.data.shape == (3, 6)
             store.zero_grads()
             backward(add(sum_all(ev), sum_all(loc)))
@@ -302,4 +302,4 @@ class TestSentenceEncoder:
         rng = np.random.default_rng(217)
         store, params = make_encoder(rng)
         with pytest.raises(DataError):
-            encode_all(params, sentence_layout([]))
+            encode_all(params, [sentence_layout([])])

@@ -33,7 +33,7 @@ from livlr.heads import (
     score_candidates,
 )
 from livlr.linguistic import encode_all
-from livlr.model import Model
+from livlr.model import ENCODER_STAGES, Model
 from livlr.tensor import Tensor, add, backward, recording, tape_size
 from livlr.visual import encode_clip
 
@@ -41,7 +41,7 @@ from livlr.visual import encode_clip
 def unsplit_forward(model, sample):
     """One sample as a batch of one, layer by layer."""
     x_vg, x_vl = encode_clip(model.visual, [sample.clip])
-    x_lg, x_ll = encode_all(model.linguistic, sample.sentence_layout())
+    x_lg, x_ll = encode_all(model.linguistic, [sample.sentence_layout()])
     q, q_hat = encode_question(model.question, [sample.question])
     n_f, n_s = len(sample.clip.frames), len(sample.sentences)
     layout = BundleLayout([[n_f, n_f, n_s, n_s]], [len(sample.question)])
@@ -108,14 +108,51 @@ def test_copies_of_a_sample_score_as_the_sample_alone(setting, variant, precisio
     )
     model = Model(cfg)
     for s in gen_synthetic(spec, cfg, seed=8).samples():
-        enc = model.encode([s])
+        kept = {}
+        enc = model.encode([s], lambda name, fn: kept.setdefault(name, fn()))
         losses, scores = model.answer([s], enc)
         # the encoder stages hand back copies of the sample's outputs
-        many = model.encode([s] * copies, lambda name, fn: tile(getattr(enc, name), copies))
+        many = model.encode([s] * copies, lambda name, fn: tile(kept[name], copies))
         assert np.array_equal(model.score([s] * copies, many).data,
                               np.concatenate([scores.data] * copies))
         assert np.array_equal(model.answer([s] * copies, many)[0].data,
                               np.concatenate([losses.data] * copies))
+
+
+@pytest.mark.parametrize("setting", ["OE", "MC"])
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("preset", ["tiny", "desk"])
+def test_copies_of_a_sample_run_the_graph_stages_as_the_sample_alone(preset, precision, setting):
+    # the gradient audit runs an encoder's graph stages over copies of the
+    # probe batch when it perturbs the encoder's first stage; over k copies
+    # each must give k tiles of its rows on the sample alone, bit for bit
+    cfg = PRESETS[preset](question_setting=setting, precision=precision)
+    spec = SyntheticTaskSpec(
+        n_samples=2, signal_source="question_dependent", noise_scale=0.3, n_classes=4
+    )
+    model = Model(cfg)
+    graph_stages = [s for chain in ENCODER_STAGES for s in chain[1:]]
+    assert graph_stages == ["visual.spatial", "visual.semantic", "linguistic.role_graph"]
+    for s in gen_synthetic(spec, cfg, seed=8).samples():
+        kept = {}
+        model.encode([s], lambda name, fn: kept.setdefault(name, fn()))
+        for copies in (2, 3, 16, 32):
+            ran = {}
+
+            def run(name, fn):
+                if name not in graph_stages:
+                    return tile(kept[name], copies)
+                ran[name] = fn()
+                return ran[name]
+
+            model.encode([s] * copies, run)
+            assert list(ran) == graph_stages
+            for name, out in ran.items():
+                want = tile(kept[name], copies)
+                for got, tiled in zip(out if isinstance(out, tuple) else (out,),
+                                      want if isinstance(want, tuple) else (want,), strict=True):
+                    assert got.data.dtype == tiled.data.dtype, name
+                    assert np.array_equal(got.data, tiled.data), (name, copies)
 
 
 def rows_by_sample(samples, enc):
@@ -348,7 +385,7 @@ def test_encoder_node_counts_do_not_grow_with_items():
         nodes = []
         for encode, params, data in (
             (encode_clip, model.visual, [sample.clip]),
-            (encode_all, model.linguistic, sample.sentence_layout()),
+            (encode_all, model.linguistic, [sample.sentence_layout()]),
             (encode_candidates, model.mc_head, [sample.candidates]),
         ):
             with recording():
