@@ -458,6 +458,10 @@ def load_dataset(data_dir: str) -> SyntheticDataset:
         raise DataError(f"malformed dataset meta: {e!r}") from e
     if frame_size != list(FRAME_SIZE):
         raise DataError(f"dataset frame_size {frame_size!r} is not {list(FRAME_SIZE)}")
+    has = {key: meta.get(key) for key in ("has_candidates", "has_sources")}
+    if not all(isinstance(v, bool) for v in has.values()):
+        raise DataError(f"meta.json's has_candidates and has_sources must be true or false, "
+                        f"got {has}")
 
     def load_arr(name):
         path = os.path.join(data_dir, f"{name}.npy")
@@ -472,9 +476,9 @@ def load_dataset(data_dir: str) -> SyntheticDataset:
             raise DataError(f"malformed dataset array {path}: {e!r}") from e
 
     names = list(_ARRAY_FILES)
-    if meta.get("has_candidates"):
+    if has["has_candidates"]:
         names += ["candidates", "correct"]
-    if meta.get("has_sources"):
+    if has["has_sources"]:
         names.append("sources")
     arrays = {name: load_arr(name) for name in names}
     _check_layout(arrays)

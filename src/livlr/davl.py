@@ -303,9 +303,8 @@ class BundleLayout:
     ``source_mean`` (B, 4, m) weight the slots to average each sample's
     nodes, all of them and per source. ``qatt`` holds question attention's
     padded per-sample blocks, at every B. Layouts are kept and reused, so
-    ``source_mean`` (only ``RI_CONCAT`` reads it), and ``spans`` and
-    ``source_qatt`` (only ``attend``'s one-source rerun reads them), are
-    built on first use.
+    ``source_mean`` (only ``RI_CONCAT`` reads it) and ``spans`` (only the
+    gradient audit reads it) are built on first use.
     """
 
     def __init__(self, counts, tokens):
@@ -319,18 +318,13 @@ class BundleLayout:
         slots[slots >= 0] = np.argsort(self.qatt.owner, kind="stable")
         self.graph = GraphBatch(slots, np.zeros(slots.shape + slots.shape[1:], dtype=bool))
         self.mean = mean_weights(self.graph.valid)
-        self._counts, self._tokens = counts, tokens
+        self._counts = counts
 
     @functools.cached_property
     def spans(self) -> list[tuple[int, int]]:
         """Each source's range of stacked node rows."""
         return list(itertools.pairwise(itertools.accumulate(self._counts.sum(axis=0).tolist(),
                                                             initial=0)))
-
-    @functools.cached_property
-    def source_qatt(self) -> list[QattPadding]:
-        """Question attention's padding for each source alone."""
-        return [QattPadding(self._counts[:, [s]], self._tokens) for s in range(4)]
 
     @functools.cached_property
     def source_mean(self) -> np.ndarray:
@@ -374,27 +368,12 @@ def co_attention(w1: Tensor, w2: Tensor, nodes: Tensor, graph: GraphBatch) -> Te
     return _record(out, (nodes, w1, w2), bwd)
 
 
-def attend(
-    params: DavlParams, bundle: RepresentationBundle, q: Tensor, layout: BundleLayout,
-    source: int | None = None, nodes: Tensor | None = None,
-) -> Tensor:
+def attend(params: DavlParams, bundle: RepresentationBundle, q: Tensor, layout: BundleLayout) -> Tensor:
     """Question attention, the first stage of ``integrate``: every source's
     rows attended against the question in one node, stacked in bundle
-    order. Given a source's index and those rows ``nodes``, it reruns that
-    source's block alone, over the source's own padding
-    (``BundleLayout.source_qatt``), and returns ``nodes`` with that
-    source's rows replaced, as a new leaf. Each source's products run on
-    their own, so the rows come out with the bits the four-source node
-    gives them."""
-    if source is None:
-        blocks = [params.qatt[name] for name in SOURCE_NAMES]
-        return question_attention(blocks, bundle.matrices(), q, layout.qatt)
-    rows = question_attention([params.qatt[SOURCE_NAMES[source]]], [bundle.matrices()[source]],
-                              q, layout.source_qatt[source])
-    lo, hi = layout.spans[source]
-    out = nodes.data.copy()
-    out[lo:hi] = rows.data
-    return Tensor(out)
+    order."""
+    blocks = [params.qatt[name] for name in SOURCE_NAMES]
+    return question_attention(blocks, bundle.matrices(), q, layout.qatt)
 
 
 def fuse(params: DavlParams, nodes: Tensor, layout: BundleLayout) -> Tensor:
@@ -428,12 +407,10 @@ def integrate(
 
     Its two stages, "qatt" (``attend``) and "fusion" (``fuse``), each go
     through run(name, fn), which must return fn(); a caller may instead
-    hand back an earlier output of that stage, or call the "qatt" stage's
-    fn with a source and earlier rows to rerun one source's block (see
-    gradcheck)."""
+    hand back an earlier output of that stage (see gradcheck)."""
     single = layout is None
     if single:
         layout = BundleLayout([m.data.shape[0] for m in bundle.matrices()], [q.data.shape[0]])
-    nodes = run("qatt", functools.partial(attend, params, bundle, q, layout))
+    nodes = run("qatt", lambda: attend(params, bundle, q, layout))
     fused = run("fusion", lambda: fuse(params, nodes, layout))
     return reshape(fused, (fused.data.shape[1],)) if single else fused

@@ -14,13 +14,12 @@ attention, the fusion after it and the head. Each stage reads only its
 own parameter group, and the forward runs every stage through a hook
 ``run(name, fn)``. So the audit runs the probe batch once at the
 unperturbed weights and keeps every stage's output and its fn. For a
-perturbed scalar it calls the owning stage's kept fn again, which holds
-the inputs the base pass gave it; for a question-attention scalar, with
-its source, so that only that source's block reruns (``davl.attend``).
-The encoders build what depends only on the samples once per call, so
-such a call reruns only the stage's products with weights. A kept fn
-gives exactly what a rerun in a full forward would, since no later op
-writes into its inputs. The analytic pass (recorded) reuses nothing.
+perturbed scalar it calls the owning stage's kept fn again, with no
+arguments: the fn holds the inputs the base pass gave it. The encoders
+build what depends only on the samples once per call, so such a call
+reruns only the stage's products with weights. A kept fn gives exactly
+what a rerun in a full forward would, since no later op writes into its
+inputs. The analytic pass (recorded) reuses nothing.
 
 The forwards that perturb one scalar differ only in that stage's output:
 every later stage sees the same weights each time. So the audit collects
@@ -50,7 +49,6 @@ import numpy as np
 
 from .config import ModelConfig
 from .data import SyntheticTaskSpec, gen_synthetic
-from .davl import SOURCE_NAMES
 from .errors import ConfigError
 from .model import ENCODER_STAGES, SCORE_STAGES, Model
 from .tensor import Tensor, backward, recording
@@ -184,9 +182,8 @@ def grad_check(
     parameter tensor. The probe batch is kept small because the cost is
     2 * (number of parameter scalars) forwards of the batch. Each forward
     calls only the fn of the stage that owns the perturbed scalar, as one
-    pass at the unperturbed weights kept it with its inputs (for a
-    question-attention scalar, only its source's block), and takes every
-    other stage's output from that pass; the stages that read the
+    pass at the unperturbed weights kept it with its inputs, and takes
+    every other stage's output from that pass; the stages that read the
     perturbed one's output then run SCORE_CHUNK perturbations at a time,
     over as many copies of the probe batch.
     """
@@ -194,8 +191,6 @@ def grad_check(
     model, samples = probe_batch(config, seed, batch_size)
     params = {name: model.store[name] for name in model.store.names()}
     stage_of = {id(t): name for name, ts in model.stage_params().items() for t in ts}
-    source_of = {id(t): s for s, name in enumerate(SOURCE_NAMES)
-                 for h in model.davl.qatt[name].heads for t in vars(h).values()}
     base, fns = {}, {}
 
     def keep(name, fn):
@@ -209,10 +204,9 @@ def grad_check(
     tiled = functools.cache(lambda name, copies: join(name, [base[name]] * copies))
 
     def losses_of(p):
-        stage, source = stage_of[id(p)], source_of.get(id(p))
+        stage = stage_of[id(p)]
         later = _later_stages(stage)
-        fn, args = fns[stage], () if source is None else (source, base[stage])
-        outs = (fn(*args) for _ in _perturbations(p, DEFAULT_H))
+        outs = (fns[stage]() for _ in _perturbations(p, DEFAULT_H))
         n, losses = len(samples), []
         while chunk := list(itertools.islice(outs, SCORE_CHUNK)):
             copies = samples * len(chunk)

@@ -85,17 +85,25 @@ class SrlParse:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SrlParse":
+        """A parse from its JSON record. Every count, span end, role and
+        predicate index must be a JSON integer, not a bool (DataError)."""
+        def integer(v):
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise DataError(f"parse record holds {v!r} where an integer belongs")
+            return v
+
         def span(pair):
             lo, hi = pair
-            return int(lo), int(hi)
+            return integer(lo), integer(hi)
 
         try:
             preds = [span(p) for p in d["predicates"]]
             args = [
-                SrlArgument(span=span(a["span"]), role=int(a["role"]), pred=int(a["pred"]))
+                SrlArgument(span=span(a["span"]), role=integer(a["role"]),
+                            pred=integer(a["pred"]))
                 for a in d["arguments"]
             ]
-            return cls(tokens=int(d["tokens"]), predicates=preds, arguments=args)
+            return cls(tokens=integer(d["tokens"]), predicates=preds, arguments=args)
         except (
             KeyError, IndexError, TypeError, ValueError, OverflowError, GraphIntegrityError
         ) as e:

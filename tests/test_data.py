@@ -503,6 +503,20 @@ def test_load_rejects_out_of_range_index(tmp_path, name, value):
         load_dataset(d)
 
 
+@pytest.mark.parametrize("value", ["no", "", 1, 0, None, "missing"])
+@pytest.mark.parametrize("key", ["has_candidates", "has_sources"])
+def test_load_rejects_a_presence_flag_that_is_not_a_json_boolean(tmp_path, key, value):
+    # the MC dataset holds both optional array sets, so at any truthiness
+    # the flag would load or drop them without a word
+    d = _saved(tmp_path, setting="MC")
+    if value == "missing":
+        _edit_meta(d, lambda m: {k: v for k, v in m.items() if k != key})
+    else:
+        _edit_meta(d, lambda m: {**m, key: value})
+    with pytest.raises(DataError, match=key):
+        load_dataset(d)
+
+
 def test_load_rejects_extents_that_disagree(tmp_path):
     d = _saved(tmp_path)
     np.save(d / "question.npy", np.load(d / "question.npy")[:, :, :2])

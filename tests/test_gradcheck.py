@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from livlr.config import tiny_config
-from livlr.davl import SOURCE_NAMES
 from livlr.errors import ConfigError, NumericError
 from livlr.gradcheck import SCORE_CHUNK, check_gradients, grad_check, probe_batch, relative_error
 from livlr.graph import run_stage
@@ -198,22 +197,21 @@ def counting_stages(monkeypatch):
 def test_stage_reuse_reruns_only_the_perturbed_stage(monkeypatch):
     # every stage's own fn runs once on the probe batch for the base pass,
     # once for the analytic pass and twice per scalar it owns, called
-    # again from the base pass (a question-attention scalar: its own
-    # source's block alone). A stage that reads the perturbed stage's
-    # output, directly or not, scores its perturbations SCORE_CHUNK at a
-    # time, over copies of the batch: an encoder's later stages read its
-    # first stage, and a score stage every encoder stage and the score
-    # stages before it. No other stage runs for them at all
+    # again from the base pass; no stage fn, "qatt" included, ever gets
+    # arguments. A stage that reads the perturbed stage's output, directly
+    # or not, scores its perturbations SCORE_CHUNK at a time, over copies
+    # of the batch: an encoder's later stages read its first stage, and a
+    # score stage every encoder stage and the score stages before it. No
+    # other stage runs for them at all
     cfg = micro_config(question_setting="MC")
     calls = counting_stages(monkeypatch)
     assert grad_check(cfg, seed=0, batch_size=1).passed
+    assert not [key for key in calls if key[2]]
 
     stages = Model(cfg).stage_params()
     own = {stage: sum(t.size for t in tensors) for stage, tensors in stages.items()}
     for stage in stages:
-        with_args = calls.pop((stage, 1, True), 0)
-        assert calls.pop((stage, 1, False)) + with_args == 2 * own[stage] + 2, stage
-        assert with_args == (2 * own[stage] if stage == "qatt" else 0), stage
+        assert calls.pop((stage, 1, False)) == 2 * own[stage] + 2, stage
     # each tensor's perturbations are scored in chunks of copies
     chunks = {stage: sum(-(-2 * t.size // SCORE_CHUNK) for t in tensors)
               for stage, tensors in stages.items()}
@@ -224,8 +222,8 @@ def test_stage_reuse_reruns_only_the_perturbed_stage(monkeypatch):
     for stage in stages:
         runs = {key: calls.pop(key) for key in list(calls) if key[0] == stage}
         assert sum(runs.values()) == sum(chunks[s] for s in reads.get(stage, [])), stage
-        # copies, not the probe batch, and whole stages
-        assert all(b >= 2 and not args for _, b, args in runs), stage
+        # copies, not the probe batch
+        assert all(b >= 2 for _, b, _ in runs), stage
     assert not calls
 
 
@@ -247,10 +245,8 @@ def test_a_kept_stage_fn_reproduces_its_output_bit_for_bit(setting, variant):
     assert list(base) == list(model.stage_params())
     flat = lambda out: [t.data for t in (out if isinstance(out, tuple) else (out,))]
     for name, fn in fns.items():
-        again = [fn()] + [fn(s, base[name]) for s in range(len(SOURCE_NAMES)) if name == "qatt"]
-        for out in again:
-            for a, b in zip(flat(out), flat(base[name]), strict=True):
-                assert a.dtype == b.dtype and np.array_equal(a, b), name
+        for a, b in zip(flat(fn()), flat(base[name]), strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 @pytest.mark.parametrize("batch_size", [1, 2])

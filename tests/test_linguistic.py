@@ -170,6 +170,29 @@ class TestSrlParse:
         with pytest.raises(DataError):
             SrlParse.from_dict({"tokens": 3, "predicates": [[0, 0]]})
 
+    # each value would make a valid parse if truncated or converted: "4"
+    # as 4, 0.9 as 0, 2.7 as 2, false as 0
+    @pytest.mark.parametrize("field, value", [
+        ("tokens", "4"), ("tokens", 4.0), ("tokens", 4.9), ("tokens", True),
+        ("predicate", "0"), ("predicate", 0.9), ("predicate", False),
+        ("span", "0"), ("span", 0.9), ("span", False),
+        ("role", "2"), ("role", 2.0), ("role", 2.7),
+        ("pred", "0"), ("pred", 0.9), ("pred", False),
+    ])
+    def test_a_value_that_is_not_a_json_integer_is_rejected(self, field, value):
+        record = {"tokens": 4, "predicates": [[0, 0]],
+                  "arguments": [{"span": [0, 0], "role": 2, "pred": 0}]}
+        if field == "tokens":
+            record["tokens"] = value
+        elif field == "predicate":
+            record["predicates"] = [[value, 0]]
+        elif field == "span":
+            record["arguments"][0]["span"] = [0, value]
+        else:
+            record["arguments"][0][field] = value
+        with pytest.raises(DataError):
+            SrlParse.from_dict(record)
+
 
 class TestRoleGraph:
     def test_structure(self):
