@@ -24,6 +24,11 @@ _COUNTS = {
 }
 
 
+def _integer(v) -> bool:
+    """An int as JSON writes one; bools and floats are not integers here."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _number(v) -> bool:
     """A finite int or float; bools, strings and None are not numbers here."""
     return not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
@@ -60,7 +65,7 @@ class ModelConfig:
     def validate(self) -> "ModelConfig":
         for f, lo in _COUNTS.items():
             v = getattr(self, f)
-            if isinstance(v, bool) or not isinstance(v, int) or v < lo:
+            if not _integer(v) or v < lo:
                 raise ConfigError(f"{f} must be an integer >= {lo}, got {v!r}")
         if self.d % 2 != 0:
             raise ConfigError(f"d must be even for the bidirectional split, got {self.d}")

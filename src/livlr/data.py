@@ -1,8 +1,10 @@
 """Synthetic desk-scale tasks.
 
-Every sample is a (clip, sentences+parses, question, answer) tuple whose
-label is a deterministic function of a class prototype planted into
-exactly one feature channel, chosen by the task's signal source:
+A dataset keeps each feature as one array over all samples; a sample
+(``SyntheticDataset.sample``) is views of its rows plus counts: a clip,
+its sentences' tokens and parses, a question and an answer. The label is
+a deterministic function of a class prototype planted into exactly one
+feature channel, chosen by the task's signal source:
 
   holistic_visual        prototype added to every frame appearance vector
   finegrained_visual     prototype added to every object class/attribute row
@@ -27,10 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ModelConfig, _number
+from .config import ModelConfig, _integer, _number
 from .errors import ConfigError, DataError
 from .linguistic import SentenceLayout, SrlArgument, SrlParse, sentence_layout
-from .visual import ClipFeatures, FrameFeatures
+from .visual import ClipFeatures
 
 SIGNAL_SOURCES = (
     "holistic_visual",
@@ -58,7 +60,7 @@ class SyntheticTaskSpec:
             )
         for f, lo in (("n_samples", 1), ("n_classes", 2)):
             v = getattr(self, f)
-            if isinstance(v, bool) or not isinstance(v, int) or v < lo:
+            if not _integer(v) or v < lo:
                 raise ConfigError(f"{f} must be an integer >= {lo}, got {v!r}")
         if not _number(self.noise_scale) or self.noise_scale < 0:
             raise ConfigError(f"noise_scale must be a finite number >= 0, got {self.noise_scale!r}")
@@ -102,7 +104,8 @@ class SyntheticTaskSpec:
 @dataclass
 class Sample:
     clip: ClipFeatures
-    sentences: list
+    tokens: np.ndarray  # (sum of parse.tokens, d_t), sentence after sentence
+    parses: list[SrlParse]
     question: np.ndarray
     label: int | None
     candidates: np.ndarray | None
@@ -115,7 +118,7 @@ class Sample:
         """Built on first use and kept, as ``ClipFeatures.geometry()`` keeps
         a clip's: the layout is a pure function of the sentences."""
         if self._sentence_layout is None:
-            self._sentence_layout = sentence_layout(self.sentences)
+            self._sentence_layout = sentence_layout(self.tokens, self.parses)
         return self._sentence_layout
 
 
@@ -141,24 +144,15 @@ class SyntheticDataset:
         return self.labels.shape[0]
 
     def sample(self, i: int) -> Sample:
-        frames = [
-            FrameFeatures(
-                appearance=self.appearance[i, f],
-                objects=self.objects[i, f],
-                class_attr=self.class_attr[i, f],
-                boxes=self.boxes[i, f],
-                frame_size=FRAME_SIZE,
-            )
-            for f in range(self.appearance.shape[1])
-        ]
-        sentences = [
-            (self.sent_tokens[i, s], self.parses[i][s])
-            for s in range(self.sent_tokens.shape[1])
-        ]
+        """Sample i, whose arrays are views of the dataset's."""
+        n_f, n_o = self.objects.shape[1:3]
+        rows = lambda a: a[i].reshape(n_f * n_o, -1)
         mc = self.candidates is not None
         return Sample(
-            clip=ClipFeatures(frames),
-            sentences=sentences,
+            clip=ClipFeatures(self.appearance[i], rows(self.objects), rows(self.class_attr),
+                              rows(self.boxes), np.full(n_f, n_o), FRAME_SIZE),
+            tokens=self.sent_tokens[i].reshape(-1, self.sent_tokens.shape[3]),
+            parses=self.parses[i],
             question=self.question[i],
             label=None if mc else int(self.labels[i]),
             candidates=self.candidates[i] if mc else None,
@@ -447,15 +441,17 @@ def load_dataset(data_dir: str) -> SyntheticDataset:
         raise DataError(f"dataset meta is not valid JSON: {e}") from e
     if not isinstance(meta, dict):
         raise DataError("dataset meta must be a JSON object")
-    if meta.get("format") != DATASET_FORMAT:
+    if not _integer(meta.get("format")) or meta["format"] != DATASET_FORMAT:
         raise DataError(f"unsupported dataset format {meta.get('format')!r}")
     try:
         spec = SyntheticTaskSpec.from_dict(meta["spec"])
         seed = _seed(meta["seed"])
-        lo, hi = (int(v) for v in meta["signal_span"])
+        lo, hi = meta["signal_span"]
         frame_size = meta["frame_size"]
     except (ConfigError, KeyError, TypeError, ValueError, OverflowError) as e:
         raise DataError(f"malformed dataset meta: {e!r}") from e
+    if not (_integer(lo) and _integer(hi)):
+        raise DataError(f"meta.json's signal_span must be two integers, got {[lo, hi]!r}")
     if frame_size != list(FRAME_SIZE):
         raise DataError(f"dataset frame_size {frame_size!r} is not {list(FRAME_SIZE)}")
     has = {key: meta.get(key) for key in ("has_candidates", "has_sources")}
@@ -487,7 +483,7 @@ def load_dataset(data_dir: str) -> SyntheticDataset:
         raise DataError("dataset holds no samples")
     if n != spec.n_samples:
         raise DataError(f"dataset arrays hold {n} samples, but meta.json's spec says {spec.n_samples}")
-    n_s = arrays["sent_tokens"].shape[1]
+    n_s, n_t = arrays["sent_tokens"].shape[1:3]
     parses_flat = []
     try:
         with open(os.path.join(data_dir, "parses.jsonl"), "r", encoding="utf-8") as f:
@@ -499,12 +495,11 @@ def load_dataset(data_dir: str) -> SyntheticDataset:
         raise DataError(f"cannot read parses: {e}") from e
     except ValueError as e:  # bad JSON or bad UTF-8
         raise DataError(f"malformed parses.jsonl: {e}") from e
-    if len(parses_flat) != n * n_s:
-        raise DataError(
-            f"parses.jsonl has {len(parses_flat)} records, expected {n * n_s}"
-        )
+    lengths = [p.tokens for p in parses_flat]
+    if lengths != [n_t] * (n * n_s):
+        raise DataError(f"parses.jsonl holds {len(lengths)} parses over {sorted(set(lengths))} "
+                        f"tokens, the arrays {n * n_s} sentences of {n_t} tokens")
     parses = [parses_flat[i * n_s : (i + 1) * n_s] for i in range(n)]
-    n_t = arrays["sent_tokens"].shape[2]
     if not 0 <= lo <= hi < n_t:
         raise DataError(f"signal_span [{lo}, {hi}] out of range for {n_t} tokens")
 
@@ -524,7 +519,9 @@ def load_dataset(data_dir: str) -> SyntheticDataset:
         candidates=arrays.get("candidates"),
         correct=arrays.get("correct"),
     )
-    if meta.get("extents") != ds.array_extents():
+    # compared as JSON text, so that 6.0 or true does not pass for 6 or 1
+    extents = json.dumps(ds.array_extents(), sort_keys=True)
+    if json.dumps(meta.get("extents"), sort_keys=True) != extents:
         raise DataError(f"meta.json's extents {meta.get('extents')} do not match "
-                        f"the arrays' {ds.array_extents()}")
+                        f"the arrays' {extents}")
     return ds

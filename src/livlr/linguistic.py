@@ -7,9 +7,10 @@ one node per predicate, and one node per argument entry; arguments hang
 off their predicate, predicates hang off the event node. All sentences of
 a minibatch are encoded at once: one ragged BiLSTM node, one role-graph
 layer over every sentence's graph and one pool over those graphs' local
-slots (``graph.pool``), one product per sentence. What the encoder
-needs of the sentences besides their tokens is a ``SentenceLayout``, a
-pure function of the data that ``Sample.sentence_layout()`` keeps.
+slots (``graph.pool``), one product per sentence. A sample's sentences
+are one token matrix, sentence after sentence, split by its parses'
+token counts; ``sentence_layout`` builds what the encoder needs of them,
+a ``SentenceLayout``, which ``Sample.sentence_layout()`` keeps.
 """
 from __future__ import annotations
 
@@ -172,31 +173,34 @@ def create_linguistic_params(
 @dataclass
 class SentenceLayout:
     """Sentences as the encoder stacks them, from the data alone: their
-    token matrices (the sentences' own arrays, not copies) and their role
-    graphs as one batch over the node rows [every event; every local
-    node], sentence by sentence within each block, each graph's event
-    first (``_role_graphs``). Per local node: its role id and its token span
-    (inclusive rows of the stacked tokens)."""
+    tokens, sentence after sentence (the sample's own array, not a copy),
+    each sentence's token count, and their role graphs as one batch over
+    the node rows [every event; every local node], sentence by sentence
+    within each block, each graph's event first (``_role_graphs``). Per
+    local node: its role id and its token span (inclusive rows of the
+    tokens)."""
 
-    tokens: list[np.ndarray]
+    tokens: np.ndarray
+    lengths: np.ndarray
     graphs: GraphBatch
     roles: np.ndarray
     spans: np.ndarray
 
     @property
     def n_sentences(self) -> int:
-        return len(self.tokens)
+        return len(self.lengths)
 
     @staticmethod
     def join(layouts: list["SentenceLayout"]) -> "SentenceLayout":
-        """Several layouts as one, in order: their tokens, role graphs'
-        blocks, local-node counts, roles and spans concatenated. One layout
-        is itself."""
+        """Several layouts as one, in order: their tokens, lengths, role
+        graphs' blocks, local-node counts, roles and spans concatenated.
+        One layout is itself."""
         if len(layouts) == 1:
             return layouts[0]
-        n_tok = [sum(len(x) for x in t.tokens) for t in layouts]
+        n_tok = [len(t.tokens) for t in layouts]
         return SentenceLayout(
-            [t for text in layouts for t in text.tokens],
+            np.concatenate([t.tokens for t in layouts]),
+            np.concatenate([t.lengths for t in layouts]),
             _role_graphs(np.concatenate([t.graphs.counts for t in layouts]) - 1,
                         pad_blocks([t.graphs.adjacency for t in layouts])),
             np.concatenate([t.roles for t in layouts]),
@@ -218,27 +222,26 @@ def _role_graphs(n_local, adjacency: np.ndarray) -> GraphBatch:
     return GraphBatch(slots, adjacency)
 
 
-def sentence_layout(sentences: list[tuple[np.ndarray, SrlParse]]) -> SentenceLayout:
-    if not sentences:
+def sentence_layout(tokens: np.ndarray, parses: list[SrlParse]) -> SentenceLayout:
+    """The layout of sentences whose tokens (sum of parse.tokens, d_t) are
+    stacked sentence after sentence, each parsed by its entry of parses."""
+    if not parses:
         raise DataError("need at least one sentence")
-    tokens, adjacency, roles, spans = [], [], [], []
-    start = 0
-    for toks, parse in sentences:
-        toks = np.asarray(toks, dtype=np.float64)
-        if toks.ndim != 2 or toks.shape[0] != parse.tokens:
-            raise DataError(
-                f"token matrix {toks.shape} does not match parse over {parse.tokens} tokens"
-            )
+    tokens = np.asarray(tokens, dtype=np.float64)
+    lengths = np.array([p.tokens for p in parses], dtype=np.intp)
+    if tokens.ndim != 2 or tokens.shape[0] != lengths.sum():
+        raise DataError(
+            f"token matrix {tokens.shape} does not match parses over {lengths.sum()} tokens"
+        )
+    adjacency, roles, spans = [], [], []
+    for parse, start in zip(parses, np.cumsum(lengths) - lengths):
         adj, r, sp = build_role_graph(parse)
-        tokens.append(toks)
         adjacency.append(adj)
         roles += r
         spans += [(start + lo, start + hi) for lo, hi in sp]
-        start += parse.tokens
-    if len({t.shape[1] for t in tokens}) > 1:
-        raise DataError(f"a sample's sentences differ in token width: {[t.shape for t in tokens]}")
     return SentenceLayout(
         tokens,
+        lengths,
         _role_graphs([len(a) - 1 for a in adjacency], pad_blocks(adjacency)),
         np.asarray(roles, dtype=np.intp),
         np.array(spans, dtype=np.intp).reshape(-1, 2),
@@ -266,15 +269,15 @@ def encode_all(
 
     @functools.cache
     def data():
-        text = SentenceLayout.join(texts)
         d_t = params.sentence.w_tok.data.shape[0]
-        widths = {t.shape[1] for t in text.tokens}
+        widths = {t.tokens.shape[1] for t in texts}
         if widths != {d_t}:
             raise DataError(f"token widths {sorted(widths)} do not match d_t={d_t}")
+        text = SentenceLayout.join(texts)
+        tokens = text.tokens
         if text.roles.size and text.roles.max() > params.n_roles:
             raise DataError(
                 f"role id {text.roles.max()} exceeds the role vocabulary ({params.n_roles})")
-        tokens = np.concatenate(text.tokens)
         # each local node's mean of its span of raw tokens: every span's sum
         # is one reduceat over [lo, hi + 1) row pairs, after a zero row
         lo, hi = text.spans.T
@@ -287,8 +290,7 @@ def encode_all(
 
     def sentence():
         text, tokens, _, _ = data()
-        return encode_sequences(
-            params.sentence, tokens, [len(t) for t in text.tokens], rectify=False)[1]
+        return encode_sequences(params.sentence, tokens, text.lengths, rectify=False)[1]
 
     events = run("linguistic.sentence", sentence)
 

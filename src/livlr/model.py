@@ -189,7 +189,7 @@ class Model:
         candidates = None
         if mc is not None:
             candidates = run("candidates", lambda: encode_candidates(mc, [s.candidates for s in batch]))
-        counts = tuple((len(s.clip.frames), len(s.sentences), len(s.question)) for s in batch)
+        counts = tuple((len(s.clip.n_objects), len(s.parses), len(s.question)) for s in batch)
         return Encoded(visual, linguistic, question, candidates, counts)
 
     def score(self, samples, enc: Encoded, run=run_stage) -> Tensor:

@@ -5,13 +5,15 @@ and one fine-grained row. The fine-grained row pools two object graphs:
 a spatial graph whose edges carry an 11-way geometric relation label,
 and a semantic graph whose adjacency is learned from object class
 embeddings; each graph is mixed by one attention layer. Boxes are
-(x, y, w, h) in pixels with the origin at the top-left corner.
+(x, y, w, h) in pixels with the origin at the top-left corner. A clip
+(``ClipFeatures``) stacks its frames' object rows, split by each
+frame's object count.
 
-The clips of a minibatch are encoded at once: the object rows of all
-their frames are stacked, so each projection is one linear, each graph
-layer one tape node over every frame's graph, and each pooling one
-product per frame over its graph's slots (``graph.pool``), so a frame's
-pooled row has the same bits in any batch.
+The clips of a minibatch are encoded at once: their object rows are
+concatenated, so each projection is one linear, each graph layer one
+tape node over every frame's graph, and each pooling one product per
+frame over its graph's slots (``graph.pool``), so a frame's pooled row
+has the same bits in any batch.
 """
 from __future__ import annotations
 
@@ -44,14 +46,17 @@ SPATIAL_REVERSAL = {1: 2, 2: 1, 3: 3, 4: 8, 5: 9, 6: 10, 7: 11, 8: 4, 9: 5, 10: 
 
 
 @dataclass
-class FrameFeatures:
-    """One frame: appearance (d_a,), per-object features (n, d_o),
-    per-object class/attribute embeddings (n, d_c), boxes (n, 4)."""
+class ClipFeatures:
+    """One clip: appearance (N_f, d_a); its frames' objects (R, d_o),
+    class/attribute embeddings (R, d_c) and boxes (R, 4), frame after
+    frame; n_objects (N_f,), each frame's count of those rows, each >= 1;
+    and the frame_size (W, H) that every box lies in."""
 
     appearance: np.ndarray
     objects: np.ndarray
     class_attr: np.ndarray
     boxes: np.ndarray
+    n_objects: np.ndarray
     frame_size: tuple[float, float]
 
     def __post_init__(self):
@@ -59,11 +64,17 @@ class FrameFeatures:
         self.objects = np.asarray(self.objects, dtype=np.float64)
         self.class_attr = np.asarray(self.class_attr, dtype=np.float64)
         self.boxes = np.asarray(self.boxes, dtype=np.float64)
-        if self.appearance.ndim != 1:
-            raise DataError(f"appearance must be a vector, got {self.appearance.shape}")
-        n = self.objects.shape[0] if self.objects.ndim == 2 else -1
-        if n < 1:
-            raise DataError(f"objects must be (n, d_o) with n >= 1, got {self.objects.shape}")
+        counts = self.n_objects = np.asarray(self.n_objects)
+        if self.appearance.ndim != 2 or len(self.appearance) < 1:
+            raise DataError(f"a clip needs appearance (N_f, d_a) with N_f >= 1, "
+                            f"got {self.appearance.shape}")
+        if (counts.dtype.kind not in "iu" or counts.shape != self.appearance.shape[:1]
+                or (counts < 1).any()):
+            raise DataError(f"n_objects must hold an integer >= 1 for each of the "
+                            f"{len(self.appearance)} frames, got {counts!r}")
+        n = int(counts.sum())
+        if self.objects.ndim != 2 or self.objects.shape[0] != n:
+            raise DataError(f"objects shape {self.objects.shape} does not match {n} objects")
         if self.class_attr.ndim != 2 or self.class_attr.shape[0] != n:
             raise DataError(
                 f"class_attr shape {self.class_attr.shape} does not match {n} objects"
@@ -79,6 +90,14 @@ class FrameFeatures:
             raise DataError("boxes must have positive width and height")
         if not ((x >= 0) & (y >= 0) & (x + w <= fw) & (y + h <= fh)).all():
             raise DataError("boxes must lie within the frame bounds")
+        self._geometry = None
+
+    def geometry(self) -> "ClipGeometry":
+        """Built on first use and kept: geometry is a pure function of the
+        data, so one build serves every forward pass."""
+        if self._geometry is None:
+            self._geometry = clip_geometry(self)
+        return self._geometry
 
 
 @dataclass
@@ -104,37 +123,14 @@ class ClipGeometry:
         return ClipGeometry(spatial, np.concatenate([g.positions for g in geos]))
 
 
-def clip_geometry(frames: list[FrameFeatures]) -> ClipGeometry:
-    """Each frame's classified spatial edges and box geometry, as one clip."""
-    adjacency, types = zip(*(classify_spatial_edges(f.boxes, f.frame_size) for f in frames))
+def clip_geometry(clip: ClipFeatures) -> ClipGeometry:
+    """Each frame's classified spatial edges, and the clip's box geometry."""
+    frames = np.split(clip.boxes, np.cumsum(clip.n_objects)[:-1])
+    adjacency, types = zip(*(classify_spatial_edges(b, clip.frame_size) for b in frames))
     return ClipGeometry(
-        GraphBatch(Slots.of_counts([len(f.boxes) for f in frames]),
-                   pad_blocks(adjacency), pad_blocks(types)),
-        np.concatenate([position_features(f.boxes, f.frame_size) for f in frames]),
+        GraphBatch(Slots.of_counts(clip.n_objects), pad_blocks(adjacency), pad_blocks(types)),
+        position_features(clip.boxes, clip.frame_size),
     )
-
-
-@dataclass
-class ClipFeatures:
-    frames: list[FrameFeatures]
-
-    def __post_init__(self):
-        if not self.frames:
-            raise DataError("a clip needs at least one frame")
-        first = self.frames[0]
-        for f in self.frames[1:]:
-            if (f.appearance.shape != first.appearance.shape
-                    or f.objects.shape[1] != first.objects.shape[1]
-                    or f.class_attr.shape[1] != first.class_attr.shape[1]):
-                raise DataError("a clip's frames must share their feature widths")
-        self._geometry = None
-
-    def geometry(self) -> ClipGeometry:
-        """Built on first use and kept: geometry is a pure function of the
-        data, so one build serves every forward pass."""
-        if self._geometry is None:
-            self._geometry = clip_geometry(self.frames)
-        return self._geometry
 
 
 def spatial_relation(box_i, box_j, frame_size) -> int:
@@ -283,10 +279,9 @@ def encode_clip(
 
     @functools.cache
     def features():
-        frames = [f for c in clips for f in c.frames]
-        stack = lambda name: constant(np.concatenate([getattr(f, name) for f in frames]), dtype)
-        return (constant(np.stack([f.appearance for f in frames]), dtype), stack("objects"),
-                constant(geo().positions, dtype), stack("class_attr"))
+        stack = lambda name: constant(np.concatenate([getattr(c, name) for c in clips]), dtype)
+        return (stack("appearance"), stack("objects"), constant(geo().positions, dtype),
+                stack("class_attr"))
 
     def project():
         appearance, objects, positions, class_attr = features()

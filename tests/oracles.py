@@ -19,14 +19,17 @@ was written before the rank mask: a scatter by sort order.
 
 The per-item oracles are the encoders as they ran before the batch
 axis: one frame, sentence, sequence or candidate at a time, each graph
-through the layers as a batch of one. With ``integrate_tape`` and the
-one-sample heads and losses they make up ``sample_forward``, the model as
-it ran one sample at a time. The batched model must match it to rounding
-(tests/test_batching.py).
+through the layers as a batch of one. They cut a clip into its frames by
+its object counts (``frames_of``) and a sample's sentence tokens by its
+parses' token counts; ``clip_of`` stacks frames into a clip. With
+``integrate_tape`` and the one-sample heads and losses they make up
+``sample_forward``, the model as it ran one sample at a time. The
+batched model must match it to rounding (tests/test_batching.py).
 """
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -615,7 +618,30 @@ def encode_question(params, tokens):
     return encode_sequence(params, tokens, rectify=True)
 
 
-def encode_frame(params, frame):
+# one frame of a clip: appearance (d_a,), objects (n, d_o), class_attr
+# (n, d_c) and boxes (n, 4)
+Frame = namedtuple("Frame", "appearance objects class_attr boxes")
+
+
+def clip_of(frames, frame_size=(320.0, 240.0)):
+    """The ClipFeatures of a non-empty list of Frames, stacked in order."""
+    from livlr.visual import ClipFeatures
+
+    rows = lambda name: np.concatenate([getattr(f, name) for f in frames])
+    return ClipFeatures(np.stack([f.appearance for f in frames]), rows("objects"),
+                        rows("class_attr"), rows("boxes"), [len(f.boxes) for f in frames],
+                        frame_size)
+
+
+def frames_of(clip):
+    """A clip's Frames, each its rows of the clip's arrays."""
+    arrays = (clip.objects, clip.class_attr, clip.boxes)
+    ends = np.cumsum(clip.n_objects)
+    return [Frame(clip.appearance[f], *(a[end - n : end] for a in arrays))
+            for f, (n, end) in enumerate(zip(clip.n_objects, ends))]
+
+
+def encode_frame(params, frame, frame_size):
     """One frame's fine-grained vector (d,)."""
     from livlr.graph import attn_gcn_layer, learn_adjacency, typed_edge_gcn_layer
     from livlr.tensor import add, concat, constant, linear, matmul
@@ -623,10 +649,10 @@ def encode_frame(params, frame):
 
     dtype = params.dtype
     obj = linear(constant(frame.objects, dtype), params.w_obj, params.b_obj)
-    positions = position_features(frame.boxes, frame.frame_size)
+    positions = position_features(frame.boxes, frame_size)
     pos = linear(constant(positions, dtype), params.w_pos, params.b_pos)
     v_sp = matmul(concat([obj, pos], axis=1), params.w_spatial_mix)
-    g_sp = one_graph(*classify_spatial_edges(frame.boxes, frame.frame_size))
+    g_sp = one_graph(*classify_spatial_edges(frame.boxes, frame_size))
     v_sp = typed_edge_gcn_layer(params.spatial_gcn, v_sp, g_sp)
     cls = linear(constant(frame.class_attr, dtype), params.w_cls, params.b_cls)
     v_se = matmul(concat([obj, cls], axis=1), params.w_semantic_mix)
@@ -639,14 +665,14 @@ def encode_holistic(params, clip):
     """(N_f, d): one projected appearance row per frame."""
     from livlr.tensor import constant, linear
 
-    app = constant(np.stack([f.appearance for f in clip.frames]), params.dtype)
+    app = constant(np.stack([f.appearance for f in frames_of(clip)]), params.dtype)
     return linear(app, params.w_hol, params.b_hol)
 
 
 def encode_clip(params, clip):
     from livlr.tensor import concat, reshape
 
-    rows = [reshape(encode_frame(params, f), (1, -1)) for f in clip.frames]
+    rows = [reshape(encode_frame(params, f, clip.frame_size), (1, -1)) for f in frames_of(clip)]
     return encode_holistic(params, clip), concat(rows, axis=0)
 
 
@@ -679,13 +705,19 @@ def encode_sentence(params, tokens, parse):
     return reshape(gather(nodes, [0]), (d,)), pooled
 
 
-def encode_all(params, sentences):
+def encode_all(params, tokens, parses):
+    """The sentences whose tokens are stacked in tokens, one parse each."""
     from livlr.errors import DataError
     from livlr.tensor import concat, reshape
 
-    if not sentences:
+    if not parses:
         raise DataError("need at least one sentence")
-    pairs = [encode_sentence(params, t, p) for t, p in sentences]
+    tokens = np.asarray(tokens, dtype=np.float64)
+    ends = np.cumsum([p.tokens for p in parses])
+    if tokens.ndim != 2 or len(tokens) != ends[-1]:
+        raise DataError(f"token matrix {tokens.shape} does not match {ends[-1]} tokens")
+    pairs = [encode_sentence(params, tokens[end - p.tokens : end], p)
+             for p, end in zip(parses, ends)]
     rows = lambda i: concat([reshape(pair[i], (1, -1)) for pair in pairs], axis=0)
     return rows(0), rows(1)
 
@@ -741,7 +773,7 @@ def sample_forward(model, sample):
     from livlr.tensor import reshape
 
     x_vg, x_vl = encode_clip(model.visual, sample.clip)
-    x_lg, x_ll = encode_all(model.linguistic, sample.sentences)
+    x_lg, x_ll = encode_all(model.linguistic, sample.tokens, sample.parses)
     q, q_hat = encode_question(model.question, sample.question)
     rows = (x_vg, x_vl, x_lg, x_ll, q, reshape(q_hat, (1, -1)))
     x_hat = integrate_tape(model.davl, RepresentationBundle(x_vg, x_vl, x_lg, x_ll), q)

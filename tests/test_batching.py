@@ -21,7 +21,7 @@ from livlr.graph import GraphBatch, learn_adjacency
 from livlr.linguistic import SrlArgument, SrlParse, encode_all, sentence_layout
 from livlr.model import Model
 from livlr.tensor import Tensor, backward, constant, recording
-from livlr.visual import ClipFeatures, FrameFeatures, encode_clip
+from livlr.visual import ClipFeatures, encode_clip
 
 TOL = 1e-12
 FRAME = (320.0, 240.0)
@@ -38,12 +38,11 @@ def rel_err(got, want) -> float:
 def random_frame(rng, n_obj, cfg):
     xy = rng.uniform(0, 200, (n_obj, 2))
     wh = rng.uniform(5, 40, (n_obj, 2))
-    return FrameFeatures(
+    return oracles.Frame(
         appearance=rng.standard_normal(cfg.d_a),
         objects=rng.standard_normal((n_obj, cfg.d_o)),
         class_attr=rng.standard_normal((n_obj, cfg.d_c)),
         boxes=np.hstack([xy, wh]),
-        frame_size=FRAME,
     )
 
 
@@ -83,8 +82,9 @@ def ragged_samples(draw):
         sentences.append((rng.standard_normal((n_tok, cfg.d_t)), parse))
     n_k = draw(st.integers(2, 5))
     return Sample(
-        clip=ClipFeatures([random_frame(rng, n, cfg) for n in objects]),
-        sentences=sentences,
+        clip=oracles.clip_of([random_frame(rng, n, cfg) for n in objects]),
+        tokens=np.concatenate([t for t, _ in sentences]),
+        parses=[p for _, p in sentences],
         question=rng.standard_normal((int(rng.integers(1, 6)), cfg.d_t)),
         label=int(rng.integers(0, cfg.answer_set_size)),
         candidates=rng.standard_normal((n_k, int(rng.integers(1, 6)), cfg.d_t)),
@@ -146,7 +146,7 @@ def test_batched_model_matches_per_item_oracles(setting, sample, keep):
         assert got.shape == want.shape and rel_err(got, want) <= TOL
     assert_grads_match(setting, batched[3], per_item[3])
     # the sentence whose parse is empty pools to exactly zero
-    empty = [i for i, (_, p) in enumerate(sample.sentences) if not p.predicates]
+    empty = [i for i, p in enumerate(sample.parses) if not p.predicates]
     assert not batched[2][3][empty].any()
 
 
@@ -231,33 +231,33 @@ def test_non_finite_affinity_is_a_numeric_error(encode):
     rng = np.random.default_rng(3)
     model = Model(cfg)
     model.visual.learn_w1.data[0, 0] = np.nan
-    clip = ClipFeatures([random_frame(rng, n, cfg) for n in (3, 1, 4)])
+    clip = oracles.clip_of([random_frame(rng, n, cfg) for n in (3, 1, 4)])
     with pytest.raises(NumericError), np.errstate(invalid="ignore"):
         encode(model.visual, clip)
 
 
-@pytest.mark.parametrize("encode", [lambda params, s: encode_all(params, [sentence_layout(s)]), oracles.encode_all],
+@pytest.mark.parametrize("encode", [lambda params, t, p: encode_all(params, [sentence_layout(t, p)]),
+                                    oracles.encode_all],
                          ids=["batched", "per_sentence"])
 def test_role_beyond_the_vocabulary_is_a_data_error(encode):
     cfg = tiny_config()
     rng = np.random.default_rng(4)
     model = Model(cfg)
-    ok = (rng.standard_normal((3, cfg.d_t)), SrlParse(tokens=3))
     bad = SrlParse(tokens=3, predicates=[(0, 0)],
                    arguments=[SrlArgument(span=(1, 2), role=cfg.N_r + 1, pred=0)])
     with pytest.raises(DataError):
-        encode(model.linguistic, [ok, (rng.standard_normal((3, cfg.d_t)), bad)])
+        encode(model.linguistic, rng.standard_normal((6, cfg.d_t)), [SrlParse(tokens=3), bad])
 
 
 def test_token_width_mismatch_is_a_data_error():
     cfg = tiny_config()
     rng = np.random.default_rng(6)
     model = Model(cfg)
-    ok = (rng.standard_normal((3, cfg.d_t)), SrlParse(tokens=3))
-    wide = (rng.standard_normal((3, cfg.d_t + 1)), SrlParse(tokens=3))
-    for sentences in ([wide], [ok, wide]):  # every sentence too wide, or one of them
+    ok = sentence_layout(rng.standard_normal((3, cfg.d_t)), [SrlParse(tokens=3)])
+    wide = sentence_layout(rng.standard_normal((3, cfg.d_t + 1)), [SrlParse(tokens=3)])
+    for layouts in ([wide], [ok, wide]):  # every sample too wide, or one of a batch
         with pytest.raises(DataError, match="width"):
-            encode_all(model.linguistic, [sentence_layout(sentences)])
+            encode_all(model.linguistic, layouts)
 
 
 def test_box_and_object_mismatch_is_a_data_error():
@@ -265,9 +265,5 @@ def test_box_and_object_mismatch_is_a_data_error():
     rng = np.random.default_rng(5)
     frame = random_frame(rng, 3, cfg)
     with pytest.raises(DataError):
-        FrameFeatures(frame.appearance, frame.objects, frame.class_attr, frame.boxes[:2], FRAME)
-    # frames of one clip must agree on their feature widths
-    other = FrameFeatures(frame.appearance, frame.objects[:, :-1], frame.class_attr,
-                          frame.boxes, FRAME)
-    with pytest.raises(DataError):
-        ClipFeatures([frame, other])
+        ClipFeatures(frame.appearance[None], frame.objects, frame.class_attr, frame.boxes[:2],
+                     [3], FRAME)

@@ -27,6 +27,7 @@ from livlr.data import (
     save_dataset,
 )
 from livlr.errors import ConfigError, DataError
+from livlr.linguistic import SrlParse
 
 
 def spec_for(source, n=32, noise=0.0, n_classes=4):
@@ -332,7 +333,7 @@ def test_mc_sample_view():
 
 
 def test_samples_pass_feature_validation():
-    # FrameFeatures validates geometry on construction, so materializing
+    # ClipFeatures validates geometry on construction, so materializing
     # every sample checks the generated boxes are in-frame and positive
     cfg = tiny_config()
     for seed in range(3):
@@ -340,11 +341,25 @@ def test_samples_pass_feature_validation():
         samples = ds.samples()
         assert len(samples) == 6
         for s in samples:
-            assert len(s.clip.frames) == cfg.N_f
-            assert len(s.sentences) == cfg.N_s
-            for toks, parse in s.sentences:
-                assert toks.shape == (cfg.N_t, cfg.d_t)
-                assert parse.tokens == cfg.N_t
+            assert s.clip.n_objects.tolist() == [cfg.N_o] * cfg.N_f
+            assert s.clip.objects.shape == (cfg.N_f * cfg.N_o, cfg.d_o)
+            assert s.tokens.shape == (cfg.N_s * cfg.N_t, cfg.d_t)
+            assert [p.tokens for p in s.parses] == [cfg.N_t] * cfg.N_s
+
+
+def test_sample_arrays_are_views_of_the_dataset():
+    # a sample is slices of the dataset's arrays plus counts, not copies
+    cfg = tiny_config(question_setting="MC")
+    ds = gen_synthetic(spec_for("holistic_visual", n=4), cfg, seed=0)
+    s = ds.sample(2)
+    clip = s.clip
+    for got, whole in ((clip.appearance, ds.appearance), (clip.objects, ds.objects),
+                       (clip.class_attr, ds.class_attr), (clip.boxes, ds.boxes),
+                       (s.tokens, ds.sent_tokens), (s.question, ds.question),
+                       (s.candidates, ds.candidates)):
+        assert np.shares_memory(got, whole)
+    assert np.array_equal(clip.objects, ds.objects[2].reshape(-1, cfg.d_o))
+    assert np.array_equal(s.tokens, ds.sent_tokens[2].reshape(-1, cfg.d_t))
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +545,14 @@ def test_load_rejects_extents_that_disagree(tmp_path):
     ("signal_span", [5, 1], "signal_span"),
     ("signal_span", [0, 99], "signal_span"),
     ("seed", -3, "seed"),
-], ids=["N_f", "frame_size", "reversed_span", "span_past_the_tokens", "seed"])
+    # JSON numbers that are not integers, where an integer belongs
+    ("signal_span", ["2", "3"], "signal_span"),
+    ("signal_span", [2.9, 3.2], "signal_span"),
+    ("format", True, "format"),
+    ("format", 1.0, "format"),
+    ("extents", {"d_t": float(tiny_config().d_t)}, "extents"),
+], ids=["N_f", "frame_size", "reversed_span", "span_past_the_tokens", "seed", "string_span",
+        "float_span", "bool_format", "float_format", "float_extent"])
 def test_load_rejects_meta_fields_the_arrays_do_not_bear_out(tmp_path, key, value, match):
     d = _saved(tmp_path)
 
@@ -540,6 +562,17 @@ def test_load_rejects_meta_fields_the_arrays_do_not_bear_out(tmp_path, key, valu
 
     _edit_meta(d, edit)
     with pytest.raises(DataError, match=match):
+        load_dataset(d)
+
+
+@pytest.mark.parametrize("n_tokens", [3, 5])
+def test_load_rejects_a_parse_over_other_tokens_than_the_arrays(tmp_path, n_tokens):
+    # a valid parse, but over one token fewer or more than the arrays' N_t
+    d = _saved(tmp_path)
+    lines = (d / "parses.jsonl").read_text(encoding="utf-8").split("\n")
+    lines[1] = json.dumps(SrlParse(tokens=n_tokens, predicates=[(1, 1)]).to_dict())
+    (d / "parses.jsonl").write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(DataError, match="parses.jsonl holds"):
         load_dataset(d)
 
 

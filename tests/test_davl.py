@@ -299,7 +299,7 @@ class TestPaddedQuestionAttention:
 
         monkeypatch.setattr(livlr.davl, "masked_softmax", recorded)
         model.batch_loss(samples)
-        rows = sum(2 * len(s.clip.frames) + 2 * len(s.sentences) for s in samples)
+        rows = sum(2 * len(s.clip.n_objects) + 2 * len(s.parses) for s in samples)
         t_max = max(len(s.question) for s in samples)
         assert len(shapes) == 1
         assert np.prod(shapes[0]) <= cfg.N_h * rows * t_max

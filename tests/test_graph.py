@@ -25,6 +25,7 @@ from livlr.visual import ClipGeometry, clip_geometry
 from test_visual import random_frame
 from oracles import (
     attention_loop,
+    clip_of,
     attn_gcn_layer_tape,
     attn_gcn_loop,
     central_diff,
@@ -62,8 +63,11 @@ def random_parse(rng, n_nodes, n_tokens=6):
 def role_layouts(rng, sizes):
     """One sentence layout per group of role-graph sizes, each sentence
     over random tokens of width 2, and their join."""
-    layouts = [sentence_layout([(rng.standard_normal((6, 2)), random_parse(rng, int(n)))
-                                for n in group]) for group in sizes]
+    layouts = []
+    for group in sizes:
+        sentences = [(rng.standard_normal((6, 2)), random_parse(rng, int(n))) for n in group]
+        layouts.append(sentence_layout(np.concatenate([t for t, _ in sentences]),
+                                       [p for _, p in sentences]))
     return layouts, SentenceLayout.join(layouts)
 
 
@@ -82,7 +86,7 @@ def random_clips(rng, n_clips):
     their join."""
     frames = lambda: [random_frame(rng, int(rng.integers(1, 7)))
                       for _ in range(int(rng.integers(1, 4)))]
-    geos = [clip_geometry(frames()) for _ in range(n_clips)]
+    geos = [clip_geometry(clip_of(frames())) for _ in range(n_clips)]
     return geos, ClipGeometry.join(geos)
 
 
@@ -173,7 +177,8 @@ class TestJoins:
         assert np.array_equal(geo.spatial.slots[geo.spatial.valid], np.arange(geo.spatial.n_rows))
 
         layouts, text = role_layouts(rng, [[1, 4], [6], [2, 2, 3]])
-        assert [id(t) for t in text.tokens] == [id(t) for lay in layouts for t in lay.tokens]
+        assert np.array_equal(text.tokens, np.concatenate([t.tokens for t in layouts]))
+        assert np.array_equal(text.lengths, np.concatenate([t.lengths for t in layouts]))
         assert np.array_equal(text.roles, np.concatenate([t.roles for t in layouts]))
         lo = t_lo = 0
         for t, rows in zip(layouts, role_rows(layouts)):
@@ -184,7 +189,7 @@ class TestJoins:
             assert np.array_equal(text.graphs.adjacency[lo : lo + blocks, :n, :n], t.graphs.adjacency)
             assert np.array_equal(text.spans[rows[t.n_sentences:] - text.n_sentences], t.spans + t_lo)
             lo += blocks
-            t_lo += sum(len(x) for x in t.tokens)
+            t_lo += len(t.tokens)
 
 
 class TestAttentionGcn:

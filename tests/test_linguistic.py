@@ -218,7 +218,7 @@ class TestRoleGraph:
 
 def encode_sentence(params, tokens, parse):
     """One sentence through encode_all: (event row (d,), local row (d,))."""
-    ev, loc = encode_all(params, [sentence_layout([(tokens, parse)])])
+    ev, loc = encode_all(params, [sentence_layout(tokens, [parse])])
     return ev.data[0], loc.data[0]
 
 
@@ -305,15 +305,12 @@ class TestSentenceEncoder:
     def test_encode_all_shapes_and_gradients(self):
         rng = np.random.default_rng(216)
         store, params = make_encoder(rng)
-        sents = []
-        for _ in range(3):
-            toks = rng.standard_normal((4, 4))
-            parse = SrlParse(tokens=4, predicates=[(1, 1)],
-                             arguments=[SrlArgument(span=(2, 3), role=2, pred=0),
-                                        SrlArgument(span=(0, 0), role=3, pred=0)])
-            sents.append((toks, parse))
+        toks = rng.standard_normal((12, 4))
+        parse = SrlParse(tokens=4, predicates=[(1, 1)],
+                         arguments=[SrlArgument(span=(2, 3), role=2, pred=0),
+                                    SrlArgument(span=(0, 0), role=3, pred=0)])
         with recording():
-            ev, loc = encode_all(params, [sentence_layout(sents)])
+            ev, loc = encode_all(params, [sentence_layout(toks, [parse] * 3)])
             assert ev.data.shape == (3, 6) and loc.data.shape == (3, 6)
             store.zero_grads()
             backward(add(sum_all(ev), sum_all(loc)))
@@ -325,4 +322,4 @@ class TestSentenceEncoder:
         rng = np.random.default_rng(217)
         store, params = make_encoder(rng)
         with pytest.raises(DataError):
-            encode_all(params, [sentence_layout([])])
+            encode_all(params, [sentence_layout(np.zeros((0, 4)), [])])

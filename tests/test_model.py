@@ -43,7 +43,7 @@ def unsplit_forward(model, sample):
     x_vg, x_vl = encode_clip(model.visual, [sample.clip])
     x_lg, x_ll = encode_all(model.linguistic, [sample.sentence_layout()])
     q, q_hat = encode_question(model.question, [sample.question])
-    n_f, n_s = len(sample.clip.frames), len(sample.sentences)
+    n_f, n_s = len(sample.clip.n_objects), len(sample.parses)
     layout = BundleLayout([[n_f, n_f, n_s, n_s]], [len(sample.question)])
     x_hat = integrate(model.davl, RepresentationBundle(x_vg, x_vl, x_lg, x_ll), q, layout)
     if model.oe_head is not None:

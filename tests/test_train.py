@@ -273,21 +273,23 @@ def test_evaluate_is_the_per_sample_forwards(setting, precision):
 
 
 def test_evaluate_builds_each_frame_once(monkeypatch):
+    # a sample's frames are built once, as its clip, and kept with it
     data_module = importlib.import_module("livlr.data")
     built = []
 
-    class CountingFrame(data_module.FrameFeatures):
+    class CountingClip(data_module.ClipFeatures):
         def __post_init__(self):
             built.append(self)
             super().__post_init__()
 
-    monkeypatch.setattr(data_module, "FrameFeatures", CountingFrame)
+    monkeypatch.setattr(data_module, "ClipFeatures", CountingClip)
     cfg = tiny_config()
     ds = make_dataset(cfg, n=3)
     model = Model(cfg)
     first = evaluate(model, ds)
     assert evaluate(model, ds) == first
-    assert len(built) == len(ds) * cfg.N_f
+    assert len(built) == len(ds)
+    assert sum(len(clip.n_objects) for clip in built) == len(ds) * cfg.N_f
 
 
 def test_evaluate_builds_each_clip_geometry_once(monkeypatch):
@@ -297,9 +299,9 @@ def test_evaluate_builds_each_clip_geometry_once(monkeypatch):
     built = []
     build = visual.clip_geometry
 
-    def counting(frames):
-        built.append(frames)
-        return build(frames)
+    def counting(clip):
+        built.append(clip)
+        return build(clip)
 
     monkeypatch.setattr(visual, "clip_geometry", counting)
     cfg = tiny_config()

@@ -7,7 +7,6 @@ from livlr.optim import ParamStore
 from livlr.tensor import add, backward, recording, sum_all
 from livlr.visual import (
     ClipFeatures,
-    FrameFeatures,
     SPATIAL_REVERSAL,
     classify_spatial_edges,
     create_visual_params,
@@ -16,7 +15,7 @@ from livlr.visual import (
     spatial_relation,
 )
 
-from oracles import encode_holistic
+from oracles import Frame, clip_of, encode_holistic, frames_of
 
 FRAME = (320.0, 240.0)
 
@@ -118,15 +117,17 @@ class TestPositionFeatures:
 
 class TestFrameValidation:
     def make_frame(self, **kw):
+        """A one-frame clip of two objects."""
         args = dict(
-            appearance=np.ones(6),
+            appearance=np.ones((1, 6)),
             objects=np.ones((2, 5)),
             class_attr=np.ones((2, 4)),
             boxes=np.array([[0.0, 0.0, 10.0, 10.0], [20.0, 20.0, 10.0, 10.0]]),
+            n_objects=[2],
             frame_size=FRAME,
         )
         args.update(kw)
-        return FrameFeatures(**args)
+        return ClipFeatures(**args)
 
     def test_valid_frame_accepted(self):
         f = self.make_frame()
@@ -135,7 +136,7 @@ class TestFrameValidation:
     def test_no_objects_rejected(self):
         with pytest.raises(DataError):
             self.make_frame(objects=np.ones((0, 5)), class_attr=np.ones((0, 4)),
-                            boxes=np.zeros((0, 4)))
+                            boxes=np.zeros((0, 4)), n_objects=[0])
 
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(DataError):
@@ -154,12 +155,20 @@ class TestFrameValidation:
 
     def test_empty_clip_rejected(self):
         with pytest.raises(DataError):
-            ClipFeatures([])
+            self.make_frame(appearance=np.ones((0, 6)), n_objects=np.zeros(0, dtype=int))
+
+    @pytest.mark.parametrize("n_frames, n_objects", [
+        (1, [2.0]), (1, [True]), (1, [1, 1]), (1, [[2]]), (2, [0, 2]), (1, [1]), (1, [3]),
+    ], ids=["float", "bool", "too_many", "rank_2", "zero", "short_sum", "long_sum"])
+    def test_bad_object_counts_rejected(self, n_frames, n_objects):
+        # one count per frame, each an integer >= 1, adding up to the rows
+        with pytest.raises(DataError):
+            self.make_frame(appearance=np.ones((n_frames, 6)), n_objects=n_objects)
 
 
 def encode_frame(params, frame):
     """One frame's fine-grained row (d,), through a one-frame clip."""
-    return encode_clip(params, [ClipFeatures([frame])])[1].data[0]
+    return encode_clip(params, [clip_of([frame])])[1].data[0]
 
 
 def build_encoder(rng, d=6, d_a=5, d_o=4, d_c=3, n_keep=2):
@@ -173,12 +182,11 @@ def build_encoder(rng, d=6, d_a=5, d_o=4, d_c=3, n_keep=2):
 def random_frame(rng, n_obj, d_a=5, d_o=4, d_c=3):
     xy = rng.uniform(0, 200, (n_obj, 2))
     wh = rng.uniform(5, 40, (n_obj, 2))
-    return FrameFeatures(
+    return Frame(
         appearance=rng.standard_normal(d_a),
         objects=rng.standard_normal((n_obj, d_o)),
         class_attr=rng.standard_normal((n_obj, d_c)),
         boxes=np.hstack([xy, wh]),
-        frame_size=FRAME,
     )
 
 
@@ -186,7 +194,7 @@ class TestEncoder:
     def test_output_shapes(self):
         rng = np.random.default_rng(50)
         store, params = build_encoder(rng)
-        clip = ClipFeatures([random_frame(rng, 3), random_frame(rng, 3)])
+        clip = clip_of([random_frame(rng, 3), random_frame(rng, 3)])
         hol, fine = encode_clip(params, [clip])
         assert hol.data.shape == (2, 6)
         assert fine.data.shape == (2, 6)
@@ -195,7 +203,7 @@ class TestEncoder:
         rng = np.random.default_rng(51)
         store, params = build_encoder(rng)
         f = random_frame(rng, 2)
-        got = encode_holistic(params, ClipFeatures([f])).data
+        got = encode_holistic(params, clip_of([f])).data
         want = f.appearance @ params.w_hol.data + params.b_hol.data
         assert np.allclose(got[0], want, atol=1e-12)
 
@@ -212,12 +220,11 @@ class TestEncoder:
         store, params = build_encoder(rng)
         f = random_frame(rng, 4)
         perm = np.array([2, 0, 3, 1])
-        f_perm = FrameFeatures(
+        f_perm = Frame(
             appearance=f.appearance,
             objects=f.objects[perm],
             class_attr=f.class_attr[perm],
             boxes=f.boxes[perm],
-            frame_size=f.frame_size,
         )
         a = encode_frame(params, f)
         b = encode_frame(params, f_perm)
@@ -226,7 +233,7 @@ class TestEncoder:
     def test_gradients_flow_to_every_visual_parameter(self):
         rng = np.random.default_rng(54)
         store, params = build_encoder(rng)
-        clip = ClipFeatures([random_frame(rng, 3), random_frame(rng, 4)])
+        clip = clip_of([random_frame(rng, 3), random_frame(rng, 4)])
         store.zero_grads()
         with recording():
             hol, fine = encode_clip(params, [clip])
@@ -241,13 +248,13 @@ class TestEncoder:
 
     def test_geometry_cache_matches_direct_classification(self):
         rng = np.random.default_rng(55)
-        clip = ClipFeatures([random_frame(rng, 3), random_frame(rng, 2)])
+        clip = clip_of([random_frame(rng, 3), random_frame(rng, 2)])
         geo = clip.geometry()
         assert clip.geometry() is geo
-        for b, f in enumerate(clip.frames):
+        for b, f in enumerate(frames_of(clip)):
             n = len(f.boxes)
-            adj, types = classify_spatial_edges(f.boxes, f.frame_size)
+            adj, types = classify_spatial_edges(f.boxes, FRAME)
             assert np.array_equal(geo.spatial.adjacency[b, :n, :n], adj)
             assert np.array_equal(geo.spatial.edge_types[b, :n, :n], types)
-        want = np.concatenate([position_features(f.boxes, f.frame_size) for f in clip.frames])
+        want = np.concatenate([position_features(f.boxes, FRAME) for f in frames_of(clip)])
         assert np.array_equal(geo.positions, want)
